@@ -126,14 +126,6 @@ class ExactMatrix:
             return self
         return ExactMatrix(self.rows, mode)
 
-    def first_difference(self, other):
-        """(i, j, self_ij, other_ij) of the first divergent entry, 1-based."""
-        for i in range(self.size):
-            for j in range(self.size):
-                if self.rows[i][j] != other.rows[i][j]:
-                    return (i + 1, j + 1, self.rows[i][j], other.rows[i][j])
-        return None
-
     def evaluate(self, point):
         """Evaluate a laurent-mode matrix at a rational/gaussian point."""
         if self.mode != LAURENT:

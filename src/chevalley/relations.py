@@ -30,7 +30,7 @@ route is independent and is cross-checked against this one in the tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 
@@ -38,8 +38,8 @@ from .generators import (GeneratorError, GroupModel, gen_h, gen_h_literal,
                          position_component_table, root_entry_positions)
 from .matrices import ExactMatrix
 from .roots import Root, build_root_system, positive_combinations
-from .scalars import (LAURENT, RATIONAL, GaussianRational, LaurentFrac,
-                      LaurentPoly, format_scalar, mode_of, scalar_one)
+from .scalars import (RATIONAL, GaussianRational, LaurentFrac, LaurentPoly,
+                      format_scalar, mode_of, scalar_one)
 
 DEFAULT_GRID = (Fraction(1), Fraction(-1), Fraction(2), Fraction(-2),
                 Fraction(3), Fraction(-3), Fraction(1, 2), Fraction(-1, 2),
@@ -179,16 +179,12 @@ def _freeze(d):
     return tuple(sorted(d.items()))
 
 
-def _thaw(t):
-    return dict(t)
-
-
 def w_delta(model, root, params):
-    return _thaw(_w_delta_cached(model, root, tuple(params)))
+    return dict(_w_delta_cached(model, root, tuple(params)))
 
 
 def h_delta(model, root, params):
-    return _thaw(_h_delta_cached(model, root, tuple(params)))
+    return dict(_h_delta_cached(model, root, tuple(params)))
 
 
 def commutator_delta(model, r, p, a, b):
@@ -201,7 +197,7 @@ def commutator_delta(model, r, p, a, b):
 
 
 # ---------------------------------------------------------------------------
-# Reports
+# Reports and the sweep engine
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -256,10 +252,45 @@ def _delta_witness(params, lhs, rhs):
     return None
 
 
-def _mismatch(relation_id, model, roots, regime, count, params, lhs, rhs, note=""):
-    return VerificationReport(relation_id, model, tuple(roots), regime, "fail",
-                              count, note=note,
-                              witness=_delta_witness(params, lhs, rhs))
+@dataclass(frozen=True)
+class Relation:
+    """One relation family on one root datum, as data.
+
+    ``sides(*params)`` returns the (lhs, rhs) deltas of one instance; the
+    instance holds when they are equal.  ``shown(*params)`` gives the
+    parameters a failure witness prints (default: the instance's scalars,
+    flattened), and ``params`` labels a passing report (default: the tuple
+    count).
+    """
+
+    relation_id: str
+    roots: tuple
+    tuples: list
+    sides: object
+    shown: object = None
+    params: str = ""
+
+
+def _flat(params):
+    return tuple(x for p in params for x in (p if isinstance(p, tuple) else (p,)))
+
+
+def _sweep(model, regime, rel):
+    """Run rel over all its tuples; stop at the first mismatch; one report."""
+    for count, tup in enumerate(rel.tuples, 1):
+        lhs, rhs = rel.sides(*tup)
+        if lhs != rhs:
+            shown = rel.shown(*tup) if rel.shown else _flat(tup)
+            return VerificationReport(
+                rel.relation_id, model, tuple(rel.roots), regime, "fail", count,
+                witness=_delta_witness(shown, lhs, rhs))
+    return VerificationReport(
+        rel.relation_id, model, tuple(rel.roots), regime, "pass",
+        len(rel.tuples), params=rel.params or "%d parameter tuples" % len(rel.tuples))
+
+
+def _sweep_all(model, regime, relations):
+    return [_sweep(model, regime, rel) for rel in relations]
 
 
 # ---------------------------------------------------------------------------
@@ -329,6 +360,19 @@ def symbolic_params(arity, prefix):
     return tuple(LaurentFrac.symbol("%s%d" % (prefix, k)) for k in (1, 2))
 
 
+def _scalar_designs(regime, grid):
+    """(singles, unit pairs, product pairs) for relations in scalar slots.
+
+    The symbolic regime gives one symbol per slot; the grid regime gives
+    every grid value, the unit_tuples pairs and the full Cartesian square.
+    """
+    if regime == SYMBOLIC:
+        a, b = LaurentFrac.symbol("a"), LaurentFrac.symbol("b")
+        return [(a,)], [(a, b)], [(a, b)]
+    return ([(g,) for g in grid], unit_tuples(2, grid),
+            [(x, y) for x in grid for y in grid])
+
+
 # ---------------------------------------------------------------------------
 # Structure functions
 # ---------------------------------------------------------------------------
@@ -376,12 +420,31 @@ def _poly_text(p):
     return format_scalar(LaurentFrac(p))
 
 
-def _target_slots(model, q):
-    """Support positions of each parameter slot of x_q, with sp signs."""
-    positions = root_entry_positions(model, q)
-    if model.param_arity(q) == 1:
-        return [positions[0]]
-    return positions
+def _peel(model, combos, comm, zero, failure):
+    """Read each factor's params off a commutator delta and reassemble.
+
+    Returns [(i, j, q, params)] in the order of ``combos``.  Raises
+    DecompositionError with message ``failure`` unless the factor word
+    x_q1(params1) x_q2(params2) ... equals ``comm`` exactly; its residual is
+    comm times the inverse word (the reversed word with negated params,
+    since every x-letter is I + f with f^2 = 0).
+    """
+    factors = []
+    for i, j, q in combos:
+        # one support position per parameter slot of x_q, with sp signs
+        slots = root_entry_positions(model, q)[:model.param_arity(q)]
+        vals = []
+        for (row, col, s) in slots:
+            v = comm.get((row, col), zero)
+            vals.append(v if s == 1 else -v)
+        factors.append((i, j, q, tuple(vals)))
+    rhs = delta_word([x_delta(model, q, vals) for _i, _j, q, vals in factors])
+    if rhs != comm:
+        inverse = delta_word([x_delta(model, q, tuple(-v for v in vals))
+                              for _i, _j, q, vals in reversed(factors)])
+        raise DecompositionError(failure, delta_to_matrix(
+            delta_mul(comm, inverse), model.size))
+    return factors
 
 
 @lru_cache(maxsize=None)
@@ -405,14 +468,9 @@ def fit_structure_functions(model, r, p):
                 raise RelationError("overlapping factor supports for %s,%s" % (r, p))
             used.add((row, col))
     laws = []
-    factors = []
-    zero = LaurentFrac(0)
-    for i, j, q in combos:
-        slots = _target_slots(model, q)
-        vals = []
-        for (row, col, s) in slots:
-            v = comm.get((row, col), zero)
-            vals.append(v if s == 1 else -v)
+    for i, j, q, vals in _peel(model, combos, comm, LaurentFrac(0),
+                               "structure-law reassembly failed for %s,%s"
+                               % (r, p)):
         polys = []
         for v in vals:
             if v.den != LaurentPoly.const(1):
@@ -426,13 +484,6 @@ def fit_structure_functions(model, r, p):
             if len(terms) > 1 or any(c.denominator != 1 for c in terms.values()):
                 raise RelationError("sp law is not a single integer monomial")
         laws.append(sf)
-        factors.append(x_delta(model, q, tuple(vals)))
-    rhs = delta_word(factors)
-    if rhs != comm:
-        diff = delta_mul(comm, _delta_invert_unipotent(rhs, model.size))
-        raise DecompositionError(
-            "structure-law reassembly failed for %s,%s" % (r, p),
-            delta_to_matrix(diff, model.size, LAURENT))
     return tuple(laws)
 
 
@@ -447,68 +498,10 @@ def decompose_commutator(model, r, p, a, b):
     if all(x + y == 0 for x, y in zip(r.coeffs, p.coeffs)):
         raise RelationError("antipodal pair rejected")
     comm = commutator_delta(model, r, p, a, b)
-    combos = positive_combinations(r, p)
-    factors = []
-    deltas = []
-    for i, j, q in combos:
-        slots = _target_slots(model, q)
-        vals = []
-        for (row, col, s) in slots:
-            v = comm.get((row, col))
-            if v is None:
-                v = a[0] - a[0]  # typed zero
-            vals.append(v if s == 1 else -v)
-        factors.append((q, tuple(vals)))
-        deltas.append(x_delta(model, q, tuple(vals)))
-    rhs = delta_word(deltas)
-    if rhs != comm:
-        diff = delta_mul(comm, _delta_invert_unipotent(rhs, model.size))
-        raise DecompositionError("decomposition residual is not the identity",
-                                 delta_to_matrix(diff, model.size))
-    laws = fit_structure_functions(model, r, p)
-    return factors, laws
-
-
-def _delta_invert_unipotent(delta, size):
-    """Inverse delta of I+delta via the nilpotent geometric series."""
-    out = {}
-    power = dict(delta)
-    sign = -1
-    for _ in range(size + 1):
-        if not power:
-            break
-        for k, v in power.items():
-            cur = out.get(k)
-            w = v if sign > 0 else -v
-            if cur is None:
-                out[k] = w
-            else:
-                cur = cur + w
-                if cur:
-                    out[k] = cur
-                else:
-                    del out[k]
-        nxt = {}
-        rows = {}
-        for (i, j), v in delta.items():
-            rows.setdefault(i, []).append((j, v))
-        for (i, k), v in power.items():
-            for j, w in rows.get(k, ()):
-                key = (i, j)
-                cur = nxt.get(key)
-                pv = v * w
-                if cur is None:
-                    if pv:
-                        nxt[key] = pv
-                else:
-                    cur = cur + pv
-                    if cur:
-                        nxt[key] = cur
-                    else:
-                        del nxt[key]
-        power = nxt
-        sign = -sign
-    return out
+    factors = _peel(model, positive_combinations(r, p), comm, a[0] - a[0],
+                    "decomposition residual is not the identity")
+    return ([(q, vals) for _i, _j, q, vals in factors],
+            fit_structure_functions(model, r, p))
 
 
 def _tuple_params(model, root, params):
@@ -523,33 +516,50 @@ def _tuple_params(model, root, params):
 
 
 # ---------------------------------------------------------------------------
-# Single-relation verifiers
+# Generating relations: records, single-instance verifiers, suites
 # ---------------------------------------------------------------------------
+
+def _additivity(model, r, tuples):
+    """x_r(a) x_r(b) = x_r(a+b)."""
+    return Relation("additivity", (r,), tuples, lambda a, b: (
+        delta_mul(x_delta(model, r, a), x_delta(model, r, b)),
+        x_delta(model, r, tuple(x + y for x, y in zip(a, b)))))
+
+
+def _commutator(model, r, p, laws, tuples):
+    """[x_r(a), x_p(b)] = the product of its structure factors."""
+    return Relation("commutator", (r, p), tuples, lambda a, b: (
+        commutator_delta(model, r, p, a, b),
+        delta_word([x_delta(model, law.target, law.evaluate(a, b))
+                    for law in laws])))
+
+
+def _trivial_commutator(model, r, p, tuples):
+    """[x_r(a), x_p(b)] = id when r+p is outside the system."""
+    return Relation("trivial-commutator", (r, p), tuples,
+                    lambda a, b: (commutator_delta(model, r, p, a, b), {}))
+
+
+def _single(model, regime, rel):
+    """Run a record on its one tuple; the report shows that tuple."""
+    text = "; ".join(",".join(format_scalar(x) for x in t)
+                     for t in rel.tuples[0])
+    return _sweep(model, regime, replace(rel, params=text))
+
 
 def verify_additivity(model, r, a, b, regime=GRID):
     """x_r(a) x_r(b) = x_r(a+b) as one report."""
     a = _tuple_params(model, r, a)
     b = _tuple_params(model, r, b)
-    lhs = delta_mul(x_delta(model, r, a), x_delta(model, r, b))
-    rhs = x_delta(model, r, tuple(x + y for x, y in zip(a, b)))
-    if lhs == rhs:
-        return VerificationReport("additivity", model, (r,), regime, "pass", 1,
-                                  params=_ptxt(a, b))
-    return _mismatch("additivity", model, (r,), regime, 1, a + b, lhs, rhs)
+    return _single(model, regime, _additivity(model, r, [(a, b)]))
 
 
 def verify_commutator(model, r, p, a, b, regime=GRID):
     """[x_r(a), x_p(b)] equals the product of its structure factors."""
     a = _tuple_params(model, r, a)
     b = _tuple_params(model, p, b)
-    comm = commutator_delta(model, r, p, a, b)
     laws = fit_structure_functions(model, r, p)
-    deltas = [x_delta(model, law.target, law.evaluate(a, b)) for law in laws]
-    rhs = delta_word(deltas)
-    if comm == rhs:
-        return VerificationReport("commutator", model, (r, p), regime, "pass", 1,
-                                  params=_ptxt(a, b))
-    return _mismatch("commutator", model, (r, p), regime, 1, a + b, comm, rhs)
+    return _single(model, regime, _commutator(model, r, p, laws, [(a, b)]))
 
 
 def verify_trivial_commutator(model, r, p, a, b, regime=GRID):
@@ -558,60 +568,22 @@ def verify_trivial_commutator(model, r, p, a, b, regime=GRID):
     rsum = tuple(x + y for x, y in zip(r.coeffs, p.coeffs))
     if any(rsum) and build_root_system(model.n).is_root(rsum):
         raise RelationError("pair %s,%s sums to a root; not a trivial pair" % (r, p))
-    comm = commutator_delta(model, r, p, a, b)
-    if not comm:
-        return VerificationReport("trivial-commutator", model, (r, p), regime,
-                                  "pass", 1, params=_ptxt(a, b))
-    return _mismatch("trivial-commutator", model, (r, p), regime, 1, a + b,
-                     comm, {})
+    return _single(model, regime, _trivial_commutator(model, r, p, [(a, b)]))
 
 
-def _ptxt(*tuples):
-    return "; ".join(",".join(format_scalar(x) for x in t) for t in tuples)
-
-
-# ---------------------------------------------------------------------------
-# Suites
-# ---------------------------------------------------------------------------
-
-def _sweep(relation_id, model, roots, regime, tuples, check):
-    """Run check(params...) over all tuples; aggregate into one report."""
-    count = 0
-    for tup in tuples:
-        count += 1
-        bad = check(*tup)
-        if bad is not None:
-            lhs, rhs, flat = bad
-            rep = _mismatch(relation_id, model, roots, regime, count, flat,
-                            lhs, rhs)
-            return rep
-    return VerificationReport(relation_id, model, tuple(roots), regime, "pass",
-                              count, params=_sweep_text(tuples))
-
-
-def _sweep_text(tuples):
-    return "%d parameter tuples" % len(tuples)
+def _letter_tuples(model, regime, grid, r, p):
+    """The (a, b) design for a pair of x-letters x_r(a), x_p(b)."""
+    arity_r = model.param_arity(r)
+    arity_p = model.param_arity(p)
+    if regime == SYMBOLIC:
+        return [(symbolic_params(arity_r, "a"), symbolic_params(arity_p, "b"))]
+    return param_tuples(arity_r, arity_p, grid)
 
 
 def additivity_suite(model, regime, grid):
-    system = build_root_system(model.n)
-    reports = []
-    for r in system.roots:
-        arity = model.param_arity(r)
-        if regime == SYMBOLIC:
-            tuples = [(symbolic_params(arity, "a"), symbolic_params(arity, "b"))]
-        else:
-            tuples = param_tuples(arity, arity, grid)
-
-        def check(a, b, r=r):
-            lhs = delta_mul(x_delta(model, r, a), x_delta(model, r, b))
-            rhs = x_delta(model, r, tuple(x + y for x, y in zip(a, b)))
-            if lhs != rhs:
-                return (lhs, rhs, a + b)
-            return None
-
-        reports.append(_sweep("additivity", model, (r,), regime, tuples, check))
-    return reports
+    return _sweep_all(model, regime, [
+        _additivity(model, r, _letter_tuples(model, regime, grid, r, r))
+        for r in build_root_system(model.n).roots])
 
 
 def commutator_suites(model, regime, grid):
@@ -620,18 +592,13 @@ def commutator_suites(model, regime, grid):
     reports = []
     for r in system.roots:
         for p in system.roots:
-            if all(x + y == 0 for x, y in zip(r.coeffs, p.coeffs)):
-                continue
             rsum = tuple(x + y for x, y in zip(r.coeffs, p.coeffs))
-            in_phi = system.is_root(rsum)
-            arity_r = model.param_arity(r)
-            arity_p = model.param_arity(p)
-            if regime == SYMBOLIC:
-                tuples = [(symbolic_params(arity_r, "a"),
-                           symbolic_params(arity_p, "b"))]
+            if not any(rsum):
+                continue
+            tuples = _letter_tuples(model, regime, grid, r, p)
+            if not system.is_root(rsum):
+                rel = _trivial_commutator(model, r, p, tuples)
             else:
-                tuples = param_tuples(arity_r, arity_p, grid)
-            if in_phi:
                 try:
                     laws = fit_structure_functions(model, r, p)
                 except RelationError as exc:
@@ -639,33 +606,13 @@ def commutator_suites(model, regime, grid):
                         "commutator", model, (r, p), regime, "fail", 0,
                         note=str(exc)))
                     continue
-
-                def check(a, b, r=r, p=p, laws=laws):
-                    comm = commutator_delta(model, r, p, a, b)
-                    rhs = delta_word([x_delta(model, law.target,
-                                              law.evaluate(a, b))
-                                      for law in laws])
-                    if comm != rhs:
-                        return (comm, rhs, a + b)
-                    return None
-
-                reports.append(_sweep("commutator", model, (r, p), regime,
-                                      tuples, check))
-            else:
-                def check(a, b, r=r, p=p):
-                    comm = commutator_delta(model, r, p, a, b)
-                    if comm:
-                        return (comm, {}, a + b)
-                    return None
-
-                reports.append(_sweep("trivial-commutator", model, (r, p),
-                                      regime, tuples, check))
+                rel = _commutator(model, r, p, laws, tuples)
+            reports.append(_sweep(model, regime, rel))
     return reports
 
 
 def h_relation_suite(model, regime, grid):
     """h-multiplicativity, h-involution, diagonal forms, literal agreement."""
-    reports = []
     n = model.n
     r12 = Root.of(n, 1, 2, 1, -1)
     ln = Root.of(n, n)
@@ -673,76 +620,45 @@ def h_relation_suite(model, regime, grid):
     def h_params(t):
         return (t,) if model.is_sp else (t, t - t)
 
-    if regime == SYMBOLIC:
-        s = LaurentFrac.symbol("a")
-        u = LaurentFrac.symbol("b")
-        hm_tuples = [(s, u)]
-    else:
-        hm_tuples = [(a, b) for a in grid for b in grid]
+    def h12(t):
+        return h_delta(model, r12, h_params(t))
 
-    def hm_check(a, b):
-        lhs = delta_mul(h_delta(model, r12, h_params(a)),
-                        h_delta(model, r12, h_params(b)))
-        rhs = h_delta(model, r12, h_params(a * b))
-        if lhs != rhs:
-            return (lhs, rhs, (a, b))
-        return None
+    singles, _units, pairs = _scalar_designs(regime, grid)
+    literal_tuples = singles if regime == SYMBOLIC else singles[:5]
 
-    reports.append(_sweep("h-multiplicativity", model, (r12,), regime,
-                          hm_tuples, check=hm_check))
-
-    # involution: h_{2Ln}(-1)^2 = id with the explicit diagonal form
+    # involution: h_{2Ln}(-1) is diag(1,..,-1 at n,1,..,-1 at 2n), square id
     one = grid[0] / grid[0]
     minus_one = -one
-    hm = h_delta(model, ln, (minus_one,))
-    # diag(1,..,-1 at n,1,..,-1 at 2n) as a delta from the identity
     expected = {(n, n): minus_one - one, (2 * n, 2 * n): minus_one - one}
-    sq = delta_mul(hm, hm)
-    if hm == expected and not sq:
-        reports.append(VerificationReport("h-involution", model, (ln,), regime,
-                                          "pass", 1, params="-1"))
-    else:
-        lhs = sq if hm == expected else hm
-        rhs = {} if hm == expected else expected
-        reports.append(_mismatch("h-involution", model, (ln,), regime, 1,
-                                 (minus_one,), lhs, rhs))
 
-    # diagonal form of h_{L1-L2}
-    def diag_check(t):
-        hd = h_delta(model, r12, h_params(t))
+    def involution(m):
+        hm = h_delta(model, ln, (m,))
+        if hm != expected:
+            return hm, expected
+        return delta_mul(hm, hm), {}
+
+    def diagonal(t):
+        hd = h12(t)
         tinv = 1 / t
         exp = {(1, 1): t - 1, (2, 2): tinv - 1}
         if model.is_sp:
             exp[(1 + n, 1 + n)] = tinv - 1
             exp[(2 + n, 2 + n)] = t - 1
-        exp = {k: v for k, v in exp.items() if v}
-        if hd != exp:
-            return (hd, exp, (t,))
-        return None
-
-    diag_tuples = [(LaurentFrac.symbol("a"),)] if regime == SYMBOLIC \
-        else [(g,) for g in grid]
-    reports.append(_sweep("h-diagonal-form", model, (r12,), regime,
-                          diag_tuples, diag_check))
+        return hd, {k: v for k, v in exp.items() if v}
 
     # literal two-factor h displays agree with the normalized definition
-    def literal_check(t):
-        params = h_params(t)
-        normalized = gen_h(model, r12, params).matrix
-        literal = gen_h_literal(model, r12, params).matrix
-        if normalized != literal:
-            d1 = {(i + 1, j + 1): normalized.rows[i][j]
-                  for i in range(normalized.size) for j in range(normalized.size)}
-            d2 = {(i + 1, j + 1): literal.rows[i][j]
-                  for i in range(literal.size) for j in range(literal.size)}
-            return (d1, d2, (t,))
-        return None
+    def literal(t):
+        return (matrix_to_delta(gen_h(model, r12, h_params(t)).matrix),
+                matrix_to_delta(gen_h_literal(model, r12, h_params(t)).matrix))
 
-    lit_tuples = [(LaurentFrac.symbol("a"),)] if regime == SYMBOLIC \
-        else [(g,) for g in grid[:5]]
-    reports.append(_sweep("h-literal-form", model, (r12,), regime,
-                          lit_tuples, literal_check))
-    return reports
+    return _sweep_all(model, regime, [
+        Relation("h-multiplicativity", (r12,), pairs,
+                 lambda a, b: (delta_mul(h12(a), h12(b)), h12(a * b))),
+        Relation("h-involution", (ln,), [(minus_one,)], involution,
+                 params="-1"),
+        Relation("h-diagonal-form", (r12,), singles, diagonal),
+        Relation("h-literal-form", (r12,), literal_tuples, literal),
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -756,198 +672,117 @@ def _conj(w, inner, w_inv):
 def weyl_conjugation_suite(model, regime, grid):
     """Conjugation identities among w and h letters, verified as matrices."""
     if model.is_sp:
-        return _sp_weyl_suite(model, regime, grid) + \
-            _h_decomposition_suite(model, regime, grid)
+        return _sp_weyl_suite(model, regime, grid)
     return (_sl_component_conjugation(model, regime, grid)
             + _sl_w_conjugation(model, regime, grid)
             + _w_inversion_suite(model, regime, grid))
 
 
 def _sp_weyl_suite(model, regime, grid):
+    """w/h conjugations, then long-root h through the short-root torus (sp)."""
     n = model.n
     short = Root.of(n, n - 1, n, 1, -1)       # L_{n-1} - L_n
     plus = Root.of(n, n - 1, n, 1, 1)         # L_{n-1} + L_n
     long_n = Root.of(n, n)                    # 2L_n
     long_n1 = Root.of(n, n - 1)               # 2L_{n-1}
-    if regime == SYMBOLIC:
-        tuples = [(LaurentFrac.symbol("a"), LaurentFrac.symbol("b"))]
-    else:
-        tuples = [(a, t) for a in grid for t in grid]
+    one = grid[0] / grid[0]
+    minus_one = -one
+    tuples = _scalar_designs(regime, grid)[2]
+    zs = [LaurentFrac.symbol("b")] if regime == SYMBOLIC else grid
+    split_tuples = [(s, z) for s in (one, minus_one) for z in zs]
+
+    def w(root, t):
+        return w_delta(model, root, (t,))
+
+    def h(root, t):
+        return h_delta(model, root, (t,))
 
     cases = [
         ("weyl-conj-1", (long_n, short, plus),
-         lambda a, t: (_conj(w_delta(model, long_n, (a,)),
-                             w_delta(model, short, (t,)),
-                             w_delta(model, long_n, (-a,))),
-                       w_delta(model, plus, (-(a * t),)))),
+         lambda a, t: (_conj(w(long_n, a), w(short, t), w(long_n, -a)),
+                       w(plus, -(a * t)))),
         ("weyl-conj-2", (long_n, plus, short),
-         lambda a, t: (_conj(w_delta(model, long_n, (a,)),
-                             w_delta(model, plus, (t,)),
-                             w_delta(model, long_n, (-a,))),
-                       w_delta(model, short, (t / a,)))),
+         lambda a, t: (_conj(w(long_n, a), w(plus, t), w(long_n, -a)),
+                       w(short, t / a))),
         ("weyl-conj-3", (short, long_n, long_n1),
-         lambda a, t: (_conj(w_delta(model, short, (t,)),
-                             w_delta(model, long_n, (a,)),
-                             w_delta(model, short, (-t,))),
-                       w_delta(model, long_n1, (a * t * t,)))),
+         lambda a, t: (_conj(w(short, t), w(long_n, a), w(short, -t)),
+                       w(long_n1, a * t * t))),
         ("weyl-conj-4", (short, long_n1, long_n),
-         lambda a, t: (_conj(w_delta(model, short, (t,)),
-                             w_delta(model, long_n1, (a,)),
-                             w_delta(model, short, (-t,))),
-                       w_delta(model, long_n, (a / (t * t),)))),
+         lambda a, t: (_conj(w(short, t), w(long_n1, a), w(short, -t)),
+                       w(long_n, a / (t * t)))),
         ("weyl-conj-5", (short, long_n, long_n),
-         lambda a, t: (_conj(h_delta(model, short, (t,)),
-                             w_delta(model, long_n, (a,)),
-                             h_delta(model, short, (1 / t,))),
-                       w_delta(model, long_n, (a / (t * t),)))),
+         lambda a, t: (_conj(h(short, t), w(long_n, a), h(short, 1 / t)),
+                       w(long_n, a / (t * t)))),
         ("weyl-conj-6", (long_n, short, plus),
-         lambda a, t: (_conj(w_delta(model, long_n, (a,)),
-                             h_delta(model, short, (t,)),
-                             w_delta(model, long_n, (-a,))),
-                       delta_mul(h_delta(model, plus, (-(a * t),)),
-                                 h_delta(model, plus, (-(1 / a),))))),
+         lambda a, t: (_conj(w(long_n, a), h(short, t), w(long_n, -a)),
+                       delta_mul(h(plus, -(a * t)), h(plus, -(1 / a))))),
     ]
-    reports = []
-    for rid, roots, sides in cases:
-        def check(a, t, sides=sides):
-            lhs, rhs = sides(a, t)
-            if lhs != rhs:
-                return (lhs, rhs, (a, t))
-            return None
+    hs = h(short, minus_one)
 
-        reports.append(_sweep(rid, model, roots, regime, tuples, check))
-    return reports
-
-
-def _h_decomposition_suite(model, regime, grid):
-    """Long-root torus elements through the short-root torus (sp)."""
-    n = model.n
-    short = Root.of(n, n - 1, n, 1, -1)
-    plus = Root.of(n, n - 1, n, 1, 1)
-    long_n = Root.of(n, n)
-    one = grid[0] / grid[0]
-    minus_one = -one
-    reports = []
-
-    # (h_{L_{n-1}-L_n}(-1))^2 = id
-    hs = h_delta(model, short, (minus_one,))
-    sq = delta_mul(hs, hs)
-    reports.append(VerificationReport(
-        "h-decomposition-square", model, (short,), regime,
-        "pass" if not sq else "fail", 1, params="-1",
-        witness=None if not sq else _delta_witness((minus_one,), sq, {})))
-
-    # h_{L_{n-1}-L_n}(-1) h_{L_{n-1}+L_n}(-1)^{±1} = id
-    hp = h_delta(model, plus, (minus_one,))
-    pair = delta_mul(hs, hp)
-    reports.append(VerificationReport(
-        "h-decomposition-pair", model, (short, plus), regime,
-        "pass" if not pair else "fail", 1, params="-1,-1",
-        witness=None if not pair else _delta_witness((minus_one,), pair, {})))
-    hp_inv = h_delta(model, plus, (minus_one,))  # h(-1)^{-1} = h(-1)
-    pair_inv = delta_mul(hs, hp_inv)
-    reports.append(VerificationReport(
-        "h-decomposition-pair-inverse", model, (short, plus), regime,
-        "pass" if not pair_inv else "fail", 1, params="-1,-1",
-        witness=None if not pair_inv else _delta_witness((minus_one,),
-                                                         pair_inv, {})))
+    # h_{L_{n-1}-L_n}(-1) h_{L_{n-1}+L_n}(-1)^{±1} = id, as h(-1)^{-1} = h(-1)
+    def pair(m):
+        return delta_mul(hs, h(plus, m)), {}
 
     # h_{2Ln}(s z^2) = h_short(1/z) w_{2Ln}(s) h_short(1/z)^{-1} w_{2Ln}(-1)
-    if regime == SYMBOLIC:
-        tuples = [(s, LaurentFrac.symbol("b")) for s in (one, minus_one)]
-    else:
-        tuples = [(s, z) for s in (one, minus_one) for z in grid]
+    def split(s, z):
+        return h(long_n, s * z * z), delta_word(
+            [h(short, 1 / z), w(long_n, s), h(short, z), w(long_n, -one)])
 
-    def split_check(s, z):
-        lhs = h_delta(model, long_n, (s * z * z,))
-        zinv = 1 / z
-        rhs = delta_word([h_delta(model, short, (zinv,)),
-                          w_delta(model, long_n, (s,)),
-                          h_delta(model, short, (z,)),
-                          w_delta(model, long_n, (-one,))])
-        if lhs != rhs:
-            return (lhs, rhs, (s, z))
-        return None
-
-    reports.append(_sweep("h-decomposition-split", model, (long_n, short),
-                          regime, tuples, split_check))
-    return reports
+    return _sweep_all(model, regime, [
+        Relation(rid, roots, tuples, sides) for rid, roots, sides in cases] + [
+        Relation("h-decomposition-square", (short,), [(minus_one,)],
+                 lambda m: (delta_mul(hs, hs), {}), params="-1"),
+        Relation("h-decomposition-pair", (short, plus), [(minus_one,)], pair,
+                 params="-1,-1"),
+        Relation("h-decomposition-pair-inverse", (short, plus), [(minus_one,)],
+                 pair, params="-1,-1"),
+        Relation("h-decomposition-split", (long_n, short), split_tuples, split),
+    ])
 
 
 def _sl_component_conjugation(model, regime, grid):
     """w x^delta_beta(v) w^{-1} is a single component letter at the permuted
-    support; one aggregated report per w-form."""
+    support; one aggregated report per w-form: (u) on long roots, and
+    (u,0), (0,u), (u,v) on short ones."""
     n = model.n
     system = build_root_system(n)
     table = position_component_table(n)
-    reports = []
-    w_forms = _w_forms(model, grid, regime)
     if regime == SYMBOLIC:
-        v = LaurentFrac.symbol("c")
-    else:
-        v = grid[6]  # 1/2
-    for (gamma, wparams, label) in w_forms:
-        wd = w_delta(model, gamma, wparams)
-        wd_inv = w_delta(model, gamma, tuple(-u for u in wparams))
-        perm = _delta_perm(wd, 2 * n)
-
-        def check(beta, delta, gamma=gamma, wd=wd, wd_inv=wd_inv, perm=perm):
-            positions = root_entry_positions(model, beta)
-            row, col, _s = positions[delta - 1]
-            inner = {(row, col): v}
-            out = _conj(wd, inner, wd_inv)
-            if len(out) != 1:
-                return (out, inner, (v,))
-            (orow, ocol), _val = next(iter(out.items()))
-            if (orow, ocol) != (perm[row], perm[col]):
-                return (out, {(perm[row], perm[col]): v}, (v,))
-            if (orow, ocol) not in table:
-                return (out, {}, (v,))
-            return None
-
-        count = 0
-        failure = None
-        for beta in system.roots:
-            deltas = (1,) if beta.is_long else (1, 2)
-            for d in deltas:
-                count += 1
-                failure = check(beta, d)
-                if failure is not None:
-                    break
-            if failure is not None:
-                break
-        if failure is None:
-            reports.append(VerificationReport(
-                "weyl-component-conj", model, (gamma,), regime, "pass", count,
-                params=label))
-        else:
-            lhs, rhs, pr = failure
-            reports.append(_mismatch("weyl-component-conj", model, (gamma,),
-                                     regime, count, pr, lhs, rhs))
-    return reports
-
-
-def _w_forms(model, grid, regime):
-    """Representative w letters: (u,0), (0,u), (u,u') on short; (u) on long."""
-    n = model.n
-    system = build_root_system(n)
-    if regime == SYMBOLIC:
-        u = LaurentFrac.symbol("u")
-        u2 = LaurentFrac.symbol("v")
+        v, u, u2 = (LaurentFrac.symbol(x) for x in "cuv")
         zero = LaurentFrac(0)
     else:
-        u = grid[2]
-        u2 = grid[4]
+        v, u, u2 = grid[6], grid[2], grid[4]  # v = 1/2
         zero = u - u
-    forms = []
+    tuples = [(beta, d) for beta in system.roots
+              for d in ((1,) if beta.is_long else (1, 2))]
+
+    def relation(gamma, wparams, label):
+        wd = w_delta(model, gamma, wparams)
+        wd_inv = w_delta(model, gamma, tuple(-x for x in wparams))
+        perm = _delta_perm(wd, 2 * n)
+
+        def sides(beta, d):
+            row, col, _s = root_entry_positions(model, beta)[d - 1]
+            inner = {(row, col): v}
+            out = _conj(wd, inner, wd_inv)
+            target = (perm[row], perm[col])
+            if len(out) != 1:
+                return out, inner
+            if target not in out:
+                return out, {target: v}
+            if target not in table:
+                return out, {}
+            return out, out
+
+        return Relation("weyl-component-conj", (gamma,), tuples, sides,
+                        shown=lambda beta, d: (v,), params=label)
+
+    relations = []
     for gamma in system.roots:
-        if gamma.is_long:
-            forms.append((gamma, (u,), "u"))
-        else:
-            forms.append((gamma, (u, zero), "(u,0)"))
-            forms.append((gamma, (zero, u), "(0,u)"))
-            forms.append((gamma, (u, u2), "(u,v)"))
-    return forms
+        forms = [((u,), "u")] if gamma.is_long else \
+            [((u, zero), "(u,0)"), ((zero, u), "(0,u)"), ((u, u2), "(u,v)")]
+        relations += [relation(gamma, *form) for form in forms]
+    return _sweep_all(model, regime, relations)
 
 
 def _delta_perm(wd, size):
@@ -972,102 +807,74 @@ def _sl_w_conjugation(model, regime, grid):
     """The three w-by-w conjugation displays for the sl families."""
     n = model.n
     if regime == SYMBOLIC:
-        a = LaurentFrac.symbol("a")
-        t1 = LaurentFrac.symbol("b1")
-        t2 = LaurentFrac.symbol("b2")
-        tuples = [(a, t1, t2)]
+        tuples = [(LaurentFrac.symbol("a"), LaurentFrac.symbol("b1"),
+                   LaurentFrac.symbol("b2"))]
     else:
         tuples = [(a, t1, t2) for a in grid
                   for (t1, t2) in unit_tuples(2, grid)[:11]]
-    reports = []
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            rsum = Root.of(n, i, j, 1, 1)
-            rdiff = Root.of(n, i, j, 1, -1)
-            rdiff_op = Root.of(n, j, i, 1, -1)   # L_j - L_i
-            li2 = Root.of(n, i)
-            lj2neg = Root.of(n, j, si=-1)
 
-            def zero_like(x):
-                return x - x
+    def w(root, *params):
+        return w_delta(model, root, params)
 
-            def check1(a, t1, t2, rsum=rsum, rdiff=rdiff, li2=li2,
-                       lj2neg=lj2neg):
-                z = zero_like(a)
-                w_out = w_delta(model, rsum, (a, z))
-                w_in = w_delta(model, rdiff, (t1, t2))
-                lhs = _conj(w_out, w_in, w_delta(model, rsum, (-a, z)))
-                rhs = delta_mul(w_delta(model, lj2neg, (-(t1 / a),)),
-                                w_delta(model, li2, (a * t2,)))
-                if lhs != rhs:
-                    return (lhs, rhs, (a, t1, t2))
-                return None
+    def relations(i, j):
+        rsum = Root.of(n, i, j, 1, 1)
+        rdiff = Root.of(n, i, j, 1, -1)
+        rdiff_op = Root.of(n, j, i, 1, -1)   # L_j - L_i
+        li2 = Root.of(n, i)
+        lj2neg = Root.of(n, j, si=-1)
 
-            def check2(a, t1, t2, rsum=rsum, rdiff_op=rdiff_op, li2=li2):
-                w_out = w_delta(model, li2, (a,))
-                w_in = w_delta(model, rsum, (t1, t2))
-                lhs = _conj(w_out, w_in, w_delta(model, li2, (-a,)))
-                rhs = w_delta(model, rdiff_op, (t2 / a, -(t1 / a)))
-                if lhs != rhs:
-                    return (lhs, rhs, (a, t1, t2))
-                return None
+        def conj_1(a, t1, t2):
+            z = a - a
+            return (_conj(w(rsum, a, z), w(rdiff, t1, t2), w(rsum, -a, z)),
+                    delta_mul(w(lj2neg, -(t1 / a)), w(li2, a * t2)))
 
-            def check3(a, t1, t2, rsum=rsum, rdiff_op=rdiff_op, li2=li2):
-                z = zero_like(a)
-                w_out = w_delta(model, li2, (a,))
-                w_in = w_delta(model, rsum, (t1, z))
-                lhs = _conj(w_out, w_in, w_delta(model, li2, (-a,)))
-                rhs = w_delta(model, rdiff_op, (z, -(t1 / a)))
-                if lhs != rhs:
-                    return (lhs, rhs, (a, t1))
-                return None
+        def conj_3(a, t1, t2):
+            z = a - a
+            return (_conj(w(li2, a), w(rsum, t1, z), w(li2, -a)),
+                    w(rdiff_op, z, -(t1 / a)))
 
-            reports.append(_sweep("weyl-w-conj-1", model, (rsum, rdiff),
-                                  regime, tuples, check1))
-            reports.append(_sweep("weyl-w-conj-2", model, (li2, rsum),
-                                  regime, tuples, check2))
-            reports.append(_sweep("weyl-w-conj-3", model, (li2, rsum),
-                                  regime, tuples, check3))
-    return reports
+        return [
+            Relation("weyl-w-conj-1", (rsum, rdiff), tuples, conj_1),
+            Relation("weyl-w-conj-2", (li2, rsum), tuples, lambda a, t1, t2: (
+                _conj(w(li2, a), w(rsum, t1, t2), w(li2, -a)),
+                w(rdiff_op, t2 / a, -(t1 / a)))),
+            Relation("weyl-w-conj-3", (li2, rsum), tuples, conj_3,
+                     shown=lambda a, t1, t2: (a, t1)),
+        ]
+
+    return _sweep_all(model, regime, [rel for i in range(1, n + 1)
+                                      for j in range(i + 1, n + 1)
+                                      for rel in relations(i, j)])
 
 
 def _w_inversion_suite(model, regime, grid):
-    """w_g(t1,t2) = w_{-g}(-1/t1,-1/t2) and the one-parameter variants."""
-    system = build_root_system(model.n)
-    reports = []
-    if regime == SYMBOLIC:
-        t1 = LaurentFrac.symbol("a")
-        t2 = LaurentFrac.symbol("b")
-        pairs = [(t1, t2)]
-        singles = [(t1,)]
-    else:
-        pairs = unit_tuples(2, grid)
-        singles = [(g,) for g in grid]
-    for gamma in system.roots:
-        if gamma.is_long:
-            def check(t, gamma=gamma):
-                lhs = w_delta(model, gamma, (t,))
-                rhs = w_delta(model, -gamma, (-(1 / t),))
+    """w_g(t1,t2) = w_{-g}(-1/t1,-1/t2), also with either slot zero; w_g(t)
+    = w_{-g}(-1/t) on long roots."""
+    singles, pairs, _product = _scalar_designs(regime, grid)
+
+    def variants(t1, t2=None):
+        if t2 is None:
+            return ((t1,),)
+        z = t1 - t1
+        return ((t1, t2), (t1, z), (z, t2))
+
+    def relation(gamma):
+        def first_failing(*ts):
+            for params in variants(*ts):
+                lhs = w_delta(model, gamma, params)
+                rhs = w_delta(model, -gamma,
+                              tuple((-(1 / p)) if p else p for p in params))
                 if lhs != rhs:
-                    return (lhs, rhs, (t,))
-                return None
+                    break
+            return params, lhs, rhs
 
-            reports.append(_sweep("w-inversion", model, (gamma,), regime,
-                                  singles, check))
-        else:
-            def check(t1, t2, gamma=gamma):
-                z = t1 - t1
-                for params in ((t1, t2), (t1, z), (z, t2)):
-                    lhs = w_delta(model, gamma, params)
-                    inv = tuple((-(1 / p)) if p else p for p in params)
-                    rhs = w_delta(model, -gamma, inv)
-                    if lhs != rhs:
-                        return (lhs, rhs, params)
-                return None
+        return Relation("w-inversion", (gamma,),
+                        singles if gamma.is_long else pairs,
+                        lambda *ts: first_failing(*ts)[1:],
+                        shown=lambda *ts: first_failing(*ts)[0])
 
-            reports.append(_sweep("w-inversion", model, (gamma,), regime,
-                                  pairs, check))
-    return reports
+    return _sweep_all(model, regime, [relation(g) for g in
+                                      build_root_system(model.n).roots])
 
 
 # ---------------------------------------------------------------------------
@@ -1097,125 +904,69 @@ def _perm_diag_delta(size, swaps, diag, mode_probe):
     return out
 
 
+# The seven displays w = p(pi) diag(...).  Each row: id, root (Li-Lj, Li+Lj
+# or 2Li), the w-letter's slots (1 -> t1, 2 -> t2, 0 -> zero), the swapped
+# positions of pi, and the diagonal as (position, slot, inverted), where an
+# inverted entry is -1/t and any other is t.  Positions 0..3 stand for
+# i, j, i+n, j+n.
+_MONOMIAL_FORMS = (
+    ("monomial-form-1", "diff", (1, 2), ((0, 1), (2, 3)),
+     ((0, 1, True), (1, 1, False), (2, 2, False), (3, 2, True))),
+    ("monomial-form-2", "diff", (1, 0), ((0, 1),),
+     ((0, 1, True), (1, 1, False))),
+    ("monomial-form-3", "diff", (0, 2), ((2, 3),),
+     ((2, 2, False), (3, 2, True))),
+    ("monomial-form-4", "sum", (1, 2), ((0, 3), (1, 2)),
+     ((0, 1, True), (1, 2, True), (2, 2, False), (3, 1, False))),
+    ("monomial-form-5", "sum", (0, 2), ((1, 2),),
+     ((1, 2, True), (2, 2, False))),
+    ("monomial-form-6", "sum", (1, 0), ((0, 3),),
+     ((0, 1, True), (3, 1, False))),
+)
+_LONG_FORM = ("monomial-form-7", "long", (1,), ((0, 2),),
+              ((0, 1, True), (2, 1, False)))
+
+
+def _monomial_relation(model, form, i, j, tuples):
+    rid, kind, slots, swaps, diag = form
+    n = model.n
+    root = Root.of(n, i) if kind == "long" else \
+        Root.of(n, i, j, 1, -1 if kind == "diff" else 1)
+    pos = (i, j, i + n, j + n)
+
+    def used(ts):
+        return tuple(ts[s - 1] for s in slots if s)
+
+    def sides(*ts):
+        probe = used(ts)[0]
+        lhs = w_delta(model, root, tuple(ts[s - 1] if s else probe - probe
+                                         for s in slots))
+        rhs = _perm_diag_delta(
+            model.size, [(pos[x], pos[y]) for x, y in swaps],
+            {pos[k]: -(1 / ts[s - 1]) if inv else ts[s - 1]
+             for k, s, inv in diag}, probe)
+        return lhs, rhs
+
+    return Relation(rid, (root,), tuples, sides,
+                    shown=lambda *ts: used(ts))
+
+
 def monomial_form_suite(model, regime, grid):
     """The seven explicit w displays; sl gets all, sp gets the long-root one."""
     n = model.n
-    reports = []
-    if regime == SYMBOLIC:
-        t1 = LaurentFrac.symbol("a")
-        t2 = LaurentFrac.symbol("b")
-        pairs = [(t1, t2)]
-        singles = [t1]
-    else:
-        pairs = unit_tuples(2, grid)
-        singles = list(grid)
-
-    def tup(*vals):
-        return tuple(vals)
-
-    for i in range(1, n + 1):
-        # display 7: w_{2Li}(t) = p((i,i+n)) diag(-1/t at i, t at i+n)
-        long_i = Root.of(n, i)
-
-        def check7(t, long_i=long_i, i=i):
-            lhs = w_delta(model, long_i, (t,))
-            rhs = _perm_diag_delta(model.size, [(i, i + n)],
-                                   {i: -(1 / t), i + n: t}, t)
-            if lhs != rhs:
-                return (lhs, rhs, (t,))
-            return None
-
-        reports.append(_sweep("monomial-form-7", model, (long_i,), regime,
-                              [(s,) for s in singles], check7))
-    if model.is_sp:
-        return reports
-
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            rdiff = Root.of(n, i, j, 1, -1)
-            rsum = Root.of(n, i, j, 1, 1)
-
-            def check1(t1, t2, rdiff=rdiff, i=i, j=j):
-                lhs = w_delta(model, rdiff, (t1, t2))
-                rhs = _perm_diag_delta(
-                    model.size, [(i, j), (i + n, j + n)],
-                    {i: -(1 / t1), j: t1, i + n: t2, j + n: -(1 / t2)}, t1)
-                if lhs != rhs:
-                    return (lhs, rhs, (t1, t2))
-                return None
-
-            def check2(t1, t2, rdiff=rdiff, i=i, j=j):
-                lhs = w_delta(model, rdiff, (t1, t1 - t1))
-                rhs = _perm_diag_delta(model.size, [(i, j)],
-                                       {i: -(1 / t1), j: t1}, t1)
-                if lhs != rhs:
-                    return (lhs, rhs, (t1,))
-                return None
-
-            def check3(t1, t2, rdiff=rdiff, i=i, j=j):
-                lhs = w_delta(model, rdiff, (t2 - t2, t2))
-                rhs = _perm_diag_delta(model.size, [(i + n, j + n)],
-                                       {i + n: t2, j + n: -(1 / t2)}, t2)
-                if lhs != rhs:
-                    return (lhs, rhs, (t2,))
-                return None
-
-            def check4(t1, t2, rsum=rsum, i=i, j=j):
-                lhs = w_delta(model, rsum, (t1, t2))
-                rhs = _perm_diag_delta(
-                    model.size, [(i, j + n), (j, i + n)],
-                    {i: -(1 / t1), j: -(1 / t2), i + n: t2, j + n: t1}, t1)
-                if lhs != rhs:
-                    return (lhs, rhs, (t1, t2))
-                return None
-
-            def check5(t1, t2, rsum=rsum, i=i, j=j):
-                lhs = w_delta(model, rsum, (t2 - t2, t2))
-                rhs = _perm_diag_delta(model.size, [(j, i + n)],
-                                       {j: -(1 / t2), i + n: t2}, t2)
-                if lhs != rhs:
-                    return (lhs, rhs, (t2,))
-                return None
-
-            def check6(t1, t2, rsum=rsum, i=i, j=j):
-                lhs = w_delta(model, rsum, (t1, t1 - t1))
-                rhs = _perm_diag_delta(model.size, [(i, j + n)],
-                                       {i: -(1 / t1), j + n: t1}, t1)
-                if lhs != rhs:
-                    return (lhs, rhs, (t1,))
-                return None
-
-            for rid, chk, roots in (("monomial-form-1", check1, (rdiff,)),
-                                    ("monomial-form-2", check2, (rdiff,)),
-                                    ("monomial-form-3", check3, (rdiff,)),
-                                    ("monomial-form-4", check4, (rsum,)),
-                                    ("monomial-form-5", check5, (rsum,)),
-                                    ("monomial-form-6", check6, (rsum,))):
-                reports.append(_sweep(rid, model, roots, regime, pairs, chk))
-    return reports
+    singles, pairs, _product = _scalar_designs(regime, grid)
+    relations = [_monomial_relation(model, _LONG_FORM, i, i, singles)
+                 for i in range(1, n + 1)]
+    if not model.is_sp:
+        relations += [_monomial_relation(model, form, i, j, pairs)
+                      for i in range(1, n + 1) for j in range(i + 1, n + 1)
+                      for form in _MONOMIAL_FORMS]
+    return _sweep_all(model, regime, relations)
 
 
 # ---------------------------------------------------------------------------
 # Drivers
 # ---------------------------------------------------------------------------
-
-def verify_h_relations(model, regime=GRID, grid=None):
-    """The h-multiplicativity/involution/diagonal family as reports."""
-    g = _suite_grid(model, regime, grid)
-    return h_relation_suite(model, regime, g)
-
-
-def verify_weyl_conjugation_suite(model, regime=GRID, grid=None):
-    """Weyl-element conjugation and torus-decomposition identities."""
-    g = _suite_grid(model, regime, grid)
-    return weyl_conjugation_suite(model, regime, g)
-
-
-def verify_monomial_forms(model, regime=GRID, grid=None):
-    """The explicit permutation-times-diagonal display identities."""
-    g = _suite_grid(model, regime, grid)
-    return monomial_form_suite(model, regime, g)
-
 
 def _suite_grid(model, regime, grid):
     if regime == SYMBOLIC:

@@ -6,8 +6,9 @@ import pytest
 
 from chevalley.generators import GeneratorLetter, GroupModel, gen_h
 from chevalley.matrices import ExactMatrix, mat_inv, mat_mul, mat_prod
-from chevalley.relations import (DEFAULT_GRID, RelationError,
-                                 commutator_delta, decompose_commutator,
+from chevalley.relations import (DEFAULT_GRID, Relation, RelationError,
+                                 _sweep, commutator_delta,
+                                 decompose_commutator, delta_mul,
                                  delta_to_matrix, fit_structure_functions,
                                  h_delta, matrix_to_delta, run_suite,
                                  verify_additivity, verify_commutator,
@@ -243,12 +244,23 @@ class TestSuites:
                           "regime", "verdict"}
 
     def test_failure_witness_has_entry_and_params(self):
-        # corrupt expectation on purpose: additivity with mismatched target
-        rep = verify_additivity(SP2, Root.of(2, 1), (F(2),), (F(3),))
-        assert rep.witness is None
-        bad = verify_commutator(SP2, Root.of(2, 1, 2, 1, -1), Root.of(2, 2),
-                                (F(2),), (F(3),))
-        assert bad.passed
+        # a deliberately wrong law, x_r(a) x_r(b) = x_r(ab), holds at (0,0)
+        # and (2,2) and first fails at the third tuple (2,3)
+        r = Root.of(2, 1)
+        wrong = Relation("wrong-additivity", (r,), [
+            ((F(0),), (F(0),)), ((F(2),), (F(2),)), ((F(2),), (F(3),)),
+            ((F(1),), (F(1),))], lambda a, b: (
+                delta_mul(x_delta(SP2, r, a), x_delta(SP2, r, b)),
+                x_delta(SP2, r, (a[0] * b[0],))))
+        rep = _sweep(SP2, "grid", wrong)
+        assert not rep.passed
+        assert rep.instances == 3
+        # x_{2L1}(t) = I + t e_{1,3}: lhs has 2+3 there, rhs 2*3
+        assert rep.witness == {"params": ["2", "3"], "entry": [1, 3],
+                               "lhs": "5", "rhs": "6"}
+        d = rep.to_json_dict()
+        assert d["verdict"] == "fail" and d["witness"] == rep.witness
+        assert verify_additivity(SP2, r, (F(2),), (F(3),)).witness is None
 
     def test_grid_requires_nine_values(self):
         with pytest.raises(RelationError):
