@@ -98,9 +98,9 @@ def _model(args):
 
 
 def _grid(args):
-    if getattr(args, "grid", None):
-        return tuple(parse_scalar(v) for v in args.grid.split(","))
-    return None
+    if args.grid is None:
+        return None
+    return tuple(parse_scalar(v) for v in args.grid.split(","))
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +258,8 @@ def build_parser():
     p.add_argument("--suite", choices=SUITES, default="all")
     p.add_argument("--regime", choices=REGIMES, default=GRID)
     p.add_argument("--grid", default=None,
-                   help="comma list of nonzero rationals (default grid: %s)"
+                   help="grid regime only: comma list of nonzero rationals "
+                        "(Gaussian rationals for sl-c; default grid: %s)"
                         % ",".join(str(g) for g in DEFAULT_GRID))
     p.set_defaults(func=cmd_verify)
 

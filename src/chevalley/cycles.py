@@ -394,8 +394,10 @@ def reduce_cycle(word, region=None, budget=10000):
     stuck word rewinds to the most recent choice point with untried
     candidates.  The budget counts every applied move, including moves later
     undone.  Returns a ReductionTrace on success or a ReductionFailure with
-    the stuck word and partial trace.
+    the stuck word and partial trace.  A negative budget is an error.
     """
+    if budget < 0:
+        raise CycleError("budget must be at least 0, got %d" % budget)
     for l in word.letters:
         if l.kind != "x":
             raise CycleError("cycle mode takes x-letters only; got %r"

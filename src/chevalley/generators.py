@@ -32,10 +32,20 @@ from functools import lru_cache
 
 from .matrices import ExactMatrix, exp_nilpotent, mat_inv, mat_mul
 from .roots import Root
-from .scalars import (RATIONAL, coerce, format_scalar, is_unit, join_mode,
-                      mode_of, parse_scalar, scalar_one, scalar_zero)
+from .scalars import (GAUSSIAN, LAURENT, RATIONAL, coerce, format_scalar,
+                      is_unit, join_mode, mode_of, parse_scalar, scalar_one,
+                      scalar_zero)
 
 FAMILIES = ("sp", "sl-r", "sl-c")
+
+GRID = "grid"
+SYMBOLIC = "symbolic"
+REGIMES = (GRID, SYMBOLIC)
+
+# The scalar modes a parameter may take per regime; Gaussian values only on
+# sl-c.  Regime None covers letters and one-off calls such as decompose.
+_PARAM_MODES = {None: (RATIONAL, GAUSSIAN, LAURENT), GRID: (RATIONAL, GAUSSIAN),
+                SYMBOLIC: (RATIONAL, LAURENT)}
 
 
 class GeneratorError(ValueError):
@@ -65,9 +75,44 @@ class GroupModel:
 
     def param_arity(self, root):
         """Number of scalar parameters an x-letter on this root takes."""
-        if self.is_sp or root.is_long:
+        if self.is_sp or root.restricted_tag is not None or root.is_long:
             return 1
         return 2
+
+    def check_params(self, root, params, regime=None):
+        """Check and normalize the parameters of an x-letter on root.
+
+        The one parameter validator.  Arity: one on sp, long and tagged
+        roots, two on sl short roots; root=None checks a value list (a grid).
+        ints become Fractions; no mode is widened.  Domain: the grid regime
+        takes the model's field, Q or Q(i) for sl-c; the symbolic regime
+        Laurent fractions over Q; regime None both, minus Gaussian values on
+        sp and sl-r.  A tuple never mixes Gaussian values with symbols.
+        """
+        if not isinstance(params, tuple):
+            params = tuple(params) if isinstance(params, list) else (params,)
+        if regime is not None and regime not in REGIMES:
+            raise GeneratorError("unknown regime %r" % (regime,))
+        if root is not None:
+            if root.restricted_tag is not None and self.is_sp:
+                raise GeneratorError("restricted tags only on sl x-letters")
+            arity = self.param_arity(root)
+            if len(params) != arity:
+                raise GeneratorError("root %s takes %d parameter(s) in %s, got %d"
+                                     % (root, arity, self.family, len(params)))
+        for p in params:
+            if type(p) is not Fraction:
+                break
+        else:
+            return params
+        params = tuple(Fraction(p) if isinstance(p, int) else p for p in params)
+        mode = join_mode(mode_of(p) for p in params)
+        if mode not in _PARAM_MODES[regime] or \
+                (mode == GAUSSIAN and self.family != "sl-c"):
+            raise GeneratorError("%s parameters%s cannot be %s scalars"
+                                 % (self.family, " in the %s regime" % regime
+                                    if regime else "", mode))
+        return params
 
     def __str__(self):
         return "%s n=%d" % (self.family, self.n)
@@ -117,36 +162,24 @@ def root_entry_positions(model, root):
     return [(j + n, i, 1), (i + n, j, 1)]
 
 
-def _coerce_params(model, root, params, mode=None):
-    if not isinstance(params, (tuple, list)):
-        params = (params,)
-    arity = model.param_arity(root)
-    if len(params) != arity:
-        raise GeneratorError("root %s takes %d parameter(s) in %s, got %d"
-                             % (root, arity, model.family, len(params)))
-    params = tuple(Fraction(p) if isinstance(p, int) else p for p in params)
-    if mode is None:
-        mode = join_mode(mode_of(p) for p in params)
-    if model.family == "sp" and mode == "gaussian":
-        raise GeneratorError("sp parameters must be real (rational) scalars")
-    return tuple(coerce(p, mode) for p in params), mode
-
-
 def gen_f(model, root, params):
-    """The root-space element f_r(params); nilpotent, in the Lie algebra."""
+    """The root-space element f_r(params), one component on a tagged root."""
     if root.n != model.n:
         raise GeneratorError("root rank %d does not match model rank %d"
                              % (root.n, model.n))
-    params, mode = _coerce_params(model, root, params)
-    positions = root_entry_positions(model, root)
+    params = model.check_params(root, params)
+    mode = join_mode(mode_of(p) for p in params)
+    params = tuple(coerce(p, mode) for p in params)
+    positions = root_entry_positions(model, root.untagged())
+    tag = root.restricted_tag
+    if tag is not None:
+        positions = positions[tag - 1:tag]
     entries = {}
     if len(params) == 1:
         t = params[0]
         for (r, c, s) in positions:
             entries[(r, c)] = t if s == 1 else -t
     else:
-        if root.restricted_tag is not None:
-            raise GeneratorError("tagged roots take a single component parameter")
         for p, (r, c, _s) in zip(params, positions):
             entries[(r, c)] = p
     size = model.size
@@ -164,9 +197,7 @@ def gen_f_component(model, root, delta, param):
         if delta != 1:
             raise GeneratorError("long roots have a single component")
         return gen_f(model, root, (param,))
-    pair = [scalar_zero(RATIONAL)] * 2
-    pair[delta - 1] = param
-    return gen_f(model, root.untagged(), tuple(pair))
+    return gen_f(model, Root(root.coeffs, delta), (param,))
 
 
 @dataclass(frozen=True)
@@ -236,26 +267,14 @@ class GeneratorLetter:
     def __post_init__(self):
         if self.kind not in ("x", "w", "h"):
             raise GeneratorError("letter kind must be x, w or h")
-        params = self.params if isinstance(self.params, tuple) else tuple(self.params)
-        params = tuple(Fraction(p) if isinstance(p, int) else p for p in params)
-        if self.root.restricted_tag is not None:
-            if self.kind != "x" or self.model.is_sp:
-                raise GeneratorError("restricted tags only on sl x-letters")
-            if len(params) != 1:
-                raise GeneratorError("component letters take one parameter")
-        else:
-            arity = self.model.param_arity(self.root)
-            if len(params) != arity:
-                raise GeneratorError("%s-letter on %s takes %d parameter(s)"
-                                     % (self.kind, self.root, arity))
-        if self.kind in ("w", "h"):
+        if self.kind != "x" and self.root.restricted_tag is not None:
+            raise GeneratorError("restricted tags only on sl x-letters")
+        params = self.model.check_params(self.root, self.params)
+        if self.kind != "x":
             if not any(params):
                 raise GeneratorError("w/h letters need a nonzero parameter")
             if not all(is_unit(p) or not p for p in params):
                 raise GeneratorError("w/h parameters must be units (or 0 slots)")
-        mode = join_mode(mode_of(p) for p in params) if params else RATIONAL
-        if self.model.is_sp and mode == "gaussian":
-            raise GeneratorError("sp parameters must be real scalars")
         object.__setattr__(self, "params", params)
 
     def matrix(self):
@@ -298,12 +317,7 @@ class GeneratorLetter:
 @lru_cache(maxsize=65536)
 def _letter_matrix(model, kind, root, params):
     if kind == "x":
-        if root.restricted_tag is not None:
-            f = gen_f_component(model, root.untagged(), root.restricted_tag,
-                                params[0])
-        else:
-            f = gen_f(model, root, params)
-        return exp_nilpotent(f)
+        return exp_nilpotent(gen_f(model, root, params))
     if kind == "w":
         return _w_word_matrix(model, root, params)
     # h = w(params) * w(reference)^{-1}; the reference shares the zero pattern
@@ -322,13 +336,13 @@ def _w_word_matrix(model, root, params):
 
 def gen_x(model, root, params):
     """Unipotent generator x_r(params) = exp f_r(params)."""
-    letter = GeneratorLetter(model, "x", root, _as_tuple(params))
+    letter = GeneratorLetter(model, "x", root, params)
     return GroupElement(letter.matrix(), model)
 
 
 def gen_w(model, root, params):
     """Weyl representative w_r(params) with its monomial decomposition."""
-    letter = GeneratorLetter(model, "w", root, _as_tuple(params))
+    letter = GeneratorLetter(model, "w", root, params)
     m = letter.matrix()
     form = MonomialForm.from_matrix(m)
     if form.to_matrix(m.mode) != m:
@@ -338,7 +352,7 @@ def gen_w(model, root, params):
 
 def gen_h(model, root, params):
     """Torus element h_r(params) = w_r(params) w_r(reference)^{-1}."""
-    letter = GeneratorLetter(model, "h", root, _as_tuple(params))
+    letter = GeneratorLetter(model, "h", root, params)
     m = letter.matrix()
     if not m.is_diagonal():
         raise GeneratorError("h element is not diagonal")
@@ -351,24 +365,16 @@ def gen_h_literal(model, root, params):
     Provided for comparison with gen_h; the two coincide exactly because
     w_r(-ref) = w_r(ref)^{-1}.
     """
-    params = _as_tuple(params)
-    params = tuple(Fraction(p) if isinstance(p, int) else p for p in params)
+    params = model.check_params(root, params)
     neg_ref = tuple(-scalar_one(mode_of(p)) if p else p for p in params)
     w_t = _w_word_matrix(model, root, params)
     w_ref = _w_word_matrix(model, root, neg_ref)
     return GroupElement(mat_mul(w_t, w_ref), model)
 
 
-def _as_tuple(params):
-    if isinstance(params, (tuple, list)):
-        return tuple(params)
-    return (params,)
-
-
 def h_word_letters(model, root, params):
     """The defining word of h_r(params) as six x-letters."""
-    params = tuple(Fraction(p) if isinstance(p, int) else p
-                   for p in _as_tuple(params))
+    params = model.check_params(root, params)
     ref = tuple(scalar_one(mode_of(p)) if p else p for p in params)
     return w_word_letters(model, root, params) + \
         w_word_letters(model, root, tuple(-p for p in ref))
@@ -376,8 +382,7 @@ def h_word_letters(model, root, params):
 
 def w_word_letters(model, root, params):
     """The defining word of w_r(params) as three x-letters."""
-    params = tuple(Fraction(p) if isinstance(p, int) else p
-                   for p in _as_tuple(params))
+    params = model.check_params(root, params)
     neg_inv = tuple((-(1 / p)) if p else p for p in params)
     x1 = GeneratorLetter(model, "x", root, params)
     x2 = GeneratorLetter(model, "x", -root, neg_inv)

@@ -16,9 +16,9 @@ Families (reports carry these ids):
 * ``h-decomposition-*``     long-root h decomposition through the short torus (sp)
 * ``monomial-form-1..7``    the explicit permutation-times-diagonal displays
 
-Two regimes: ``grid`` evaluates over a deterministic rational grid (every
-scalar slot sweeps all grid values; relations in scope are Laurent-polynomial
-of total degree <= 8 per parameter, and the default grid has 11 values);
+Two regimes: ``grid`` evaluates over a deterministic grid in Q, or Q(i) for
+sl-c (every slot sweeps all grid values; relations in scope are Laurent-
+polynomial of total degree <= 8 per parameter; the default has 11 values);
 ``symbolic`` treats parameters as Laurent symbols and decides by canonical
 equality, which certifies the identity for all parameter values at once.
 
@@ -34,20 +34,16 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 
-from .generators import (GeneratorError, GroupModel, gen_h, gen_h_literal,
+from .generators import (GRID, REGIMES, SYMBOLIC, gen_h, gen_h_literal,
                          position_component_table, root_entry_positions)
 from .matrices import ExactMatrix
 from .roots import Root, build_root_system, positive_combinations
-from .scalars import (RATIONAL, GaussianRational, LaurentFrac, LaurentPoly,
-                      format_scalar, mode_of, scalar_one)
+from .scalars import (GAUSSIAN, RATIONAL, LaurentFrac, LaurentPoly, coerce,
+                      format_scalar, join_mode, mode_of, scalar_one)
 
 DEFAULT_GRID = (Fraction(1), Fraction(-1), Fraction(2), Fraction(-2),
                 Fraction(3), Fraction(-3), Fraction(1, 2), Fraction(-1, 2),
                 Fraction(2, 3), Fraction(-2, 3), Fraction(5, 7))
-
-GRID = "grid"
-SYMBOLIC = "symbolic"
-REGIMES = (GRID, SYMBOLIC)
 
 
 class RelationError(ValueError):
@@ -298,12 +294,13 @@ def _sweep_all(model, regime, relations):
 # ---------------------------------------------------------------------------
 
 def grid_for_model(model, grid=None):
-    """The default grid, embedded into Q(i) for the complex model."""
-    grid = tuple(grid) if grid is not None else DEFAULT_GRID
+    """The grid-regime values (default DEFAULT_GRID), checked to lie in the
+    model's field and, for sl-c, embedded in Q(i)."""
+    grid = DEFAULT_GRID if grid is None else model.check_params(None, grid, GRID)
     if len(set(grid)) < 9 or any(not g for g in grid):
         raise RelationError("grid must hold at least 9 distinct nonzero values")
     if model.family == "sl-c":
-        return tuple(GaussianRational(g) for g in grid)
+        return tuple(coerce(g, GAUSSIAN) for g in grid)
     return grid
 
 
@@ -493,10 +490,7 @@ def decompose_commutator(model, r, p, a, b):
     Returns (factors, laws) where factors is a list of (root, params) in the
     positive-combination order and laws are the fitted StructureFunctions.
     """
-    a = _tuple_params(model, r, a)
-    b = _tuple_params(model, p, b)
-    if all(x + y == 0 for x, y in zip(r.coeffs, p.coeffs)):
-        raise RelationError("antipodal pair rejected")
+    a, b = _pair_params(model, r, p, a, b)
     comm = commutator_delta(model, r, p, a, b)
     factors = _peel(model, positive_combinations(r, p), comm, a[0] - a[0],
                     "decomposition residual is not the identity")
@@ -504,15 +498,14 @@ def decompose_commutator(model, r, p, a, b):
             fit_structure_functions(model, r, p))
 
 
-def _tuple_params(model, root, params):
-    if not isinstance(params, (tuple, list)):
-        params = (params,)
-    params = tuple(Fraction(p) if isinstance(p, int) else p for p in params)
-    arity = model.param_arity(root)
-    if len(params) != arity:
-        raise GeneratorError("root %s takes %d parameter(s), got %d"
-                             % (root, arity, len(params)))
-    return params
+def _pair_params(model, r, p, a, b, regime=None):
+    """Checked (a, b) for x_r(a), x_p(b): one scalar mode, r + p nonzero."""
+    a = model.check_params(r, a, regime)
+    b = model.check_params(p, b, regime)
+    join_mode(mode_of(x) for x in a + b)
+    if not any(x + y for x, y in zip(r.coeffs, p.coeffs)):
+        raise RelationError("antipodal pair rejected")
+    return a, b
 
 
 # ---------------------------------------------------------------------------
@@ -549,24 +542,20 @@ def _single(model, regime, rel):
 
 def verify_additivity(model, r, a, b, regime=GRID):
     """x_r(a) x_r(b) = x_r(a+b) as one report."""
-    a = _tuple_params(model, r, a)
-    b = _tuple_params(model, r, b)
+    a, b = _pair_params(model, r, r, a, b, regime)
     return _single(model, regime, _additivity(model, r, [(a, b)]))
 
 
 def verify_commutator(model, r, p, a, b, regime=GRID):
     """[x_r(a), x_p(b)] equals the product of its structure factors."""
-    a = _tuple_params(model, r, a)
-    b = _tuple_params(model, p, b)
+    a, b = _pair_params(model, r, p, a, b, regime)
     laws = fit_structure_functions(model, r, p)
     return _single(model, regime, _commutator(model, r, p, laws, [(a, b)]))
 
 
 def verify_trivial_commutator(model, r, p, a, b, regime=GRID):
-    a = _tuple_params(model, r, a)
-    b = _tuple_params(model, p, b)
-    rsum = tuple(x + y for x, y in zip(r.coeffs, p.coeffs))
-    if any(rsum) and build_root_system(model.n).is_root(rsum):
+    a, b = _pair_params(model, r, p, a, b, regime)
+    if build_root_system(model.n).is_root(r + p):
         raise RelationError("pair %s,%s sums to a root; not a trivial pair" % (r, p))
     return _single(model, regime, _trivial_commutator(model, r, p, [(a, b)]))
 
@@ -627,7 +616,7 @@ def h_relation_suite(model, regime, grid):
     literal_tuples = singles if regime == SYMBOLIC else singles[:5]
 
     # involution: h_{2Ln}(-1) is diag(1,..,-1 at n,1,..,-1 at 2n), square id
-    one = grid[0] / grid[0]
+    one = grid[0] / grid[0] if grid else Fraction(1)
     minus_one = -one
     expected = {(n, n): minus_one - one, (2 * n, 2 * n): minus_one - one}
 
@@ -685,7 +674,7 @@ def _sp_weyl_suite(model, regime, grid):
     plus = Root.of(n, n - 1, n, 1, 1)         # L_{n-1} + L_n
     long_n = Root.of(n, n)                    # 2L_n
     long_n1 = Root.of(n, n - 1)               # 2L_{n-1}
-    one = grid[0] / grid[0]
+    one = Fraction(1)
     minus_one = -one
     tuples = _scalar_designs(regime, grid)[2]
     zs = [LaurentFrac.symbol("b")] if regime == SYMBOLIC else grid
@@ -968,24 +957,22 @@ def monomial_form_suite(model, regime, grid):
 # Drivers
 # ---------------------------------------------------------------------------
 
-def _suite_grid(model, regime, grid):
-    if regime == SYMBOLIC:
-        return tuple(grid) if grid is not None else DEFAULT_GRID
-    return grid_for_model(model, grid)
-
-
 SUITES = ("relations", "weyl", "monomial", "all")
 
 
 def run_suite(model, suite="all", regime=GRID, grid=None):
-    """Run the selected suites; deterministic report order."""
+    """Run the selected suites; deterministic report order.
+
+    Only the grid regime reads a grid, grid_for_model(model, grid).  Symbolic
+    constants are rational: integer-coefficient identities hold over Q(i).
+    """
     if regime not in REGIMES:
         raise RelationError("unknown regime %r" % regime)
     if suite not in SUITES:
         raise RelationError("unknown suite %r" % suite)
-    # in the symbolic regime grid constants stay rational: symbols and
-    # gaussian scalars do not mix, and the polynomial identity covers Q(i)
-    g = _suite_grid(model, regime, grid)
+    if regime == SYMBOLIC and grid is not None:
+        raise RelationError("a grid applies to the grid regime only")
+    g = grid_for_model(model, grid) if regime == GRID else None
     reports = []
     if suite in ("relations", "all"):
         reports += additivity_suite(model, regime, g)

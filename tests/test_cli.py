@@ -2,7 +2,11 @@
 
 import io
 import json
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chevalley.cli import main
 
@@ -12,6 +16,16 @@ def run_cli(*argv):
     with redirect_stdout(buf):
         code = main(list(argv))
     return code, buf.getvalue()
+
+
+def run_cli_err(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+GAUSSIAN_GRID = "1+i,-1,2,-2i,3,1/2-i,-1/2,2/3+2/3i,5/7,i,-3"
 
 
 class TestVerify:
@@ -52,6 +66,17 @@ class TestVerify:
         code, _ = run_cli("verify", "--model", "sp", "--n", "2",
                           "--grid", "1,2,3")
         assert code == 2
+
+    def test_non_real_gaussian_sweep(self):
+        code, out = run_cli("verify", "--model", "sl-c", "--n", "2",
+                            "--suite", "all", "--grid", GAUSSIAN_GRID)
+        assert code == 0
+        payload = json.loads(out)
+        assert (len(payload["reports"]), payload["failed"]) == (103, 0)
+        for family in ("sp", "sl-r"):
+            code, out = run_cli("verify", "--model", family, "--n", "2",
+                                "--suite", "all", "--grid", GAUSSIAN_GRID)
+            assert (code, out) == (2, "")
 
     def test_text_format(self):
         code, out = run_cli("verify", "--model", "sp", "--n", "2",
@@ -186,3 +211,64 @@ class TestSymbol:
     def test_bad_expr(self):
         code, _ = run_cli("symbol", "--universe", "2,3", "--expr", "nope")
         assert code == 2
+
+
+# Out-of-domain input: each argv must end in exit 2 with one error line.
+WORD = "x 0,2 (2)\nx 0,2 (-2)\n"
+USAGE_ERRORS = [
+    ("decompose", "--model", "sp", "--n", "2", "-r", "1,-1", "-p", "0,2",
+     "-a", "i", "-b", "1"),
+    ("verify", "--model", "sl-r", "--n", "2", "--suite", "monomial",
+     "--grid", "1+i,2,3,4,5,6,7,8,9"),
+    ("verify", "--model", "sp", "--n", "2", "--suite", "monomial",
+     "--grid", "1+i,2,3,4,5,6,7,8,9"),
+    ("verify", "--model", "sp", "--n", "2", "--suite", "monomial",
+     "--grid", "a,b,c,d,e,f,g,h,k"),
+    ("verify", "--model", "sp", "--n", "2", "--regime", "symbolic",
+     "--grid", "1,2"),
+    ("reduce", "WORDFILE", "--model", "sp", "--n", "2", "--budget", "-5"),
+]
+
+
+@pytest.mark.parametrize("argv", USAGE_ERRORS, ids=lambda a: " ".join(a))
+def test_out_of_domain_input_is_a_usage_error(argv, tmp_path):
+    word = tmp_path / "word.txt"
+    word.write_text(WORD)
+    argv = [str(word) if a == "WORDFILE" else a for a in argv]
+    code, out, err = run_cli_err(*argv)
+    assert (code, out) == (2, "")
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+SCALARS = ("i", "x", "1+i", "0", "1/0", "", "1", "-1", "2", "-2", "3", "1/2",
+           "-1/2", "2/3", "5/7", "2i", "1-i")
+ROOTS = ("1,-1", "-1,1", "1,1", "-1,-1", "2,0", "0,-2", "0,2", "1,-1:1",
+         "1,1:2", "2,0:1", "1,-1:3", "1,0", "x")
+
+
+def scalar_list(max_size):
+    return st.lists(st.sampled_from(SCALARS), min_size=1,
+                    max_size=max_size).map(",".join)
+
+
+FAMILY = st.sampled_from(("sp", "sl-r", "sl-c"))
+DECOMPOSE = st.tuples(FAMILY, st.sampled_from(ROOTS), st.sampled_from(ROOTS),
+                      scalar_list(3), scalar_list(3)).map(
+    lambda t: ("decompose", "--model", t[0], "--n", "2", "-r=" + t[1],
+               "-p=" + t[2], "-a=" + t[3], "-b=" + t[4]))
+# eight valid values, so a few more tokens often make a grid that runs
+GRIDS = st.one_of(scalar_list(12), scalar_list(4).map(
+    lambda g: "-1,-2,-3,4,-4,5,-5,6," + g))
+VERIFY = st.tuples(FAMILY, GRIDS).map(
+    lambda t: ("verify", "--model", t[0], "--n", "2", "--suite", "monomial",
+               "--grid=" + t[1]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(DECOMPOSE, VERIFY))
+def test_fuzzed_argv_never_raises(argv):
+    code, _out, err = run_cli_err(*argv)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1

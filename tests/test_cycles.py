@@ -199,6 +199,14 @@ class TestReduce:
         assert not out.reduced_to_empty
         assert out.trace.replay()  # partial trace still evaluation-sound
 
+    def test_negative_budget_rejected(self):
+        sys_ = rsys(SP2)
+        r = Root.of(2, 2)
+        w = Word(sys_, (sys_.letter(r, (F(2),)), sys_.letter(r, (F(-2),))))
+        with pytest.raises(CycleError, match="budget"):
+            reduce_cycle(w, budget=-1)
+        assert reduce_cycle(w, budget=0).reason == "budget exhausted"
+
     def test_moves_are_stability_tagged(self):
         sys_ = rsys(SP2)
         r = Root.of(2, 2)

@@ -13,6 +13,7 @@ from chevalley.matrices import (ExactMatrix, check_lie_membership,
                                 check_membership, exp_nilpotent, mat_inv,
                                 mat_mul, mat_prod)
 from chevalley.roots import Root, build_root_system
+from chevalley.scalars import GaussianRational, LaurentFrac
 
 SP2 = GroupModel("sp", 2)
 SP3 = GroupModel("sp", 3)
@@ -61,6 +62,12 @@ class TestGenF:
         part = mat_mul(exp_nilpotent(gen_f_component(SL2, r, 1, Fraction(2))),
                        exp_nilpotent(gen_f_component(SL2, r, 2, Fraction(3))))
         assert exp_nilpotent(full) == part
+
+    def test_tagged_root_is_one_component(self):
+        tagged = Root((1, -1), restricted_tag=2)
+        assert gen_f(SL2, tagged, (Fraction(5),)) == \
+            gen_f_component(SL2, Root.of(2, 1, 2, 1, -1), 2, Fraction(5))
+        assert gen_f(SL2, tagged, (Fraction(5),)) == e(4, 4, 3, 5)
 
     def test_arity_mismatch(self):
         with pytest.raises(GeneratorError):
@@ -235,6 +242,72 @@ class TestLetters:
         with pytest.raises(GeneratorError):
             GeneratorLetter(SP2, "x", Root((1, -1), restricted_tag=1),
                             (Fraction(1),))
+
+    def test_gaussian_letters_only_in_sl_c(self):
+        i = GaussianRational(0, 1)
+        r = Root.of(2, 1, 2, 1, -1)
+        assert GeneratorLetter(SLC2, "x", r, (i, 1)).params == (i, Fraction(1))
+        for model, params in ((SL2, (i, 1)), (SP2, (i,))):
+            with pytest.raises(GeneratorError):
+                GeneratorLetter(model, "x", r, params)
+            with pytest.raises(GeneratorError):
+                w_word_letters(model, r, params)
+
+
+class TestCheckParams:
+    """GroupModel.check_params: arity and scalar domain per (model, regime)."""
+
+    I = GaussianRational(0, 1)
+    A = LaurentFrac.symbol("a")
+    SHORT = Root.of(2, 1, 2, 1, -1)
+
+    def test_arity(self):
+        long_ = Root.of(2, 1)
+        tagged = Root((1, -1), restricted_tag=2)
+        assert SP2.check_params(self.SHORT, 3) == (Fraction(3),)
+        assert SL2.check_params(long_, [3]) == (Fraction(3),)
+        assert SL2.check_params(tagged, (3,)) == (Fraction(3),)
+        assert SL2.check_params(self.SHORT, (3, 0)) == (Fraction(3), Fraction(0))
+        for model, root, params in ((SP2, self.SHORT, (1, 2)),
+                                    (SL2, self.SHORT, (1,)),
+                                    (SL2, long_, (1, 2)),
+                                    (SL2, tagged, (1, 2)),
+                                    (SP2, Root((1, -1), restricted_tag=1), (1,))):
+            with pytest.raises(GeneratorError):
+                model.check_params(root, params)
+
+    def test_no_widening(self):
+        assert SLC2.check_params(self.SHORT, (1, self.I)) == (Fraction(1), self.I)
+        params = (Fraction(2), Fraction(3))
+        assert SL2.check_params(self.SHORT, params) is params
+
+    # q: a rational, i: a Gaussian value, a: a Laurent symbol
+    @pytest.mark.parametrize("family, regime, allowed", [
+        ("sp", None, "qa"), ("sl-r", None, "qa"), ("sl-c", None, "qia"),
+        ("sp", "grid", "q"), ("sl-r", "grid", "q"), ("sl-c", "grid", "qi"),
+        ("sp", "symbolic", "qa"), ("sl-r", "symbolic", "qa"),
+        ("sl-c", "symbolic", "qa"),
+    ])
+    def test_domain(self, family, regime, allowed):
+        model = GroupModel(family, 2)
+        values = {"q": Fraction(1, 2), "i": self.I, "a": self.A}
+        for name, v in values.items():
+            if name in allowed:
+                assert model.check_params(None, (v, 2), regime) == (v, Fraction(2))
+            else:
+                with pytest.raises(GeneratorError):
+                    model.check_params(None, (v, 2), regime)
+
+    def test_gaussian_and_laurent_never_mix(self):
+        with pytest.raises(ValueError):
+            SLC2.check_params(self.SHORT, (self.I, self.A))
+
+    def test_rejects_non_scalars_and_unknown_regimes(self):
+        for bad in (0.5, "1"):
+            with pytest.raises(ValueError):
+                SP2.check_params(None, (bad,))
+        with pytest.raises(GeneratorError):
+            SP2.check_params(None, (1,), "sampled")
 
 
 class TestTorus:

@@ -1,20 +1,23 @@
 """Relation verification: oracles, structure laws, suites, both regimes."""
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 
-from chevalley.generators import GeneratorLetter, GroupModel, gen_h
+from chevalley.generators import (GeneratorError, GeneratorLetter, GroupModel,
+                                  gen_h)
 from chevalley.matrices import ExactMatrix, mat_inv, mat_mul, mat_prod
 from chevalley.relations import (DEFAULT_GRID, Relation, RelationError,
                                  _sweep, commutator_delta,
                                  decompose_commutator, delta_mul,
                                  delta_to_matrix, fit_structure_functions,
-                                 h_delta, matrix_to_delta, run_suite,
+                                 grid_for_model, h_delta, matrix_to_delta,
+                                 run_suite,
                                  verify_additivity, verify_commutator,
                                  verify_trivial_commutator, w_delta, x_delta)
 from chevalley.roots import Root, build_root_system
-from chevalley.scalars import GaussianRational
+from chevalley.scalars import GaussianRational, LaurentFrac
 
 SP2 = GroupModel("sp", 2)
 SP3 = GroupModel("sp", 3)
@@ -192,6 +195,11 @@ class TestTrivialCommutator:
             verify_trivial_commutator(SP2, Root.of(2, 1, 2, 1, -1),
                                       Root.of(2, 2), (F(1),), (F(1),))
 
+    def test_rejects_antipodal_pair(self):
+        r = Root.of(2, 1, 2, 1, -1)
+        with pytest.raises(RelationError, match="antipodal"):
+            verify_trivial_commutator(SP2, r, -r, (F(1),), (F(1),))
+
 
 class TestHRelations:
     def test_sp_multiplicativity_hand_value(self):
@@ -266,6 +274,34 @@ class TestSuites:
         with pytest.raises(RelationError):
             run_suite(SP2, "relations", "grid", grid=(F(1), F(2), F(3)))
 
+    def test_grid_values_lie_in_the_models_field(self):
+        gauss = (GaussianRational(1, 1),) + DEFAULT_GRID[1:]
+        symbols = tuple(LaurentFrac.symbol(c) for c in "abcdefghk")
+        for model in (SP2, SL2):
+            with pytest.raises(GeneratorError):
+                grid_for_model(model, gauss)
+        for model in (SP2, SL2, SLC2):
+            with pytest.raises(GeneratorError):
+                grid_for_model(model, symbols)
+        embedded = grid_for_model(SLC2, gauss)
+        assert embedded[0] == GaussianRational(1, 1)
+        assert embedded[1:] == tuple(GaussianRational(g) for g in DEFAULT_GRID[1:])
+        assert all(isinstance(g, GaussianRational) for g in embedded)
+
+    def test_symbolic_regime_takes_no_grid(self):
+        with pytest.raises(RelationError):
+            run_suite(SP2, "monomial", "symbolic", grid=DEFAULT_GRID)
+
+    def test_single_verifiers_check_the_regime_domain(self):
+        r = Root.of(2, 1)
+        a = LaurentFrac.symbol("a")
+        assert verify_additivity(SP2, r, (a,), (F(2),), "symbolic").passed
+        with pytest.raises(GeneratorError):
+            verify_additivity(SP2, r, (a,), (F(2),), "grid")
+        with pytest.raises(GeneratorError):
+            verify_additivity(SLC2, r, (GaussianRational(0, 1),), (F(2),),
+                              "symbolic")
+
     def test_default_grid_matches_design(self):
         assert set(DEFAULT_GRID) == {F(1), F(-1), F(2), F(-2), F(3), F(-3),
                                      F(1, 2), F(-1, 2), F(2, 3), F(-2, 3),
@@ -303,6 +339,44 @@ class TestWeylSuiteSpotChecks:
         wl = delta_to_matrix(w_delta(SP2, Root.of(2, 1), (F(2),)), 4)
         assert wl == ExactMatrix([[0, 0, 2, 0], [0, 1, 0, 0],
                                   [F(-1, 2), 0, 0, 0], [0, 0, 0, 1]])
+
+
+class TestStructureConstants:
+    """Chevalley's theorem as an oracle for the fitted sp laws.
+
+    For a root pair (r, s) let p be the largest integer with s - p*r a root
+    and p' the largest with r - p'*s a root.  Then the law of x_{ir+s} has
+    |C_i1| = binom(p+i, i) and the law of x_{r+js} has |C_1j| =
+    binom(p'+j, j) (Carter, Simple Groups of Lie Type, section 5.2).
+    """
+
+    @staticmethod
+    def string_length(system, s, r):
+        p = 0
+        while system.is_root(tuple(x - (p + 1) * y
+                                   for x, y in zip(s.coeffs, r.coeffs))):
+            p += 1
+        return p
+
+    def test_sp_laws_match_chevalley_constants(self):
+        counts = {(1, 1): 0, (1, 2): 0, (2, 1): 0}
+        for n in (2, 3, 4, 5):
+            model = GroupModel("sp", n)
+            system = build_root_system(n)
+            for r in system.roots:
+                for s in system.roots:
+                    if not system.is_root(r + s):
+                        continue
+                    p = self.string_length(system, s, r)
+                    p_ = self.string_length(system, r, s)
+                    for law in fit_structure_functions(model, r, s):
+                        (coeff,) = law.slot_laws[0].terms.values()
+                        if law.j == 1:
+                            assert abs(coeff) == comb(p + law.i, law.i)
+                        if law.i == 1:
+                            assert abs(coeff) == comb(p_ + law.j, law.j)
+                        counts[law.i, law.j] += 1
+        assert counts == {(1, 1): 1200, (1, 2): 160, (2, 1): 160}
 
 
 class TestSymbolicRegimeWitness:
