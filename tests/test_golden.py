@@ -4,19 +4,31 @@ The files under ``tests/golden/`` are the exact stdout of ``chevalley``
 invocations.  ``verify-<family>-n<n>-<regime>.json`` holds one
 ``verify --suite all --format json`` report; ``decompose-<family>-n2.txt``
 holds, for every ordered non-antipodal root pair at n=2, a ``$ <argv>`` line
-followed by that ``decompose`` invocation's output.  Any change to a report,
-a parameter text, an instance count or a fitted law shows up as a diff.
+followed by that ``decompose`` invocation's output; ``reduce-<case>.txt``
+holds one ``reduce`` invocation with its word file, and two more files pin
+stability witnesses and bracket decompositions (see the section below).
+Any change to a report, a parameter text, an instance count, a fitted law, a
+reduction move or a witness shows up as a diff.
 """
 
 import io
+import json
+import os
+import random
+import tempfile
 from contextlib import redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from chevalley.cli import main
-from chevalley.generators import GroupModel
-from chevalley.roots import build_root_system
+from chevalley.cli import _parse_plane, main
+from chevalley.cycles import (RestrictedSystem, StandardSystem, Word,
+                              enumerate_bracket_decompositions, is_stable_word)
+from chevalley.generators import GroupModel, h_word_letters, w_word_letters
+from chevalley.relations import fit_structure_functions
+from chevalley.roots import Root, build_root_system, standard_sl_roots
+from chevalley.scalars import parse_scalar
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -85,3 +97,314 @@ def test_verify_golden(name, argv):
 def test_decompose_golden(family):
     golden = GOLDEN / ("decompose-%s-n2.txt" % family)
     assert decompose_text(family) == golden.read_text(encoding="utf-8")
+
+
+# ---------------------------------------------------------------------------
+# reduce, stability witnesses, bracket decompositions
+# ---------------------------------------------------------------------------
+#
+# ``reduce-<case>.txt`` holds one ``reduce`` invocation: a ``$ <argv>`` line
+# (``WORDFILE`` stands for the word file), the word text after
+# ``--- WORDFILE`` and the stdout after ``--- stdout``.  The command line does
+# not reach ``is_stable_word`` or ``enumerate_bracket_decompositions``, so
+# ``stability-witnesses.txt`` and ``bracket-decompositions.txt`` pin their
+# results, one ``<case> -> <json>`` line each.
+
+F = Fraction
+
+# values per family: two-slot letters use the first two, sl-c is Gaussian
+REDUCE_VALUES = {
+    "sp": ("2", "3", "5", "-3"),
+    "sl-r": ("2", "3", "5", "-3"),
+    "sl-c": ("1+2i", "-1/2", "3", "i"),
+}
+
+
+def _values(family):
+    return [parse_scalar(v) for v in REDUCE_VALUES[family]]
+
+
+def _letter(system, root, v, w=None):
+    """x_root(v), or x_root(v, w) on a two-slot root (w defaults to 0)."""
+    arity = len(system.unit_params(root))
+    params = (v,) if arity == 1 else (v, F(0) if w is None else w)
+    return system.letter(root, params)
+
+
+def _commutator_block(system, r, p, a, b):
+    """x_r(a) x_p(b) x_r(a)^-1 x_p(b)^-1 (structure factors)^-1."""
+    model = system.model
+    lr, lp = system.letter(r, a), system.letter(p, b)
+    factors = [system.letter(law.target, law.evaluate(a, b))
+               for law in fit_structure_functions(model, r, p)]
+    return [lr, lp, lr.inverse(), lp.inverse()] + \
+        [f.inverse() for f in reversed(factors)]
+
+
+def _restricted_words(family, n):
+    """name -> letters for the five relation families on one model."""
+    model = GroupModel(family, n)
+    system = RestrictedSystem(model)
+    v0, v1, v2, v3 = _values(family)
+    short, l1, l2 = Root.of(n, 1, 2, 1, -1), Root.of(n, 1), Root.of(n, 2)
+    words = {}
+    a, b = _letter(system, short, v0, v1), _letter(system, short, v2, v3)
+    c = system.letter(short, tuple(-x - y for x, y in zip(a.params, b.params)))
+    words["additivity"] = [a, b, c]
+    ra = system.letter(short, _letter(system, short, v0, v3).params)
+    words["commutator"] = _commutator_block(system, short, l2, ra.params,
+                                            (v2,))
+    la, lb = system.letter(l1, (v0,)), system.letter(l2, (v2,))
+    words["trivial-commutator"] = [la, lb, la.inverse(), lb.inverse()]
+    zero = F(0)
+    p1, p2 = ((v0,), (-F(5),)) if model.is_sp else ((v0, zero), (-F(5), zero))
+    p12 = tuple(x * y for x, y in zip(p1, p2)) if model.is_sp else \
+        (p1[0] * p2[0], zero)
+    words["h-multiplicativity"] = (
+        h_word_letters(model, short, p1) + h_word_letters(model, short, p2)
+        + [l.inverse() for l in reversed(h_word_letters(model, short, p12))])
+    u = system.letter(Root.of(n, 1, si=-1), (F(7),))
+    words["conjugation-push"] = [u] + words["commutator"] + [u.inverse()]
+    return words
+
+
+def _tagged_words(family, n):
+    """Component letters whose commutators are single tagged letters."""
+    model = GroupModel(family, n)
+    system = RestrictedSystem(model)
+    v0, v1, v2, v3 = _values(family)
+    out = []
+    # [x_{L1-L2:1}(a), x_{2L2}(b)] = x_{L1+L2:1}(ab)
+    a = system.letter(Root.of(n, 1, 2, 1, -1, tag=1), (v0,))
+    b = system.letter(Root.of(n, 2), (v2,))
+    f = system.letter(Root.of(n, 1, 2, 1, 1, tag=1), (v0 * v2,))
+    out += [a, b, a.inverse(), b.inverse(), f.inverse()]
+    # [x_{L1-L2:2}(a), x_{-2L1}(b)] = x_{-L1-L2:1}(ab)
+    a = system.letter(Root.of(n, 1, 2, 1, -1, tag=2), (v1,))
+    b = system.letter(Root.of(n, 1, si=-1), (v3,))
+    f = system.letter(Root.of(n, 1, 2, -1, -1, tag=1), (v1 * v3,))
+    out += [a, b, a.inverse(), b.inverse(), f.inverse()]
+    # [x_{L1-L2:1}(a), x_{L1+L2}(b1, b2)] = x_{2L1}(a b2)
+    a = system.letter(Root.of(n, 1, 2, 1, -1, tag=1), (v2,))
+    b = system.letter(Root.of(n, 1, 2, 1, 1), (v0, v1))
+    f = system.letter(Root.of(n, 1), (v2 * v1,))
+    out += [a, b, a.inverse(), b.inverse(), f.inverse()]
+    return out
+
+
+def _standard_words(size):
+    """Commutator and trivial-commutator blocks of elementary letters."""
+    system = StandardSystem(size)
+
+    def x(k, l, t):
+        return system.letter(Root.of(size, k, l, 1, -1), (F(t),))
+
+    def block(a, b):
+        comm = system.commutator_value(a.root, a.params, b.root, b.params)
+        factors = [x(k, l, v) for (k, l), v in sorted(comm.items())]
+        return [a, b, a.inverse(), b.inverse()] + \
+            [f.inverse() for f in reversed(factors)]
+
+    words = {"commutator": block(x(1, 3, F(7, 3)), x(3, 4, 1)),
+             "trivial-commutator": block(x(1, 2, 2), x(3, 4, 3))}
+    if size > 4:
+        words["two-blocks"] = block(x(2, 5, -2), x(5, 6, F(1, 2))) + \
+            block(x(6, 1, 3), x(1, 4, -1))
+    return words
+
+
+def _seeded_words(family, n, count=3, blocks=3):
+    """Seeded identity words u [x_r(a), x_p(b)] (factors)^-1 u^-1."""
+    rng = random.Random("reduce-golden:%s:%d" % (family, n))
+    model = GroupModel(family, n)
+    system = RestrictedSystem(model)
+    roots = list(system.system.roots)
+    values = _values(family) + [F(-1), F(1, 2)]
+
+    def params(root):
+        return tuple(rng.choice(values) for _ in range(model.param_arity(root)))
+
+    words = []
+    for _ in range(count):
+        letters = []
+        for _ in range(blocks):
+            while True:
+                r, p = rng.choice(roots), rng.choice(roots)
+                if any(x + y for x, y in zip(r.coeffs, p.coeffs)):
+                    break
+            rsum = tuple(x + y for x, y in zip(r.coeffs, p.coeffs))
+            a, b = params(r), params(p)
+            if system.system.is_root(rsum):
+                block = _commutator_block(system, r, p, a, b)
+            else:
+                lr, lp = system.letter(r, a), system.letter(p, b)
+                block = [lr, lp, lr.inverse(), lp.inverse()]
+            ur = rng.choice(roots)
+            u = system.letter(ur, params(ur))
+            letters += [u] + block + [u.inverse()]
+        words.append(letters)
+    return words
+
+
+def _w_power(family, n, power=4):
+    """w_r(1)^power on the short root L1-L2: a cycle no move can reduce."""
+    model = GroupModel(family, n)
+    one = (F(1),) if model.is_sp else (F(1), F(0))
+    return w_word_letters(model, Root.of(n, 1, 2, 1, -1), one) * power
+
+
+def reduce_cases():
+    """(case name, argv with WORDFILE, word text) for every reduce golden."""
+    cases = []
+
+    def add(name, argv, letters):
+        text = "\n".join(l.format() for l in letters) + "\n"
+        cases.append((name, ["reduce"] + argv, text))
+
+    for family in FAMILIES:
+        for n in (2, 3):
+            model = ["--model", family, "--n", str(n)]
+            for kind, letters in _restricted_words(family, n).items():
+                add("%s-n%d-%s" % (family, n, kind), model + ["WORDFILE"],
+                    letters)
+            if family != "sp":
+                add("%s-n%d-tagged" % (family, n), model + ["WORDFILE"],
+                    _tagged_words(family, n))
+            for k, letters in enumerate(_seeded_words(family, n)):
+                add("%s-n%d-seeded%d" % (family, n, k),
+                    model + ["WORDFILE", "--budget", "200"], letters)
+    words = _restricted_words("sp", 2)
+    add("sp-n2-additivity-text", ["--model", "sp", "--n", "2", "WORDFILE",
+                                  "--format", "text"], words["additivity"])
+    add("sp-n2-commutator-region", ["--model", "sp", "--n", "2", "WORDFILE",
+                                    "--region", "1,1"],
+        words["commutator"] + words["trivial-commutator"])
+    add("sp-n2-budget-exhausted", ["--model", "sp", "--n", "2", "WORDFILE",
+                                   "--budget", "3"], words["commutator"])
+    add("sl-r-n2-stuck", ["--model", "sl-r", "--n", "2", "WORDFILE"],
+        _w_power("sl-r", 2))
+    for size in (4, 6):
+        std = ["--system", "standard", "--ambient", str(size), "WORDFILE"]
+        region = "eq:1,1,1,1;0,1,2,3" if size == 4 else "eq:1,1,1,1,1,1"
+        for kind, letters in _standard_words(size).items():
+            add("standard-%d-%s" % (size, kind), std, letters)
+            add("standard-%d-%s-region" % (size, kind),
+                std + ["--region", region], letters)
+    return cases
+
+
+def reduce_text(argv, word_text):
+    """The golden text of one reduce case, running it on a temporary file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "word.txt")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(word_text)
+        code, out = run_cli([path if a == "WORDFILE" else a for a in argv])
+    assert code in (0, 1), argv
+    return "$ %s\n--- WORDFILE\n%s--- stdout\n%s" % (" ".join(argv),
+                                                      word_text, out)
+
+
+def _regions(ambient):
+    """No region, and one plane on which some functionals vanish."""
+    if ambient == 2:
+        return [None, "1,1"]
+    if ambient == 3:
+        return [None, "eq:1,1,1"]
+    return [None, "eq:1,1,1,1;0,1,2,3" if ambient == 4 else "eq:1,1,1,1,1,1"]
+
+
+def _root_words(system, roots):
+    """Single letters and ordered pairs (plus a repeated first root)."""
+    words = [[r] for r in roots]
+    words += [[r, p, r] for r in roots for p in roots
+              if any(x + y for x, y in zip(r.coeffs, p.coeffs)) and r != p]
+    return words
+
+
+# systems pinned on ordered root pairs and on companion roots too
+SMALL_SYSTEMS = ("sp-n2", "sl-r-n2", "sl-c-n2", "standard-4")
+
+
+def _pin_systems():
+    """(label, system, letter roots) for the stability and bracket pins."""
+    out = []
+    for family in FAMILIES:
+        for n in (2, 3):
+            system = RestrictedSystem(GroupModel(family, n))
+            roots = list(system.system.roots)
+            if family != "sp":
+                roots += [Root(r.coeffs, tag) for r in system.system.roots
+                          if not r.is_long for tag in (1, 2)]
+            out.append(("%s-n%d" % (family, n), system, roots))
+    for size in (4, 6):
+        system = StandardSystem(size)
+        out.append(("standard-%d" % size, system,
+                    list(standard_sl_roots(size))))
+    return out
+
+
+def stability_text():
+    lines = []
+    for label, system, roots in _pin_systems():
+        if label.startswith("sl-c"):
+            continue  # its functionals are sl-r's
+        words = _root_words(system, roots) if label in SMALL_SYSTEMS else \
+            [[r] for r in roots]
+        for region_txt in _regions(system.ambient_dim):
+            region = None if region_txt is None else \
+                _parse_plane(region_txt, system.ambient_dim)
+            for roots_ in words:
+                word = Word(system, tuple(
+                    _letter(system, r, F(1)) for r in roots_))
+                st = is_stable_word(word, region)
+                lines.append("%s %s [%s] -> %s" % (
+                    label, region_txt, " ".join(str(r) for r in roots_),
+                    json.dumps(st.describe(), sort_keys=True)))
+    return "\n".join(lines) + "\n"
+
+
+def bracket_text():
+    lines = []
+    for label, system, roots in _pin_systems():
+        if label == "sl-c-n3":
+            continue  # real targets: sl-r's decompositions
+        companion_sets = [()]
+        if label in SMALL_SYSTEMS:
+            companion_sets.append((roots[0].untagged(),))
+        for region_txt in _regions(system.ambient_dim):
+            region = None if region_txt is None else \
+                _parse_plane(region_txt, system.ambient_dim)
+            for companions in companion_sets:
+                for r in roots:
+                    target = _letter(system, r, F(7, 3), F(-2))
+                    decs = [d.describe() for d in
+                            enumerate_bracket_decompositions(
+                                system, target, region, companions)]
+                    lines.append("%s %s %s %s -> %s" % (
+                        label, region_txt,
+                        [str(c) for c in companions], target.format(),
+                        json.dumps(decs, sort_keys=True)))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("name,argv,word_text", reduce_cases(),
+                         ids=[name for name, _, _ in reduce_cases()])
+def test_reduce_golden(name, argv, word_text):
+    golden = GOLDEN / ("reduce-%s.txt" % name)
+    assert reduce_text(argv, word_text) == golden.read_text(encoding="utf-8")
+
+
+def test_reduce_goldens_are_all_cases():
+    names = {"reduce-%s.txt" % name for name, _, _ in reduce_cases()}
+    assert {p.name for p in GOLDEN.glob("reduce-*.txt")} == names
+
+
+def test_stability_witnesses_golden():
+    golden = GOLDEN / "stability-witnesses.txt"
+    assert stability_text() == golden.read_text(encoding="utf-8")
+
+
+def test_bracket_decompositions_golden():
+    golden = GOLDEN / "bracket-decompositions.txt"
+    assert bracket_text() == golden.read_text(encoding="utf-8")
