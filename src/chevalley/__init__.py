@@ -12,7 +12,7 @@ from .arrangements import (Plane, find_stable_element, is_generic,
                            lyapunov_hyperplanes, weyl_chambers)
 from .cycles import (ElementaryLetter, RestrictedSystem, StandardSystem, Word,
                      bracket_decompose, enumerate_bracket_decompositions,
-                     is_stable_word, reduce_cycle, word_eval)
+                     is_stable_word, reduce_cycle)
 from .generators import (GeneratorLetter, GroupModel, MonomialForm,
                          TorusElement, gen_f, gen_h, gen_w, gen_x,
                          torus_conjugate)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -31,6 +32,15 @@ from .symbols import (ALL_AXIOMS, BILINEAR_ONLY, SymbolError, SymbolExpr,
 
 class UsageError(Exception):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reads a token that starts like a negative scalar (-1,1 or -1/2 or -i)
+    as a value, where argparse would read it as an unknown option."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-[\d.i]")
 
 
 def _emit(payload, fmt):
@@ -232,7 +242,7 @@ def cmd_symbol(args):
 # ---------------------------------------------------------------------------
 
 def build_parser():
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="chevalley",
         description="Exact verification of split-group generator relations, "
                     "hyperplane genericity analysis, and cycle-word reduction.")

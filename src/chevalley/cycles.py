@@ -8,7 +8,8 @@ evaluation exactly:
 * free cancellation of adjacent inverse letters;
 * relation substitutions (additivity merges, commutator/trivial-commutator
   swaps, and the h-multiplicativity template, which recognizes the 12-letter
-  word h(t1) h(t2) h(t1*t2)^{-1} collapses to);
+  word h(t1) h(t2) h(t1*t2)^{-1} collapses to: the w-words
+  x_r(t) x_{-r}(-1/t) x_r(t) at t = A, -1, B, -AB);
 * conjugation pushes: when an inner subword between inverse letters is
   itself a cycle, it is reduced recursively and the conjugating pair
   cancels, implementing the inductive conjugation cancellation.
@@ -21,7 +22,20 @@ template always is, since it touches an antipodal pair).
 Two letter systems share the engine: the restricted root system of a group
 model, and the standard special-linear system of elementary matrices
 I + t e_{k,l} on an even-size ambient (used for bracket decompositions of
-non-stable generators).
+non-stable generators).  The engine asks a system only these questions:
+
+* ``size``/``ambient_dim``: the matrix size and the dimension functionals
+  (a letter's untagged root) act on;
+* ``letter(root, params)`` and ``parse_letter(line)``: build one x-letter;
+* ``letter_delta(letter)``: the sparse delta M - I of a letter;
+* ``unit_params(root)``: the all-ones parameters, whose length is the arity;
+* ``summand_pairs(target)``: the root pairs (p, q) with p + q = target;
+* ``commutator_value(p, p_params, q, q_params)``: the delta of [x_p, x_q];
+* ``single_letter(k, l, v)``: the letter I + v e_{k,l}, or None where no
+  single letter sits (sp short roots, the diagonal);
+* ``swap_factors(a, b)``: the factors of x_a x_b = [x_a, x_b] x_b x_a as
+  letters ([] when the pair commutes), or None when the commutator is no
+  product of letters the system can name.
 """
 
 from __future__ import annotations
@@ -30,11 +44,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arrangements import find_stable_element
-from .generators import GeneratorLetter
+from .generators import GeneratorLetter, position_component_table
 from .matrices import mat_prod
-from .relations import (delta_to_matrix, delta_word,
+from .relations import (commutator_delta, delta_to_matrix, delta_word,
                         fit_structure_functions, h_delta, w_delta, x_delta)
-from .roots import Root, build_root_system
+from .roots import CartanVector, Root, build_root_system
 from .scalars import format_scalar, parse_scalar
 
 
@@ -108,11 +122,16 @@ class StandardSystem:
         (t,) = params
         return ElementaryLetter(self.size, k, l, t)
 
+    def parse_letter(self, line):
+        bits = line.split(None, 1)
+        if len(bits) != 2 or bits[0] != "x" or "(" not in bits[1]:
+            raise CycleError("want 'x <root> (<param>)'")
+        root_txt, param_txt = bits[1].split("(", 1)
+        t = parse_scalar(param_txt.rstrip().rstrip(")"))
+        return self.letter(Root.parse(root_txt), (t,))
+
     def letter_delta(self, letter):
         return letter.delta()
-
-    def functional(self, letter):
-        return letter.root
 
     def summand_pairs(self, target):
         """(p, q) with p + q = target, ordered by the middle index."""
@@ -133,6 +152,12 @@ class StandardSystem:
         lq = self.letter(q, q_params)
         return delta_word([lp.delta(), lq.delta(),
                            lp.inverse().delta(), lq.inverse().delta()])
+
+    def single_letter(self, k, l, v):
+        return ElementaryLetter(self.size, k, l, v) if k != l else None
+
+    def swap_factors(self, a, b):
+        return _single_entry_factors(self, a, b)
 
 
 def _diff_indices(root):
@@ -158,15 +183,15 @@ class RestrictedSystem:
     def letter(self, root, params):
         return GeneratorLetter(self.model, "x", root, tuple(params))
 
+    def parse_letter(self, line):
+        return GeneratorLetter.parse(line, self.model)
+
     def letter_delta(self, letter):
         if letter.kind == "w":
             return w_delta(self.model, letter.root, letter.params)
         if letter.kind == "h":
             return h_delta(self.model, letter.root, letter.params)
         return x_delta(self.model, letter.root, letter.params)
-
-    def functional(self, letter):
-        return letter.root.untagged()
 
     def summand_pairs(self, target):
         out = []
@@ -181,9 +206,43 @@ class RestrictedSystem:
         return (one,) * self.model.param_arity(root)
 
     def commutator_value(self, p, p_params, q, q_params):
-        from .relations import commutator_delta
         return commutator_delta(self.model, p, q,
                                 tuple(p_params), tuple(q_params))
+
+    def single_letter(self, k, l, v):
+        root, delta = position_component_table(self.model.n).get((k, l),
+                                                                  (None, 1))
+        if root is None or (self.model.is_sp and not root.is_long):
+            return None  # sp short-root letters occupy two positions
+        if not root.is_long:
+            root = Root(root.coeffs, delta)
+        return self.letter(root, (v,))
+
+    def swap_factors(self, a, b):
+        """Structure-law factors; component letters read the commutator."""
+        ra = a.root.untagged()
+        rb = b.root.untagged()
+        rsum = tuple(x + y for x, y in zip(ra.coeffs, rb.coeffs))
+        if not self.system.is_root(rsum):
+            return []
+        if a.root.restricted_tag is not None or b.root.restricted_tag is not None:
+            return _single_entry_factors(self, a, b)
+        return [self.letter(law.target, law.evaluate(a.params, b.params))
+                for law in fit_structure_functions(self.model, ra, rb)]
+
+
+def _single_entry_factors(system, a, b):
+    """[x_a, x_b] as at most one letter: [] when trivial, else the letter
+    I + v e_{k,l} of a single-entry commutator; None otherwise."""
+    comm = system.commutator_value(a.root, a.params, b.root, b.params)
+    if not comm:
+        return []
+    if len(comm) == 1:
+        ((k, l), v), = comm.items()
+        letter = system.single_letter(k, l, v)
+        if letter is not None:
+            return [letter]
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -225,25 +284,10 @@ class Word:
             if not line or line.startswith("#"):
                 continue
             try:
-                if isinstance(system, RestrictedSystem):
-                    letters.append(GeneratorLetter.parse(line, system.model))
-                else:
-                    bits = line.split(None, 1)
-                    if len(bits) != 2 or bits[0] != "x" or "(" not in bits[1]:
-                        raise CycleError("want 'x <root> (<param>)'")
-                    root_txt, param_txt = bits[1].split("(", 1)
-                    root = Root.parse(root_txt)
-                    k, l = _diff_indices(root)
-                    t = parse_scalar(param_txt.rstrip().rstrip(")"))
-                    letters.append(ElementaryLetter(system.size, k, l, t))
+                letters.append(system.parse_letter(line))
             except (ValueError, IndexError) as exc:
                 raise CycleError("bad letter on line %d: %s" % (lineno, exc))
         return Word(system, tuple(letters))
-
-
-def word_eval(word):
-    """Exact ordered product of the letter matrices."""
-    return word.eval()
 
 
 # ---------------------------------------------------------------------------
@@ -263,24 +307,11 @@ class Stability:
 
 def is_stable_word(word, region=None):
     """Common strictly-negative element for all letter roots on the region."""
-    roots = []
-    seen = set()
-    for l in word.letters:
-        r = word.system.functional(l)
-        if r.coeffs not in seen:
-            seen.add(r.coeffs)
-            roots.append(r)
-    if not roots:
-        return Stability(True, _zero_point(word.system, region))
-    res = find_stable_element(roots, region=region,
-                              ambient_dim=word.system.ambient_dim)
-    if res.feasible:
-        return Stability(True, res.point)
-    return Stability(False)
+    return _StabilityOracle(word.system, region).of_roots(
+        [l.root.untagged() for l in word.letters])
 
 
 def _zero_point(system, region):
-    from .roots import CartanVector
     dim = region.ambient_dim if region is not None else system.ambient_dim
     return CartanVector((Fraction(0),) * dim)
 
@@ -292,13 +323,15 @@ class _StabilityOracle:
         self.cache = {}
 
     def of_roots(self, roots):
+        """Stability of a list of functionals; duplicates drop out in order."""
         key = frozenset(r.coeffs for r in roots)
         if key in self.cache:
             return self.cache[key]
         if not roots:
             st = Stability(True, _zero_point(self.system, self.region))
         else:
-            res = find_stable_element(list(roots), region=self.region,
+            unique = list({r.coeffs: r for r in roots}.values())
+            res = find_stable_element(unique, region=self.region,
                                       ambient_dim=self.system.ambient_dim)
             st = Stability(True, res.point) if res.feasible else Stability(False)
         self.cache[key] = st
@@ -486,7 +519,7 @@ class _Reducer:
             if not any(l.params):
                 move = ReductionMove(
                     "relation-substitution", "additivity", i, (l,), (),
-                    self.oracle.of_roots([self.system.functional(l)]))
+                    self.oracle.of_roots([l.root.untagged()]))
                 return self._emit(letters, move)
         return None
 
@@ -496,7 +529,7 @@ class _Reducer:
             if _same_root(a, b) and _params_negate(a, b):
                 move = ReductionMove(
                     "free-cancellation", None, i, (a, b), (),
-                    self.oracle.of_roots([self.system.functional(a)]))
+                    self.oracle.of_roots([a.root.untagged()]))
                 return self._emit(letters, move)
         return None
 
@@ -508,7 +541,7 @@ class _Reducer:
                     a.root, tuple(x + y for x, y in zip(a.params, b.params)))
                 move = ReductionMove(
                     "relation-substitution", "additivity", i, (a, b), (merged,),
-                    self.oracle.of_roots([self.system.functional(a)]))
+                    self.oracle.of_roots([a.root.untagged()]))
                 return self._emit(letters, move)
         return None
 
@@ -525,59 +558,19 @@ class _Reducer:
             rsum = tuple(x + y for x, y in zip(ra.coeffs, rb.coeffs))
             if not any(rsum):
                 continue  # antipodal pair: blocked
-            swap = self._swap_letters(a, b)
-            if swap is None:
+            # x_a x_b -> [x_a, x_b] x_b x_a
+            factors = self.system.swap_factors(a, b)
+            if factors is None:
                 continue
-            factors, relation_id = swap
-            touched = [self.system.functional(a), self.system.functional(b)]
-            touched += [self.system.functional(f) for f in factors]
+            touched = [l.root.untagged() for l in [a, b] + factors]
             moves.append(ReductionMove(
-                "relation-substitution", relation_id, i, (a, b),
+                "relation-substitution",
+                "commutator" if factors else "trivial-commutator", i, (a, b),
                 tuple(factors) + (b, a), self.oracle.of_roots(touched)))
         return moves
 
-    def _swap_letters(self, a, b):
-        """x_a x_b -> [x_a, x_b] x_b x_a; factors from the relation database."""
-        if isinstance(self.system, StandardSystem):
-            comm = self.system.commutator_value(a.root, a.params,
-                                                b.root, b.params)
-            if not comm:
-                return ([], "trivial-commutator")
-            if len(comm) == 1:
-                ((k, l), v), = comm.items()
-                if k != l:
-                    return ([ElementaryLetter(self.system.size, k, l, v)],
-                            "commutator")
-            return None
-        model = self.system.model
-        ra = a.root.untagged()
-        rb = b.root.untagged()
-        rsum = tuple(x + y for x, y in zip(ra.coeffs, rb.coeffs))
-        if not self.system.system.is_root(rsum):
-            return ([], "trivial-commutator")
-        if a.root.restricted_tag is not None or b.root.restricted_tag is not None:
-            return self._swap_tagged(a, b)
-        laws = fit_structure_functions(model, ra, rb)
-        factors = []
-        for law in laws:
-            vals = law.evaluate(a.params, b.params)
-            factors.append(self.system.letter(law.target, vals))
-        return (factors, "commutator")
-
-    def _swap_tagged(self, a, b):
-        """Component letters: compute the commutator delta directly."""
-        comm = self.system.commutator_value(a.root, a.params, b.root, b.params)
-        if not comm:
-            return ([], "trivial-commutator")
-        from .generators import recognize_component_letter
-        m = delta_to_matrix(comm, self.system.size)
-        letter = recognize_component_letter(self.system.model, m)
-        if letter is None:
-            return None
-        return ([letter], "commutator")
-
     def _h_mult_template(self, letters):
-        hit = _match_h_mult(self.system, letters)
+        hit = _match_h_mult(letters)
         if hit is None:
             return None
         i, span, roots = hit
@@ -602,8 +595,7 @@ class _Reducer:
                     continue
                 moves.append(ReductionMove(
                     "conjugation-push", None, i, (a,) + tuple(inner) + (b,),
-                    tuple(inner), self.oracle.of_roots(
-                        [self.system.functional(a)])))
+                    tuple(inner), self.oracle.of_roots([a.root.untagged()])))
         return moves
 
 
@@ -615,66 +607,41 @@ def _params_negate(a, b):
     return all(x + y == 0 for x, y in zip(a.params, b.params))
 
 
-def _match_h_mult(system, letters):
+def _match_h_mult(letters):
     """Find the 12-letter h(t1) h(t2) h(t1 t2)^{-1} pattern.
 
-    Template over a root r and its negative (parameters shown for the
-    one-parameter embedding; sl letters carry the value in one slot with the
-    other slot zero throughout):
-
-      x_r(A) x_{-r}(-1/A) x_r(A) | x_r(-1) x_{-r}(1) x_r(-1)
-      | x_r(B) x_{-r}(-1/B) x_r(B) | x_r(-AB) x_{-r}(1/(AB)) x_r(-AB)
+    The w-words w_r(t) = x_r(t) x_{-r}(-1/t) x_r(t) at t = A, -1, B, -AB over
+    an untagged root r; sl letters carry the value in one slot with the other
+    slot zero throughout.  A window is rejected on its roots before any value
+    is computed.
     """
     size = 12
     for i in range(len(letters) - size + 1):
         window = letters[i:i + size]
         r = window[0].root
-        if getattr(r, "restricted_tag", None) is not None:
+        if r.restricted_tag is not None:
             continue
         neg = -r
-        pattern_roots = [r, neg, r, r, neg, r, r, neg, r, r, neg, r]
-        if any(w.root != pr for w, pr in zip(window, pattern_roots)):
+        if any(w.root != pr for w, pr in zip(window, (r, neg, r) * 4)):
             continue
-        slot = _value_slot(window[0])
-        if slot is None:
+        params = window[0].params
+        slots = [k for k, p in enumerate(params) if p]
+        if len(slots) != 1:
             continue
-        vals = []
-        ok = True
-        for w in window:
-            v = _slot_value(w, slot)
-            if v is None:
-                ok = False
-                break
-            vals.append(v)
-        if not ok:
+        slot = slots[0]
+        a_val = params[slot]
+        b_val = window[6].params[slot]
+        if not b_val:
             continue
-        a_val = vals[0]
-        b_val = vals[6]
-        if not a_val or not b_val:
-            continue
-        s = a_val * b_val
-        one = a_val / a_val
-        expect = [a_val, -(1 / a_val), a_val, -one, one, -one,
-                  b_val, -(1 / b_val), b_val, -s, 1 / s, -s]
-        if vals == expect:
+        zero = a_val - a_val
+        expect = []
+        for t in (a_val, -(a_val / a_val), b_val, -(a_val * b_val)):
+            for v in (t, -(1 / t), t):
+                expect.append(tuple(v if k == slot else zero
+                                    for k in range(len(params))))
+        if [w.params for w in window] == expect:
             return (i, size, [r, neg])
     return None
-
-
-def _value_slot(letter):
-    nz = [k for k, p in enumerate(letter.params) if p]
-    if len(nz) != 1:
-        return None
-    return nz[0]
-
-
-def _slot_value(letter, slot):
-    if len(letter.params) <= slot:
-        return None
-    for k, p in enumerate(letter.params):
-        if k != slot and p:
-            return None
-    return letter.params[slot]
 
 
 # ---------------------------------------------------------------------------
@@ -710,6 +677,9 @@ def enumerate_bracket_decompositions(system, target_letter, region=None,
     the target matrix exactly and both sides stabilizable with companions."""
     target_root = target_letter.root
     target_delta = system.letter_delta(target_letter)
+    oracle = _StabilityOracle(system, region)
+    companions = [c if isinstance(c, Root) else Root(tuple(c))
+                  for c in companions]
     for p, q in system.summand_pairs(target_root):
         q_params = system.unit_params(q)
         solved = _solve_left_params(system, p, q, q_params, target_delta)
@@ -717,12 +687,12 @@ def enumerate_bracket_decompositions(system, target_letter, region=None,
             continue
         left = system.letter(p, solved)
         right = system.letter(q, q_params)
-        st_left = _companion_stability(system, p, companions, region)
-        st_right = _companion_stability(system, q, companions, region)
-        if st_left is None or st_right is None:
+        st_left = oracle.of_roots([p.untagged()] + companions)
+        st_right = oracle.of_roots([q.untagged()] + companions)
+        if not (st_left.stable and st_right.stable):
             continue
         yield BracketDecomposition(target_letter, left, right,
-                                   st_left, st_right)
+                                   st_left.witness, st_right.witness)
 
 
 def bracket_decompose(system, target_letter, region=None, companions=()):
@@ -736,23 +706,13 @@ def bracket_decompose(system, target_letter, region=None, companions=()):
                      % (target_letter.format(), len(pairs)))
 
 
-def _companion_stability(system, root, companions, region):
-    roots = [root.untagged() if hasattr(root, "untagged") else root]
-    roots += [c if isinstance(c, Root) else Root(tuple(c)) for c in companions]
-    res = find_stable_element(roots, region=region,
-                              ambient_dim=system.ambient_dim)
-    return res.point if res.feasible else None
-
-
 def _solve_left_params(system, p, q, q_params, target_delta):
     """Parameters a with [x_p(a), x_q(q_params)] matching the target delta.
 
     Solves slot by slot using the linearity of the top structure law in a,
     then verifies the commutator exactly (which also rules out spill into
     other string factors)."""
-    arity = 1
-    if isinstance(system, RestrictedSystem):
-        arity = system.model.param_arity(p)
+    arity = len(system.unit_params(p))
     zero = Fraction(0)
     one = Fraction(1)
     basis = []
@@ -763,8 +723,7 @@ def _solve_left_params(system, p, q, q_params, target_delta):
     # target_delta must be an integer combination ... solve per support entry
     # a = sum c_k probe_k works when the law is linear in a, which holds for
     # single-string targets; verify at the end regardless.
-    support = sorted(target_delta)
-    if not support:
+    if not target_delta:
         return None
     # build candidate coefficients from the first support entry present in
     # some basis commutator

@@ -273,8 +273,6 @@ class GeneratorLetter:
         if self.kind != "x":
             if not any(params):
                 raise GeneratorError("w/h letters need a nonzero parameter")
-            if not all(is_unit(p) or not p for p in params):
-                raise GeneratorError("w/h parameters must be units (or 0 slots)")
         object.__setattr__(self, "params", params)
 
     def matrix(self):
@@ -461,33 +459,3 @@ def position_component_table(n):
         table[(i + n, i)] = (Root.of(n, i, si=-1), 1)
     return table
 
-
-def recognize_component_letter(model, m):
-    """Identify I + v*e_{k,l} as a tagged component x-letter; None if not."""
-    size = m.size
-    hits = []
-    one = scalar_one(m.mode)
-    for i in range(size):
-        for j in m._support[i]:
-            if i == j:
-                if m.rows[i][j] != one:
-                    return None
-            else:
-                hits.append((i + 1, j + 1, m.rows[i][j]))
-    for i in range(size):
-        if not m.rows[i][i]:
-            return None
-    if len(hits) != 1:
-        return None
-    k, l, v = hits[0]
-    root, delta = position_component_table(model.n)[(k, l)]
-    if model.is_sp:
-        # sp short-root letters occupy two positions; only long roots match
-        if not root.is_long:
-            return None
-        tagged = root
-    elif root.is_long:
-        tagged = root
-    else:
-        tagged = Root(root.coeffs, delta)
-    return GeneratorLetter(model, "x", tagged, (v,))

@@ -775,15 +775,15 @@ def _sl_component_conjugation(model, regime, grid):
 
 
 def _delta_perm(wd, size):
-    """Permutation of a monomial matrix given as a delta; 1-based map."""
-    m = delta_to_matrix(wd, size)
-    perm = {}
-    for j in range(1, size + 1):
-        col = [i for i in range(1, size + 1) if m.entry(i, j)]
-        if len(col) != 1:
-            raise RelationError("w element is not monomial")
-        perm[j] = col[0]
-    return perm
+    """Permutation of the monomial matrix I + wd, read off the delta; 1-based
+    map.  A diagonal entry 1 + wd[j, j] is zero exactly when wd[j, j] = -1."""
+    cols = {j: [] if wd.get((j, j)) == -1 else [j] for j in range(1, size + 1)}
+    for i, j in wd:
+        if i != j:
+            cols[j].append(i)
+    if any(len(col) != 1 for col in cols.values()):
+        raise RelationError("w element is not monomial")
+    return {j: col[0] for j, col in cols.items()}
 
 
 def _delta_mode(delta):

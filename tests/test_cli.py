@@ -241,6 +241,47 @@ def test_out_of_domain_input_is_a_usage_error(argv, tmp_path):
     assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
+# Values that start with "-", each passed as its own token after the option:
+# the output must equal that of the attached "-a=-1/2" form.
+DASH_VALUES = [
+    ("decompose", "--model", "sp", "--n", "2", "-r", "-1,1", "-p", "2,0",
+     "-a", "-1/2", "-b", "3"),
+    ("decompose", "--model", "sp", "--n", "2", "-r", "1,1", "-p", "-1,1",
+     "-a", "2", "-b", "-3/2"),
+    ("decompose", "--model", "sl-c", "--n", "2", "-r", "1,-1", "-p", "0,2",
+     "-a", "-i,2", "-b", "1"),
+    ("stable", "--roots", "builtin:restricted", "--n", "2",
+     "--check", "-1,-3"),
+    ("verify", "--model", "sp", "--n", "2", "--suite", "monomial",
+     "--grid", "-1,-2,-3,4,-4,5,-5,6,7"),
+    ("reduce", "WORDFILE", "--model", "sp", "--n", "2", "--region", "-1,1"),
+]
+
+
+def attach_dash_values(argv):
+    """["-a", "-1/2"] -> ["-a=-1/2"]."""
+    out = []
+    for a in argv:
+        if a.startswith("-") and out and out[-1].startswith("-") \
+                and "=" not in out[-1]:
+            out[-1] += "=" + a
+        else:
+            out.append(a)
+    return out
+
+
+@pytest.mark.parametrize("argv", DASH_VALUES, ids=lambda a: " ".join(a))
+def test_value_starting_with_dash(argv, tmp_path):
+    word = tmp_path / "word.txt"
+    word.write_text(WORD)
+    argv = [str(word) if a == "WORDFILE" else a for a in argv]
+    attached = attach_dash_values(argv)
+    assert attached != argv
+    separate = run_cli_err(*argv)
+    assert separate == run_cli_err(*attached)
+    assert separate[0] in (0, 1) and separate[1] and not separate[2]
+
+
 SCALARS = ("i", "x", "1+i", "0", "1/0", "", "1", "-1", "2", "-2", "3", "1/2",
            "-1/2", "2/3", "5/7", "2i", "1-i")
 ROOTS = ("1,-1", "-1,1", "1,1", "-1,-1", "2,0", "0,-2", "0,2", "1,-1:1",

@@ -11,7 +11,8 @@ from chevalley.cycles import (CycleError, ElementaryLetter, NonCycleError,
                               ReductionFailure, RestrictedSystem,
                               StandardSystem, Word, bracket_decompose,
                               enumerate_bracket_decompositions, is_stable_word,
-                              reduce_cycle, word_eval)
+                              reduce_cycle)
+from chevalley.cycles import _match_h_mult
 from chevalley.relations import fit_structure_functions
 from chevalley.roots import Root
 
@@ -40,18 +41,18 @@ def hmult_word(model, r, t1, t2):
 class TestWordEval:
     def test_empty_word_is_identity(self):
         w = Word(rsys(SP2), ())
-        assert word_eval(w) == ExactMatrix.identity(4)
+        assert w.eval() == ExactMatrix.identity(4)
 
     def test_inverse_pair(self):
         sys_ = rsys(SP2)
         l = sys_.letter(Root.of(2, 1), (F(3),))
-        assert word_eval(Word(sys_, (l, l.inverse()))) == ExactMatrix.identity(4)
+        assert Word(sys_, (l, l.inverse())).eval() == ExactMatrix.identity(4)
 
     def test_h_defining_word_evaluates_to_diagonal(self):
         r = Root.of(2, 1, 2, 1, -1)
         letters = h_word_letters(SP2, r, (F(7),))
         w = Word(rsys(SP2), tuple(letters))
-        assert word_eval(w) == gen_h(SP2, r, (F(7),)).matrix
+        assert w.eval() == gen_h(SP2, r, (F(7),)).matrix
 
     def test_dense_route_agrees(self):
         sys_ = rsys(SL2)
@@ -104,6 +105,48 @@ class TestStability:
         sys_ = rsys(SP2)
         w = Word(sys_, (sys_.letter(Root.of(2, 1), (F(5),)),))
         assert is_stable_word(w).stable
+
+
+class TestLetterSystems:
+    def test_single_letter_positions(self):
+        # e_{1,3} on n=2: 2L1 (long) in every model; e_{1,2}: L1-L2, which
+        # is one tagged component on sl and no single letter on sp
+        sp, sl = rsys(SP2), rsys(SL2)
+        assert sp.single_letter(1, 3, F(5)) == sp.letter(Root.of(2, 1), (F(5),))
+        assert sp.single_letter(1, 2, F(5)) is None
+        assert sl.single_letter(1, 2, F(5)) == \
+            sl.letter(Root.of(2, 1, 2, 1, -1, tag=1), (F(5),))
+        assert sl.single_letter(4, 3, F(5)) == \
+            sl.letter(Root.of(2, 1, 2, 1, -1, tag=2), (F(5),))
+        assert sl.single_letter(1, 1, F(5)) is None
+        std = StandardSystem(4)
+        assert std.single_letter(1, 4, F(2)) == ElementaryLetter(4, 1, 4, F(2))
+        assert std.single_letter(2, 2, F(2)) is None
+
+    def test_tagged_swap_factors(self):
+        # [x_{L1-L2:1}(2), x_{2L2}(3)] = x_{L1+L2:1}(6); the tagged pair
+        # L1-L2:1, L1+L2:1 has a root sum but commutes
+        sys_ = rsys(SL2)
+        a = sys_.letter(Root.of(2, 1, 2, 1, -1, tag=1), (F(2),))
+        b = sys_.letter(Root.of(2, 2), (F(3),))
+        assert sys_.swap_factors(a, b) == \
+            [sys_.letter(Root.of(2, 1, 2, 1, 1, tag=1), (F(6),))]
+        c = sys_.letter(Root.of(2, 1, 2, 1, 1, tag=1), (F(3),))
+        assert sys_.swap_factors(a, c) == []
+
+    def test_h_template_rejects_on_roots_before_values(self):
+        class Letter:
+            def __init__(self, root):
+                self.root = root
+
+            @property
+            def params(self):
+                raise AssertionError("values read before the root pattern")
+
+        r = Root.of(2, 1, 2, 1, -1)
+        window = [Letter(x) for x in (r, -r, r) * 4]
+        window[4] = Letter(r)
+        assert _match_h_mult(window) is None
 
 
 class TestReduce:
