@@ -151,15 +151,13 @@ def _restricted_words(family, n):
     a, b = _letter(system, short, v0, v1), _letter(system, short, v2, v3)
     c = system.letter(short, tuple(-x - y for x, y in zip(a.params, b.params)))
     words["additivity"] = [a, b, c]
-    ra = system.letter(short, _letter(system, short, v0, v3).params)
+    ra = _letter(system, short, v0, v3)
     words["commutator"] = _commutator_block(system, short, l2, ra.params,
                                             (v2,))
     la, lb = system.letter(l1, (v0,)), system.letter(l2, (v2,))
     words["trivial-commutator"] = [la, lb, la.inverse(), lb.inverse()]
-    zero = F(0)
-    p1, p2 = ((v0,), (-F(5),)) if model.is_sp else ((v0, zero), (-F(5), zero))
-    p12 = tuple(x * y for x, y in zip(p1, p2)) if model.is_sp else \
-        (p1[0] * p2[0], zero)
+    p1, p2, p12 = (_letter(system, short, t).params
+                   for t in (v0, F(-5), v0 * F(-5)))
     words["h-multiplicativity"] = (
         h_word_letters(model, short, p1) + h_word_letters(model, short, p2)
         + [l.inverse() for l in reversed(h_word_letters(model, short, p12))])
@@ -213,8 +211,9 @@ def _standard_words(size):
     return words
 
 
-def _seeded_words(family, n, count=3, blocks=3):
-    """Seeded identity words u [x_r(a), x_p(b)] (factors)^-1 u^-1."""
+def _seeded_words(family, n):
+    """Three seeded identity words of three blocks
+    u [x_r(a), x_p(b)] (factors)^-1 u^-1 each."""
     rng = random.Random("reduce-golden:%s:%d" % (family, n))
     model = GroupModel(family, n)
     system = RestrictedSystem(model)
@@ -225,9 +224,9 @@ def _seeded_words(family, n, count=3, blocks=3):
         return tuple(rng.choice(values) for _ in range(model.param_arity(root)))
 
     words = []
-    for _ in range(count):
+    for _ in range(3):
         letters = []
-        for _ in range(blocks):
+        for _ in range(3):
             while True:
                 r, p = rng.choice(roots), rng.choice(roots)
                 if any(x + y for x, y in zip(r.coeffs, p.coeffs)):
@@ -246,11 +245,11 @@ def _seeded_words(family, n, count=3, blocks=3):
     return words
 
 
-def _w_power(family, n, power=4):
-    """w_r(1)^power on the short root L1-L2: a cycle no move can reduce."""
+def _w_power(family, n):
+    """w_r(1)^4 on the short root L1-L2: a cycle no move can reduce."""
     model = GroupModel(family, n)
     one = (F(1),) if model.is_sp else (F(1), F(0))
-    return w_word_letters(model, Root.of(n, 1, 2, 1, -1), one) * power
+    return w_word_letters(model, Root.of(n, 1, 2, 1, -1), one) * 4
 
 
 def reduce_cases():
