@@ -11,8 +11,8 @@ evaluation exactly:
   word h(t1) h(t2) h(t1*t2)^{-1} collapses to: the w-words
   x_r(t) x_{-r}(-1/t) x_r(t) at t = A, -1, B, -AB);
 * conjugation pushes: when an inner subword between inverse letters is
-  itself a cycle, it is reduced recursively and the conjugating pair
-  cancels, implementing the inductive conjugation cancellation.
+  itself a cycle, the conjugating pair cancels and the inner subword stays
+  for later moves, implementing the inductive conjugation cancellation.
 
 Every move carries a stability tag: Stable(witness) when the roots it
 touches admit a common strictly-contracting element on the given region,
@@ -46,8 +46,9 @@ from fractions import Fraction
 from .arrangements import find_stable_element
 from .generators import GeneratorLetter, position_component_table
 from .matrices import mat_prod
-from .relations import (commutator_delta, delta_to_matrix, delta_word,
-                        fit_structure_functions, h_delta, w_delta, x_delta)
+from .relations import (commutator_delta, delta_mul, delta_to_matrix,
+                        delta_word, fit_structure_functions, h_delta, w_delta,
+                        x_delta)
 from .roots import CartanVector, Root, build_root_system
 from .scalars import format_scalar, parse_scalar
 
@@ -423,11 +424,15 @@ def reduce_cycle(word, region=None, budget=10000):
     Deterministic stable-first greedy strategy with bounded backtracking:
     length-reducing moves (zero drops, free cancellations, the
     h-multiplicativity template, additivity merges) fire unconditionally;
-    commutator swaps are choice points, tried stable-witness-first, and a
-    stuck word rewinds to the most recent choice point with untried
-    candidates.  The budget counts every applied move, including moves later
-    undone.  Returns a ReductionTrace on success or a ReductionFailure with
-    the stuck word and partial trace.  A negative budget is an error.
+    commutator swaps and conjugation pushes are choice points.  Their
+    candidates come stable first, then by position; at one position the swap
+    comes before the pushes, and pushes with the farthest partner come first.
+    Candidates are produced on demand: a choice point builds and tags them
+    only up to the first stable one, and a stuck word rewinds to the most
+    recent choice point with a further candidate.  The budget counts every applied move,
+    including moves later undone.  Returns a ReductionTrace on success or a
+    ReductionFailure with the stuck word and partial trace.  A negative
+    budget is an error.
     """
     if budget < 0:
         raise CycleError("budget must be at least 0, got %d" % budget)
@@ -454,6 +459,8 @@ class _Reducer:
         self.budget = budget
         self.moves = []
         self.stuck_reason = None
+        # adjacent pair (a, b) -> (relation id, inserted, stability) or None
+        self.swaps = {}
 
     def _emit(self, letters, move):
         self.budget -= 1
@@ -464,7 +471,7 @@ class _Reducer:
                "_additivity_merge")
 
     def run(self, letters):
-        # stack of choice points: (letters, move count, candidates, next idx)
+        # stack of choice points: (letters, move count, candidate iterator)
         stack = []
         while True:
             progressed = True
@@ -478,11 +485,12 @@ class _Reducer:
                         break
                 if progressed:
                     continue
-                candidates = self._choice_moves(letters)
-                if candidates:
-                    stack.append((list(letters), len(self.moves),
-                                  candidates, 1))
-                    letters = self._emit(letters, candidates[0])
+                snapshot = tuple(letters)
+                candidates = self._choice_moves(snapshot)
+                move = next(candidates, None)
+                if move is not None:
+                    stack.append((snapshot, len(self.moves), candidates))
+                    letters = self._emit(letters, move)
                     progressed = True
             if not letters:
                 return letters
@@ -492,11 +500,12 @@ class _Reducer:
             # stuck: rewind to the last choice point with untried candidates
             rewound = False
             while stack and self.budget > 0:
-                prev, nmoves, candidates, nxt = stack.pop()
-                if nxt < len(candidates):
+                prev, nmoves, candidates = stack.pop()
+                move = next(candidates, None)
+                if move is not None:
                     del self.moves[nmoves:]
-                    stack.append((prev, nmoves, candidates, nxt + 1))
-                    letters = self._emit(list(prev), candidates[nxt])
+                    stack.append((prev, nmoves, candidates))
+                    letters = self._emit(prev, move)
                     rewound = True
                     break
             if not rewound:
@@ -504,12 +513,59 @@ class _Reducer:
                 return letters
 
     def _choice_moves(self, letters):
-        """Commutator swaps at every admissible inversion, stable-first,
-        followed by conjugation pushes."""
-        out = []
-        for finder in (self._commutator_sort, self._conjugation_push):
-            out.extend(finder(letters))
-        out.sort(key=lambda mv: (not mv.stability.stable, mv.position))
+        """Commutator swaps and conjugation pushes, generated on demand:
+        stable moves as the walk meets them, unstable ones after it."""
+        unstable = []
+        for move in self._choice_walk(letters):
+            if move.stability.stable:
+                yield move
+            else:
+                unstable.append(move)
+        yield from unstable
+
+    def _choice_walk(self, letters):
+        """Positions left to right: the swap, then pushes in descending j."""
+        at_root = {}
+        for k, l in enumerate(letters):
+            at_root.setdefault(l.root, []).append(k)
+        before = _PrefixProducts(self.system, letters)
+        for i in range(len(letters) - 1):
+            a, b = letters[i], letters[i + 1]
+            swap = self._swap(a, b)
+            if swap is not None:
+                relation_id, inserted, stability = swap
+                yield ReductionMove("relation-substitution", relation_id, i,
+                                    (a, b), inserted, stability)
+            for j in reversed(at_root[a.root]):
+                if j <= i + 1:
+                    break
+                c = letters[j]
+                # letters[i+1:j] is the identity iff the products before
+                # i+1 and before j agree
+                if not _params_negate(a, c) or before[i + 1] != before[j]:
+                    continue
+                inner = letters[i + 1:j]
+                yield ReductionMove(
+                    "conjugation-push", None, i, (a,) + inner + (c,), inner,
+                    self.oracle.of_roots([a.root.untagged()]))
+
+    def _swap(self, a, b):
+        """x_a x_b -> [x_a, x_b] x_b x_a at an inversion, memoized per pair:
+        (relation id, inserted letters, stability), or None."""
+        key = (a, b)
+        if key in self.swaps:
+            return self.swaps[key]
+        out = None
+        ra, rb = a.root, b.root
+        rsum = tuple(x + y for x, y in zip(ra.coeffs, rb.coeffs))
+        # only pairs out of root order swap; antipodal pairs are blocked
+        if ra.sort_key() > rb.sort_key() and any(rsum):
+            factors = self.system.swap_factors(a, b)
+            if factors is not None:
+                touched = [l.root.untagged() for l in [a, b] + factors]
+                out = ("commutator" if factors else "trivial-commutator",
+                       tuple(factors) + (b, a), self.oracle.of_roots(touched))
+        self.swaps[key] = out
         return out
 
     # -- individual move finders ----------------------------------------
@@ -545,30 +601,6 @@ class _Reducer:
                 return self._emit(letters, move)
         return None
 
-    def _commutator_sort(self, letters):
-        """Swap moves at every adjacent inversion; not yet applied."""
-        moves = []
-        for i in range(len(letters) - 1):
-            a, b = letters[i], letters[i + 1]
-            ra, rb = a.root, b.root
-            if _same_root(a, b):
-                continue
-            if ra.sort_key() <= rb.sort_key():
-                continue
-            rsum = tuple(x + y for x, y in zip(ra.coeffs, rb.coeffs))
-            if not any(rsum):
-                continue  # antipodal pair: blocked
-            # x_a x_b -> [x_a, x_b] x_b x_a
-            factors = self.system.swap_factors(a, b)
-            if factors is None:
-                continue
-            touched = [l.root.untagged() for l in [a, b] + factors]
-            moves.append(ReductionMove(
-                "relation-substitution",
-                "commutator" if factors else "trivial-commutator", i, (a, b),
-                tuple(factors) + (b, a), self.oracle.of_roots(touched)))
-        return moves
-
     def _h_mult_template(self, letters):
         hit = _match_h_mult(letters)
         if hit is None:
@@ -579,24 +611,22 @@ class _Reducer:
             tuple(letters[i:i + span]), (), self.oracle.of_roots(roots))
         return self._emit(letters, move)
 
-    def _conjugation_push(self, letters):
-        """Cancellation of an inverse pair around an identity-evaluating
-        inner subword; not yet applied."""
-        moves = []
-        for i in range(len(letters) - 1):
-            for j in range(len(letters) - 1, i + 1, -1):
-                a, b = letters[i], letters[j]
-                if not (_same_root(a, b) and _params_negate(a, b)):
-                    continue
-                inner = letters[i + 1:j]
-                inner_delta = delta_word([self.system.letter_delta(l)
-                                          for l in inner])
-                if inner_delta:
-                    continue
-                moves.append(ReductionMove(
-                    "conjugation-push", None, i, (a,) + tuple(inner) + (b,),
-                    tuple(inner), self.oracle.of_roots([a.root.untagged()])))
-        return moves
+
+class _PrefixProducts:
+    """before[k] is the delta of letters[:k]; each is built on demand with
+    one delta_mul from the one before it."""
+
+    def __init__(self, system, letters):
+        self.system = system
+        self.letters = letters
+        self.deltas = [{}]
+
+    def __getitem__(self, k):
+        deltas = self.deltas
+        while len(deltas) <= k:
+            l = self.letters[len(deltas) - 1]
+            deltas.append(delta_mul(deltas[-1], self.system.letter_delta(l)))
+        return deltas[k]
 
 
 def _same_root(a, b):
@@ -617,11 +647,14 @@ def _match_h_mult(letters):
     """
     size = 12
     for i in range(len(letters) - size + 1):
-        window = letters[i:i + size]
-        r = window[0].root
-        if r.restricted_tag is not None:
+        r = letters[i].root
+        if r.restricted_tag is not None or letters[i + 2].root != r:
             continue
-        neg = -r
+        neg = letters[i + 1].root
+        if neg.restricted_tag is not None or \
+                any(x != -y for x, y in zip(neg.coeffs, r.coeffs)):
+            continue
+        window = letters[i:i + size]
         if any(w.root != pr for w, pr in zip(window, (r, neg, r) * 4)):
             continue
         params = window[0].params

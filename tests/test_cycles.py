@@ -1,5 +1,6 @@
 """Cycle words: evaluation, stability, reduction traces, bracket splitting."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,9 +13,11 @@ from chevalley.cycles import (CycleError, ElementaryLetter, NonCycleError,
                               StandardSystem, Word, bracket_decompose,
                               enumerate_bracket_decompositions, is_stable_word,
                               reduce_cycle)
-from chevalley.cycles import _match_h_mult
-from chevalley.relations import fit_structure_functions
+from chevalley.cycles import (ReductionMove, _match_h_mult, _PrefixProducts,
+                              _Reducer, _StabilityOracle)
+from chevalley.relations import delta_word, fit_structure_functions
 from chevalley.roots import Root
+from chevalley.scalars import parse_scalar
 
 F = Fraction
 SP2 = GroupModel("sp", 2)
@@ -306,6 +309,165 @@ class TestReduce:
         witness = trace.moves[0].stability.witness
         assert plane.contains(witness)
         assert l.root.eval(witness) < 0
+
+
+# values per family; sl-c carries non-real Gaussian parameters
+SEEDED_VALUES = {"sp": ("2", "3", "-1", "1/2"),
+                 "sl-r": ("2", "-3", "5", "1/2"),
+                 "sl-c": ("1+2i", "-1/2", "i", "3")}
+
+
+def seeded_words(family, n, count=3, blocks=3):
+    """Seeded cycle words of blocks u [x_r(a), x_p(b)] (factors)^-1 u^-1."""
+    rng = random.Random("choice-order:%s:%d" % (family, n))
+    model = GroupModel(family, n)
+    system = rsys(model)
+    roots = list(system.system.roots)
+    values = [parse_scalar(v) for v in SEEDED_VALUES[family]]
+
+    def letter(root):
+        return system.letter(root, tuple(
+            rng.choice(values) for _ in range(model.param_arity(root))))
+
+    words = []
+    for _ in range(count):
+        letters = []
+        for _ in range(blocks):
+            while True:
+                r, p = rng.choice(roots), rng.choice(roots)
+                if any(x + y for x, y in zip(r.coeffs, p.coeffs)):
+                    break
+            lr, lp = letter(r), letter(p)
+            factors = []
+            if system.system.is_root(tuple(x + y for x, y in
+                                           zip(r.coeffs, p.coeffs))):
+                factors = [system.letter(law.target,
+                                         law.evaluate(lr.params, lp.params))
+                           for law in fit_structure_functions(model, r, p)]
+            u = letter(rng.choice(roots))
+            letters += [u, lr, lp, lr.inverse(), lp.inverse()]
+            letters += [f.inverse() for f in reversed(factors)]
+            letters.append(u.inverse())
+        word = Word(system, tuple(letters))
+        assert word.is_cycle()
+        words.append(word)
+    return words
+
+
+def reduction_states(word, region):
+    """The seeded word and every word its reduction passes through."""
+    trace = reduce_cycle(word, region=region, budget=200)
+    if isinstance(trace, ReductionFailure):
+        trace = trace.trace
+    states = [word.letters]
+    for move in trace.moves:
+        states.append(move.apply(states[-1]))
+    return states
+
+
+def eager_choice_moves(system, oracle, letters):
+    """Reference: every swap, then every push, then a stable sort on
+    (unstable, position)."""
+    out = []
+    for i in range(len(letters) - 1):
+        a, b = letters[i], letters[i + 1]
+        rsum = tuple(x + y for x, y in zip(a.root.coeffs, b.root.coeffs))
+        if a.root == b.root or a.root.sort_key() <= b.root.sort_key() \
+                or not any(rsum):
+            continue
+        factors = system.swap_factors(a, b)
+        if factors is None:
+            continue
+        touched = [l.root.untagged() for l in [a, b] + factors]
+        out.append(ReductionMove(
+            "relation-substitution",
+            "commutator" if factors else "trivial-commutator", i, (a, b),
+            tuple(factors) + (b, a), oracle.of_roots(touched)))
+    for i in range(len(letters) - 1):
+        for j in range(len(letters) - 1, i + 1, -1):
+            a, b = letters[i], letters[j]
+            if a.root != b.root or any(x + y for x, y in
+                                       zip(a.params, b.params)):
+                continue
+            inner = letters[i + 1:j]
+            if delta_word([system.letter_delta(l) for l in inner]):
+                continue
+            out.append(ReductionMove(
+                "conjugation-push", None, i, (a,) + inner + (b,), inner,
+                oracle.of_roots([a.root.untagged()])))
+    out.sort(key=lambda mv: (not mv.stability.stable, mv.position))
+    return out
+
+
+def diagonal(n):
+    """The span of (1, ..., 1), on which every L_i - L_j vanishes."""
+    return Plane(n, ((1,) * n,))
+
+
+CHOICE_CASES = [(family, n, region)
+                for family in ("sp", "sl-r", "sl-c") for n in (2, 3)
+                for region in (None, diagonal(n))]
+
+
+class TestChoiceOrder:
+    @pytest.mark.parametrize("family,n,region", CHOICE_CASES)
+    def test_lazy_candidates_match_eager_sort(self, family, n, region):
+        seen = {"push": 0, "unstable": 0, "mixed": 0}
+        for word in seeded_words(family, n):
+            system = word.system
+            for letters in reduction_states(word, region):
+                lazy = list(_Reducer(system, _StabilityOracle(system, region),
+                                     0)._choice_moves(letters))
+                eager = eager_choice_moves(
+                    system, _StabilityOracle(system, region), letters)
+                assert lazy == eager
+                seen["push"] += any(m.kind == "conjugation-push"
+                                    for m in eager)
+                stable = [m.stability.stable for m in eager]
+                seen["unstable"] += not all(stable)
+                seen["mixed"] += any(stable) and not all(stable)
+        assert seen["push"]
+        if region is not None:
+            assert seen["unstable"] and seen["mixed"]
+
+    def test_swap_precedes_pushes_farthest_first(self):
+        # at position 0 both the swap x_{2L1} x_{L1-L2} and two pushes of
+        # x_{2L1}(1) start; the push to the far partner comes first
+        sys_ = rsys(SP2)
+        l1, s = Root.of(2, 1), Root.of(2, 1, 2, 1, -1)
+        x, y = sys_.letter(l1, (F(1),)), sys_.letter(s, (F(2),))
+        letters = (x, y, y.inverse(), x.inverse(), x, x.inverse())
+        moves = list(_Reducer(sys_, _StabilityOracle(sys_, None),
+                              0)._choice_moves(letters))
+        head = [(m.kind, m.position, len(m.removed)) for m in moves[:3]]
+        assert head == [("relation-substitution", 0, 2),
+                        ("conjugation-push", 0, 6),
+                        ("conjugation-push", 0, 4)]
+
+
+class TestPushRule:
+    @pytest.mark.parametrize("family", ["sp", "sl-r", "sl-c"])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_prefix_products_decide_inner_identity(self, family, n):
+        outcomes = set()
+        for word in seeded_words(family, n):
+            letters = word.letters
+            before = _PrefixProducts(word.system, letters)
+            for i in range(len(letters)):
+                for j in range(i + 2, len(letters)):
+                    a, b = letters[i], letters[j]
+                    if a.root != b.root or any(x + y for x, y in
+                                               zip(a.params, b.params)):
+                        continue
+                    inner = delta_word([word.system.letter_delta(l)
+                                        for l in letters[i + 1:j]])
+                    same = before[i + 1] == before[j]
+                    assert same == (inner == {})
+                    outcomes.add(same)
+        assert outcomes == {True, False}
+        if family == "sl-c":
+            assert any(getattr(p, "im", 0) for w in seeded_words(family, n)
+                       for l in w.letters for p in l.params)
 
 
 class TestBracketDecompose:
