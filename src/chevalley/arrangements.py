@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
+from .matrices import row_reduce
 from .roots import CartanVector, Root
 
 
@@ -137,6 +138,8 @@ class Plane:
     def from_equations(ambient_dim, equations):
         """The solution space of the homogeneous equations, with a basis."""
         eqs = [tuple(Fraction(x) for x in e) for e in equations]
+        if any(len(e) != ambient_dim for e in eqs):
+            raise ArrangementError("constraint dimension mismatch")
         basis = _nullspace(eqs, ambient_dim)
         return Plane(ambient_dim, tuple(basis), tuple(eqs))
 
@@ -165,61 +168,20 @@ def _dot(a, b):
 
 
 def _rank(rows):
-    work = [list(r) for r in rows]
-    m = len(work)
-    if m == 0:
-        return 0
-    ncols = len(work[0])
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for r in range(rank, m):
-            if work[r][col]:
-                piv = r
-                break
-        if piv is None:
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        pv = work[rank][col]
-        for r in range(m):
-            if r != rank and work[r][col]:
-                f = work[r][col] / pv
-                work[r] = [x - f * y for x, y in zip(work[r], work[rank])]
-        rank += 1
-        if rank == m:
-            break
-    return rank
+    return len(row_reduce(rows, len(rows[0]))[1]) if rows else 0
 
 
 def _nullspace(eqs, dim):
     """Basis of the solution space of homogeneous rational equations."""
-    work = [list(e) for e in eqs if any(e)]
-    pivots = []
-    rank = 0
-    for col in range(dim):
-        piv = None
-        for r in range(rank, len(work)):
-            if work[r][col]:
-                piv = r
-                break
-        if piv is None:
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        pv = work[rank][col]
-        work[rank] = [x / pv for x in work[rank]]
-        for r in range(len(work)):
-            if r != rank and work[r][col]:
-                f = work[r][col]
-                work[r] = [x - f * y for x, y in zip(work[r], work[rank])]
-        pivots.append(col)
-        rank += 1
+    rref, pivots, _det = row_reduce(eqs, dim)
     basis = []
-    free = [c for c in range(dim) if c not in pivots]
-    for fc in free:
+    for fc in range(dim):
+        if fc in pivots:
+            continue
         vec = [Fraction(0)] * dim
         vec[fc] = Fraction(1)
         for r, pc in enumerate(pivots):
-            vec[pc] = -work[r][fc]
+            vec[pc] = -rref[r][fc]
         basis.append(tuple(vec))
     return basis
 

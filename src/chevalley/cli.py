@@ -81,15 +81,22 @@ def _parse_plane(text, ambient):
 
 
 def _load_roots(source, n, ambient):
-    """--roots <file|builtin:restricted|builtin:sl-standard>."""
-    if source == "builtin:restricted":
+    """--roots <file|builtin:restricted|builtin:sl-standard>.
+
+    A builtin list fixes its dimension (n, or 2n for sl-standard); an
+    --ambient that differs from it is a usage error.
+    """
+    if source in ("builtin:restricted", "builtin:sl-standard"):
         if n is None:
-            raise UsageError("builtin:restricted needs --n")
-        return list(build_root_system(n).roots), n
-    if source == "builtin:sl-standard":
-        if n is None:
-            raise UsageError("builtin:sl-standard needs --n")
-        return list(standard_sl_roots(2 * n)), 2 * n
+            raise UsageError("%s needs --n" % source)
+        if source == "builtin:restricted":
+            roots, dim = list(build_root_system(n).roots), n
+        else:
+            roots, dim = list(standard_sl_roots(2 * n)), 2 * n
+        if ambient is not None and ambient != dim:
+            raise UsageError("--ambient %d does not match the dimension %d of "
+                             "%s" % (ambient, dim, source))
+        return roots, dim
     try:
         with open(source, "r", encoding="utf-8") as fh:
             lines = [ln.strip() for ln in fh if ln.strip()

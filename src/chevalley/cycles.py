@@ -44,7 +44,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arrangements import find_stable_element
-from .generators import GeneratorLetter, position_component_table
+from .generators import (GeneratorLetter, h_reference,
+                         position_component_table, w_factors)
 from .matrices import mat_prod
 from .relations import (commutator_delta, delta_mul, delta_to_matrix,
                         delta_word, fit_structure_functions, h_delta, w_delta,
@@ -666,12 +667,11 @@ def _match_h_mult(letters):
         b_val = window[6].params[slot]
         if not b_val:
             continue
-        zero = a_val - a_val
-        expect = []
-        for t in (a_val, -(a_val / a_val), b_val, -(a_val * b_val)):
-            for v in (t, -(1 / t), t):
-                expect.append(tuple(v if k == slot else zero
-                                    for k in range(len(params))))
+        neg_ref = tuple(-p for p in h_reference(params))
+        b_params, ab_params = (params[:slot] + (v,) + params[slot + 1:]
+                               for v in (b_val, -(a_val * b_val)))
+        expect = [p for t in (params, neg_ref, b_params, ab_params)
+                  for _r, p in w_factors(r, t)]
         if [w.params for w in window] == expect:
             return (i, size, [r, neg])
     return None

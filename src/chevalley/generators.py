@@ -30,10 +30,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .matrices import ExactMatrix, exp_nilpotent, mat_inv, mat_mul
-from .roots import Root
+from .matrices import ExactMatrix, exp_nilpotent, mat_inv, mat_mul, mat_prod
+from .roots import Root, build_root_system
 from .scalars import (GAUSSIAN, LAURENT, RATIONAL, coerce, format_scalar,
-                      is_unit, join_mode, mode_of, parse_scalar, scalar_one,
+                      join_mode, mode_of, parse_scalar, scalar_one,
                       scalar_zero)
 
 FAMILIES = ("sp", "sl-r", "sl-c")
@@ -285,11 +285,6 @@ class GeneratorLetter:
         inv = tuple((1 / p) if p else p for p in self.params)
         return GeneratorLetter(self.model, self.kind, self.root, inv)
 
-    def is_inverse_of(self, other):
-        return (self.model == other.model and self.kind == other.kind
-                and self.root == other.root
-                and other.inverse().params == self.params)
-
     def format(self):
         return "%s %s (%s)" % (self.kind, self.root.format(),
                                ", ".join(format_scalar(p) for p in self.params))
@@ -312,24 +307,34 @@ class GeneratorLetter:
         return self.format()
 
 
+def w_factors(root, params):
+    """The x-factors (root, params) of w_r(t) = x_r(t) x_{-r}(-1/t) x_r(t).
+
+    The one definition of the w-word; a zero slot stays zero.
+    """
+    neg_inv = tuple((-(1 / p)) if p else p for p in params)
+    return ((root, params), (-root, neg_inv), (root, params))
+
+
+def h_reference(params):
+    """The all-ones parameter with the zero pattern of params, the ref of
+    h_r(t) = w_r(t) w_r(ref)^{-1}; w_r(ref)^{-1} = w_r(-ref)."""
+    return tuple(scalar_one(mode_of(p)) if p else p for p in params)
+
+
 @lru_cache(maxsize=65536)
 def _letter_matrix(model, kind, root, params):
     if kind == "x":
         return exp_nilpotent(gen_f(model, root, params))
     if kind == "w":
         return _w_word_matrix(model, root, params)
-    # h = w(params) * w(reference)^{-1}; the reference shares the zero pattern
-    ref = tuple(scalar_one(mode_of(p)) if p else p for p in params)
-    w_t = _w_word_matrix(model, root, params)
-    w_ref = _w_word_matrix(model, root, ref)
-    return mat_mul(w_t, mat_inv(w_ref))
+    return mat_mul(_w_word_matrix(model, root, params),
+                   mat_inv(_w_word_matrix(model, root, h_reference(params))))
 
 
 def _w_word_matrix(model, root, params):
-    neg_inv = tuple((-(1 / p)) if p else p for p in params)
-    x_t = _letter_matrix(model, "x", root, params)
-    x_neg = _letter_matrix(model, "x", -root, neg_inv)
-    return mat_mul(mat_mul(x_t, x_neg), x_t)
+    return mat_prod(_letter_matrix(model, "x", r, p)
+                    for r, p in w_factors(root, params))
 
 
 def gen_x(model, root, params):
@@ -364,27 +369,23 @@ def gen_h_literal(model, root, params):
     w_r(-ref) = w_r(ref)^{-1}.
     """
     params = model.check_params(root, params)
-    neg_ref = tuple(-scalar_one(mode_of(p)) if p else p for p in params)
-    w_t = _w_word_matrix(model, root, params)
-    w_ref = _w_word_matrix(model, root, neg_ref)
-    return GroupElement(mat_mul(w_t, w_ref), model)
+    neg_ref = tuple(-p for p in h_reference(params))
+    return GroupElement(mat_mul(_w_word_matrix(model, root, params),
+                                _w_word_matrix(model, root, neg_ref)), model)
 
 
 def h_word_letters(model, root, params):
     """The defining word of h_r(params) as six x-letters."""
     params = model.check_params(root, params)
-    ref = tuple(scalar_one(mode_of(p)) if p else p for p in params)
     return w_word_letters(model, root, params) + \
-        w_word_letters(model, root, tuple(-p for p in ref))
+        w_word_letters(model, root, tuple(-p for p in h_reference(params)))
 
 
 def w_word_letters(model, root, params):
     """The defining word of w_r(params) as three x-letters."""
     params = model.check_params(root, params)
-    neg_inv = tuple((-(1 / p)) if p else p for p in params)
-    x1 = GeneratorLetter(model, "x", root, params)
-    x2 = GeneratorLetter(model, "x", -root, neg_inv)
-    return [x1, x2, x1]
+    return [GeneratorLetter(model, "x", r, p)
+            for r, p in w_factors(root, params)]
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +401,7 @@ class TorusElement:
 
     def __post_init__(self):
         d = tuple(Fraction(x) if isinstance(x, int) else x for x in self.d)
-        if not all(is_unit(x) for x in d):
+        if not all(d):
             raise GeneratorError("torus entries must be units")
         object.__setattr__(self, "d", d)
 
@@ -443,19 +444,10 @@ def torus_conjugate(torus, letter):
 
 @lru_cache(maxsize=None)
 def position_component_table(n):
-    """Map (row, col), row != col, to (root, delta) for rank n (size 2n)."""
-    table = {}
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i != j:
-                table[(i, j)] = (Root.of(n, i, j, 1, -1), 1)
-                table[(i + n, j + n)] = (Root.of(n, j, i, 1, -1), 2)
-            if i < j:
-                table[(i, j + n)] = (Root.of(n, i, j, 1, 1), 1)
-                table[(j, i + n)] = (Root.of(n, i, j, 1, 1), 2)
-                table[(j + n, i)] = (Root.of(n, i, j, -1, -1), 1)
-                table[(i + n, j)] = (Root.of(n, i, j, -1, -1), 2)
-        table[(i, i + n)] = (Root.of(n, i), 1)
-        table[(i + n, i)] = (Root.of(n, i, si=-1), 1)
-    return table
-
+    """Map (row, col), row != col, to (root, delta) for rank n (size 2n):
+    the inverse of the sl root_entry_positions over all roots."""
+    model = GroupModel("sl-r", n)
+    return {(row, col): (root, delta)
+            for root in build_root_system(n).roots
+            for delta, (row, col, _s) in enumerate(
+                root_entry_positions(model, root), start=1)}

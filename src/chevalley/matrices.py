@@ -194,65 +194,72 @@ def mat_scale(a, c):
     return ExactMatrix([[x * c for x in r] for r in a.rows], a.mode)
 
 
+def row_reduce(rows, ncols):
+    """Gauss-Jordan elimination over an exact field; the one pivoting loop.
+
+    Column by column over the first ncols columns, the pivot is the first
+    nonzero entry at or below the current rank; later columns (an augmented
+    block) ride along.  The pivot row is scaled to a leading one and its
+    column is cleared in every other row.  Returns (rref, pivots, det): the
+    reduced rows, the pivot column of each of the first len(pivots) rows,
+    and the product of the pivots signed by the row swaps, which is the
+    determinant of a square input; det is zero when the input is singular
+    or not square.
+    """
+    work = [list(r) for r in rows]
+    m = len(work)
+    mode = mode_of(work[0][0]) if m and ncols else RATIONAL
+    one = scalar_one(mode)
+    det = one
+    pivots = []
+    for col in range(ncols):
+        rank = len(pivots)
+        if rank == m:
+            break
+        piv = None
+        for r in range(rank, m):
+            if work[r][col]:
+                piv = r
+                break
+        if piv is None:
+            continue
+        if piv != rank:
+            work[rank], work[piv] = work[piv], work[rank]
+            det = -det
+        pval = work[rank][col]
+        det = det * pval
+        if pval != one:
+            work[rank] = [x / pval for x in work[rank]]
+        prow = work[rank]
+        for r in range(m):
+            if r != rank and work[r][col]:
+                f = work[r][col]
+                work[r] = [x - f * y for x, y in zip(work[r], prow)]
+        pivots.append(col)
+    if len(pivots) < ncols or m != ncols:
+        det = scalar_zero(mode)
+    return work, tuple(pivots), det
+
+
 def mat_inv(a):
-    """Exact inverse by Gauss-Jordan elimination.
+    """Exact inverse: row_reduce of the block [a | I].
 
     Raises SingularMatrixError (with the rank) on singular input.
     """
     n = a.size
     zero = scalar_zero(a.mode)
     one = scalar_one(a.mode)
-    work = [list(r) for r in a.rows]
-    inv = [[one if i == j else zero for j in range(n)] for i in range(n)]
-    rank = 0
-    for col in range(n):
-        piv = None
-        for r in range(rank, n):
-            if work[r][col]:
-                piv = r
-                break
-        if piv is None:
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        inv[rank], inv[piv] = inv[piv], inv[rank]
-        pval = work[rank][col]
-        if pval != one:
-            work[rank] = [x / pval for x in work[rank]]
-            inv[rank] = [x / pval for x in inv[rank]]
-        for r in range(n):
-            if r != rank and work[r][col]:
-                f = work[r][col]
-                work[r] = [x - f * y for x, y in zip(work[r], work[rank])]
-                inv[r] = [x - f * y for x, y in zip(inv[r], inv[rank])]
-        rank += 1
-    if rank < n:
-        raise SingularMatrixError(rank)
-    return ExactMatrix(inv, a.mode)
+    rows = [r + [one if i == j else zero for j in range(n)]
+            for i, r in enumerate(a.rows)]
+    rref, pivots, _det = row_reduce(rows, n)
+    if len(pivots) < n:
+        raise SingularMatrixError(len(pivots))
+    return ExactMatrix([r[n:] for r in rref], a.mode)
 
 
 def mat_det(a):
-    """Exact determinant by elimination."""
-    n = a.size
-    work = [list(r) for r in a.rows]
-    det = scalar_one(a.mode)
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if work[r][col]:
-                piv = r
-                break
-        if piv is None:
-            return scalar_zero(a.mode)
-        if piv != col:
-            work[col], work[piv] = work[piv], work[col]
-            det = -det
-        pval = work[col][col]
-        det = det * pval
-        for r in range(col + 1, n):
-            if work[r][col]:
-                f = work[r][col] / pval
-                work[r] = [x - f * y for x, y in zip(work[r], work[col])]
-    return det
+    """Exact determinant, by row_reduce."""
+    return row_reduce(a.rows, a.size)[2]
 
 
 class NotNilpotentError(ValueError):

@@ -35,7 +35,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .generators import (GRID, REGIMES, SYMBOLIC, gen_h, gen_h_literal,
-                         position_component_table, root_entry_positions)
+                         h_reference, position_component_table,
+                         root_entry_positions, w_factors)
 from .matrices import ExactMatrix
 from .roots import Root, build_root_system, positive_combinations
 from .scalars import (GAUSSIAN, RATIONAL, LaurentFrac, LaurentPoly, coerce,
@@ -157,17 +158,14 @@ def x_delta(model, root, params):
 
 @lru_cache(maxsize=65536)
 def _w_delta_cached(model, root, params):
-    neg_inv = tuple((-(1 / p)) if p else p for p in params)
-    xa = x_delta(model, root, params)
-    xb = x_delta(model, -root, neg_inv)
-    return _freeze(delta_word([xa, xb, xa]))
+    return _freeze(delta_word([x_delta(model, r, p)
+                               for r, p in w_factors(root, params)]))
 
 
 @lru_cache(maxsize=65536)
 def _h_delta_cached(model, root, params):
-    ref = tuple(scalar_one(mode_of(p)) if p else p for p in params)
     w_t = w_delta(model, root, params)
-    w_ref_inv = w_delta(model, root, tuple(-p for p in ref))
+    w_ref_inv = w_delta(model, root, tuple(-p for p in h_reference(params)))
     return _freeze(delta_mul(w_t, w_ref_inv))
 
 
@@ -851,8 +849,7 @@ def _w_inversion_suite(model, regime, grid):
         def first_failing(*ts):
             for params in variants(*ts):
                 lhs = w_delta(model, gamma, params)
-                rhs = w_delta(model, -gamma,
-                              tuple((-(1 / p)) if p else p for p in params))
+                rhs = w_delta(model, *w_factors(gamma, params)[1])
                 if lhs != rhs:
                     break
             return params, lhs, rhs

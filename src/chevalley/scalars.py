@@ -357,19 +357,10 @@ class LaurentPoly:
 
     def lead_key(self):
         """Lexicographically largest monomial key (by sorted var/exp tuple)."""
-        return max(self.terms, key=_lex_rank)
+        return max(self.terms)
 
     def lead_coeff(self):
         return self.terms[self.lead_key()]
-
-    def degree_in(self, name):
-        """Max exponent of ``name``; 0 if the variable is absent."""
-        best = 0
-        for k in self.terms:
-            for v, e in k:
-                if v == name and e > best:
-                    best = e
-        return best
 
     def evaluate(self, point):
         """Evaluate at Fraction/GaussianRational values; exact."""
@@ -392,16 +383,10 @@ class LaurentPoly:
         if not self.terms:
             return "LaurentPoly(0)"
         bits = []
-        for k in sorted(self.terms, key=_lex_rank, reverse=True):
+        for k in sorted(self.terms, reverse=True):
             c = self.terms[k]
             bits.append("%s*%s" % (c, _key_str(k)) if k else str(c))
         return "LaurentPoly(%s)" % " + ".join(bits)
-
-
-def _lex_rank(key):
-    # Rank monomials for deterministic lex-leading selection: compare on the
-    # full sorted (name, exp) tuple; absent variables count as exponent 0.
-    return tuple((name, e) for name, e in key)
 
 
 def _poly_divmod_exact(num, den):
@@ -658,11 +643,6 @@ def join_mode(modes):
     raise ScalarError("gaussian and laurent scalars cannot be mixed")
 
 
-def is_unit(x):
-    """Invertibility in the ambient field: nonzero."""
-    return bool(x)
-
-
 def scalar_zero(mode):
     if mode == RATIONAL:
         return Fraction(0)
@@ -760,7 +740,7 @@ def _poly_str(p):
     if not p.terms:
         return "0"
     bits = []
-    for k in sorted(p.terms, key=_lex_rank, reverse=True):
+    for k in sorted(p.terms, reverse=True):
         c = p.terms[k]
         if not k:
             bits.append(str(c))

@@ -93,9 +93,6 @@ class SymbolExpr:
     def inverse(self):
         return SymbolExpr(tuple((k, -e) for k, e in self.pairs))
 
-    def is_empty(self):
-        return not self.pairs
-
     def describe(self):
         return [[format_scalar(s), format_scalar(t), e]
                 for (s, t), e in self.pairs]
@@ -259,17 +256,15 @@ class _Echelon:
             a, b = prow[lead], row[lead]
             if b % a == 0:
                 q = b // a
-                row = _row_sub(row, prow, q)
-                combo = _row_sub(combo, pcombo, q)
+                _add_multiple(row, -q, prow.items())
+                _add_multiple(combo, -q, pcombo.items())
                 continue
             # replace pivot by gcd combination (extended Euclid step)
             g, x, y = _xgcd(a, b)
-            new_row = _row_comb(prow, x, row, y)
-            new_combo = _row_comb(pcombo, x, combo, y)
-            alt_row = _row_comb(prow, b // g, row, -(a // g))
-            alt_combo = _row_comb(pcombo, b // g, combo, -(a // g))
-            self.pivots[lead] = (new_row, new_combo)
-            row, combo = alt_row, alt_combo
+            self.pivots[lead] = (_row_comb(prow, x, row, y),
+                                 _row_comb(pcombo, x, combo, y))
+            row, combo = (_row_comb(prow, b // g, row, -(a // g)),
+                          _row_comb(pcombo, b // g, combo, -(a // g)))
 
     def reduce(self, vector):
         """Reduce a target vector; returns (residue, combo) with the combo
@@ -285,45 +280,26 @@ class _Echelon:
             if b % a != 0:
                 return res, combo
             q = b // a
-            res = _row_sub(res, prow, q)
-            combo = _row_add(combo, pcombo, q)
+            _add_multiple(res, -q, prow.items())
+            _add_multiple(combo, q, pcombo.items())
 
 
-def _row_sub(row, other, q):
-    out = dict(row)
-    for c, v in other.items():
-        w = out.get(c, 0) - q * v
+def _add_multiple(row, q, items):
+    """row += q * items in place, for a sparse integer row given as a dict
+    and (column, value) items; zero entries are dropped.  The one row update
+    of the echelon, its reductions and certificate replay."""
+    for c, v in items:
+        w = row.get(c, 0) + q * v
         if w:
-            out[c] = w
+            row[c] = w
         else:
-            out.pop(c, None)
-    return out
-
-
-def _row_add(row, other, q):
-    out = dict(row)
-    for c, v in other.items():
-        w = out.get(c, 0) + q * v
-        if w:
-            out[c] = w
-        else:
-            out.pop(c, None)
-    return out
+            row.pop(c, None)
+    return row
 
 
 def _row_comb(r1, c1, r2, c2):
-    out = {}
-    for c, v in r1.items():
-        w = c1 * v
-        if w:
-            out[c] = w
-    for c, v in r2.items():
-        w = out.get(c, 0) + c2 * v
-        if w:
-            out[c] = w
-        else:
-            out.pop(c, None)
-    return out
+    """The new row c1*r1 + c2*r2."""
+    return _add_multiple(_add_multiple({}, c1, r1.items()), c2, r2.items())
 
 
 def _xgcd(a, b):
@@ -384,12 +360,7 @@ def replay_certificate(result, lattice):
         raise SymbolError("no certificate to replay")
     acc = {}
     for idx, coeff in result.certificate:
-        for key, c in lattice.instances[idx].vector:
-            w = acc.get(key, 0) + coeff * c
-            if w:
-                acc[key] = w
-            else:
-                acc.pop(key, None)
+        _add_multiple(acc, coeff, lattice.instances[idx].vector)
     return acc
 
 

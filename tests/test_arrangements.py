@@ -1,15 +1,17 @@
 """Arrangements: hyperplanes, genericity with witnesses, stability, chambers."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chevalley.arrangements import (ArrangementError, Plane, find_stable_element,
-                                    is_generic, lyapunov_hyperplanes,
-                                    weyl_chambers)
+from chevalley.arrangements import (ArrangementError, Plane, _nullspace,
+                                    _rank, find_stable_element, is_generic,
+                                    lyapunov_hyperplanes, weyl_chambers)
 from chevalley.roots import Root, build_root_system, standard_sl_roots
+from chevalley.scalars import GaussianRational, LaurentFrac
 
 F = Fraction
 
@@ -282,3 +284,65 @@ class TestChambers:
             for s, h in zip(signs, cm.hyperplanes):
                 assert s * h.eval_at(pt) > 0
         assert len(signatures) == len(cm.chambers)
+
+
+def _annihilates(eqs, vec):
+    return all(not sum((e * v for e, v in zip(eq, vec)), 0 * vec[0])
+               for eq in eqs)
+
+
+class TestRankAndNullspace:
+    """The plane kernels are thin callers of matrices.row_reduce."""
+
+    def test_rational(self):
+        eqs = [tuple(F(x) for x in e) for e in EXAMPLE_EQS]
+        assert _rank(eqs) == 2
+        assert _rank(eqs + [tuple(a + b for a, b in zip(*eqs))]) == 2
+        assert _rank([]) == 0
+        basis = _nullspace(eqs, 4)
+        assert basis == nullspace_oracle(EXAMPLE_EQS, 4)
+        assert basis == [(1, -2, 1, 0), (2, -3, 0, 1)]
+
+    def test_zero_rows_and_no_rows(self):
+        zero = (F(0), F(0), F(0))
+        assert _rank([zero, zero]) == 0
+        assert _nullspace([zero], 3) == _nullspace([], 3) == [
+            (1, 0, 0), (0, 1, 0), (0, 0, 1)]
+
+    def test_gaussian(self):
+        i, one, z = GaussianRational(0, 1), GaussianRational(1), \
+            GaussianRational(0)
+        eqs = [(i, one, z), (one, -i, z)]   # second row is -i times the first
+        assert _rank(eqs) == 1
+        basis = _nullspace(eqs, 3)
+        assert len(basis) == 2
+        assert all(_annihilates(eqs, v) for v in basis)
+        assert _rank([(i, one, z), (one, i, z)]) == 2
+
+    def test_laurent(self):
+        t = LaurentFrac.symbol("t")
+        one, z = LaurentFrac(1), LaurentFrac(0)
+        eqs = [(t, one, z), (t * t, t, z)]   # second row is t times the first
+        assert _rank(eqs) == 1
+        basis = _nullspace(eqs, 3)
+        assert basis[0][0] == -1 / t
+        assert all(_annihilates(eqs, v) for v in basis)
+        assert _rank([(t, one, z), (one, t, z)]) == 2
+
+    def test_against_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(7)
+        for _ in range(80):
+            dim = rng.randint(1, 5)
+            eqs = [tuple(F(rng.randint(-2, 2)) for _ in range(dim))
+                   for _ in range(rng.randint(1, 4))]
+            ref = sympy.Matrix([[int(x) for x in e] for e in eqs])
+            assert _rank(eqs) == ref.rank()
+            want = [tuple(F(str(x)) for x in v) for v in ref.nullspace()]
+            assert _nullspace(eqs, dim) == want
+
+    def test_from_equations_checks_lengths(self):
+        with pytest.raises(ArrangementError):
+            Plane.from_equations(2, [[1]])
+        with pytest.raises(ArrangementError):
+            Plane.from_equations(2, [[0]])

@@ -313,3 +313,35 @@ def test_fuzzed_argv_never_raises(argv):
     assert code in (0, 1, 2)
     if code == 2:
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# A builtin root list fixes the dimension: n for restricted, 2n for
+# sl-standard.  A different --ambient, or a region equation of another
+# length, is a usage error, not a silently ignored option or a traceback.
+DIMENSION_ERRORS = [
+    ("chambers", "--roots", "builtin:restricted", "--n", "2",
+     "--ambient", "9"),
+    ("stable", "--roots", "builtin:restricted", "--n", "3", "--ambient", "2"),
+    ("generic", "--roots", "builtin:restricted", "--n", "2", "--ambient", "3",
+     "--plane", "1,0;0,1"),
+    ("chambers", "--roots", "builtin:sl-standard", "--n", "2",
+     "--ambient", "2"),
+    ("stable", "--roots", "builtin:restricted", "--n", "2",
+     "--region", "eq:1"),
+]
+
+
+@pytest.mark.parametrize("argv", DIMENSION_ERRORS, ids=lambda a: " ".join(a))
+def test_dimension_mismatch_is_a_usage_error(argv):
+    code, out, err = run_cli_err(*argv)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("roots, ambient", [("builtin:restricted", "2"),
+                                            ("builtin:sl-standard", "4")])
+def test_matching_ambient_is_accepted(roots, ambient):
+    plain = run_cli("chambers", "--roots", roots, "--n", "2")
+    assert plain[0] == 0
+    assert run_cli("chambers", "--roots", roots, "--n", "2",
+                   "--ambient", ambient) == plain

@@ -11,9 +11,9 @@ from chevalley.generators import GroupModel
 from chevalley.matrices import (ExactMatrix, MatrixError, NotNilpotentError,
                                 SingularMatrixError, check_membership,
                                 exp_nilpotent, format_matrix, mat_add,
-                                mat_inv, mat_mul, parse_matrix,
-                                symplectic_form)
-from chevalley.scalars import LaurentFrac
+                                mat_det, mat_inv, mat_mul, parse_matrix,
+                                row_reduce, symplectic_form)
+from chevalley.scalars import GaussianRational, LaurentFrac
 
 
 def unit_plus(size, entries):
@@ -198,3 +198,170 @@ class TestLaurentGridAgreement:
             mv = m.evaluate({"t": tv})
             assert mat_mul(mv, mat_inv(mv)) == ExactMatrix.identity(2)
             assert prod.evaluate({"t": tv}) == ExactMatrix.identity(2)
+
+
+def random_rows(rng, m, k):
+    """Small rational rows, about a third of the entries zero."""
+    return [[Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+             if rng.random() < 0.7 else Fraction(0) for _ in range(k)]
+            for _ in range(m)]
+
+
+class TestRowReduce:
+    def test_rref_pivots_and_swap_signed_det(self):
+        # col 0 pivots on row 1 (one swap); the pivots are 1, 2, 3
+        rows = [[Fraction(x) for x in r]
+                for r in ([0, 2, 4], [1, 1, 1], [2, 2, 5])]
+        rref, pivots, det = row_reduce(rows, 3)
+        assert pivots == (0, 1, 2)
+        assert rref == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+        assert det == -6
+
+    def test_rank_deficient(self):
+        rows = [[Fraction(x) for x in r]
+                for r in ([1, 2, 3], [2, 4, 6], [1, 0, 1])]
+        rref, pivots, det = row_reduce(rows, 3)
+        assert pivots == (0, 1)
+        assert rref == [[1, 0, 1], [0, 1, 1], [0, 0, 0]]
+        assert det == 0
+
+    def test_augmented_columns_ride_along(self):
+        # [A | b] solves A x = b: 2x + y = 5, x - y = 1 gives x = 2, y = 1
+        rows = [[Fraction(2), Fraction(1), Fraction(5)],
+                [Fraction(1), Fraction(-1), Fraction(1)]]
+        rref, pivots, det = row_reduce(rows, 2)
+        assert pivots == (0, 1)
+        assert [r[2] for r in rref] == [2, 1]
+        assert det == -3
+
+    def test_non_square_det_is_zero(self):
+        rows = [[Fraction(1), Fraction(0), Fraction(0)],
+                [Fraction(0), Fraction(1), Fraction(0)]]
+        assert row_reduce(rows, 3)[1:] == ((0, 1), 0)
+        tall = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(2)],
+                [Fraction(1), Fraction(1)]]
+        assert row_reduce(tall, 2)[1:] == ((0, 1), 0)
+
+    def test_empty_and_input_untouched(self):
+        assert row_reduce([], 3) == ([], (), 0)
+        rows = [[Fraction(2), Fraction(4)], [Fraction(1), Fraction(3)]]
+        row_reduce(rows, 2)
+        assert rows == [[2, 4], [1, 3]]
+
+    def test_gaussian(self):
+        i = GaussianRational(0, 1)
+        one = GaussianRational(1)
+        rref, pivots, det = row_reduce([[i, one], [one, i]], 2)
+        assert pivots == (0, 1) and det == GaussianRational(-2)
+        rref, pivots, det = row_reduce([[i, one], [one, -i]], 2)
+        assert pivots == (0,) and det == GaussianRational(0)
+        assert rref[0] == [one, -i]
+
+    def test_laurent(self):
+        t = LaurentFrac.symbol("t")
+        one = LaurentFrac(1)
+        rref, pivots, det = row_reduce([[t, one], [one, t]], 2)
+        assert pivots == (0, 1)
+        assert det == t * t - 1
+        rref, pivots, det = row_reduce([[t, one], [t * t, t]], 2)
+        assert pivots == (0,) and not det
+        assert rref[0] == [one, 1 / t]
+
+
+class TestDet:
+    def test_swap_sign(self):
+        assert mat_det(ExactMatrix([[0, 1], [1, 0]])) == -1
+        # a 4-cycle is odd: three transpositions
+        cyc = ExactMatrix([[0, 1, 0, 0], [0, 0, 1, 0],
+                           [0, 0, 0, 1], [1, 0, 0, 0]])
+        assert mat_det(cyc) == -1
+
+    def test_triangular_and_singular(self):
+        assert mat_det(ExactMatrix([[2, 7], [0, Fraction(1, 3)]])) == \
+            Fraction(2, 3)
+        assert mat_det(ExactMatrix([[1, 2], [2, 4]])) == 0
+
+    def test_gaussian_and_laurent(self):
+        # the determinant stays in the matrix's mode, zero included
+        i = GaussianRational(0, 1)
+        for m, det in ((ExactMatrix([[i, 1], [1, i]]), GaussianRational(-2)),
+                       (ExactMatrix([[i, 1], [1, -i]]), GaussianRational(0))):
+            assert mat_det(m) == det
+            assert isinstance(mat_det(m), GaussianRational)
+        t = LaurentFrac.symbol("t")
+        for m, det in ((ExactMatrix([[t, 1], [1, t]]), t * t - 1),
+                       (ExactMatrix([[t, 1], [t * t, t]]), LaurentFrac(0))):
+            assert mat_det(m) == det
+            assert isinstance(mat_det(m), LaurentFrac)
+
+    def test_multiplicative(self):
+        rng = random.Random(11)
+        for _ in range(20):
+            a = ExactMatrix(random_rows(rng, 4, 4))
+            b = ExactMatrix(random_rows(rng, 4, 4))
+            assert mat_det(mat_mul(a, b)) == mat_det(a) * mat_det(b)
+
+
+class TestInvModes:
+    def test_gaussian(self):
+        i = GaussianRational(0, 1)
+        m = ExactMatrix([[i, 1], [1, -i + 2]])
+        assert mat_mul(m, mat_inv(m)) == ExactMatrix.identity(2, "gaussian")
+
+    def test_singular_ranks(self):
+        m = ExactMatrix([[1, 2, 0, 0], [2, 4, 0, 0],
+                         [0, 0, 1, 1], [0, 0, 1, 1]])
+        with pytest.raises(SingularMatrixError) as err:
+            mat_inv(m)
+        assert err.value.rank == 2
+        i = GaussianRational(0, 1)
+        with pytest.raises(SingularMatrixError) as err:
+            mat_inv(ExactMatrix([[i, 1], [1, -i]]))
+        assert err.value.rank == 1
+        t = LaurentFrac.symbol("t")
+        with pytest.raises(SingularMatrixError) as err:
+            mat_inv(ExactMatrix([[t, 1], [t * t, t]]))
+        assert err.value.rank == 1
+        with pytest.raises(SingularMatrixError) as err:
+            mat_inv(ExactMatrix.zeros(4))
+        assert err.value.rank == 0
+
+
+class TestKernelAgainstSympy:
+    """sympy as an independent oracle for the rational kernel."""
+
+    def test_rref_rank_and_det(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(3)
+        for _ in range(60):
+            m, k = rng.randint(1, 5), rng.randint(1, 5)
+            rows = random_rows(rng, m, k)
+            ref = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator)
+                                 for x in r] for r in rows])
+            rref, pivots, det = row_reduce(rows, k)
+            ref_rref, ref_pivots = ref.rref()
+            assert pivots == tuple(ref_pivots)
+            assert len(pivots) == ref.rank()
+            assert [[sympy.Rational(x.numerator, x.denominator) for x in r]
+                    for r in rref] == ref_rref.tolist()
+            if m == k:
+                assert det == Fraction(str(ref.det()))
+
+    def test_inverse_and_det(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(4)
+        for _ in range(30):
+            rows = random_rows(rng, 4, 4)
+            ref = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator)
+                                 for x in r] for r in rows])
+            m = ExactMatrix(rows)
+            assert mat_det(m) == Fraction(str(ref.det()))
+            if ref.det() == 0:
+                with pytest.raises(SingularMatrixError) as err:
+                    mat_inv(m)
+                assert err.value.rank == ref.rank()
+            else:
+                inv = ref.inv()
+                assert mat_inv(m).rows == [[Fraction(str(inv[i, j]))
+                                            for j in range(4)]
+                                           for i in range(4)]

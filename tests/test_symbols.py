@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from chevalley.scalars import GaussianRational
 from chevalley.symbols import (AXIOM_MINUS_SELF, BILINEAR_ONLY, SymbolError,
-                               SymbolExpr, build_axiom_lattice,
-                               is_consequence, matrix_realization_check,
-                               replay_certificate)
+                               SymbolExpr, _add_multiple, _row_comb,
+                               build_axiom_lattice, is_consequence,
+                               matrix_realization_check, replay_certificate)
 
 F = Fraction
 
@@ -147,3 +147,16 @@ class TestExprCanonicalization:
     def test_str(self):
         expr = SymbolExpr.from_pairs([((2, -2), 1), ((3, 5), -2)])
         assert str(expr) in ("{2,-2}*{3,5}^-2", "{3,5}^-2*{2,-2}")
+
+
+class TestRowUpdate:
+    def test_add_multiple_in_place_drops_zeros(self):
+        row = {"a": 2, "b": 1}
+        out = _add_multiple(row, -2, [("a", 1), ("c", 3)])
+        assert out is row
+        assert row == {"b": 1, "c": -6}
+
+    def test_row_comb_leaves_inputs(self):
+        r1, r2 = {"a": 3, "b": 1}, {"a": 2, "c": 5}
+        assert _row_comb(r1, 2, r2, -3) == {"b": 2, "c": -15}
+        assert (r1, r2) == ({"a": 3, "b": 1}, {"a": 2, "c": 5})
