@@ -261,6 +261,27 @@ class StableSearchResult:
         return {"feasible": False, "certificate": cert}
 
 
+def _local_rows(vecs, region, ambient_dim):
+    """(rows, dim, lift): the functionals in the region's local coordinates,
+    the region's dimension, and the map from a local point to an ambient
+    CartanVector.  With no region the local coordinates are the ambient ones
+    (of dimension ambient_dim, else that of the first functional), so the
+    rows are the functionals themselves and the lift is the identity."""
+    if region is None:
+        if ambient_dim is None:
+            ambient_dim = len(vecs[0])
+        dim, basis, lift = ambient_dim, None, CartanVector
+    else:
+        ambient_dim, dim, basis = region.ambient_dim, region.dim, region.basis
+        lift = region.point_from_local
+    rows = []
+    for k, v in enumerate(vecs):
+        if len(v) != ambient_dim:
+            raise ArrangementError("functional %d has wrong dimension" % k)
+        rows.append(list(v) if basis is None else [_dot(v, b) for b in basis])
+    return rows, dim, lift
+
+
 def find_stable_element(roots, region=None, ambient_dim=None):
     """A rational point of the region with every functional strictly negative.
 
@@ -272,20 +293,11 @@ def find_stable_element(roots, region=None, ambient_dim=None):
     if not roots:
         raise ArrangementError("need at least one functional")
     vecs = [_as_vector(r) for r in roots]
-    if region is None:
-        if ambient_dim is None:
-            ambient_dim = len(vecs[0])
-        region = Plane.full(ambient_dim)
-    dim = region.dim
-    # restrict each functional to the region's local coordinates
-    rows = []
-    for k, v in enumerate(vecs):
-        if len(v) != region.ambient_dim:
-            raise ArrangementError("functional %d has wrong dimension" % k)
-        rows.append(([_dot(v, b) for b in region.basis], {k: Fraction(1)}))
+    local, dim, lift = _local_rows(vecs, region, ambient_dim)
+    rows = [(c, {k: Fraction(1)}) for k, c in enumerate(local)]
     feasible, point_or_cert = _strict_feasible(rows, dim)
     if feasible:
-        point = region.point_from_local(point_or_cert)
+        point = lift(point_or_cert)
         for k, v in enumerate(vecs):
             if _dot(v, tuple(point)) >= 0:
                 raise ArrangementError("internal error: point fails check %d" % k)
@@ -391,14 +403,10 @@ def weyl_chambers(hyperplanes, region=None, ambient_dim=None):
     hyperplanes = list(hyperplanes)
     if not hyperplanes:
         raise ArrangementError("need at least one hyperplane")
-    if region is None:
-        if ambient_dim is None:
-            ambient_dim = len(hyperplanes[0].normal)
-        region = Plane.full(ambient_dim)
-    if region.dim < 1:
+    restricted, dim, lift = _local_rows(
+        [_as_vector(h.normal) for h in hyperplanes], region, ambient_dim)
+    if dim < 1:
         raise ArrangementError("region must have dimension at least 1")
-    restricted = [[_dot(h.normal, b) for b in region.basis]
-                  for h in hyperplanes]
     chambers = []
 
     def recurse(prefix):
@@ -406,11 +414,11 @@ def weyl_chambers(hyperplanes, region=None, ambient_dim=None):
         # sign s demands s*h(x) > 0, i.e. (-s)*h(x) < 0 for the solver
         rows = [([-s * c for c in restricted[i]], {i: Fraction(1)})
                 for i, s in enumerate(prefix)]
-        feasible, payload = _strict_feasible(rows, region.dim)
+        feasible, payload = _strict_feasible(rows, dim)
         if not feasible:
             return
         if k == len(hyperplanes):
-            point = region.point_from_local(payload)
+            point = lift(payload)
             chambers.append((tuple(prefix), point))
             return
         recurse(prefix + [1])

@@ -2,11 +2,13 @@
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chevalley import arrangements
 from chevalley.arrangements import (ArrangementError, Plane, _nullspace,
                                     _rank, find_stable_element, is_generic,
                                     lyapunov_hyperplanes, weyl_chambers)
@@ -14,6 +16,7 @@ from chevalley.roots import Root, build_root_system, standard_sl_roots
 from chevalley.scalars import GaussianRational, LaurentFrac
 
 F = Fraction
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def nullspace_oracle(rows, dim):
@@ -258,6 +261,118 @@ class TestStableElements:
                 combo = [c + w * x for c, x in zip(combo, chosen[idx].coeffs)]
             # the weighted functional vanishes on the region
             assert sum(c * x for c, x in zip(combo, direction)) == 0
+
+
+def _builtin_root_lists():
+    """(dimension, roots) for the restricted and sl-standard lists, n=2..4."""
+    out = []
+    for n in (2, 3, 4):
+        out.append((n, list(build_root_system(n).roots)))
+        out.append((2 * n, list(standard_sl_roots(2 * n))))
+    return out
+
+
+def _builtin_root_sets():
+    """(dimension, roots): singles, adjacent pairs, every root with its
+    negative, the positive half and seeded subsets of each builtin list."""
+    rng = random.Random("full-space-route")
+    out = []
+    for dim, roots in _builtin_root_lists():
+        out += [(dim, [r]) for r in roots]
+        out += [(dim, [r, p]) for r, p in zip(roots, roots[1:])]
+        out += [(dim, [r, -r]) for r in roots[:3]]
+        out.append((dim, [r for r in roots if r.sort_key() > (-r).sort_key()]))
+        out += [(dim, rng.sample(roots, min(len(roots), 6)))
+                for _ in range(8)]
+    return out
+
+
+def _reduce_root_sets(case):
+    """The root lists that reducing the word of one sl-r n=3 reduce golden
+    hands to the solver."""
+    from chevalley import cycles
+    from chevalley.cycles import RestrictedSystem, Word, reduce_cycle
+    from chevalley.generators import GroupModel
+
+    text = (GOLDEN / ("reduce-sl-r-n3-%s.txt" % case)).read_text(
+        encoding="utf-8")
+    word_text = text.split("--- WORDFILE\n", 1)[1].split("--- stdout\n")[0]
+    word = Word.parse(word_text, RestrictedSystem(GroupModel("sl-r", 3)))
+    seen = []
+
+    def record(roots, region=None, ambient_dim=None):
+        seen.append((ambient_dim, list(roots)))
+        return find_stable_element(roots, region, ambient_dim)
+
+    real = cycles.find_stable_element
+    cycles.find_stable_element = record
+    try:
+        reduce_cycle(word, budget=200)
+    finally:
+        cycles.find_stable_element = real
+    return seen
+
+
+class TestFullSpaceRoute:
+    """With no region the solver works in ambient coordinates; the identity
+    Plane route is its oracle, as values and as text."""
+
+    @staticmethod
+    def assert_same(roots, dim):
+        got = find_stable_element(roots, ambient_dim=dim)
+        want = find_stable_element(roots, region=Plane.full(dim))
+        assert got == want
+        assert got.describe(roots) == want.describe(roots)
+        assert [str(c) for c in got.point or ()] == \
+            [str(c) for c in want.point or ()]
+        return got.feasible
+
+    def test_builtin_root_sets(self):
+        outcomes = [self.assert_same(roots, dim)
+                    for dim, roots in _builtin_root_sets()]
+        assert True in outcomes and False in outcomes
+
+    def test_seeded_reduce_root_sets(self):
+        # a seeded run solves only feasible sets in the full space; the
+        # h-multiplicativity template adds the antipodal, infeasible ones
+        seeded = _reduce_root_sets("seeded0")
+        assert len(seeded) > 20
+        assert {self.assert_same(roots, dim) for dim, roots in seeded} == \
+            {True}
+        hmult = _reduce_root_sets("h-multiplicativity")
+        assert {self.assert_same(roots, dim) for dim, roots in hmult} == \
+            {True, False}
+
+    def test_ambient_dim_defaults_to_the_first_functional(self):
+        roots = [Root.of(3, 1, 2, 1, -1), Root.of(3, 3)]
+        assert find_stable_element(roots) == \
+            find_stable_element(roots, region=Plane.full(3))
+        with pytest.raises(ArrangementError, match="wrong dimension"):
+            find_stable_element(roots + [Root.of(2, 1)])
+        with pytest.raises(ArrangementError, match="wrong dimension"):
+            find_stable_element(roots, ambient_dim=4)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_chambers(self, n):
+        hps = lyapunov_hyperplanes(build_root_system(n).roots, n)
+        got = weyl_chambers(hps, ambient_dim=n)
+        want = weyl_chambers(hps, region=Plane.full(n))
+        assert got == want and got.describe() == want.describe()
+
+    @pytest.mark.parametrize("region", [None, Plane.full(2),
+                                        Plane(2, ((1, 2),))])
+    def test_revalidation_catches_a_corrupted_lift(self, monkeypatch, region):
+        real = arrangements._local_rows
+
+        def corrupted(vecs, region, ambient_dim):
+            rows, dim, lift = real(vecs, region, ambient_dim)
+            return rows, dim, lambda ys: lift([-y for y in ys])
+
+        roots = [Root.of(2, 1), Root.of(2, 2)]
+        assert find_stable_element(roots, region, 2).feasible
+        monkeypatch.setattr(arrangements, "_local_rows", corrupted)
+        with pytest.raises(ArrangementError, match="point fails check 0"):
+            find_stable_element(roots, region, 2)
 
 
 class TestChambers:
