@@ -426,12 +426,13 @@ def reduce_cycle(word, region=None, budget=10000):
     length-reducing moves (zero drops, free cancellations, the
     h-multiplicativity template, additivity merges) fire unconditionally;
     commutator swaps and conjugation pushes are choice points.  Their
-    candidates come stable first, then by position; at one position the swap
-    comes before the pushes, and pushes with the farthest partner come first.
-    Candidates are produced on demand: a choice point builds and tags them
-    only up to the first stable one, and a stuck word rewinds to the most
-    recent choice point with a further candidate.  The budget counts every applied move,
-    including moves later undone.  Returns a ReductionTrace on success or a
+    candidates come stable first, then by position; at one position the
+    pushes come before the swap, those with the farthest partner first, so
+    a conjugator u ... u^{-1} around a cycle is removed before the swaps
+    inside it are tried.  Candidates are produced on demand: a choice point
+    builds and tags them only up to the first stable one, and a stuck word
+    rewinds to the most recent choice point with a further candidate.  The
+    budget counts every applied move, including moves later undone.  Returns a ReductionTrace on success or a
     ReductionFailure with the stuck word and partial trace.  A negative
     budget is an error.
     """
@@ -525,18 +526,13 @@ class _Reducer:
         yield from unstable
 
     def _choice_walk(self, letters):
-        """Positions left to right: the swap, then pushes in descending j."""
+        """Positions left to right: pushes in descending j, then the swap."""
         at_root = {}
         for k, l in enumerate(letters):
             at_root.setdefault(l.root, []).append(k)
         before = _PrefixProducts(self.system, letters)
         for i in range(len(letters) - 1):
             a, b = letters[i], letters[i + 1]
-            swap = self._swap(a, b)
-            if swap is not None:
-                relation_id, inserted, stability = swap
-                yield ReductionMove("relation-substitution", relation_id, i,
-                                    (a, b), inserted, stability)
             for j in reversed(at_root[a.root]):
                 if j <= i + 1:
                     break
@@ -549,6 +545,11 @@ class _Reducer:
                 yield ReductionMove(
                     "conjugation-push", None, i, (a,) + inner + (c,), inner,
                     self.oracle.of_roots([a.root.untagged()]))
+            swap = self._swap(a, b)
+            if swap is not None:
+                relation_id, inserted, stability = swap
+                yield ReductionMove("relation-substitution", relation_id, i,
+                                    (a, b), inserted, stability)
 
     def _swap(self, a, b):
         """x_a x_b -> [x_a, x_b] x_b x_a at an inversion, memoized per pair:

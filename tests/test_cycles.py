@@ -215,6 +215,24 @@ class TestReduce:
         trace = reduce_cycle(w)
         assert trace.reduced_to_empty and trace.replay()
 
+    def test_conjugated_relator_pushes_before_swapping(self):
+        # u [x_r(a), x_p(b)] (factors)^-1 u^-1 with u = x_{L1+L2}: the third
+        # block of the benchmark's seed-1 word sl-r-n3-w72.  Swapping inside
+        # the conjugator first never reaches the push that removes u ... u^-1
+        text = "\n".join(["x 1,1,0 (1/2, -1/2)", "x 0,-1,1 (2, -1/2)",
+                          "x -1,0,-1 (-1, -1)", "x 0,-1,1 (-2, 1/2)",
+                          "x -1,0,-1 (1, 1)", "x -1,-1,0 (-1/2, -2)",
+                          "x 1,1,0 (-1/2, 1/2)"])
+        w = Word.parse(text, rsys(SL3))
+        assert len(w) == 7 and w.is_cycle()
+        trace = reduce_cycle(w, budget=200)
+        assert trace.reduced_to_empty and trace.replay()
+        choices = [m for m in trace.moves if m.kind == "conjugation-push"
+                   or m.relation_id in ("commutator", "trivial-commutator")]
+        first = choices[0]
+        assert (first.kind, first.position) == ("conjugation-push", 0)
+        assert first.removed == w.letters and first.stability.stable
+
     def test_non_cycle_rejected(self):
         sys_ = rsys(SP2)
         w = Word(sys_, (sys_.letter(Root.of(2, 1), (F(1),)),))
@@ -366,9 +384,22 @@ def reduction_states(word, region):
 
 
 def eager_choice_moves(system, oracle, letters):
-    """Reference: every swap, then every push, then a stable sort on
-    (unstable, position)."""
+    """Reference: every push (farthest partner first), then every swap, then
+    a stable sort on (unstable, position), so that at one position the
+    pushes precede the swap."""
     out = []
+    for i in range(len(letters) - 1):
+        for j in range(len(letters) - 1, i + 1, -1):
+            a, b = letters[i], letters[j]
+            if a.root != b.root or any(x + y for x, y in
+                                       zip(a.params, b.params)):
+                continue
+            inner = letters[i + 1:j]
+            if delta_word([system.letter_delta(l) for l in inner]):
+                continue
+            out.append(ReductionMove(
+                "conjugation-push", None, i, (a,) + inner + (b,), inner,
+                oracle.of_roots([a.root.untagged()])))
     for i in range(len(letters) - 1):
         a, b = letters[i], letters[i + 1]
         rsum = tuple(x + y for x, y in zip(a.root.coeffs, b.root.coeffs))
@@ -383,18 +414,6 @@ def eager_choice_moves(system, oracle, letters):
             "relation-substitution",
             "commutator" if factors else "trivial-commutator", i, (a, b),
             tuple(factors) + (b, a), oracle.of_roots(touched)))
-    for i in range(len(letters) - 1):
-        for j in range(len(letters) - 1, i + 1, -1):
-            a, b = letters[i], letters[j]
-            if a.root != b.root or any(x + y for x, y in
-                                       zip(a.params, b.params)):
-                continue
-            inner = letters[i + 1:j]
-            if delta_word([system.letter_delta(l) for l in inner]):
-                continue
-            out.append(ReductionMove(
-                "conjugation-push", None, i, (a,) + inner + (b,), inner,
-                oracle.of_roots([a.root.untagged()])))
     out.sort(key=lambda mv: (not mv.stability.stable, mv.position))
     return out
 
@@ -430,9 +449,10 @@ class TestChoiceOrder:
         if region is not None:
             assert seen["unstable"] and seen["mixed"]
 
-    def test_swap_precedes_pushes_farthest_first(self):
+    def test_pushes_farthest_first_precede_swap(self):
         # at position 0 both the swap x_{2L1} x_{L1-L2} and two pushes of
-        # x_{2L1}(1) start; the push to the far partner comes first
+        # x_{2L1}(1) start; the push to the far partner comes first, and
+        # the swap after both pushes
         sys_ = rsys(SP2)
         l1, s = Root.of(2, 1), Root.of(2, 1, 2, 1, -1)
         x, y = sys_.letter(l1, (F(1),)), sys_.letter(s, (F(2),))
@@ -440,9 +460,9 @@ class TestChoiceOrder:
         moves = list(_Reducer(sys_, _StabilityOracle(sys_, None),
                               0)._choice_moves(letters))
         head = [(m.kind, m.position, len(m.removed)) for m in moves[:3]]
-        assert head == [("relation-substitution", 0, 2),
-                        ("conjugation-push", 0, 6),
-                        ("conjugation-push", 0, 4)]
+        assert head == [("conjugation-push", 0, 6),
+                        ("conjugation-push", 0, 4),
+                        ("relation-substitution", 0, 2)]
 
 
 class TestPushRule:
