@@ -432,9 +432,9 @@ def reduce_cycle(word, region=None, budget=10000):
     inside it are tried.  Candidates are produced on demand: a choice point
     builds and tags them only up to the first stable one, and a stuck word
     rewinds to the most recent choice point with a further candidate.  The
-    budget counts every applied move, including moves later undone.  Returns a ReductionTrace on success or a
-    ReductionFailure with the stuck word and partial trace.  A negative
-    budget is an error.
+    budget counts every applied move, including moves later undone.  Returns
+    a ReductionTrace on success or a ReductionFailure with the stuck word and
+    partial trace.  A negative budget is an error.
     """
     if budget < 0:
         raise CycleError("budget must be at least 0, got %d" % budget)

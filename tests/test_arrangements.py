@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chevalley import arrangements
+from chevalley import arrangements, cycles
 from chevalley.arrangements import (ArrangementError, Plane, _nullspace,
                                     _rank, find_stable_element, is_generic,
                                     lyapunov_hyperplanes, weyl_chambers)
+from chevalley.cycles import RestrictedSystem, Word, reduce_cycle
+from chevalley.generators import GroupModel
 from chevalley.roots import Root, build_root_system, standard_sl_roots
 from chevalley.scalars import GaussianRational, LaurentFrac
 
@@ -273,8 +275,8 @@ def _builtin_root_lists():
 
 
 def _builtin_root_sets():
-    """(dimension, roots): singles, adjacent pairs, every root with its
-    negative, the positive half and seeded subsets of each builtin list."""
+    """(dimension, roots): singles, adjacent pairs, three roots with their
+    negatives, the positive half and seeded subsets of each builtin list."""
     rng = random.Random("full-space-route")
     out = []
     for dim, roots in _builtin_root_lists():
@@ -290,10 +292,6 @@ def _builtin_root_sets():
 def _reduce_root_sets(case):
     """The root lists that reducing the word of one sl-r n=3 reduce golden
     hands to the solver."""
-    from chevalley import cycles
-    from chevalley.cycles import RestrictedSystem, Word, reduce_cycle
-    from chevalley.generators import GroupModel
-
     text = (GOLDEN / ("reduce-sl-r-n3-%s.txt" % case)).read_text(
         encoding="utf-8")
     word_text = text.split("--- WORDFILE\n", 1)[1].split("--- stdout\n")[0]
@@ -323,8 +321,6 @@ class TestFullSpaceRoute:
         want = find_stable_element(roots, region=Plane.full(dim))
         assert got == want
         assert got.describe(roots) == want.describe(roots)
-        assert [str(c) for c in got.point or ()] == \
-            [str(c) for c in want.point or ()]
         return got.feasible
 
     def test_builtin_root_sets(self):
