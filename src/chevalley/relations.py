@@ -181,13 +181,42 @@ def h_delta(model, root, params):
     return dict(_h_delta_cached(model, root, tuple(params)))
 
 
+def _letter_pair(model, root, params):
+    """The deltas of x_root(params) and of its inverse x_root(-params)."""
+    return (x_delta(model, root, params),
+            x_delta(model, root, tuple(-t for t in params)))
+
+
+def _commutator_word(xr, xp):
+    """Delta of [x_r(a), x_p(b)] = x_r(a) x_p(b) x_r(-a) x_p(-b), from the
+    letter pairs (x_r(a), x_r(-a)) and (x_p(b), x_p(-b))."""
+    return delta_word([xr[0], xp[0], xr[1], xp[1]])
+
+
 def commutator_delta(model, r, p, a, b):
     """Delta of [x_r(a), x_p(b)] = x_r(a) x_p(b) x_r(-a) x_p(-b)."""
-    xa = x_delta(model, r, a)
-    xb = x_delta(model, p, b)
-    xai = x_delta(model, r, tuple(-t for t in a))
-    xbi = x_delta(model, p, tuple(-t for t in b))
-    return delta_word([xa, xb, xai, xbi])
+    return _commutator_word(_letter_pair(model, r, a), _letter_pair(model, p, b))
+
+
+def _letter_memo(model, root):
+    """_letter_pair(model, root, .) memoized for the life of one relation.
+
+    A sweep meets each slot tuple of a letter many times, so each pair of
+    deltas is built once and shared; delta_mul and delta_word never mutate
+    their arguments, which makes the sharing safe.  The memo is keyed by the
+    slot tuple's identity, so a lookup hashes no scalar: the grid designs
+    share one tuple object per distinct slot tuple (param_tuples), and an
+    equal tuple held in another object only costs a rebuild.  Each entry
+    keeps its tuple alive, so no other object can take its id.
+    """
+    memo = {}
+
+    def pair(params):
+        hit = memo.get(id(params))
+        if hit is None:
+            hit = memo[id(params)] = (params, _letter_pair(model, root, params))
+        return hit[1]
+    return pair
 
 
 # ---------------------------------------------------------------------------
@@ -322,14 +351,16 @@ def param_tuples(arity_a, arity_b, grid):
     two-slot sweep with the full grid; four slots use an anchored design
     (each letter sweeps against a pinned partner, plus a joint diagonal).
     The symbolic regime provides the complete polynomial certificate.
+    Equal slot tuples are one shared object, which _letter_memo keys on.
     """
+    singles = [(g,) for g in grid]
     if arity_a == 1 and arity_b == 1:
-        return [((a,), (b,)) for a in grid for b in grid]
-    if arity_a == 2 and arity_b == 1:
-        return [(pa, (b,)) for pa in pair_sweep(grid) for b in grid]
-    if arity_a == 1 and arity_b == 2:
-        return [((a,), pb) for a in grid for pb in pair_sweep(grid)]
+        return [(a, b) for a in singles for b in singles]
     ps = pair_sweep(grid)
+    if arity_a == 2 and arity_b == 1:
+        return [(pa, b) for pa in ps for b in singles]
+    if arity_a == 1 and arity_b == 2:
+        return [(a, pb) for a in singles for pb in ps]
     rot = ps[7:] + ps[:7]
     pinned_a = (grid[2], grid[4])
     pinned_b = (grid[4], grid[6])
@@ -519,16 +550,18 @@ def _additivity(model, r, tuples):
 
 def _commutator(model, r, p, laws, tuples):
     """[x_r(a), x_p(b)] = the product of its structure factors."""
+    xr, xp = _letter_memo(model, r), _letter_memo(model, p)
     return Relation("commutator", (r, p), tuples, lambda a, b: (
-        commutator_delta(model, r, p, a, b),
+        _commutator_word(xr(a), xp(b)),
         delta_word([x_delta(model, law.target, law.evaluate(a, b))
                     for law in laws])))
 
 
 def _trivial_commutator(model, r, p, tuples):
     """[x_r(a), x_p(b)] = id when r+p is outside the system."""
+    xr, xp = _letter_memo(model, r), _letter_memo(model, p)
     return Relation("trivial-commutator", (r, p), tuples,
-                    lambda a, b: (commutator_delta(model, r, p, a, b), {}))
+                    lambda a, b: (_commutator_word(xr(a), xp(b)), {}))
 
 
 def _single(model, regime, rel):

@@ -40,6 +40,10 @@ class ScalarError(ValueError):
 # Gaussian rationals
 # ---------------------------------------------------------------------------
 
+# the imaginary part of every real result of GaussianRational arithmetic
+_ZERO = Fraction(0)
+
+
 class GaussianRational:
     """Element of Q(i) with canonical Fraction real/imaginary parts."""
 
@@ -63,27 +67,36 @@ class GaussianRational:
     def _coerce(self, other):
         if isinstance(other, GaussianRational):
             return other
-        if isinstance(other, (int, Fraction)):
-            return GaussianRational(other)
+        if isinstance(other, Fraction):
+            return GaussianRational._raw(other, _ZERO)
+        if isinstance(other, int):
+            return GaussianRational._raw(Fraction(other), _ZERO)
         return None
 
+    # Every default sl-c grid value is real, so each operator skips the
+    # imaginary arithmetic when both operands are real.
+
     def __add__(self, other):
-        if isinstance(other, GaussianRational):
-            return GaussianRational._raw(self.re + other.re, self.im + other.im)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if not (self.im or o.im):
+            return GaussianRational._raw(self.re + o.re, _ZERO)
         return GaussianRational._raw(self.re + o.re, self.im + o.im)
 
     __radd__ = __add__
 
     def __neg__(self):
+        if not self.im:
+            return GaussianRational._raw(-self.re, _ZERO)
         return GaussianRational._raw(-self.re, -self.im)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if not (self.im or o.im):
+            return GaussianRational._raw(self.re - o.re, _ZERO)
         return GaussianRational._raw(self.re - o.re, self.im - o.im)
 
     def __rsub__(self, other):
@@ -95,13 +108,14 @@ class GaussianRational:
     def __mul__(self, other):
         if isinstance(other, GaussianRational):
             a, b, c, d = self.re, self.im, other.re, other.im
-            if not b and not d:
-                return GaussianRational._raw(a * c, b)
+            if not (b or d):
+                return GaussianRational._raw(a * c, _ZERO)
             return GaussianRational._raw(a * c - b * d, a * d + b * c)
-        o = self._coerce(other)
-        if o is None:
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        return GaussianRational._raw(self.re * o.re, self.im * o.re)
+        if not self.im:
+            return GaussianRational._raw(self.re * other, _ZERO)
+        return GaussianRational._raw(self.re * other, self.im * other)
 
     __rmul__ = __mul__
 
@@ -119,6 +133,8 @@ class GaussianRational:
         if not o.im:
             if not o.re:
                 raise ZeroDivisionError("division by zero Gaussian rational")
+            if not self.im:
+                return GaussianRational._raw(self.re / o.re, _ZERO)
             return GaussianRational._raw(self.re / o.re, self.im / o.re)
         n = o.norm()
         if n == 0:
@@ -156,7 +172,7 @@ class GaussianRational:
         return self.re == o.re and self.im == o.im
 
     def __hash__(self):
-        if self.im == 0:
+        if not self.im:
             return hash(self.re)
         return hash((self.re, self.im))
 
@@ -373,7 +389,7 @@ class LaurentPoly:
                 v = point[name]
                 if e < 0 and not v:
                     raise ZeroDivisionError("evaluation at zero of %s^%d" % (name, e))
-                term = term * (v ** e)
+                term = term * v if e == 1 else term * (v ** e)
             total = term if total is None else total + term
         if total is None:
             return Fraction(0)

@@ -4,15 +4,19 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from chevalley import relations
 from chevalley.generators import (GeneratorError, GeneratorLetter, GroupModel,
                                   gen_h)
 from chevalley.matrices import ExactMatrix, mat_inv, mat_mul, mat_prod
 from chevalley.relations import (DEFAULT_GRID, Relation, RelationError,
-                                 _sweep, commutator_delta,
-                                 decompose_commutator, delta_mul,
-                                 delta_to_matrix, fit_structure_functions,
-                                 grid_for_model, h_delta, matrix_to_delta,
+                                 _commutator, _sweep, _trivial_commutator,
+                                 commutator_delta, decompose_commutator,
+                                 delta_mul, delta_to_matrix, delta_word,
+                                 fit_structure_functions, grid_for_model,
+                                 h_delta, matrix_to_delta, param_tuples,
                                  run_suite,
                                  verify_additivity, verify_commutator,
                                  verify_trivial_commutator, w_delta, x_delta)
@@ -63,6 +67,53 @@ class TestDeltaRoute:
         m = ExactMatrix([[0, 2, 0, 0], [1, 0, 0, 0],
                          [0, 0, 1, 5], [0, 0, 0, 1]])
         assert delta_to_matrix(matrix_to_delta(m), 4) == m
+
+
+small = st.fractions(min_value=-3, max_value=3, max_denominator=2)
+deltas = st.dictionaries(st.tuples(st.integers(1, 3), st.integers(1, 3)),
+                         small.filter(bool), max_size=6)
+
+
+class TestSharedLetterDeltas:
+    """A commutator sweep shares one x-letter delta across many products."""
+
+    @given(st.lists(deltas, max_size=5))
+    @settings(max_examples=150, deadline=None)
+    def test_products_never_mutate_their_arguments(self, ds):
+        # random sparse deltas, so sums and products cancel entries
+        snapshot = [dict(d) for d in ds]
+        out = delta_word(ds)
+        assert ds == snapshot
+        assert all(out is not d for d in ds)
+        for a, b in zip(ds, ds[1:] + ds[:1]):
+            out = delta_mul(a, b)
+            assert ds == snapshot
+            assert out is not a and out is not b
+
+    @pytest.mark.parametrize("model,r,p", [
+        (SP3, Root.of(3, 1, 2, 1, -1), Root.of(3, 2)),       # two factors
+        (SL3, Root.of(3, 1, 2, 1, -1), Root.of(3, 2, 3, 1, 1)),
+        (SL3, Root.of(3, 1), Root.of(3, 2))])                # trivial
+    def test_sweep_builds_each_slot_tuple_once(self, model, r, p,
+                                               monkeypatch):
+        tuples = param_tuples(model.param_arity(r), model.param_arity(p),
+                              DEFAULT_GRID)
+        if build_root_system(3).is_root(r + p):
+            rel = _commutator(model, r, p,
+                              fit_structure_functions(model, r, p), tuples)
+        else:
+            rel = _trivial_commutator(model, r, p, tuples)
+        built = []
+        real = relations.x_delta
+        monkeypatch.setattr(relations, "x_delta", lambda model, root, params:
+                            built.append(root) or real(model, root, params))
+        assert _sweep(model, "grid", rel).passed
+        # one x_r(a), x_r(-a) per distinct a and one x_p(b), x_p(-b) per b;
+        # the structure factors x_q are built per instance
+        distinct = len({a for a, _b in tuples}) + len({b for _a, b in tuples})
+        assert built.count(r) + built.count(p) == 2 * distinct
+        for a, b in tuples[::7]:
+            assert rel.sides(a, b)[0] == commutator_delta(model, r, p, a, b)
 
 
 class TestAdditivity:

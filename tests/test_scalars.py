@@ -47,6 +47,101 @@ class TestGaussian:
         assert z.im == Fraction(-2, 3) and z.im.denominator == 3
 
 
+def _parts(z):
+    return z.re, z.im
+
+
+def _general_div(a, b, c, d):
+    n = c * c + d * d
+    return (a * c + b * d) / n, (b * c - a * d) / n
+
+
+def _assert_result(z, parts):
+    """z has exactly the given parts, each a Fraction; a real z has im
+    Fraction(0) and hashes like its real part."""
+    assert type(z) is GaussianRational
+    assert type(z.re) is Fraction and type(z.im) is Fraction
+    assert _parts(z) == parts
+    if not parts[1]:
+        assert z.im == Fraction(0)
+        assert hash(z) == hash(z.re)
+
+
+# imaginary parts: zero half the time, so both the real fast paths and the
+# general formulas run
+imaginary = st.one_of(st.just(Fraction(0)), rationals)
+
+
+class TestGaussianRealFastPaths:
+    """Each operator agrees part for part with the general Q(i) formula,
+    whether or not an operand is real."""
+
+    @given(rationals, imaginary, rationals, imaginary)
+    @settings(max_examples=200, deadline=None)
+    def test_against_general_formulas(self, a, b, c, d):
+        x = GaussianRational(a, b)
+        y = GaussianRational(c, d)
+        _assert_result(x + y, (a + c, b + d))
+        _assert_result(x - y, (a - c, b - d))
+        _assert_result(-x, (-a, -b))
+        _assert_result(x * y, (a * c - b * d, a * d + b * c))
+        if c or d:
+            _assert_result(x / y, _general_div(a, b, c, d))
+
+    @given(rationals, imaginary, rationals, st.integers(-40, 40))
+    @settings(max_examples=200, deadline=None)
+    def test_mixed_with_rationals_and_ints(self, a, b, q, k):
+        x = GaussianRational(a, b)
+        for s in (q, k):
+            f = Fraction(s)
+            _assert_result(x + s, (a + f, b))
+            _assert_result(s + x, (a + f, b))
+            _assert_result(x - s, (a - f, b))
+            _assert_result(s - x, (f - a, -b))
+            _assert_result(x * s, (a * f, b * f))
+            _assert_result(s * x, (a * f, b * f))
+            if s:
+                _assert_result(x / s, (a / f, b / f))
+            if a or b:
+                _assert_result(s / x, _general_div(f, Fraction(0), a, b))
+            assert (x == s) == (a == f and not b)
+
+    @given(rationals, imaginary)
+    @settings(max_examples=60, deadline=None)
+    def test_evaluate_linear_terms_at_gaussians(self, a, b):
+        # exponent 1 multiplies by the value itself; other exponents use pow
+        x = GaussianRational(a, b)
+        p = LaurentPoly({(("x", 1),): Fraction(3), (("x", 2),): Fraction(-2),
+                         (("x", 1), ("y", 1)): Fraction(1, 2)})
+        y = GaussianRational(Fraction(2), Fraction(-1))
+        got = p.evaluate({"x": x, "y": y})
+        assert got == 3 * x - 2 * (x * x) + Fraction(1, 2) * (x * y)
+        if x:
+            q = LaurentPoly({(("x", -1),): Fraction(1), (("x", 1),): Fraction(1)})
+            assert q.evaluate({"x": x}) == 1 / x + x
+
+    @given(rationals, rationals, nonzero_rationals, rationals)
+    @settings(max_examples=60, deadline=None)
+    def test_laurent_arithmetic_is_untouched(self, p, q, r, v):
+        # LaurentFrac keeps its own operators: every result is canonical
+        # and evaluates to the rational computation
+        t = LaurentFrac.symbol("t")
+        exprs = [
+            ((p * t + q) - (q * t - p), (p * v + q) - (q * v - p)),
+            (-(t - p), -(v - p)),
+            (q - t * r, q - v * r),
+            (t * r + p, v * r + p),
+            ((t + p) * (t - q), (v + p) * (v - q)),
+            ((t * t - p) / r, (v * v - p) / r),
+        ]
+        for expr, value in exprs:
+            assert type(expr) is LaurentFrac
+            assert expr.is_canonical()
+            assert expr.evaluate({"t": v}) == value
+        assert (t - p) - (t - p) == 0
+        assert LaurentFrac(p) - LaurentFrac(q) == LaurentFrac(p - q)
+
+
 class TestLaurent:
     def test_symbol_arithmetic(self):
         t = LaurentFrac.symbol("t")
