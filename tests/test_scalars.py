@@ -47,10 +47,6 @@ class TestGaussian:
         assert z.im == Fraction(-2, 3) and z.im.denominator == 3
 
 
-def _parts(z):
-    return z.re, z.im
-
-
 def _general_div(a, b, c, d):
     n = c * c + d * d
     return (a * c + b * d) / n, (b * c - a * d) / n
@@ -61,7 +57,7 @@ def _assert_result(z, parts):
     Fraction(0) and hashes like its real part."""
     assert type(z) is GaussianRational
     assert type(z.re) is Fraction and type(z.im) is Fraction
-    assert _parts(z) == parts
+    assert (z.re, z.im) == parts
     if not parts[1]:
         assert z.im == Fraction(0)
         assert hash(z) == hash(z.re)
