@@ -39,7 +39,7 @@ from .generators import (GRID, REGIMES, SYMBOLIC, gen_h, gen_h_literal,
                          root_entry_positions, w_factors)
 from .matrices import ExactMatrix
 from .roots import Root, build_root_system, positive_combinations
-from .scalars import (GAUSSIAN, RATIONAL, LaurentFrac, LaurentPoly, coerce,
+from .scalars import (_ONE, GAUSSIAN, RATIONAL, LaurentFrac, coerce,
                       format_scalar, join_mode, mode_of, scalar_one)
 
 DEFAULT_GRID = (Fraction(1), Fraction(-1), Fraction(2), Fraction(-2),
@@ -499,7 +499,7 @@ def fit_structure_functions(model, r, p):
                                % (r, p)):
         polys = []
         for v in vals:
-            if v.den != LaurentPoly.const(1):
+            if v.den is not _ONE:
                 raise RelationError("non-polynomial structure law for %s,%s" % (r, p))
             polys.append(v.num)
         sf = StructureFunction(i, j, q, tuple(polys), a_vars, b_vars)

@@ -275,6 +275,10 @@ class LaurentPoly:
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
+    # Arithmetic results skip the public constructor: every key comes from
+    # _key_mul or an operand, so it is already canonical, and each zero
+    # coefficient is pruned as it appears.
+
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = LaurentPoly.const(other)
@@ -291,12 +295,12 @@ class LaurentPoly:
                     out[k] = c2
                 else:
                     del out[k]
-        return LaurentPoly(out)
+        return LaurentPoly._raw(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly({k: -c for k, c in self.terms.items()})
+        return LaurentPoly._raw({k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -313,7 +317,7 @@ class LaurentPoly:
             c = Fraction(other)
             if not c:
                 return LaurentPoly()
-            return LaurentPoly({k: v * c for k, v in self.terms.items()})
+            return LaurentPoly._raw({k: v * c for k, v in self.terms.items()})
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         out = {}
@@ -329,7 +333,7 @@ class LaurentPoly:
                         out[k] = c
                     else:
                         del out[k]
-        return LaurentPoly(out)
+        return LaurentPoly._raw(out)
 
     __rmul__ = __mul__
 
@@ -405,6 +409,16 @@ class LaurentPoly:
         return "LaurentPoly(%s)" % " + ".join(bits)
 
 
+# the denominator of every Laurent polynomial, shared: see LaurentFrac
+_ONE = LaurentPoly.const(1)
+
+
+def _div_monomial(p, key, c):
+    """p divided by the monomial c * key; distinct keys stay distinct."""
+    inv = tuple((name, -e) for name, e in key)
+    return LaurentPoly._raw({_key_mul(k, inv): v / c for k, v in p.terms.items()})
+
+
 def _poly_divmod_exact(num, den):
     """Exact multivariate division num/den; returns quotient or None.
 
@@ -452,7 +466,13 @@ def _poly_divmod_exact(num, den):
 
 
 class LaurentFrac:
-    """Ratio of Laurent polynomials, canonicalized on construction."""
+    """Ratio of Laurent polynomials, canonicalized on construction.
+
+    A denominator of 1 is always the shared ``_ONE``, so ``den is _ONE``
+    tells a Laurent polynomial.  When every operand is one, ``+``, ``-``,
+    ``*``, ``==`` and ``/`` by a monomial work on the numerators alone:
+    ``_normalize`` would hand such a numerator back unchanged.
+    """
 
     __slots__ = ("num", "den")
 
@@ -460,7 +480,7 @@ class LaurentFrac:
         if isinstance(num, (int, Fraction)):
             num = LaurentPoly.const(num)
         if den is None:
-            den = LaurentPoly.const(1)
+            den = _ONE
         elif isinstance(den, (int, Fraction)):
             den = LaurentPoly.const(den)
         if not den:
@@ -469,18 +489,26 @@ class LaurentFrac:
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
+    @classmethod
+    def _poly(cls, num):
+        # internal fast path: num is the canonical numerator over _ONE
+        f = object.__new__(cls)
+        object.__setattr__(f, "num", num)
+        object.__setattr__(f, "den", _ONE)
+        return f
+
     def __setattr__(self, name, value):
         raise AttributeError("LaurentFrac is immutable")
 
     @staticmethod
     def symbol(name):
-        return LaurentFrac(LaurentPoly.symbol(name))
+        return LaurentFrac._poly(LaurentPoly.symbol(name))
 
     def _coerce(self, other):
         if isinstance(other, LaurentFrac):
             return other
         if isinstance(other, (int, Fraction)):
-            return LaurentFrac(other)
+            return LaurentFrac._poly(LaurentPoly.const(other))
         if isinstance(other, LaurentPoly):
             return LaurentFrac(other)
         return None
@@ -489,6 +517,8 @@ class LaurentFrac:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if self.den is _ONE and o.den is _ONE:
+            return LaurentFrac._poly(self.num + o.num)
         if self.den == o.den:
             return LaurentFrac(self.num + o.num, self.den)
         return LaurentFrac(self.num * o.den + o.num * self.den, self.den * o.den)
@@ -514,6 +544,8 @@ class LaurentFrac:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if self.den is _ONE and o.den is _ONE:
+            return LaurentFrac._poly(self.num * o.num)
         return LaurentFrac(self.num * o.num, self.den * o.den)
 
     __rmul__ = __mul__
@@ -524,6 +556,9 @@ class LaurentFrac:
             return NotImplemented
         if not o.num:
             raise ZeroDivisionError("division by zero Laurent fraction")
+        if self.den is _ONE and o.den is _ONE and len(o.num.terms) == 1:
+            (dk, dc), = o.num.terms.items()
+            return LaurentFrac._poly(_div_monomial(self.num, dk, dc))
         return LaurentFrac(self.num * o.den, self.den * o.num)
 
     def __rtruediv__(self, other):
@@ -553,6 +588,8 @@ class LaurentFrac:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if self.den is _ONE and o.den is _ONE:
+            return self.num.terms == o.num.terms
         # cross-multiplication: exact regardless of gcd reduction
         return self.num * o.den == o.num * self.den
 
@@ -575,7 +612,7 @@ class LaurentFrac:
         return n2.terms == self.num.terms and d2.terms == self.den.terms
 
     def __repr__(self):
-        if self.den == LaurentPoly.const(1):
+        if self.den is _ONE:
             return "LaurentFrac(%r)" % (self.num,)
         return "LaurentFrac(%r / %r)" % (self.num, self.den)
 
@@ -585,7 +622,7 @@ class LaurentFrac:
 
 def _normalize(num, den):
     if not num:
-        return LaurentPoly(), LaurentPoly.const(1)
+        return LaurentPoly(), _ONE
     # strip any common monomial factor so both sides are honest polynomials
     mn = num.min_exponents()
     md = den.min_exponents()
@@ -601,13 +638,10 @@ def _normalize(num, den):
     if len(den.terms) == 1:
         # monomial denominator folds into the numerator
         (dk, dc), = den.terms.items()
-        inv = tuple(sorted((name, -e) for name, e in dk))
-        num = LaurentPoly({_key_mul(k, inv): c / dc for k, c in num.terms.items()})
-        den = LaurentPoly.const(1)
-    else:
-        q = _poly_divmod_exact(num, den)
-        if q is not None:
-            num, den = q, LaurentPoly.const(1)
+        return _div_monomial(num, dk, dc), _ONE
+    q = _poly_divmod_exact(num, den)
+    if q is not None:
+        return q, _ONE
     # scale so the denominator is integer-primitive with positive lex-leading
     # coefficient; the numerator carries the remaining rational factor
     scale = den.content()
@@ -746,7 +780,7 @@ def format_scalar(x):
         return "%s%s%s i" % (x.re, sign, abs(x.im))
     if isinstance(x, LaurentFrac):
         num = _poly_str(x.num)
-        if x.den == LaurentPoly.const(1):
+        if x.den is _ONE:
             return num
         return "(%s)/(%s)" % (num, _poly_str(x.den))
     raise ScalarError("not an exact scalar: %r" % (x,))

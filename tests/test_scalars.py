@@ -1,14 +1,16 @@
 """Scalar modes: canonical forms, arithmetic, parsing round-trips."""
 
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chevalley.scalars import (GaussianRational, LaurentFrac, LaurentPoly,
-                               ScalarError, format_scalar, join_mode, mode_of,
-                               parse_scalar)
+from chevalley import scalars
+from chevalley.scalars import (_ONE, GaussianRational, LaurentFrac, LaurentPoly,
+                               ScalarError, _normalize, format_scalar,
+                               join_mode, mode_of, parse_scalar)
 
 rationals = st.fractions(min_value=-60, max_value=60, max_denominator=12)
 nonzero_rationals = rationals.filter(bool)
@@ -230,6 +232,147 @@ def _mk_key(et, es):
     if es:
         key.append(("s", es))
     return tuple(key)
+
+
+# Laurent polynomials in t and s with exponents in [-2, 2]; a zero coefficient
+# is dropped by the public constructor
+_laurent_terms = st.lists(
+    st.tuples(st.integers(-2, 2), st.integers(-2, 2),
+              st.one_of(st.just(Fraction(0)), rationals)),
+    max_size=4)
+
+
+def _laurent(terms):
+    return LaurentPoly({_mk_key(et, es): c for et, es, c in terms})
+
+
+@st.composite
+def _laurent_pairs(draw):
+    """(p, q) where q repeats some of p's terms, as they are or negated, so
+    that p - q or p + q cancels them."""
+    pt = draw(_laurent_terms)
+    qt = list(draw(_laurent_terms))
+    for et, es, c in pt:
+        sign = draw(st.sampled_from((0, 1, -1)))
+        if sign:
+            qt.append((et, es, sign * c))
+    return _laurent(pt), _laurent(qt)
+
+
+def _general(num, den):
+    """The general route: the unsimplified operands re-canonicalized by the
+    public constructor, then normalized."""
+    return _normalize(LaurentPoly(num.terms), LaurentPoly(den.terms))
+
+
+def _assert_general(f, route):
+    num, den = route
+    assert type(f) is LaurentFrac
+    assert f.num.terms == num.terms
+    assert f.den.terms == den.terms
+    if den.terms == {(): Fraction(1)}:
+        assert f.den is _ONE
+    _assert_canonical_poly(f.num)
+
+
+def _assert_canonical_poly(p):
+    assert type(p) is LaurentPoly
+    assert LaurentPoly(p.terms).terms == p.terms
+    assert all(type(c) is Fraction and c for c in p.terms.values())
+
+
+class TestLaurentPolynomialFastPaths:
+    """On two Laurent polynomials (denominator 1) every LaurentFrac operator
+    agrees part for part with the normalizer's route, and a denominator of 1
+    is always the shared _ONE."""
+
+    @given(_laurent_pairs())
+    @settings(max_examples=300, deadline=None)
+    def test_operators_against_general_route(self, pq):
+        p, q = pq
+        a, b = LaurentFrac(p), LaurentFrac(q)
+        assert a.den is _ONE and b.den is _ONE
+        _assert_general(a + b, _general(p * _ONE + q * _ONE, _ONE * _ONE))
+        _assert_general(a - b, _general(p * _ONE + (-q) * _ONE, _ONE * _ONE))
+        _assert_general(-a, _general(-p, _ONE))
+        _assert_general(a * b, _general(p * q, _ONE * _ONE))
+        assert (a == b) == ((p * _ONE).terms == (q * _ONE).terms)
+        if q:
+            _assert_general(a / b, _general(p * _ONE, _ONE * q))
+
+    @given(_laurent_pairs(), rationals, st.integers(-5, 5))
+    @settings(max_examples=150, deadline=None)
+    def test_mixed_with_rationals_and_ints(self, pq, r, k):
+        p, _q = pq
+        a = LaurentFrac(p)
+        for c in (r, k):
+            cp = LaurentPoly.const(c)
+            _assert_general(a + c, _general(p + cp, _ONE))
+            _assert_general(c + a, _general(p + cp, _ONE))
+            _assert_general(a - c, _general(p + (-cp), _ONE))
+            _assert_general(c - a, _general(-p + cp, _ONE))
+            _assert_general(a * c, _general(p * cp, _ONE))
+            _assert_general(c * a, _general(p * cp, _ONE))
+            assert (a == c) == (LaurentPoly(p.terms) == cp)
+            if c:
+                _assert_general(a / c, _general(p, cp))
+            if p:
+                _assert_general(c / a, _general(cp, p))
+
+    @given(_laurent_pairs())
+    @settings(max_examples=150, deadline=None)
+    def test_polynomial_arithmetic_stays_canonical(self, pq):
+        p, q = pq
+        point = {"t": Fraction(7, 3), "s": Fraction(-5, 2)}
+        pv, qv = p.evaluate(point), q.evaluate(point)
+        for r, value in ((p + q, pv + qv), (p - q, pv - qv), (-p, -pv),
+                         (p * q, pv * qv), (p * Fraction(-3, 4), pv * Fraction(-3, 4)),
+                         (p * 0, 0)):
+            _assert_canonical_poly(r)
+            assert r.evaluate(point) == value
+
+    def test_cancelling_terms_leave_no_zero(self):
+        t = LaurentPoly.symbol("t")
+        s = LaurentPoly.symbol("s", -1)
+        assert (t + s) - (t + s) == LaurentPoly()
+        assert ((t + s) + (-t)).terms == s.terms
+        assert ((t + s) * (t - s)).terms == (t * t - s * s).terms
+        assert (t + s) * (t - s) == LaurentPoly({(("t", 2),): 1, (("s", -2),): -1})
+
+    def test_denominator_one_is_shared(self):
+        t = LaurentFrac.symbol("t")
+        s = LaurentFrac.symbol("s")
+        results = [
+            t, LaurentFrac(0), LaurentFrac(Fraction(3, 5)), t - t, t * 2,
+            (t * t - 1) / (t - 1),                # exact division
+            (t * t + s) / (t * s),                # monomial fold
+            1 / t, t / (3 * s), t ** -2, LaurentFrac(LaurentPoly.symbol("t"), 5),
+            (1 / (t + 1)) * (t + 1),
+        ]
+        for f in results:
+            assert f.den is _ONE
+            assert f.den.terms == {(): Fraction(1)}
+            assert repr(f) == "LaurentFrac(%r)" % (f.num,)
+        g = 1 / (t + 1)
+        assert g.den is not _ONE and len(g.den.terms) == 2
+
+    @given(_laurent_pairs(), st.integers(-2, 2), rationals.filter(bool))
+    @settings(max_examples=100, deadline=None)
+    def test_divisor_with_two_terms_takes_general_path(self, pq, e, c):
+        p, q = pq
+        a, b = LaurentFrac(p), LaurentFrac(q)
+        monomial = LaurentFrac(LaurentPoly({_mk_key(e, 1): c}))
+        with mock.patch.object(scalars, "_normalize",
+                               wraps=scalars._normalize) as normalize:
+            for f in (a + b, a - b, a * b, a / monomial, monomial / monomial):
+                assert f.den is _ONE
+            assert (a == b) == (p == q)
+            assert normalize.call_count == 0
+            if len(q.terms) >= 2:
+                a / b
+                assert normalize.call_count == 1
+                (num, den), _kw = normalize.call_args
+                assert num.terms == p.terms and den.terms == q.terms
 
 
 class TestParsing:
