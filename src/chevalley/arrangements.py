@@ -9,16 +9,24 @@ equations.
 Strict feasibility (all listed functionals negative somewhere on the region)
 is decided by exact Fourier-Motzkin elimination on the scaled system
 l(y) <= -1; the homogeneity of the system makes the two formulations
-equivalent.  Eliminations track provenance, so infeasibility returns a
-Farkas certificate: nonnegative rational weights whose functional
-combination vanishes identically on the region.
+equivalent.  The elimination runs on integer rows and merges parallel
+ones, keeping the tightest: only dominated rows go, so the merging changes
+no witness point.  Eliminations track provenance, so infeasibility returns
+a Farkas certificate: nonnegative rational weights whose functional
+combination vanishes identically on the region.  A certificate is some
+valid one, not a canonical or minimal one.
+
+Chambers are enumerated by a sign-vector search in which a child inherits
+its parent's sample point when that point already lies strictly on the
+child's side of the next hyperplane; only the other children are solved.
+A chamber's sample is therefore some strictly regular point of it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .matrices import row_reduce
 from .roots import CartanVector, Root
@@ -302,66 +310,113 @@ def find_stable_element(roots, region=None, ambient_dim=None):
             if _dot(v, tuple(point)) >= 0:
                 raise ArrangementError("internal error: point fails check %d" % k)
         return StableSearchResult(point, None)
-    cert = tuple(sorted((k, w) for k, w in point_or_cert.items() if w))
+    cert = tuple(sorted((k, w) for k, w in _weights(point_or_cert).items()
+                        if w))
     return StableSearchResult(None, cert)
+
+
+def _keep(kept, coeffs, prov, rhs):
+    """Add the integer row coeffs . y <= rhs to kept, which maps each
+    primitive coefficient vector to the tightest row along it.  Returns
+    False when the row is the contradiction 0 <= rhs < 0.
+
+    A kept row is (coeffs, provenance, rhs, content of coeffs), divided by
+    the content of coeffs and rhs together, so that it stays integral; its
+    bound along the primitive vector is rhs / content.  An all-zero row
+    with rhs >= 0 says nothing and is dropped.
+    """
+    gc = gcd(*coeffs)
+    if gc == 0:
+        return rhs >= 0
+    key = tuple(c // gc for c in coeffs)
+    old = kept.get(key)
+    if old is None or rhs * old[3] < old[2] * gc:
+        g = gcd(gc, rhs)
+        if g != 1:
+            coeffs = [c // g for c in coeffs]
+            prov = (g, prov)
+            rhs //= g
+            gc //= g
+        kept[key] = (coeffs, prov, rhs, gc)
+    return True
+
+
+def _weights(prov):
+    """The weight dict of a provenance: a dict already, (g, p) for p / g,
+    or (b, p, a, n) for b*p + a*n."""
+    if isinstance(prov, dict):
+        return prov
+    if len(prov) == 2:
+        g, p = prov
+        return {k: Fraction(w, g) for k, w in _weights(p).items()}
+    b, pp, a, pn = prov
+    out = {k: b * w for k, w in _weights(pp).items()}
+    for k, w in _weights(pn).items():
+        out[k] = out.get(k, 0) + a * w
+    return out
+
+
+def _bound(row, var, point):
+    """The bound that row puts on y[var]; a row of the stage of var is zero
+    before var, and the coordinates after var are already set."""
+    coeffs, _prov, rhs, _content = row
+    total = Fraction(rhs)
+    for c, y in zip(coeffs[var + 1:], point[var + 1:]):
+        if c and y:
+            total -= c * y
+    return total / coeffs[var]
 
 
 def _strict_feasible(rows, dim):
     """Feasibility of {coeffs . y <= -1} via Fourier-Motzkin.
 
     rows: (coeffs, provenance) pairs; provenance maps original indices to
-    nonnegative weights.  Returns (True, y) or (False, provenance).
+    nonnegative weights.  Returns (True, y) or (False, provenance), where
+    the provenance is built lazily and ``_weights`` expands it.
+
+    Each input row is scaled once, by a positive factor, to integer
+    coefficients and rhs, so the elimination runs on ints.  Rows are merged
+    as they are made: among rows whose coefficients are positive multiples
+    of one another only the one of least bound is kept (see ``_keep``), and
+    an all-zero row with rhs < 0 ends the elimination at once.  Only
+    dominated rows go, so every stage's bounds, and hence the
+    back-substituted point, are those of the unmerged elimination.
     """
-    system = [(list(c), dict(p), Fraction(-1)) for c, p in rows]
+    kept = {}
+    for coeffs, prov in rows:
+        den = lcm(*(x.denominator for x in coeffs))
+        ints = [x.numerator * (den // x.denominator) for x in coeffs]
+        if den != 1:
+            prov = {k: w * den for k, w in prov.items()}
+        if not _keep(kept, ints, prov, -den):
+            return (False, prov)
     stages = []
     for var in range(dim):
-        pos, neg, rest = [], [], []
-        for coeffs, prov, rhs in system:
-            cv = coeffs[var]
+        system, kept = kept, {}
+        pos, neg = [], []
+        for key, row in system.items():
+            cv = row[0][var]
             if cv > 0:
-                pos.append((coeffs, prov, rhs))
+                pos.append(row)
             elif cv < 0:
-                neg.append((coeffs, prov, rhs))
+                neg.append(row)
             else:
-                rest.append((coeffs, prov, rhs))
+                kept[key] = row
         stages.append((var, pos, neg))
-        new_system = list(rest)
-        for cp, pp, rp in pos:
-            for cn, pn, rn in neg:
-                a = cp[var]
-                b = -cn[var]
+        for cp, pp, rp, _gp in pos:
+            for cn, pn, rn, _gn in neg:
+                a, b = cp[var], -cn[var]
                 # b*row_pos + a*row_neg eliminates var; weights stay >= 0
-                coeffs = [b * x + a * y for x, y in zip(cp, cn)]
-                prov = {}
-                for k, w in pp.items():
-                    prov[k] = prov.get(k, Fraction(0)) + b * w
-                for k, w in pn.items():
-                    prov[k] = prov.get(k, Fraction(0)) + a * w
-                rhs = b * rp + a * rn
-                coeffs[var] = Fraction(0)
-                new_system.append((coeffs, prov, rhs))
-        system = new_system
-        # contradiction scan: 0 <= rhs with rhs < 0
-        for coeffs, prov, rhs in system:
-            if rhs < 0 and not any(coeffs):
-                return (False, prov)
-    # all variables eliminated; remaining rows are 0 <= rhs checks
-    for coeffs, prov, rhs in system:
-        if rhs < 0:
-            return (False, prov)
+                prov = (b, pp, a, pn)
+                if not _keep(kept, [b * x + a * y for x, y in zip(cp, cn)],
+                             prov, b * rp + a * rn):
+                    return (False, prov)
     # back-substitute a point, last stage first
     point = [Fraction(0)] * dim
     for var, pos, neg in reversed(stages):
-        lo, hi = None, None
-        for coeffs, _prov, rhs in pos:
-            # coeffs.y <= rhs with positive var coefficient: upper bound
-            bound = (rhs - sum(coeffs[k] * point[k] for k in range(dim)
-                               if k != var)) / coeffs[var]
-            hi = bound if hi is None else min(hi, bound)
-        for coeffs, _prov, rhs in neg:
-            bound = (rhs - sum(coeffs[k] * point[k] for k in range(dim)
-                               if k != var)) / coeffs[var]
-            lo = bound if lo is None else max(lo, bound)
+        # coeffs.y <= rhs bounds y[var] above if its coefficient is positive
+        hi = min((_bound(row, var, point) for row in pos), default=None)
+        lo = max((_bound(row, var, point) for row in neg), default=None)
         if lo is None and hi is None:
             point[var] = Fraction(0)
         elif lo is None:
@@ -398,7 +453,10 @@ def weyl_chambers(hyperplanes, region=None, ambient_dim=None):
     """Enumerate all realizable chambers of the arrangement on the region.
 
     Recursive sign-vector search with Fourier-Motzkin pruning; every chamber
-    comes with a strictly-regular rational sample point.
+    comes with a strictly-regular rational sample point.  Each node carries
+    a point of its cone; a child on whose side of the next hyperplane that
+    point strictly lies takes it without a solve, so a sample is the point
+    found by the deepest solve on its path.
     """
     hyperplanes = list(hyperplanes)
     if not hyperplanes:
@@ -407,22 +465,27 @@ def weyl_chambers(hyperplanes, region=None, ambient_dim=None):
         [_as_vector(h.normal) for h in hyperplanes], region, ambient_dim)
     if dim < 1:
         raise ArrangementError("region must have dimension at least 1")
+    # sign s demands s*h(x) > 0, i.e. (-s)*h(x) < 0 for the solver
+    signed = [{1: [-c for c in row], -1: row} for row in restricted]
+    one = Fraction(1)
     chambers = []
 
-    def recurse(prefix):
+    def recurse(prefix, point):
         k = len(prefix)
-        # sign s demands s*h(x) > 0, i.e. (-s)*h(x) < 0 for the solver
-        rows = [([-s * c for c in restricted[i]], {i: Fraction(1)})
-                for i, s in enumerate(prefix)]
-        feasible, payload = _strict_feasible(rows, dim)
-        if not feasible:
-            return
         if k == len(hyperplanes):
-            point = lift(payload)
-            chambers.append((tuple(prefix), point))
+            chambers.append((tuple(prefix), lift(point)))
             return
-        recurse(prefix + [1])
-        recurse(prefix + [-1])
+        value = _dot(restricted[k], point)
+        for s in (1, -1):
+            child = prefix + [s]
+            if s * value > 0:
+                recurse(child, point)
+                continue
+            rows = [(signed[i][t], {i: one}) for i, t in enumerate(child)]
+            feasible, payload = _strict_feasible(rows, dim)
+            if feasible:
+                recurse(child, payload)
 
-    recurse([])
+    # the empty sign vector is the whole region, and the origin lies in it
+    recurse([], [Fraction(0)] * dim)
     return ChamberMap(tuple(hyperplanes), tuple(chambers))

@@ -121,11 +121,6 @@ class ExactMatrix:
         return ExactMatrix([[self.rows[j][i] for j in range(n)] for i in range(n)],
                            self.mode)
 
-    def to_mode(self, mode):
-        if mode == self.mode:
-            return self
-        return ExactMatrix(self.rows, mode)
-
     def evaluate(self, point):
         """Evaluate a laurent-mode matrix at a rational/gaussian point."""
         if self.mode != LAURENT:

@@ -14,7 +14,8 @@ from chevalley.arrangements import (ArrangementError, Plane, _nullspace,
                                     lyapunov_hyperplanes, weyl_chambers)
 from chevalley.cycles import RestrictedSystem, Word, reduce_cycle
 from chevalley.generators import GroupModel
-from chevalley.roots import Root, build_root_system, standard_sl_roots
+from chevalley.roots import (CartanVector, Root, build_root_system,
+                             standard_sl_roots)
 from chevalley.scalars import GaussianRational, LaurentFrac
 
 F = Fraction
@@ -265,6 +266,52 @@ class TestStableElements:
             assert sum(c * x for c, x in zip(combo, direction)) == 0
 
 
+    @given(st.lists(st.integers(0, 17), min_size=1, max_size=5, unique=True),
+           st.lists(st.tuples(st.integers(0, 4), st.sampled_from(
+               [F(1), F(2), F(3), F(3, 2), F(5, 3)])), max_size=6),
+           st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_duplicates_and_multiples_leave_the_answer(self, picks, pads,
+                                                       on_line):
+        # a multiple c*r with c >= 1 asks c*r(y) <= -1, which r(y) <= -1
+        # implies; FM row merging keeps only the tightest of parallel rows,
+        # so such padding moves no witness point, and every certificate
+        # stays a Farkas certificate
+        roots = build_root_system(3).roots
+        plain = [tuple(F(c) for c in roots[k].coeffs) for k in picks]
+        padded = list(plain)
+        for at, factor in pads:
+            padded.insert(at % (len(padded) + 1),
+                          tuple(factor * c for c in plain[at % len(plain)]))
+        region = Plane(3, ((1, -2, 1),)) if on_line else None
+        want = find_stable_element(plain, region=region, ambient_dim=3)
+        got = find_stable_element(padded, region=region, ambient_dim=3)
+        assert got.feasible == want.feasible
+        if got.feasible:
+            assert got.point == want.point
+            return
+        weights = dict(got.certificate)
+        assert all(w > 0 for w in weights.values()) and weights
+        combo = [F(0)] * 3
+        for idx, w in weights.items():
+            combo = [c + w * x for c, x in zip(combo, padded[idx])]
+        direction = region.basis[0] if on_line else None
+        if direction is None:
+            assert not any(combo)
+        else:
+            assert sum(c * x for c, x in zip(combo, direction)) == 0
+
+    def test_padded_antipodal_pair_certificate(self):
+        r = (F(1), F(-1))
+        padded = [r, (F(2), F(-2)), (F(-1), F(1)), r, (F(-3), F(3))]
+        res = find_stable_element(padded, ambient_dim=2)
+        assert not res.feasible
+        weights = dict(res.certificate)
+        assert all(w > 0 for w in weights.values()) and weights
+        assert not any(sum(w * padded[i][k] for i, w in weights.items())
+                       for k in range(2))
+
+
 def _builtin_root_lists():
     """(dimension, roots) for the restricted and sl-standard lists, n=2..4."""
     out = []
@@ -371,6 +418,33 @@ class TestFullSpaceRoute:
             find_stable_element(roots, region, 2)
 
 
+# The ordered sign vectors of full-space restricted n=3, over its hyperplanes
+# in lyapunov_hyperplanes order.  The order of the search is part of the
+# output; the sample points are not, so only the signs are pinned.
+RESTRICTED3_SIGNS = [
+    "+++++++++", "++++++++-", "+++++++-+", "++++++-++", "++++++-+-",
+    "+++++-++-", "++++-++-+", "++++-+-++", "++++-+--+", "+++-+++-+",
+    "+++-+-++-", "+++-+-+-+", "+++-+-+--", "+++--++-+", "++-+++-+-",
+    "++-++-++-", "++-++--+-", "++--+-++-", "+-+-+-+-+", "+-+-+-+--",
+    "+-+--++-+", "+-+---+-+", "+---+-++-", "+---+-+--", "-+++-+-++",
+    "-+++-+--+", "-+-+++-+-", "-+-++--+-", "-+-+-+-++", "-+-+-+-+-",
+    "--++-+--+", "--+--++-+", "--+--+--+", "--+---+-+", "---++--+-",
+    "---+-+-++", "---+-+-+-", "---+-+--+", "---+---+-", "----+-++-",
+    "----+-+--", "----+--+-", "-----+--+", "------+-+", "------+--",
+    "-------+-", "--------+", "---------",
+]
+
+
+def assert_chambers_certified(cm, region=None):
+    """Every sample lies on the region, strictly on the signed side of every
+    hyperplane, and no sign vector repeats."""
+    assert len({signs for signs, _pt in cm.chambers}) == len(cm.chambers)
+    for signs, pt in cm.chambers:
+        assert region is None or region.contains(pt)
+        for s, h in zip(signs, cm.hyperplanes, strict=True):
+            assert s * h.eval_at(pt) > 0
+
+
 class TestChambers:
     def test_restricted_n2_eight(self):
         hps = lyapunov_hyperplanes(build_root_system(2).roots, 2)
@@ -388,13 +462,43 @@ class TestChambers:
 
     def test_samples_realize_signs(self):
         hps = lyapunov_hyperplanes(build_root_system(2).roots, 2)
+        assert_chambers_certified(weyl_chambers(hps, ambient_dim=2))
+
+    def test_restricted_n3_full_space(self):
+        hps = lyapunov_hyperplanes(build_root_system(3).roots, 3)
+        cm = weyl_chambers(hps, ambient_dim=3)
+        assert len(cm) == 48
+        assert_chambers_certified(cm)
+        assert ["".join("+" if s > 0 else "-" for s in signs)
+                for signs, _pt in cm.chambers] == RESTRICTED3_SIGNS
+
+    def test_sl5_trace_zero_gives_weyl_group_order(self):
+        hps = lyapunov_hyperplanes(standard_sl_roots(5), 5)
+        region = Plane.from_equations(5, [[1, 1, 1, 1, 1]])
+        cm = weyl_chambers(hps, region=region)
+        assert len(cm) == 120
+        assert_chambers_certified(cm, region)
+
+    def test_a_sample_is_inherited_without_a_solve(self, monkeypatch):
+        solves = []
+        real = arrangements._strict_feasible
+
+        def counted(rows, dim):
+            solves.append(len(rows))
+            return real(rows, dim)
+
+        monkeypatch.setattr(arrangements, "_strict_feasible", counted)
+        hps = lyapunov_hyperplanes([Root.of(2, 1), Root.of(2, 1, 2, 1, 1)],
+                                   2)
         cm = weyl_chambers(hps, ambient_dim=2)
-        signatures = set()
-        for signs, pt in cm.chambers:
-            signatures.add(signs)
-            for s, h in zip(signs, cm.hyperplanes):
-                assert s * h.eval_at(pt) > 0
-        assert len(signatures) == len(cm.chambers)
+        assert_chambers_certified(cm)
+        assert [signs for signs, _pt in cm.chambers] == \
+            [(1, 1), (1, -1), (-1, 1), (-1, -1)]
+        # the origin lies on x = 0, so both depth-1 nodes solve; (2, 0) and
+        # (-2, 0) each lie off x + y = 0, so one child of each inherits
+        assert solves == [1, 2, 1, 2]
+        assert cm.chambers[0][1] == CartanVector((F(2), F(0)))
+        assert cm.chambers[3][1] == CartanVector((F(-2), F(0)))
 
 
 def _annihilates(eqs, vec):

@@ -2,6 +2,7 @@
 
 import io
 import json
+from fractions import Fraction
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -152,6 +153,26 @@ class TestChambers:
                             "--n", "2", "--region", "eq:1,1,1,1")
         assert code == 0
         assert json.loads(out)["count"] == 24
+
+    def test_sl_standard_n3_trace_zero(self):
+        # the non-generic SL(6) arrangement on the trace-zero plane: every
+        # L_k - L_l vanishes on (1,...,1), so its chambers are the 6! of the
+        # full space, each sample checked on the plane and on its signs
+        code, out = run_cli("chambers", "--roots", "builtin:sl-standard",
+                            "--n", "3", "--region", "eq:1,1,1,1,1,1")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["count"] == len(payload["chambers"]) == 720
+        normals = [[int(c) for c in h.split(",")]
+                   for h in payload["hyperplanes"]]
+        seen = set()
+        for chamber in payload["chambers"]:
+            point = [Fraction(c) for c in chamber["sample"]]
+            signs = tuple(chamber["signs"])
+            assert sum(point) == 0 and signs not in seen
+            seen.add(signs)
+            for s, h in zip(signs, normals, strict=True):
+                assert s * sum(a * x for a, x in zip(h, point)) > 0
 
 
 class TestReduce:

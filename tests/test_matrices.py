@@ -42,7 +42,7 @@ class TestMul:
             mat_mul(ExactMatrix.identity(4), ExactMatrix.identity(6))
 
     def test_mode_mismatch(self):
-        lau = ExactMatrix.identity(4).to_mode("laurent")
+        lau = ExactMatrix.identity(4, "laurent")
         with pytest.raises(MatrixError):
             mat_mul(ExactMatrix.identity(4), lau)
 
