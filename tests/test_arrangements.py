@@ -265,7 +265,6 @@ class TestStableElements:
             # the weighted functional vanishes on the region
             assert sum(c * x for c, x in zip(combo, direction)) == 0
 
-
     @given(st.lists(st.integers(0, 17), min_size=1, max_size=5, unique=True),
            st.lists(st.tuples(st.integers(0, 4), st.sampled_from(
                [F(1), F(2), F(3), F(3, 2), F(5, 3)])), max_size=6),
