@@ -227,8 +227,10 @@ def cmd_symbol(args):
     lattice = build_axiom_lattice(universe, kinds)
     try:
         items = json.loads(args.expr)
+        if not isinstance(items, list):
+            raise TypeError("not a JSON list")
         expr = SymbolExpr.from_pairs(
-            [((parse_scalar(str(s)), parse_scalar(str(t))), int(e))
+            [((parse_scalar(str(s)), parse_scalar(str(t))), e)
              for (s, t), e in items])
     except (ValueError, TypeError) as exc:
         raise UsageError("bad --expr, want JSON [[[s,t],e],...]: %s" % exc)

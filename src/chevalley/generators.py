@@ -276,7 +276,8 @@ class GeneratorLetter:
         object.__setattr__(self, "params", params)
 
     def matrix(self):
-        return _letter_matrix(self.model, self.kind, self.root, self.params)
+        return _letter_matrix(self.model, self.kind, self.root, self.params,
+                              join_mode(mode_of(p) for p in self.params))
 
     def inverse(self):
         if self.kind in ("x", "w"):
@@ -323,17 +324,20 @@ def h_reference(params):
 
 
 @lru_cache(maxsize=65536)
-def _letter_matrix(model, kind, root, params):
+def _letter_matrix(model, kind, root, params, mode):
+    # mode, the join of the params' modes, is part of the key: params that
+    # are equal across modes hash alike, but the ExactMatrix is mode-strict
     if kind == "x":
         return exp_nilpotent(gen_f(model, root, params))
     if kind == "w":
-        return _w_word_matrix(model, root, params)
-    return mat_mul(_w_word_matrix(model, root, params),
-                   mat_inv(_w_word_matrix(model, root, h_reference(params))))
+        return _w_word_matrix(model, root, params, mode)
+    return mat_mul(_w_word_matrix(model, root, params, mode),
+                   mat_inv(_w_word_matrix(model, root, h_reference(params),
+                                          mode)))
 
 
-def _w_word_matrix(model, root, params):
-    return mat_prod(_letter_matrix(model, "x", r, p)
+def _w_word_matrix(model, root, params, mode):
+    return mat_prod(_letter_matrix(model, "x", r, p, mode)
                     for r, p in w_factors(root, params))
 
 
@@ -369,9 +373,11 @@ def gen_h_literal(model, root, params):
     w_r(-ref) = w_r(ref)^{-1}.
     """
     params = model.check_params(root, params)
+    mode = join_mode(mode_of(p) for p in params)
     neg_ref = tuple(-p for p in h_reference(params))
-    return GroupElement(mat_mul(_w_word_matrix(model, root, params),
-                                _w_word_matrix(model, root, neg_ref)), model)
+    return GroupElement(mat_mul(_w_word_matrix(model, root, params, mode),
+                                _w_word_matrix(model, root, neg_ref, mode)),
+                        model)
 
 
 def h_word_letters(model, root, params):

@@ -39,8 +39,8 @@ from .generators import (GRID, REGIMES, SYMBOLIC, gen_h, gen_h_literal,
                          root_entry_positions, w_factors)
 from .matrices import ExactMatrix
 from .roots import Root, build_root_system, positive_combinations
-from .scalars import (_ONE, GAUSSIAN, RATIONAL, LaurentFrac, coerce,
-                      format_scalar, join_mode, mode_of, scalar_one)
+from .scalars import (_ONE, LaurentFrac, format_scalar, join_mode, mode_of,
+                      scalar_one)
 
 DEFAULT_GRID = (Fraction(1), Fraction(-1), Fraction(2), Fraction(-2),
                 Fraction(3), Fraction(-3), Fraction(1, 2), Fraction(-1, 2),
@@ -105,9 +105,9 @@ def delta_word(deltas):
 
 
 def delta_to_matrix(delta, size, mode=None):
-    """The matrix I + delta."""
+    """The matrix I + delta, by default over the join of the entry modes."""
     if mode is None:
-        mode = _delta_mode(delta)
+        mode = join_mode(mode_of(v) for v in delta.values())
     m = ExactMatrix.identity(size, mode)
     rows = [list(r) for r in m.rows]
     for (i, j), v in delta.items():
@@ -322,12 +322,10 @@ def _sweep_all(model, regime, relations):
 
 def grid_for_model(model, grid=None):
     """The grid-regime values (default DEFAULT_GRID), checked to lie in the
-    model's field and, for sl-c, embedded in Q(i)."""
+    model's field; a real value stays a Fraction on sl-c as well."""
     grid = DEFAULT_GRID if grid is None else model.check_params(None, grid, GRID)
     if len(set(grid)) < 9 or any(not g for g in grid):
         raise RelationError("grid must hold at least 9 distinct nonzero values")
-    if model.family == "sl-c":
-        return tuple(coerce(g, GAUSSIAN) for g in grid)
     return grid
 
 
@@ -815,12 +813,6 @@ def _delta_perm(wd, size):
     if any(len(col) != 1 for col in cols.values()):
         raise RelationError("w element is not monomial")
     return {j: col[0] for j, col in cols.items()}
-
-
-def _delta_mode(delta):
-    for v in delta.values():
-        return mode_of(v)
-    return RATIONAL
 
 
 def _sl_w_conjugation(model, regime, grid):

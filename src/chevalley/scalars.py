@@ -19,6 +19,11 @@ coefficient is positive.  A denominator that is a monomial (the only kind any
 operation path in this package produces) is folded into the numerator, and an
 exact polynomial division is attempted otherwise.  Equality is decided by
 cross-multiplication, which is sound independently of gcd reduction.
+
+One hash rule: equal values hash alike.  A real ``GaussianRational`` and a
+constant ``LaurentPoly`` or ``LaurentFrac`` hash like their ``Fraction``, and a
+``LaurentFrac`` over 1 like its numerator, so a mode-strict consumer such as
+``ExactMatrix`` keys its caches on the mode as well.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ class ScalarError(ValueError):
 # Gaussian rationals
 # ---------------------------------------------------------------------------
 
-# the imaginary part of every real result of GaussianRational arithmetic
+# the imaginary part of a rational embedded in Q(i)
 _ZERO = Fraction(0)
 
 
@@ -73,30 +78,21 @@ class GaussianRational:
             return GaussianRational._raw(Fraction(other), _ZERO)
         return None
 
-    # Every default sl-c grid value is real, so each operator skips the
-    # imaginary arithmetic when both operands are real.
-
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if not (self.im or o.im):
-            return GaussianRational._raw(self.re + o.re, _ZERO)
         return GaussianRational._raw(self.re + o.re, self.im + o.im)
 
     __radd__ = __add__
 
     def __neg__(self):
-        if not self.im:
-            return GaussianRational._raw(-self.re, _ZERO)
         return GaussianRational._raw(-self.re, -self.im)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if not (self.im or o.im):
-            return GaussianRational._raw(self.re - o.re, _ZERO)
         return GaussianRational._raw(self.re - o.re, self.im - o.im)
 
     def __rsub__(self, other):
@@ -108,13 +104,9 @@ class GaussianRational:
     def __mul__(self, other):
         if isinstance(other, GaussianRational):
             a, b, c, d = self.re, self.im, other.re, other.im
-            if not (b or d):
-                return GaussianRational._raw(a * c, _ZERO)
             return GaussianRational._raw(a * c - b * d, a * d + b * c)
         if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        if not self.im:
-            return GaussianRational._raw(self.re * other, _ZERO)
         return GaussianRational._raw(self.re * other, self.im * other)
 
     __rmul__ = __mul__
@@ -130,12 +122,6 @@ class GaussianRational:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if not o.im:
-            if not o.re:
-                raise ZeroDivisionError("division by zero Gaussian rational")
-            if not self.im:
-                return GaussianRational._raw(self.re / o.re, _ZERO)
-            return GaussianRational._raw(self.re / o.re, self.im / o.re)
         n = o.norm()
         if n == 0:
             raise ZeroDivisionError("division by zero Gaussian rational")
@@ -273,7 +259,12 @@ class LaurentPoly:
         return self.terms == other.terms
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        terms = self.terms
+        if not terms:
+            return hash(_ZERO)
+        if len(terms) == 1 and () in terms:
+            return hash(terms[()])
+        return hash(frozenset(terms.items()))
 
     # Arithmetic results skip the public constructor: every key comes from
     # _key_mul or an operand, so it is already canonical, and each zero
@@ -594,6 +585,8 @@ class LaurentFrac:
         return self.num * o.den == o.num * self.den
 
     def __hash__(self):
+        if self.den is _ONE:
+            return hash(self.num)
         return hash((frozenset(self.num.terms.items()),
                      frozenset(self.den.terms.items())))
 

@@ -49,12 +49,15 @@ class SymbolError(ValueError):
 
 
 def _canon(value):
+    """One key per value: a real Gaussian rational becomes its Fraction."""
+    if isinstance(value, str):
+        value = parse_scalar(value)
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, (Fraction, GaussianRational)):
+    if isinstance(value, GaussianRational):
+        return value if value.im else value.re
+    if isinstance(value, Fraction):
         return value
-    if isinstance(value, str):
-        return parse_scalar(value)
     raise SymbolError("universe elements must be exact scalars: %r" % (value,))
 
 
@@ -74,7 +77,8 @@ class SymbolExpr:
             key = (_canon(s), _canon(t))
             if not key[0] or not key[1]:
                 raise SymbolError("symbol arguments must be nonzero")
-            e = int(e)
+            if type(e) is not int:
+                raise SymbolError("exponents must be integers, got %r" % (e,))
             acc[key] = acc.get(key, 0) + e
         cleaned = tuple(sorted(((k, e) for k, e in acc.items() if e),
                                key=lambda item: _pair_key(item[0])))
@@ -181,7 +185,7 @@ def build_axiom_lattice(universe, kinds=ALL_AXIOMS):
     if AXIOM_BILINEAR_LEFT in kinds:
         for t1 in u_sorted:
             for t2 in u_sorted:
-                prod = t1 * t2
+                prod = _canon(t1 * t2)
                 if prod not in members:
                     continue
                 for t3 in u_sorted:
@@ -190,7 +194,7 @@ def build_axiom_lattice(universe, kinds=ALL_AXIOMS):
     if AXIOM_BILINEAR_RIGHT in kinds:
         for t2 in u_sorted:
             for t3 in u_sorted:
-                prod = t2 * t3
+                prod = _canon(t2 * t3)
                 if prod not in members:
                     continue
                 for t1 in u_sorted:
@@ -206,7 +210,7 @@ def build_axiom_lattice(universe, kinds=ALL_AXIOMS):
         for t in u_sorted:
             if t == one:
                 continue
-            om = one - t if isinstance(t, Fraction) else GaussianRational(1) - t
+            om = one - t
             if om in members:
                 emit(AXIOM_ONE_MINUS, (t,), [((t, om), 1)])
     if AXIOM_MINUS_SELF in kinds:

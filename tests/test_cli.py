@@ -233,6 +233,24 @@ class TestSymbol:
         code, _ = run_cli("symbol", "--universe", "2,3", "--expr", "nope")
         assert code == 2
 
+    def test_real_gaussian_universe_value_is_its_rational(self):
+        expr = '[[["2","-1"],1],[["-1","2"],1]]'
+        first, second = (run_cli("symbol", "--universe",
+                                 two + ",1+i,1-i,-1,-2,2i,-2i", "--expr", expr)
+                         for two in ("2+0i", "2"))
+        assert first[0] == 0
+        assert first == second
+
+    @pytest.mark.parametrize("expr", ['[[["2","3"],1.5]]',
+                                      '[[["2","3"],true]]', "{}"],
+                             ids=["float-exponent", "bool-exponent",
+                                  "not-a-list"])
+    def test_expr_is_never_reinterpreted(self, expr):
+        code, out, err = run_cli_err("symbol", "--universe", "2,3,6",
+                                     "--expr", expr)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: bad --expr")
+
 
 # Out-of-domain input: each argv must end in exit 2 with one error line.
 WORD = "x 0,2 (2)\nx 0,2 (-2)\n"

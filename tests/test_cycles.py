@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 
 from chevalley.arrangements import Plane
-from chevalley.generators import GroupModel, gen_h, h_word_letters
-from chevalley.matrices import ExactMatrix
+from chevalley.generators import GroupModel, gen_h, gen_x, h_word_letters
+from chevalley.matrices import ExactMatrix, mat_mul
 from chevalley.cycles import (CycleError, ElementaryLetter, NonCycleError,
                               ReductionFailure, RestrictedSystem,
                               StandardSystem, Word, bracket_decompose,
@@ -17,7 +17,7 @@ from chevalley.cycles import (ReductionMove, _match_h_mult, _PrefixProducts,
                               _Reducer, _StabilityOracle)
 from chevalley.relations import delta_word, fit_structure_functions
 from chevalley.roots import Root
-from chevalley.scalars import parse_scalar
+from chevalley.scalars import LaurentFrac, parse_scalar
 
 F = Fraction
 SP2 = GroupModel("sp", 2)
@@ -64,6 +64,16 @@ class TestWordEval:
                    sys_.letter(Root.of(2, 1, 2, 1, 1), (F(1, 2), F(0))))
         w = Word(sys_, letters)
         assert w.eval() == w.eval_dense()
+
+    def test_mixed_rational_and_symbolic_letters(self):
+        # the matrix takes the join of every entry's mode, not the first's
+        w = Word.parse("x 1,-1 (1)\nx 0,2 (a)", rsys(SP2))
+        a = LaurentFrac.symbol("a")
+        expected = mat_mul(gen_x(SP2, Root.of(2, 1, 2, 1, -1),
+                                 (LaurentFrac(1),)).matrix,
+                           gen_x(SP2, Root.of(2, 2), (a,)).matrix)
+        assert w.eval() == expected
+        assert expected.mode == "laurent"
 
     def test_parse_format_round_trip(self):
         sys_ = rsys(SL2)

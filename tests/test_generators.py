@@ -5,8 +5,9 @@ from fractions import Fraction
 import pytest
 
 from chevalley.generators import (GeneratorError, GeneratorLetter, GroupModel,
-                                  TorusElement, gen_f, gen_f_component, gen_h,
-                                  gen_h_literal, gen_w, gen_x, h_word_letters,
+                                  TorusElement, _letter_matrix, gen_f,
+                                  gen_f_component, gen_h, gen_h_literal, gen_w,
+                                  gen_x, h_word_letters,
                                   position_component_table, torus_conjugate,
                                   w_word_letters)
 from chevalley.matrices import (ExactMatrix, check_lie_membership,
@@ -216,6 +217,38 @@ class TestGenH:
             assert len(letters) == 6
             assert mat_prod([l.matrix() for l in letters]) == \
                 gen_h(model, r, params).matrix
+
+
+class TestLetterCacheModes:
+    """Parameters equal across scalar modes hash alike, so the dense letter
+    cache keys on the mode: a letter's matrix never depends on which equal
+    parameters were asked for first."""
+
+    G = GaussianRational
+    L = LaurentFrac
+    CASES = [
+        (SLC2, (Fraction(2), Fraction(0)), (G(2), G(0)), (G(1, 1), 0),
+         "gaussian"),
+        (SP2, (Fraction(2),), (L(2),), (L.symbol("a"),), "laurent"),
+    ]
+
+    @pytest.mark.parametrize("model, real, wide, other, mode", CASES,
+                             ids=["sl-c", "sp"])
+    @pytest.mark.parametrize("build", [
+        lambda *a: gen_x(*a).matrix,
+        lambda *a: gen_w(*a)[0].matrix,
+        lambda *a: gen_h(*a).matrix,
+    ], ids=["x", "w", "h"])
+    def test_equal_params_of_a_wider_mode_after_rationals(
+            self, model, real, wide, other, mode, build):
+        _letter_matrix.cache_clear()
+        r = Root.of(2, 1, 2, 1, -1)
+        assert build(model, r, real).mode == "rational"
+        m = build(model, r, wide)
+        assert m.mode == mode
+        assert mat_mul(m, gen_x(model, r, other).matrix).mode == mode
+        _letter_matrix.cache_clear()
+        assert build(model, r, wide) == m
 
 
 class TestLetters:

@@ -334,10 +334,12 @@ class TestSuites:
         for model in (SP2, SL2, SLC2):
             with pytest.raises(GeneratorError):
                 grid_for_model(model, symbols)
-        embedded = grid_for_model(SLC2, gauss)
-        assert embedded[0] == GaussianRational(1, 1)
-        assert embedded[1:] == tuple(GaussianRational(g) for g in DEFAULT_GRID[1:])
-        assert all(isinstance(g, GaussianRational) for g in embedded)
+        # no embedding: the Gaussian value stays Gaussian, the real ones stay
+        # the given Fractions
+        mixed = grid_for_model(SLC2, gauss)
+        assert type(mixed[0]) is GaussianRational and mixed[0] == gauss[0]
+        assert all(type(g) is Fraction for g in mixed[1:])
+        assert mixed[1:] == DEFAULT_GRID[1:]
 
     def test_symbolic_regime_takes_no_grid(self):
         with pytest.raises(RelationError):

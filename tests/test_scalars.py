@@ -65,8 +65,8 @@ def _assert_result(z, parts):
         assert hash(z) == hash(z.re)
 
 
-# imaginary parts: zero half the time, so both the real fast paths and the
-# general formulas run
+# imaginary parts: zero half the time, so real operands are covered as well
+# as complex ones
 imaginary = st.one_of(st.just(Fraction(0)), rationals)
 
 
@@ -223,6 +223,26 @@ class TestLaurent:
         # value check at a sample point
         pt = Fraction(7, 3)
         assert expr.evaluate({"t": pt}) == (a * pt + b) / (c * pt) - b / (c * pt) + 1
+
+    def test_constants_hash_like_their_fraction(self):
+        assert len({LaurentFrac(2), Fraction(2), LaurentPoly.const(2)}) == 1
+        assert len({LaurentFrac(0), Fraction(0), LaurentPoly()}) == 1
+
+    @given(rationals, nonzero_rationals)
+    @settings(max_examples=60, deadline=None)
+    def test_constant_results_hash_like_their_fraction(self, a, b):
+        # a constant reached through symbolic arithmetic is still the value
+        t = LaurentFrac.symbol("t")
+        for value, c in (((t + a) - t, a), ((a * t) / t, a),
+                         ((t * b + a * b) / (t + a), b)):
+            assert value == c and hash(value) == hash(c)
+
+    def test_polynomial_fraction_hashes_like_its_numerator(self):
+        p = LaurentPoly.symbol("t") * 3 + LaurentPoly.symbol("s", -2) + 1
+        f = LaurentFrac(p)
+        assert f.den is _ONE and f == p
+        assert hash(f) == hash(p)
+        assert len({f, p}) == 1
 
 
 def _mk_key(et, es):

@@ -53,6 +53,17 @@ class TestLatticeConstruction:
         assert res.is_consequence
 
 
+    def test_real_products_of_gaussians_are_rationals(self):
+        # (1+i)(1-i) = 2 is stored as the universe's rational 2
+        g = GaussianRational(1, 1)
+        lat = build_axiom_lattice([g, g.conjugate(), GaussianRational(2), -1])
+        assert F(2) in lat.universe
+        for inst in lat.instances:
+            for (s, t), _c in inst.vector:
+                for x in (s, t):
+                    assert type(x) is Fraction or x.im
+
+
 class TestConsequences:
     def test_direct_axiom(self):
         lat = build_axiom_lattice([1, -1, 2, -2, 3, -3, F(1, 2), F(-1, 2),
@@ -143,6 +154,16 @@ class TestExprCanonicalization:
     def test_rejects_zero_arguments(self):
         with pytest.raises(SymbolError):
             SymbolExpr.single(0, 2)
+
+    def test_rejects_non_integer_exponents(self):
+        for e in (1.5, True, F(1), "1"):
+            with pytest.raises(SymbolError):
+                SymbolExpr.from_pairs([((2, 3), e)])
+
+    def test_real_gaussian_arguments_are_rationals(self):
+        expr = SymbolExpr.single(GaussianRational(2), GaussianRational(3, 0))
+        assert expr == SymbolExpr.single(2, 3)
+        assert all(type(x) is Fraction for x in expr.pairs[0][0])
 
     def test_str(self):
         expr = SymbolExpr.from_pairs([((2, -2), 1), ((3, 5), -2)])
