@@ -52,7 +52,6 @@ class TestLatticeConstruction:
         res = certify(SymbolExpr.single(i, -i), lat)
         assert res.is_consequence
 
-
     def test_real_products_of_gaussians_are_rationals(self):
         # (1+i)(1-i) = 2 is stored as the universe's rational 2
         g = GaussianRational(1, 1)
