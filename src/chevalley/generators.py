@@ -167,8 +167,7 @@ def gen_f(model, root, params):
     if root.n != model.n:
         raise GeneratorError("root rank %d does not match model rank %d"
                              % (root.n, model.n))
-    params = model.check_params(root, params)
-    mode = join_mode(mode_of(p) for p in params)
+    params, mode = with_mode(model.check_params(root, params))
     params = tuple(coerce(p, mode) for p in params)
     positions = root_entry_positions(model, root.untagged())
     tag = root.restricted_tag
@@ -276,8 +275,8 @@ class GeneratorLetter:
         object.__setattr__(self, "params", params)
 
     def matrix(self):
-        return _letter_matrix(self.model, self.kind, self.root, self.params,
-                              join_mode(mode_of(p) for p in self.params))
+        return _letter_matrix(self.model, self.kind, self.root,
+                              *with_mode(self.params))
 
     def inverse(self):
         if self.kind in ("x", "w"):
@@ -323,21 +322,25 @@ def h_reference(params):
     return tuple(scalar_one(mode_of(p)) if p else p for p in params)
 
 
+def with_mode(params):
+    """(params, their joined mode): the key of every letter cache, since
+    params equal across modes hash alike but cached entries keep a mode."""
+    params = tuple(params)
+    return params, join_mode(mode_of(p) for p in params)
+
+
 @lru_cache(maxsize=65536)
 def _letter_matrix(model, kind, root, params, mode):
-    # mode, the join of the params' modes, is part of the key: params that
-    # are equal across modes hash alike, but the ExactMatrix is mode-strict
     if kind == "x":
         return exp_nilpotent(gen_f(model, root, params))
     if kind == "w":
-        return _w_word_matrix(model, root, params, mode)
-    return mat_mul(_w_word_matrix(model, root, params, mode),
-                   mat_inv(_w_word_matrix(model, root, h_reference(params),
-                                          mode)))
+        return _w_word_matrix(model, root, params)
+    return mat_mul(_w_word_matrix(model, root, params),
+                   mat_inv(_w_word_matrix(model, root, h_reference(params))))
 
 
-def _w_word_matrix(model, root, params, mode):
-    return mat_prod(_letter_matrix(model, "x", r, p, mode)
+def _w_word_matrix(model, root, params):
+    return mat_prod(_letter_matrix(model, "x", r, *with_mode(p))
                     for r, p in w_factors(root, params))
 
 
@@ -373,11 +376,9 @@ def gen_h_literal(model, root, params):
     w_r(-ref) = w_r(ref)^{-1}.
     """
     params = model.check_params(root, params)
-    mode = join_mode(mode_of(p) for p in params)
     neg_ref = tuple(-p for p in h_reference(params))
-    return GroupElement(mat_mul(_w_word_matrix(model, root, params, mode),
-                                _w_word_matrix(model, root, neg_ref, mode)),
-                        model)
+    return GroupElement(mat_mul(_w_word_matrix(model, root, params),
+                                _w_word_matrix(model, root, neg_ref)), model)
 
 
 def h_word_letters(model, root, params):

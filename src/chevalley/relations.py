@@ -36,7 +36,7 @@ from functools import lru_cache
 
 from .generators import (GRID, REGIMES, SYMBOLIC, gen_h, gen_h_literal,
                          h_reference, position_component_table,
-                         root_entry_positions, w_factors)
+                         root_entry_positions, w_factors, with_mode)
 from .matrices import ExactMatrix
 from .roots import Root, build_root_system, positive_combinations
 from .scalars import (_ONE, LaurentFrac, format_scalar, join_mode, mode_of,
@@ -157,13 +157,13 @@ def x_delta(model, root, params):
 
 
 @lru_cache(maxsize=65536)
-def _w_delta_cached(model, root, params):
+def _w_delta_cached(model, root, params, mode):
     return _freeze(delta_word([x_delta(model, r, p)
                                for r, p in w_factors(root, params)]))
 
 
 @lru_cache(maxsize=65536)
-def _h_delta_cached(model, root, params):
+def _h_delta_cached(model, root, params, mode):
     w_t = w_delta(model, root, params)
     w_ref_inv = w_delta(model, root, tuple(-p for p in h_reference(params)))
     return _freeze(delta_mul(w_t, w_ref_inv))
@@ -174,11 +174,11 @@ def _freeze(d):
 
 
 def w_delta(model, root, params):
-    return dict(_w_delta_cached(model, root, tuple(params)))
+    return dict(_w_delta_cached(model, root, *with_mode(params)))
 
 
 def h_delta(model, root, params):
-    return dict(_h_delta_cached(model, root, tuple(params)))
+    return dict(_h_delta_cached(model, root, *with_mode(params)))
 
 
 def _letter_pair(model, root, params):

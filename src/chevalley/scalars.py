@@ -22,8 +22,7 @@ cross-multiplication, which is sound independently of gcd reduction.
 
 One hash rule: equal values hash alike.  A real ``GaussianRational`` and a
 constant ``LaurentPoly`` or ``LaurentFrac`` hash like their ``Fraction``, and a
-``LaurentFrac`` over 1 like its numerator, so a mode-strict consumer such as
-``ExactMatrix`` keys its caches on the mode as well.
+``LaurentFrac`` over 1 like its numerator; a cache keys on the mode as well.
 """
 
 from __future__ import annotations

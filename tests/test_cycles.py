@@ -15,9 +15,9 @@ from chevalley.cycles import (CycleError, ElementaryLetter, NonCycleError,
                               reduce_cycle)
 from chevalley.cycles import (ReductionMove, _match_h_mult, _PrefixProducts,
                               _Reducer, _StabilityOracle)
-from chevalley.relations import delta_word, fit_structure_functions
+from chevalley.relations import delta_word, fit_structure_functions, h_delta
 from chevalley.roots import Root
-from chevalley.scalars import LaurentFrac, parse_scalar
+from chevalley.scalars import GaussianRational, LaurentFrac, parse_scalar
 
 F = Fraction
 SP2 = GroupModel("sp", 2)
@@ -74,6 +74,19 @@ class TestWordEval:
                            gen_x(SP2, Root.of(2, 2), (a,)).matrix)
         assert w.eval() == expected
         assert expected.mode == "laurent"
+
+    @pytest.mark.parametrize("model, wide, text", [
+        (SP2, (LaurentFrac.symbol("a"),), "w 1,-1 (-1)"),
+        (GroupModel("sl-c", 2), (GaussianRational(2), GaussianRational(0)),
+         "w 1,-1 (-1, 0)"),
+    ], ids=["sp", "sl-c"])
+    def test_rational_word_after_a_wider_h_delta(self, model, wide, text):
+        # h_delta of wide params caches w_delta(-reference), whose params
+        # equal the rational letter's; the rational word must stay rational
+        h_delta(model, Root.of(2, 1, 2, 1, -1), wide)
+        w = Word.parse(text, rsys(model))
+        assert w.eval().mode == "rational"
+        assert w.eval() == w.eval_dense()
 
     def test_parse_format_round_trip(self):
         sys_ = rsys(SL2)
