@@ -46,12 +46,12 @@ from fractions import Fraction
 from .arrangements import find_stable_element
 from .generators import (GeneratorLetter, h_reference,
                          position_component_table, w_factors)
-from .matrices import mat_prod
+from .matrices import ExactMatrix, mat_prod
 from .relations import (commutator_delta, delta_mul, delta_to_matrix,
                         delta_word, fit_structure_functions, h_delta, w_delta,
                         x_delta)
 from .roots import CartanVector, Root, build_root_system
-from .scalars import format_scalar, parse_scalar
+from .scalars import format_scalar, join_mode, parse_scalar
 
 
 class CycleError(ValueError):
@@ -268,9 +268,12 @@ class Word:
         return delta_to_matrix(self.delta(), self.system.size)
 
     def eval_dense(self):
-        """Independent dense-product route (oracle for the delta path)."""
-        return mat_prod([l.matrix() for l in self.letters],
-                        size=self.system.size)
+        """Independent dense-product route (oracle for the delta path); each
+        letter's matrix is widened to the word's joined mode."""
+        mats = [l.matrix() for l in self.letters]
+        mode = join_mode(m.mode for m in mats)
+        return mat_prod([m if m.mode == mode else ExactMatrix(m.rows, mode)
+                         for m in mats], size=self.system.size)
 
     def is_cycle(self):
         return not self.delta()

@@ -153,6 +153,10 @@ class GaussianRational:
     def __eq__(self, other):
         o = self._coerce(other)
         if o is None:
+            if isinstance(other, LaurentFrac):
+                # a constant of the other mode compares through its Fraction;
+                # LaurentFrac.__eq__ returns NotImplemented and lands here
+                return not self.im and other == self.re
             return NotImplemented
         return self.re == o.re and self.im == o.im
 

@@ -15,7 +15,9 @@ consequence of the axioms iff its exponent vector lies in the integer row
 span of the axiom instance vectors.  Membership is decided by Hermite-style
 integer elimination; every reduced row carries its provenance combination,
 so a positive answer returns an exact integer certificate that replays to
-the empty expression.
+the empty expression.  The elimination runs on integer column ranks (the
+lattice's pairs numbered in ``_pair_key`` order) and is built once per
+``AxiomLattice``, on its first query; every later query only reduces.
 
 Soundness of anything judged true is guaranteed against the matrix
 realization: the symbol {s, t} maps to h(s) h(t) h(st)^{-1}, which is the
@@ -26,8 +28,10 @@ engine's bookkeeping, not completeness.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .generators import GroupModel, gen_h
 from .matrices import mat_mul
@@ -146,6 +150,19 @@ class AxiomLattice:
                 "kinds": list(self.kinds),
                 "instances": len(self.instances)}
 
+    @cached_property
+    def _echelon(self):
+        """(pair columns in ``_pair_key`` order, their ranks, the echelon of
+        every instance).  Built on the first query and kept on the object;
+        it is no field, so equality and hashing never see it."""
+        columns = sorted({k for inst in self.instances for k, _c in inst.vector},
+                         key=_pair_key)
+        rank = {c: k for k, c in enumerate(columns)}
+        ech = _Echelon()
+        for idx, inst in enumerate(self.instances):
+            ech.insert({rank[k]: c for k, c in inst.vector}, {idx: 1})
+        return columns, rank, ech
+
 
 MAX_UNIVERSE = 32
 
@@ -227,30 +244,27 @@ def build_axiom_lattice(universe, kinds=ALL_AXIOMS):
 class _Echelon:
     """Hermite-style row echelon over Z with provenance tracking.
 
-    Rows are sparse dicts over pair columns; each row remembers the integer
-    combination of original instances that produced it.
+    Rows are sparse dicts over integer column ranks, numbered in the
+    ``_pair_key`` order of the lattice's pairs, so a row's lead column is its
+    least rank.  Each row remembers the integer combination of original
+    instances that produced it.  An ``AxiomLattice`` builds one on its first
+    query and reuses it for every later one.
     """
 
-    def __init__(self, column_order):
-        self.rank_of = {c: k for k, c in enumerate(column_order)}
-        self.pivots = {}  # column -> (row dict, combo dict)
-
-    def _lead(self, row):
-        best = None
-        for c in row:
-            k = self.rank_of[c]
-            if best is None or k < best[0]:
-                best = (k, c)
-        return best[1] if best else None
+    def __init__(self):
+        self.pivots = {}  # rank -> (row dict, combo dict)
 
     def insert(self, row, combo):
+        """Eliminate ``row`` into the pivots.  Its provenance stays a list of
+        (multiplier, combo) terms, expanded only when the row becomes or
+        changes a pivot: most instance rows reduce to zero and never need
+        it.  Stored combos are never mutated, so the terms can share them."""
         row = dict(row)
-        combo = dict(combo)
-        while True:
-            lead = self._lead(row)
-            if lead is None:
-                return
+        terms = [(1, combo)]
+        while row:
+            lead = min(row)
             if lead not in self.pivots:
+                combo = _expand(terms)
                 if row[lead] < 0:
                     row = {c: -v for c, v in row.items()}
                     combo = {i: -v for i, v in combo.items()}
@@ -261,31 +275,34 @@ class _Echelon:
             if b % a == 0:
                 q = b // a
                 _add_multiple(row, -q, prow.items())
-                _add_multiple(combo, -q, pcombo.items())
+                terms.append((-q, pcombo))
                 continue
             # replace pivot by gcd combination (extended Euclid step)
+            combo = _expand(terms)
             g, x, y = _xgcd(a, b)
             self.pivots[lead] = (_row_comb(prow, x, row, y),
                                  _row_comb(pcombo, x, combo, y))
-            row, combo = (_row_comb(prow, b // g, row, -(a // g)),
-                          _row_comb(pcombo, b // g, combo, -(a // g)))
+            row = _row_comb(prow, b // g, row, -(a // g))
+            terms = [(b // g, pcombo), (-(a // g), combo)]
 
-    def reduce(self, vector):
-        """Reduce a target vector; returns (residue, combo) with the combo
-        expressing the removed part as an instance combination."""
+    def reduce(self, vector, stop):
+        """Reduce a target vector while its lead rank is below ``stop``;
+        returns (residue, combo) with the combo expressing the removed part
+        as an instance combination."""
         res = dict(vector)
         combo = {}
-        while True:
-            lead = self._lead(res)
-            if lead is None or lead not in self.pivots:
-                return res, combo
+        while res:
+            lead = min(res)
+            if lead >= stop or lead not in self.pivots:
+                break
             prow, pcombo = self.pivots[lead]
             a, b = prow[lead], res[lead]
             if b % a != 0:
-                return res, combo
+                break
             q = b // a
             _add_multiple(res, -q, prow.items())
             _add_multiple(combo, q, pcombo.items())
+        return res, combo
 
 
 def _add_multiple(row, q, items):
@@ -303,7 +320,15 @@ def _add_multiple(row, q, items):
 
 def _row_comb(r1, c1, r2, c2):
     """The new row c1*r1 + c2*r2."""
-    return _add_multiple(_add_multiple({}, c1, r1.items()), c2, r2.items())
+    return _expand(((c1, r1), (c2, r2)))
+
+
+def _expand(terms):
+    """The new row sum q*r over the (q, r) terms."""
+    out = {}
+    for q, r in terms:
+        _add_multiple(out, q, r.items())
+    return out
 
 
 def _xgcd(a, b):
@@ -344,15 +369,25 @@ def is_consequence(expr, lattice):
     Returns a ConsequenceResult whose certificate satisfies
     sum_i c_i * instance_i = expr (as exponent vectors).
     """
-    columns = sorted({k for inst in lattice.instances for k, _c in inst.vector}
-                     | {k for k, _e in expr.pairs}, key=_pair_key)
-    ech = _Echelon(columns)
-    for idx, inst in enumerate(lattice.instances):
-        ech.insert(dict(inst.vector), {idx: 1})
-    residue, combo = ech.reduce(expr.vector())
-    if residue:
+    columns, rank, ech = lattice._echelon
+    vector, foreign = {}, []
+    for pair, e in expr.pairs:
+        k = rank.get(pair)
+        if k is None:
+            foreign.append((pair, e))
+        else:
+            vector[k] = e
+    # No pivot row touches a pair that no instance uses, so such a pair only
+    # ends the reduction once it is the lead: at the first lattice column
+    # that sorts after it.  expr.pairs is in _pair_key order.
+    stop = len(columns)
+    if foreign:
+        stop = bisect_left(columns, _pair_key(foreign[0][0]), key=_pair_key)
+    residue, combo = ech.reduce(vector, stop)
+    if residue or foreign:
+        leftover = [(columns[k], e) for k, e in residue.items()] + foreign
         return ConsequenceResult(False, None,
-                                 tuple(sorted(residue.items(),
+                                 tuple(sorted(leftover,
                                               key=lambda kv: _pair_key(kv[0]))))
     cert = tuple(sorted(combo.items()))
     return ConsequenceResult(True, cert, ())

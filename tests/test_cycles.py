@@ -75,6 +75,12 @@ class TestWordEval:
         assert w.eval() == expected
         assert expected.mode == "laurent"
 
+    def test_dense_route_widens_mixed_letters(self):
+        # the rational letter's dense matrix is widened to the word's mode
+        w = Word.parse("x 1,-1 (1)\nx 0,2 (a)", rsys(SP2))
+        assert w.eval_dense() == w.eval()
+        assert w.eval_dense().mode == "laurent"
+
     @pytest.mark.parametrize("model, wide, text", [
         (SP2, (LaurentFrac.symbol("a"),), "w 1,-1 (-1)"),
         (GroupModel("sl-c", 2), (GaussianRational(2), GaussianRational(0)),

@@ -438,3 +438,18 @@ class TestModes:
     def test_join_rejects_gaussian_laurent(self):
         with pytest.raises(ScalarError):
             join_mode(["gaussian", "laurent"])
+
+    def test_cross_mode_equality_is_transitive(self):
+        # each equals Fraction(2), so they equal each other, both ways round
+        g, lf = GaussianRational(2), LaurentFrac(2)
+        assert g == lf and lf == g
+        assert not (g != lf) and not (lf != g)
+        assert len({GaussianRational(2), LaurentFrac(2), Fraction(2)}) == 1
+
+    def test_cross_mode_inequality(self):
+        t = LaurentFrac.symbol("t")
+        for g, lf in ((GaussianRational(2, 1), LaurentFrac(2)),
+                      (GaussianRational(3), LaurentFrac(2)),
+                      (GaussianRational(2), t + 2)):
+            assert g != lf and lf != g
+            assert not (g == lf) and not (lf == g)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from chevalley.scalars import GaussianRational
 from chevalley.symbols import (AXIOM_MINUS_SELF, BILINEAR_ONLY, SymbolError,
-                               SymbolExpr, _add_multiple, _row_comb,
+                               SymbolExpr, _add_multiple, _Echelon, _row_comb,
                                build_axiom_lattice, is_consequence,
                                matrix_realization_check, replay_certificate)
 
@@ -98,6 +98,75 @@ class TestConsequences:
         e2 = SymbolExpr.single(3, -3)
         assert certify(e1 * e2, lat).is_consequence
         assert certify(e1.inverse(), lat).is_consequence
+
+
+def bench_universe():
+    """The 14 units of the benchmark's seed 1: +-{1, 2, 7, 1/2, 1/7, 14, 2/7}."""
+    base = [F(1), F(2), F(7), F(1, 2), F(1, 7), F(14), F(2, 7)]
+    return base + [-x for x in base]
+
+
+# captured from the echelon that every query rebuilt from scratch
+BENCH_MEMBER_CERTIFICATE = (
+    (5, 3), (6, -3), (12, 2), (13, -2), (32, 1), (34, -4), (37, 1), (38, 10),
+    (40, 2), (41, -2), (46, -1), (48, 4), (51, -1), (52, -10), (54, -2),
+    (55, 2), (57, 1), (62, 1), (63, -1), (64, 4), (90, 3), (96, -2), (97, 2),
+    (100, -2), (102, -1), (104, 1), (107, -1), (130, -1), (132, 4), (135, -1),
+    (136, -10), (138, -2), (139, 2), (188, 3), (192, -10), (194, -2),
+    (195, 2), (644, -3), (645, 4), (646, 4), (672, 12), (673, -12),
+    (674, -10), (686, -5), (687, 4), (688, 4), (699, -4), (700, 4), (713, -1),
+    (714, 2), (727, -5), (755, 4), (756, -4), (757, -4), (769, -6), (770, 5),
+    (771, 4), (825, -2), (826, 2), (1287, 2), (1288, -2), (1289, -6),
+    (1392, -10), (1393, 4), (1395, 4),
+)
+
+
+class TestCachedEchelon:
+    def test_two_queries_insert_each_instance_once(self, monkeypatch):
+        calls = []
+        insert = _Echelon.insert
+
+        def counted(self, row, combo):
+            calls.append(1)
+            return insert(self, row, combo)
+
+        monkeypatch.setattr(_Echelon, "insert", counted)
+        lat = build_axiom_lattice([1, -1, 2, -2, 3, -3, 6, -6])
+        assert certify(SymbolExpr.single(2, -2), lat).is_consequence
+        assert not is_consequence(SymbolExpr.single(F(5, 7), 3),
+                                  lat).is_consequence
+        assert len(calls) == len(lat.instances)
+
+    def test_queried_lattice_equals_and_hashes_like_a_fresh_one(self):
+        universe = [1, -1, 2, -2, 3, -3, 6, -6]
+        lat = build_axiom_lattice(universe)
+        certify(SymbolExpr.single(3, -3), lat)
+        fresh = build_axiom_lattice(universe)
+        assert lat == fresh and fresh == lat
+        assert hash(lat) == hash(fresh)
+        assert len({lat, fresh}) == 1
+
+    def test_foreign_pairs_in_one_gap_keep_their_own_residue_entries(self):
+        # {-1,3} and {-1,5} use no instance and both sort between the
+        # lattice columns (-1,2) and (2,-2); {-2,2} reduces first, and the
+        # reduction stops at {-1,3}, leaving the entries after it
+        lat = build_axiom_lattice([2, -2, -1])
+        expr = SymbolExpr.from_pairs([((-2, 2), 1), ((-1, 3), 1),
+                                      ((-1, 5), 1)])
+        res = is_consequence(expr, lat)
+        assert not res.is_consequence
+        assert res.residue == (((F(-1), F(3)), 1), ((F(-1), F(5)), 1),
+                               ((F(2), F(-2)), 1), ((F(2), F(-1)), 2))
+
+    def test_bench_member_certificate(self):
+        lat = build_axiom_lattice(bench_universe())
+        assert len(lat.instances) == 1409
+        acc = {}
+        for idx, c in ((5, 3), (100, -2), (777, 1), (1024, -1), (1301, 2)):
+            _add_multiple(acc, c, lat.instances[idx].vector)
+        expr = SymbolExpr.from_pairs(acc.items())
+        res = certify(expr, lat)
+        assert res.certificate == BENCH_MEMBER_CERTIFICATE
 
 
 class TestLatticeClosure:
