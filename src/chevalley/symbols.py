@@ -379,10 +379,9 @@ def is_consequence(expr, lattice):
             vector[k] = e
     # No pivot row touches a pair that no instance uses, so such a pair only
     # ends the reduction once it is the lead: at the first lattice column
-    # that sorts after it.  expr.pairs is in _pair_key order.
-    stop = len(columns)
-    if foreign:
-        stop = bisect_left(columns, _pair_key(foreign[0][0]), key=_pair_key)
+    # that sorts after it.
+    stop = min((bisect_left(columns, _pair_key(pair), key=_pair_key)
+                for pair, _e in foreign), default=len(columns))
     residue, combo = ech.reduce(vector, stop)
     if residue or foreign:
         leftover = [(columns[k], e) for k, e in residue.items()] + foreign
