@@ -100,7 +100,7 @@ class TestConsequences:
         assert certify(e1.inverse(), lat).is_consequence
 
 
-# captured from the echelon that every query rebuilt from scratch
+# captured from the engine that rebuilt the echelon for every query
 BENCH_MEMBER_CERTIFICATE = (
     (5, 3), (6, -3), (12, 2), (13, -2), (32, 1), (34, -4), (37, 1), (38, 10),
     (40, 2), (41, -2), (46, -1), (48, 4), (51, -1), (52, -10), (54, -2),
