@@ -42,6 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .arrangements import find_stable_element
 from .generators import (GeneratorLetter, h_reference,
@@ -51,7 +52,7 @@ from .relations import (commutator_delta, delta_mul, delta_to_matrix,
                         delta_word, fit_structure_functions, h_delta, w_delta,
                         x_delta)
 from .roots import CartanVector, Root, build_root_system
-from .scalars import format_scalar, join_mode, parse_scalar
+from .scalars import format_scalar, join_mode, mode_of, parse_scalar
 
 
 class CycleError(ValueError):
@@ -224,8 +225,7 @@ class RestrictedSystem:
         """Structure-law factors; component letters read the commutator."""
         ra = a.root.untagged()
         rb = b.root.untagged()
-        rsum = tuple(x + y for x, y in zip(ra.coeffs, rb.coeffs))
-        if not self.system.is_root(rsum):
+        if not self.system.is_root(ra + rb):
             return []
         if a.root.restricted_tag is not None or b.root.restricted_tag is not None:
             return _single_entry_factors(self, a, b)
@@ -264,16 +264,21 @@ class Word:
     def delta(self):
         return delta_word([self.system.letter_delta(l) for l in self.letters])
 
+    def mode(self):
+        """The join of the letters' parameter modes, which both evaluation
+        routes use; a ScalarError when they do not join."""
+        return join_mode(mode_of(p) for l in self.letters for p in l.params)
+
     def eval(self):
-        return delta_to_matrix(self.delta(), self.system.size)
+        return delta_to_matrix(self.delta(), self.system.size, self.mode())
 
     def eval_dense(self):
         """Independent dense-product route (oracle for the delta path); each
-        letter's matrix is widened to the word's joined mode."""
+        letter's matrix is widened to the word's mode."""
+        mode = self.mode()
         mats = [l.matrix() for l in self.letters]
-        mode = join_mode(m.mode for m in mats)
         return mat_prod([m if m.mode == mode else ExactMatrix(m.rows, mode)
-                         for m in mats], size=self.system.size)
+                         for m in mats], size=self.system.size, mode=mode)
 
     def is_cycle(self):
         return not self.delta()
@@ -292,7 +297,12 @@ class Word:
                 letters.append(system.parse_letter(line))
             except (ValueError, IndexError) as exc:
                 raise CycleError("bad letter on line %d: %s" % (lineno, exc))
-        return Word(system, tuple(letters))
+        word = Word(system, tuple(letters))
+        try:
+            word.mode()
+        except ValueError as exc:
+            raise CycleError("word mixes scalar modes: %s" % exc)
+        return word
 
 
 # ---------------------------------------------------------------------------
@@ -312,35 +322,30 @@ class Stability:
 
 def is_stable_word(word, region=None):
     """Common strictly-negative element for all letter roots on the region."""
-    return _StabilityOracle(word.system, region).of_roots(
-        [l.root.untagged() for l in word.letters])
+    return _stability(word.system, region,
+                      [l.root.untagged() for l in word.letters])
 
 
-def _zero_point(system, region):
-    dim = region.ambient_dim if region is not None else system.ambient_dim
-    return CartanVector((Fraction(0),) * dim)
+def _stability(system, region, roots):
+    """Stability of a list of functionals on the region; duplicates and
+    order drop out."""
+    return _stability_of(frozenset(r.coeffs for r in roots), region,
+                         system.ambient_dim)
 
 
-class _StabilityOracle:
-    def __init__(self, system, region):
-        self.system = system
-        self.region = region
-        self.cache = {}
-
-    def of_roots(self, roots):
-        """Stability of a list of functionals; duplicates drop out in order."""
-        key = frozenset(r.coeffs for r in roots)
-        if key in self.cache:
-            return self.cache[key]
-        if not roots:
-            st = Stability(True, _zero_point(self.system, self.region))
-        else:
-            unique = list({r.coeffs: r for r in roots}.values())
-            res = find_stable_element(unique, region=self.region,
-                                      ambient_dim=self.system.ambient_dim)
-            st = Stability(True, res.point) if res.feasible else Stability(False)
-        self.cache[key] = st
-        return st
+@lru_cache(maxsize=65536)
+def _stability_of(coeffs, region, ambient_dim):
+    """The memo behind _stability, shared by every reduction and bracket
+    search.  The functionals are solved in sorted order; the witness does
+    not depend on that order, since the row-merged elimination keeps one
+    canonical row per direction.  Each miss looks the solver up as a
+    module global, so a wrapper put on it sees every solve."""
+    if not coeffs:
+        dim = region.ambient_dim if region is not None else ambient_dim
+        return Stability(True, CartanVector((Fraction(0),) * dim))
+    res = find_stable_element(sorted(coeffs), region=region,
+                              ambient_dim=ambient_dim)
+    return Stability(True, res.point) if res.feasible else Stability(False)
 
 
 # ---------------------------------------------------------------------------
@@ -447,8 +452,7 @@ def reduce_cycle(word, region=None, budget=10000):
                              % l.format())
     if not word.is_cycle():
         raise NonCycleError("word does not evaluate to the identity")
-    oracle = _StabilityOracle(word.system, region)
-    state = _Reducer(word.system, oracle, budget)
+    state = _Reducer(word.system, region, budget)
     letters = state.run(list(word.letters))
     final = Word(word.system, tuple(letters))
     trace = ReductionTrace(word, tuple(state.moves), final)
@@ -458,14 +462,17 @@ def reduce_cycle(word, region=None, budget=10000):
 
 
 class _Reducer:
-    def __init__(self, system, oracle, budget):
+    def __init__(self, system, region, budget):
         self.system = system
-        self.oracle = oracle
+        self.region = region
         self.budget = budget
         self.moves = []
         self.stuck_reason = None
         # adjacent pair (a, b) -> (relation id, inserted, stability) or None
         self.swaps = {}
+
+    def _stability(self, roots):
+        return _stability(self.system, self.region, roots)
 
     def _emit(self, letters, move):
         self.budget -= 1
@@ -547,7 +554,7 @@ class _Reducer:
                 inner = letters[i + 1:j]
                 yield ReductionMove(
                     "conjugation-push", None, i, (a,) + inner + (c,), inner,
-                    self.oracle.of_roots([a.root.untagged()]))
+                    self._stability([a.root.untagged()]))
             swap = self._swap(a, b)
             if swap is not None:
                 relation_id, inserted, stability = swap
@@ -562,14 +569,13 @@ class _Reducer:
             return self.swaps[key]
         out = None
         ra, rb = a.root, b.root
-        rsum = tuple(x + y for x, y in zip(ra.coeffs, rb.coeffs))
         # only pairs out of root order swap; antipodal pairs are blocked
-        if ra.sort_key() > rb.sort_key() and any(rsum):
+        if ra.sort_key() > rb.sort_key() and any(ra + rb):
             factors = self.system.swap_factors(a, b)
             if factors is not None:
                 touched = [l.root.untagged() for l in [a, b] + factors]
                 out = ("commutator" if factors else "trivial-commutator",
-                       tuple(factors) + (b, a), self.oracle.of_roots(touched))
+                       tuple(factors) + (b, a), self._stability(touched))
         self.swaps[key] = out
         return out
 
@@ -580,7 +586,7 @@ class _Reducer:
             if not any(l.params):
                 move = ReductionMove(
                     "relation-substitution", "additivity", i, (l,), (),
-                    self.oracle.of_roots([l.root.untagged()]))
+                    self._stability([l.root.untagged()]))
                 return self._emit(letters, move)
         return None
 
@@ -590,7 +596,7 @@ class _Reducer:
             if _same_root(a, b) and _params_negate(a, b):
                 move = ReductionMove(
                     "free-cancellation", None, i, (a, b), (),
-                    self.oracle.of_roots([a.root.untagged()]))
+                    self._stability([a.root.untagged()]))
                 return self._emit(letters, move)
         return None
 
@@ -602,7 +608,7 @@ class _Reducer:
                     a.root, tuple(x + y for x, y in zip(a.params, b.params)))
                 move = ReductionMove(
                     "relation-substitution", "additivity", i, (a, b), (merged,),
-                    self.oracle.of_roots([a.root.untagged()]))
+                    self._stability([a.root.untagged()]))
                 return self._emit(letters, move)
         return None
 
@@ -613,7 +619,7 @@ class _Reducer:
         i, span, roots = hit
         move = ReductionMove(
             "relation-substitution", "h-multiplicativity", i,
-            tuple(letters[i:i + span]), (), self.oracle.of_roots(roots))
+            tuple(letters[i:i + span]), (), self._stability(roots))
         return self._emit(letters, move)
 
 
@@ -656,8 +662,7 @@ def _match_h_mult(letters):
         if r.restricted_tag is not None or letters[i + 2].root != r:
             continue
         neg = letters[i + 1].root
-        if neg.restricted_tag is not None or \
-                any(x != -y for x, y in zip(neg.coeffs, r.coeffs)):
+        if neg.restricted_tag is not None or any(neg + r):
             continue
         window = letters[i:i + size]
         if any(w.root != pr for w, pr in zip(window, (r, neg, r) * 4)):
@@ -714,7 +719,6 @@ def enumerate_bracket_decompositions(system, target_letter, region=None,
     the target matrix exactly and both sides stabilizable with companions."""
     target_root = target_letter.root
     target_delta = system.letter_delta(target_letter)
-    oracle = _StabilityOracle(system, region)
     companions = [c if isinstance(c, Root) else Root(tuple(c))
                   for c in companions]
     for p, q in system.summand_pairs(target_root):
@@ -724,8 +728,8 @@ def enumerate_bracket_decompositions(system, target_letter, region=None,
             continue
         left = system.letter(p, solved)
         right = system.letter(q, q_params)
-        st_left = oracle.of_roots([p.untagged()] + companions)
-        st_right = oracle.of_roots([q.untagged()] + companions)
+        st_left = _stability(system, region, [p.untagged()] + companions)
+        st_right = _stability(system, region, [q.untagged()] + companions)
         if not (st_left.stable and st_right.stable):
             continue
         yield BracketDecomposition(target_letter, left, right,

@@ -33,8 +33,7 @@ from functools import lru_cache
 from .matrices import ExactMatrix, exp_nilpotent, mat_inv, mat_mul, mat_prod
 from .roots import Root, build_root_system
 from .scalars import (GAUSSIAN, LAURENT, RATIONAL, coerce, format_scalar,
-                      join_mode, mode_of, parse_scalar, scalar_one,
-                      scalar_zero)
+                      join_mode, mode_of, parse_scalar)
 
 FAMILIES = ("sp", "sl-r", "sl-c")
 
@@ -167,8 +166,7 @@ def gen_f(model, root, params):
     if root.n != model.n:
         raise GeneratorError("root rank %d does not match model rank %d"
                              % (root.n, model.n))
-    params, mode = with_mode(model.check_params(root, params))
-    params = tuple(coerce(p, mode) for p in params)
+    params = model.check_params(root, params)
     positions = root_entry_positions(model, root.untagged())
     tag = root.restricted_tag
     if tag is not None:
@@ -181,11 +179,7 @@ def gen_f(model, root, params):
     else:
         for p, (r, c, _s) in zip(params, positions):
             entries[(r, c)] = p
-    size = model.size
-    rows = [[scalar_zero(mode) for _ in range(size)] for _ in range(size)]
-    for (r, c), v in entries.items():
-        rows[r - 1][c - 1] = v
-    return ExactMatrix(rows, mode)
+    return ExactMatrix.sparse(model.size, entries)
 
 
 def gen_f_component(model, root, delta, param):
@@ -219,13 +213,10 @@ class MonomialForm:
     diag: tuple
 
     def to_matrix(self, mode=None):
-        size = len(self.perm)
-        if mode is None:
-            mode = join_mode(mode_of(d) for d in self.diag)
-        rows = [[scalar_zero(mode) for _ in range(size)] for _ in range(size)]
-        for j, (pj, dj) in enumerate(zip(self.perm, self.diag), start=1):
-            rows[pj - 1][j - 1] = coerce(dj, mode)
-        return ExactMatrix(rows, mode)
+        return ExactMatrix.sparse(
+            len(self.perm),
+            {(pj, j): dj for j, (pj, dj) in enumerate(zip(self.perm, self.diag),
+                                                      start=1)}, mode)
 
     @staticmethod
     def from_matrix(m):
@@ -319,7 +310,7 @@ def w_factors(root, params):
 def h_reference(params):
     """The all-ones parameter with the zero pattern of params, the ref of
     h_r(t) = w_r(t) w_r(ref)^{-1}; w_r(ref)^{-1} = w_r(-ref)."""
-    return tuple(scalar_one(mode_of(p)) if p else p for p in params)
+    return tuple(coerce(1, mode_of(p)) if p else p for p in params)
 
 
 def with_mode(params):
@@ -417,14 +408,11 @@ class TorusElement:
         return len(self.d)
 
     def to_matrix(self, mode=None):
-        if mode is None:
-            mode = join_mode(mode_of(x) for x in self.d)
-        size = 2 * self.n
-        rows = [[scalar_zero(mode) for _ in range(size)] for _ in range(size)]
-        for i, di in enumerate(self.d):
-            rows[i][i] = coerce(di, mode)
-            rows[i + self.n][i + self.n] = coerce(1 / di, mode)
-        return ExactMatrix(rows, mode)
+        entries = {}
+        for i, di in enumerate(self.d, start=1):
+            entries[(i, i)] = di
+            entries[(i + self.n, i + self.n)] = 1 / di
+        return ExactMatrix.sparse(2 * self.n, entries, mode)
 
     def character(self, root):
         """chi_r(D) = prod d_i^{c_i}, the multiplicative weight of the root."""

@@ -1,16 +1,21 @@
 """Dense exact matrices: products, inverses, nilpotent exponentials, membership.
 
 Matrices are 2n x 2n grids of scalars sharing one mode (see
-:mod:`chevalley.scalars`).  All operations are pure and exact; row supports
-are precomputed so products of near-identity matrices skip zero work.
+:mod:`chevalley.scalars`).  The :class:`ExactMatrix` constructor is the one
+place that decides a matrix's mode: it takes the join of its entries' modes
+unless a mode is given, and embeds every entry (ints included) into it; the
+builders hand it raw entries.  All operations are pure and exact; row
+supports are precomputed so products of near-identity matrices skip zero
+work.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
 
 from .scalars import (LAURENT, RATIONAL, coerce, format_scalar, join_mode,
-                      mode_of, parse_scalar, scalar_one, scalar_zero)
+                      mode_of, parse_scalar)
 
 
 class MatrixError(ValueError):
@@ -41,7 +46,11 @@ class ExactMatrix:
         if mode is None:
             mode = join_mode(mode_of(x) for r in rows for x in r
                              if not isinstance(x, int))
-        rows = [[coerce(x, mode) for x in r] for r in rows]
+        # each distinct int is embedded once and shared by its entries
+        ints = {x for r in rows for x in r if isinstance(x, int)}
+        embed = {x: coerce(x, mode) for x in ints}
+        rows = [[embed[x] if isinstance(x, int) else coerce(x, mode) for x in r]
+                for r in rows]
         object.__setattr__(self, "size", size)
         object.__setattr__(self, "n_block", size // 2)
         object.__setattr__(self, "mode", mode)
@@ -56,34 +65,33 @@ class ExactMatrix:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def identity(size, mode=RATIONAL):
-        one = scalar_one(mode)
-        zero = scalar_zero(mode)
-        return ExactMatrix([[one if i == j else zero for j in range(size)]
-                            for i in range(size)], mode)
+    def sparse(size, entries, mode=None):
+        """Build from {(i, j): value} with 1-based indices, zeros elsewhere;
+        the mode is the constructor's, inferred unless given."""
+        rows = [[0] * size for _ in range(size)]
+        for (i, j), v in entries.items():
+            rows[i - 1][j - 1] = v
+        return ExactMatrix(rows, mode)
 
     @staticmethod
-    def zeros(size, mode=RATIONAL):
-        zero = scalar_zero(mode)
-        return ExactMatrix([[zero] * size for _ in range(size)], mode)
+    def identity(size, mode=None):
+        return ExactMatrix.sparse(size, {(i, i): 1 for i in range(1, size + 1)},
+                                  mode)
+
+    @staticmethod
+    def zeros(size, mode=None):
+        return ExactMatrix.sparse(size, {}, mode)
 
     @staticmethod
     def elementary(size, i, j, value=1, mode=None):
         """value * e_{i,j} with 1-based indices."""
-        if mode is None:
-            mode = mode_of(value) if not isinstance(value, int) else RATIONAL
-        m = [[scalar_zero(mode) for _ in range(size)] for _ in range(size)]
-        m[i - 1][j - 1] = coerce(Fraction(value) if isinstance(value, int) else value, mode)
-        return ExactMatrix(m, mode)
+        return ExactMatrix.sparse(size, {(i, j): value}, mode)
 
     @staticmethod
     def from_entries(size, entries, mode=RATIONAL):
         """Build from {(i, j): value} with 1-based indices; identity base."""
-        rows = [[scalar_one(mode) if i == j else scalar_zero(mode)
-                 for j in range(size)] for i in range(size)]
-        for (i, j), v in entries.items():
-            rows[i - 1][j - 1] = coerce(Fraction(v) if isinstance(v, int) else v, mode)
-        return ExactMatrix(rows, mode)
+        return ExactMatrix.sparse(
+            size, {**{(i, i): 1 for i in range(1, size + 1)}, **entries}, mode)
 
     # -- basics ------------------------------------------------------------
 
@@ -107,9 +115,8 @@ class ExactMatrix:
         raise TypeError("ExactMatrix is not hashable")
 
     def is_identity(self):
-        one = scalar_one(self.mode)
         for i, sup in enumerate(self._support):
-            if sup != (i,) or self.rows[i][i] != one:
+            if sup != (i,) or self.rows[i][i] != 1:
                 return False
         return True
 
@@ -149,7 +156,7 @@ def mat_mul(a, b):
     """Exact matrix product."""
     _check_pair(a, b)
     n = a.size
-    zero = scalar_zero(a.mode)
+    zero = coerce(0, a.mode)
     arows = a.rows
     brows = b.rows
     bsup = b._support
@@ -185,7 +192,7 @@ def mat_add(a, b):
 
 
 def mat_scale(a, c):
-    c = coerce(Fraction(c) if isinstance(c, int) else c, a.mode)
+    c = coerce(c, a.mode)
     return ExactMatrix([[x * c for x in r] for r in a.rows], a.mode)
 
 
@@ -204,8 +211,7 @@ def row_reduce(rows, ncols):
     work = [list(r) for r in rows]
     m = len(work)
     mode = mode_of(work[0][0]) if m and ncols else RATIONAL
-    one = scalar_one(mode)
-    det = one
+    det = coerce(1, mode)
     pivots = []
     for col in range(ncols):
         rank = len(pivots)
@@ -223,7 +229,7 @@ def row_reduce(rows, ncols):
             det = -det
         pval = work[rank][col]
         det = det * pval
-        if pval != one:
+        if pval != 1:
             work[rank] = [x / pval for x in work[rank]]
         prow = work[rank]
         for r in range(m):
@@ -232,7 +238,7 @@ def row_reduce(rows, ncols):
                 work[r] = [x - f * y for x, y in zip(work[r], prow)]
         pivots.append(col)
     if len(pivots) < ncols or m != ncols:
-        det = scalar_zero(mode)
+        det = coerce(0, mode)
     return work, tuple(pivots), det
 
 
@@ -242,10 +248,7 @@ def mat_inv(a):
     Raises SingularMatrixError (with the rank) on singular input.
     """
     n = a.size
-    zero = scalar_zero(a.mode)
-    one = scalar_one(a.mode)
-    rows = [r + [one if i == j else zero for j in range(n)]
-            for i, r in enumerate(a.rows)]
+    rows = [r + e for r, e in zip(a.rows, ExactMatrix.identity(n, a.mode).rows)]
     rref, pivots, _det = row_reduce(rows, n)
     if len(pivots) < n:
         raise SingularMatrixError(len(pivots))
@@ -275,35 +278,25 @@ def exp_nilpotent(n_mat):
     while any(power._support):
         if j > size:
             raise NotNilpotentError("matrix is not nilpotent (N^%d != 0)" % j)
-        term = mat_scale(power, Fraction(1, _factorial(j)))
+        term = mat_scale(power, Fraction(1, factorial(j)))
         total = mat_add(total, term)
         power = mat_mul(power, n_mat)
         j += 1
     return total
 
 
-def _factorial(j):
-    out = 1
-    for k in range(2, j + 1):
-        out *= k
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Group membership
 # ---------------------------------------------------------------------------
 
-def symplectic_form(size, mode=RATIONAL):
+def symplectic_form(size, mode=None):
     """Gram matrix J of the standard skew form: J[i, i+n] = 1, J[i+n, i] = -1."""
     n = size // 2
     entries = {}
     for i in range(1, n + 1):
-        entries[(i, i + n)] = Fraction(1)
-        entries[(i + n, i)] = Fraction(-1)
-    m = [[scalar_zero(mode) for _ in range(size)] for _ in range(size)]
-    for (i, j), v in entries.items():
-        m[i - 1][j - 1] = coerce(v, mode)
-    return ExactMatrix(m, mode)
+        entries[(i, i + n)] = 1
+        entries[(i + n, i)] = -1
+    return ExactMatrix.sparse(size, entries, mode)
 
 
 def check_membership(m, model):
@@ -314,7 +307,7 @@ def check_membership(m, model):
     if model.family == "sp":
         j = symplectic_form(m.size, m.mode)
         return mat_mul(mat_mul(m.transpose(), j), m) == j
-    return mat_det(m) == scalar_one(m.mode)
+    return mat_det(m) == 1
 
 
 def check_lie_membership(x, model):
@@ -326,10 +319,7 @@ def check_lie_membership(x, model):
         j = symplectic_form(x.size, x.mode)
         lhs = mat_add(mat_mul(x.transpose(), j), mat_mul(j, x))
         return all(not v for row in lhs.rows for v in row)
-    tr = scalar_zero(x.mode)
-    for i in range(x.size):
-        tr = tr + x.rows[i][i]
-    return not tr
+    return not sum(x.rows[i][i] for i in range(x.size))
 
 
 # ---------------------------------------------------------------------------

@@ -39,8 +39,8 @@ from .generators import (GRID, REGIMES, SYMBOLIC, gen_h, gen_h_literal,
                          root_entry_positions, w_factors, with_mode)
 from .matrices import ExactMatrix
 from .roots import Root, build_root_system, positive_combinations
-from .scalars import (_ONE, LaurentFrac, format_scalar, join_mode, mode_of,
-                      scalar_one)
+from .scalars import (_ONE, LaurentFrac, coerce, format_scalar, join_mode,
+                      mode_of)
 
 DEFAULT_GRID = (Fraction(1), Fraction(-1), Fraction(2), Fraction(-2),
                 Fraction(3), Fraction(-3), Fraction(1, 2), Fraction(-1, 2),
@@ -106,22 +106,16 @@ def delta_word(deltas):
 
 def delta_to_matrix(delta, size, mode=None):
     """The matrix I + delta, by default over the join of the entry modes."""
-    if mode is None:
-        mode = join_mode(mode_of(v) for v in delta.values())
-    m = ExactMatrix.identity(size, mode)
-    rows = [list(r) for r in m.rows]
+    entries = {(i, i): 1 for i in range(1, size + 1)}
     for (i, j), v in delta.items():
-        if i == j:
-            rows[i - 1][j - 1] = rows[i - 1][j - 1] + v
-        else:
-            rows[i - 1][j - 1] = v
-    return ExactMatrix(rows, mode)
+        entries[(i, j)] = 1 + v if i == j else v
+    return ExactMatrix.sparse(size, entries, mode)
 
 
 def matrix_to_delta(m):
     """The delta M - I of a matrix, zero entries pruned."""
     out = {}
-    one = scalar_one(m.mode)
+    one = coerce(1, m.mode)
     for i in range(m.size):
         for j in m._support[i]:
             v = m.rows[i][j]
@@ -530,7 +524,7 @@ def _pair_params(model, r, p, a, b, regime=None):
     a = model.check_params(r, a, regime)
     b = model.check_params(p, b, regime)
     join_mode(mode_of(x) for x in a + b)
-    if not any(x + y for x, y in zip(r.coeffs, p.coeffs)):
+    if not any(r + p):
         raise RelationError("antipodal pair rejected")
     return a, b
 
@@ -610,7 +604,7 @@ def commutator_suites(model, regime, grid):
     reports = []
     for r in system.roots:
         for p in system.roots:
-            rsum = tuple(x + y for x, y in zip(r.coeffs, p.coeffs))
+            rsum = r + p
             if not any(rsum):
                 continue
             tuples = _letter_tuples(model, regime, grid, r, p)

@@ -236,7 +236,7 @@ def positive_combinations(r, p):
     """
     if r.n != p.n:
         raise RootError("rank mismatch")
-    if all(a + b == 0 for a, b in zip(r.coeffs, p.coeffs)):
+    if not any(r + p):
         raise RootError("antipodal pair has no commutator decomposition")
     system = build_root_system(r.n)
     out = []

@@ -48,6 +48,19 @@ class ScalarError(ValueError):
 _ZERO = Fraction(0)
 
 
+def _power(x, k, one):
+    """x ** k by square-and-multiply; a negative k inverts x first."""
+    if k < 0:
+        x, k = one / x, -k
+    out = one
+    while k:
+        if k & 1:
+            out = out * x
+        x = x * x
+        k >>= 1
+    return out
+
+
 class GaussianRational:
     """Element of Q(i) with canonical Fraction real/imaginary parts."""
 
@@ -136,16 +149,7 @@ class GaussianRational:
     def __pow__(self, k):
         if not isinstance(k, int):
             return NotImplemented
-        if k < 0:
-            return GaussianRational(1) / self ** (-k)
-        out = GaussianRational(1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return _power(self, k, GaussianRational(1))
 
     def __bool__(self):
         return bool(self.re) or bool(self.im)
@@ -564,16 +568,7 @@ class LaurentFrac:
     def __pow__(self, k):
         if not isinstance(k, int):
             return NotImplemented
-        if k < 0:
-            return (LaurentFrac(1) / self) ** (-k)
-        out = LaurentFrac(1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return _power(self, k, LaurentFrac(1))
 
     def __bool__(self):
         return bool(self.num)
@@ -687,22 +682,6 @@ def join_mode(modes):
     if ms == {LAURENT}:
         return LAURENT
     raise ScalarError("gaussian and laurent scalars cannot be mixed")
-
-
-def scalar_zero(mode):
-    if mode == RATIONAL:
-        return Fraction(0)
-    if mode == GAUSSIAN:
-        return GaussianRational(0)
-    return LaurentFrac(0)
-
-
-def scalar_one(mode):
-    if mode == RATIONAL:
-        return Fraction(1)
-    if mode == GAUSSIAN:
-        return GaussianRational(1)
-    return LaurentFrac(1)
 
 
 _SYMBOL_OK = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_0123456789"

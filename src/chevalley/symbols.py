@@ -34,7 +34,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .generators import GroupModel, gen_h
-from .matrices import mat_mul
+from .matrices import mat_inv, mat_mul, mat_prod
 from .roots import Root
 from .scalars import GaussianRational, format_scalar, parse_scalar
 
@@ -431,14 +431,6 @@ def matrix_realization_check(expr, model=None):
 
 
 def _mat_pow(m, e):
-    from .matrices import mat_inv
     if e < 0:
-        m = mat_inv(m)
-        e = -e
-    out = None
-    for _ in range(e):
-        out = m if out is None else mat_mul(out, m)
-    if out is None:
-        from .matrices import ExactMatrix
-        return ExactMatrix.identity(m.size, m.mode)
-    return out
+        m, e = mat_inv(m), -e
+    return mat_prod([m] * e, size=m.size, mode=m.mode)

@@ -197,6 +197,17 @@ class TestReduce:
                             "--ambient", "4")
         assert code == 0 and json.loads(out)["reduced"] is True
 
+    def test_reduce_mixed_gaussian_and_symbol_is_usage_error(self, tmp_path):
+        # a Gaussian value and a symbol have no common mode: exit 2 with a
+        # one-line message, not the exit 1 of a failed reduction
+        wf = tmp_path / "word.txt"
+        wf.write_text("x 1,-1 (1+i, 0)\nx 1,-1 (a, 0)\n")
+        code, out, err = run_cli_err("reduce", str(wf), "--model", "sl-c",
+                                     "--n", "2")
+        assert code == 2 and out == ""
+        assert err.startswith("error: word mixes scalar modes")
+        assert "Traceback" not in err
+
 
 class TestDecompose:
     def test_two_factor_string(self):

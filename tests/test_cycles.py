@@ -1,11 +1,13 @@
 """Cycle words: evaluation, stability, reduction traces, bracket splitting."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from chevalley.arrangements import Plane
+from chevalley import cycles
+from chevalley.arrangements import Plane, find_stable_element
 from chevalley.generators import GroupModel, gen_h, gen_x, h_word_letters
 from chevalley.matrices import ExactMatrix, mat_mul
 from chevalley.cycles import (CycleError, ElementaryLetter, NonCycleError,
@@ -14,9 +16,9 @@ from chevalley.cycles import (CycleError, ElementaryLetter, NonCycleError,
                               enumerate_bracket_decompositions, is_stable_word,
                               reduce_cycle)
 from chevalley.cycles import (ReductionMove, _match_h_mult, _PrefixProducts,
-                              _Reducer, _StabilityOracle)
+                              _Reducer, _stability)
 from chevalley.relations import delta_word, fit_structure_functions, h_delta
-from chevalley.roots import Root
+from chevalley.roots import Root, build_root_system
 from chevalley.scalars import GaussianRational, LaurentFrac, parse_scalar
 
 F = Fraction
@@ -101,6 +103,22 @@ class TestWordEval:
         assert len(w) == 2
         assert Word.parse(w.format(), sys_).letters == w.letters
 
+    def test_symbolic_cycle_evaluates_in_laurent_mode(self):
+        # the delta of a cycle is empty, so the word's mode, not the delta's
+        # entries, decides the matrix: both routes give the Laurent identity
+        sys_ = rsys(SP2)
+        l = sys_.letter(Root.of(2, 1, 2, 1, -1), (LaurentFrac.symbol("a"),))
+        w = Word(sys_, (l, l.inverse()))
+        assert w.mode() == "laurent"
+        assert w.eval().mode == "laurent"
+        assert w.eval() == w.eval_dense()
+        assert w.eval() == ExactMatrix.identity(4, "laurent")
+
+    def test_parse_rejects_gaussian_mixed_with_symbols(self):
+        with pytest.raises(CycleError, match="mixes scalar modes"):
+            Word.parse("x 1,-1 (1+i, 0)\nx 1,-1 (a, 0)",
+                       rsys(GroupModel("sl-c", 2)))
+
     def test_parse_reports_bad_line(self):
         with pytest.raises(CycleError, match="line 2"):
             Word.parse("x 1,0,0,-1 (2)\nnot a letter\n", StandardSystem(4))
@@ -137,6 +155,42 @@ class TestStability:
         sys_ = rsys(SP2)
         w = Word(sys_, (sys_.letter(Root.of(2, 1), (F(5),)),))
         assert is_stable_word(w).stable
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_witness_ignores_root_order(self, n):
+        # the shared memo solves a root set in sorted order; every order
+        # gives the same witness, so sharing it changes no reported point
+        rng = random.Random("stability-order:%d" % n)
+        roots = build_root_system(n).roots
+        seen = set()
+        for region in (None, Plane(n, ((1,) * n,))):
+            for _ in range(30):
+                sample = rng.sample(roots, rng.randint(1, 4))
+                base = find_stable_element(sample, region=region,
+                                           ambient_dim=n)
+                seen.add(base.feasible)
+                for perm in itertools.permutations(sample):
+                    res = find_stable_element(perm, region=region,
+                                              ambient_dim=n)
+                    assert (res.feasible, res.point) == \
+                        (base.feasible, base.point)
+        assert seen == {True, False}
+
+    def test_one_memo_entry_serves_two_reductions(self, monkeypatch):
+        solved = []
+        real = cycles.find_stable_element
+
+        def record(roots, region=None, ambient_dim=None):
+            solved.append(list(roots))
+            return real(roots, region, ambient_dim)
+
+        monkeypatch.setattr(cycles, "find_stable_element", record)
+        cycles._stability_of.cache_clear()
+        first = reduce_cycle(Word.parse("x 0,2 (2)\nx 0,2 (-2)", rsys(SP2)))
+        assert solved == [[(0, 2)]]
+        second = reduce_cycle(Word.parse("x 0,2 (3)\nx 0,2 (-3)", rsys(SP2)))
+        assert solved == [[(0, 2)]]
+        assert first.moves[0].stability == second.moves[0].stability
 
 
 class TestLetterSystems:
@@ -412,7 +466,7 @@ def reduction_states(word, region):
     return states
 
 
-def eager_choice_moves(system, oracle, letters):
+def eager_choice_moves(system, region, letters):
     """Reference: every push (farthest partner first), then every swap, then
     a stable sort on (unstable, position), so that at one position the
     pushes precede the swap."""
@@ -428,7 +482,7 @@ def eager_choice_moves(system, oracle, letters):
                 continue
             out.append(ReductionMove(
                 "conjugation-push", None, i, (a,) + inner + (b,), inner,
-                oracle.of_roots([a.root.untagged()])))
+                _stability(system, region, [a.root.untagged()])))
     for i in range(len(letters) - 1):
         a, b = letters[i], letters[i + 1]
         rsum = tuple(x + y for x, y in zip(a.root.coeffs, b.root.coeffs))
@@ -442,7 +496,7 @@ def eager_choice_moves(system, oracle, letters):
         out.append(ReductionMove(
             "relation-substitution",
             "commutator" if factors else "trivial-commutator", i, (a, b),
-            tuple(factors) + (b, a), oracle.of_roots(touched)))
+            tuple(factors) + (b, a), _stability(system, region, touched)))
     out.sort(key=lambda mv: (not mv.stability.stable, mv.position))
     return out
 
@@ -464,10 +518,8 @@ class TestChoiceOrder:
         for word in seeded_words(family, n):
             system = word.system
             for letters in reduction_states(word, region):
-                lazy = list(_Reducer(system, _StabilityOracle(system, region),
-                                     0)._choice_moves(letters))
-                eager = eager_choice_moves(
-                    system, _StabilityOracle(system, region), letters)
+                lazy = list(_Reducer(system, region, 0)._choice_moves(letters))
+                eager = eager_choice_moves(system, region, letters)
                 assert lazy == eager
                 seen["push"] += any(m.kind == "conjugation-push"
                                     for m in eager)
@@ -486,8 +538,7 @@ class TestChoiceOrder:
         l1, s = Root.of(2, 1), Root.of(2, 1, 2, 1, -1)
         x, y = sys_.letter(l1, (F(1),)), sys_.letter(s, (F(2),))
         letters = (x, y, y.inverse(), x.inverse(), x, x.inverse())
-        moves = list(_Reducer(sys_, _StabilityOracle(sys_, None),
-                              0)._choice_moves(letters))
+        moves = list(_Reducer(sys_, None, 0)._choice_moves(letters))
         head = [(m.kind, m.position, len(m.removed)) for m in moves[:3]]
         assert head == [("conjugation-push", 0, 6),
                         ("conjugation-push", 0, 4),

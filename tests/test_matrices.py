@@ -20,6 +20,38 @@ def unit_plus(size, entries):
     return ExactMatrix.from_entries(size, entries)
 
 
+class TestSparse:
+    def test_int_entries_infer_rational(self):
+        m = ExactMatrix.sparse(4, {(1, 2): 3, (4, 1): -1})
+        assert m.mode == "rational"
+        assert m.entry(1, 2) == 3 and type(m.entry(1, 2)) is Fraction
+        assert type(m.entry(2, 2)) is Fraction and not m.entry(2, 2)
+
+    def test_one_symbol_infers_laurent(self):
+        a = LaurentFrac.symbol("a")
+        m = ExactMatrix.sparse(4, {(1, 1): 1, (1, 2): a, (3, 4): Fraction(1, 2)})
+        assert m.mode == "laurent"
+        assert all(isinstance(x, LaurentFrac) for r in m.rows for x in r)
+        assert m.entry(1, 2) == a and m.entry(3, 4) == Fraction(1, 2)
+
+    @pytest.mark.parametrize("mode, cls", [("gaussian", GaussianRational),
+                                           ("laurent", LaurentFrac)])
+    def test_given_mode_embeds_ints(self, mode, cls):
+        m = ExactMatrix.sparse(2, {(1, 1): 1, (2, 1): -2}, mode)
+        assert m.mode == mode
+        assert all(type(x) is cls for r in m.rows for x in r)
+        assert m.entry(1, 1) == 1 and m.entry(2, 1) == -2
+        assert not m.entry(1, 2) and not m.entry(2, 2)
+
+    def test_builders_agree_with_sparse(self):
+        assert ExactMatrix.identity(4) == \
+            ExactMatrix.sparse(4, {(i, i): 1 for i in range(1, 5)})
+        assert ExactMatrix.zeros(4, "laurent") == \
+            ExactMatrix.sparse(4, {}, "laurent")
+        assert ExactMatrix.elementary(4, 1, 3, Fraction(2)) == \
+            ExactMatrix.sparse(4, {(1, 3): 2})
+
+
 class TestMul:
     def test_identity(self):
         i4 = ExactMatrix.identity(4)
