@@ -42,7 +42,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .arrangements import find_stable_element
 from .generators import (GeneratorLetter, h_reference,
@@ -270,7 +269,8 @@ class Word:
         return join_mode(mode_of(p) for l in self.letters for p in l.params)
 
     def eval(self):
-        return delta_to_matrix(self.delta(), self.system.size, self.mode())
+        mode = self.mode()
+        return delta_to_matrix(self.delta(), self.system.size, mode)
 
     def eval_dense(self):
         """Independent dense-product route (oracle for the delta path); each
@@ -322,30 +322,30 @@ class Stability:
 
 def is_stable_word(word, region=None):
     """Common strictly-negative element for all letter roots on the region."""
-    return _stability(word.system, region,
+    return _stability({}, word.system, region,
                       [l.root.untagged() for l in word.letters])
 
 
-def _stability(system, region, roots):
-    """Stability of a list of functionals on the region; duplicates and
-    order drop out."""
-    return _stability_of(frozenset(r.coeffs for r in roots), region,
-                         system.ambient_dim)
-
-
-@lru_cache(maxsize=65536)
-def _stability_of(coeffs, region, ambient_dim):
-    """The memo behind _stability, shared by every reduction and bracket
-    search.  The functionals are solved in sorted order; the witness does
-    not depend on that order, since the row-merged elimination keeps one
-    canonical row per direction.  Each miss looks the solver up as a
-    module global, so a wrapper put on it sees every solve."""
-    if not coeffs:
-        dim = region.ambient_dim if region is not None else ambient_dim
-        return Stability(True, CartanVector((Fraction(0),) * dim))
-    res = find_stable_element(sorted(coeffs), region=region,
-                              ambient_dim=ambient_dim)
-    return Stability(True, res.point) if res.feasible else Stability(False)
+def _stability(memo, system, region, roots):
+    """Stability of a list of functionals on the region, memoized in the
+    caller's dict on the set of functionals, so duplicates and order drop
+    out.  The set is solved in sorted order; the witness does not depend on
+    that order, since the row-merged elimination keeps one canonical row per
+    direction."""
+    key = frozenset(r.coeffs for r in roots)
+    st = memo.get(key)
+    if st is None:
+        if not key:
+            dim = (region.ambient_dim if region is not None
+                   else system.ambient_dim)
+            st = Stability(True, CartanVector((Fraction(0),) * dim))
+        else:
+            res = find_stable_element(sorted(key), region=region,
+                                      ambient_dim=system.ambient_dim)
+            st = Stability(True, res.point) if res.feasible \
+                else Stability(False)
+        memo[key] = st
+    return st
 
 
 # ---------------------------------------------------------------------------
@@ -450,6 +450,7 @@ def reduce_cycle(word, region=None, budget=10000):
         if l.kind != "x":
             raise CycleError("cycle mode takes x-letters only; got %r"
                              % l.format())
+    word.mode()   # a ScalarError on mixed modes, before the delta's TypeError
     if not word.is_cycle():
         raise NonCycleError("word does not evaluate to the identity")
     state = _Reducer(word.system, region, budget)
@@ -470,9 +471,11 @@ class _Reducer:
         self.stuck_reason = None
         # adjacent pair (a, b) -> (relation id, inserted, stability) or None
         self.swaps = {}
+        # root set -> Stability, for this reduction only
+        self.stabilities = {}
 
     def _stability(self, roots):
-        return _stability(self.system, self.region, roots)
+        return _stability(self.stabilities, self.system, self.region, roots)
 
     def _emit(self, letters, move):
         self.budget -= 1
@@ -721,6 +724,7 @@ def enumerate_bracket_decompositions(system, target_letter, region=None,
     target_delta = system.letter_delta(target_letter)
     companions = [c if isinstance(c, Root) else Root(tuple(c))
                   for c in companions]
+    memo = {}
     for p, q in system.summand_pairs(target_root):
         q_params = system.unit_params(q)
         solved = _solve_left_params(system, p, q, q_params, target_delta)
@@ -728,8 +732,10 @@ def enumerate_bracket_decompositions(system, target_letter, region=None,
             continue
         left = system.letter(p, solved)
         right = system.letter(q, q_params)
-        st_left = _stability(system, region, [p.untagged()] + companions)
-        st_right = _stability(system, region, [q.untagged()] + companions)
+        st_left = _stability(memo, system, region,
+                             [p.untagged()] + companions)
+        st_right = _stability(memo, system, region,
+                              [q.untagged()] + companions)
         if not (st_left.stable and st_right.stable):
             continue
         yield BracketDecomposition(target_letter, left, right,

@@ -88,7 +88,7 @@ class ExactMatrix:
         return ExactMatrix.sparse(size, {(i, j): value}, mode)
 
     @staticmethod
-    def from_entries(size, entries, mode=RATIONAL):
+    def from_entries(size, entries, mode=None):
         """Build from {(i, j): value} with 1-based indices; identity base."""
         return ExactMatrix.sparse(
             size, {**{(i, i): 1 for i in range(1, size + 1)}, **entries}, mode)
@@ -172,7 +172,7 @@ def mat_mul(a, b):
     return ExactMatrix(out, a.mode)
 
 
-def mat_prod(matrices, size=None, mode=RATIONAL):
+def mat_prod(matrices, size=None, mode=None):
     """Ordered product; identity for the empty sequence (needs size then)."""
     result = None
     for m in matrices:

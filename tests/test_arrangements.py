@@ -350,9 +350,6 @@ def _reduce_root_sets(case):
 
     real = cycles.find_stable_element
     cycles.find_stable_element = record
-    # the stability memo is shared across reductions; empty it so that every
-    # root set of this word reaches the recorder
-    cycles._stability_of.cache_clear()
     try:
         reduce_cycle(word, budget=200)
     finally:

@@ -11,15 +11,17 @@ from chevalley.arrangements import Plane, find_stable_element
 from chevalley.generators import GroupModel, gen_h, gen_x, h_word_letters
 from chevalley.matrices import ExactMatrix, mat_mul
 from chevalley.cycles import (CycleError, ElementaryLetter, NonCycleError,
-                              ReductionFailure, RestrictedSystem,
-                              StandardSystem, Word, bracket_decompose,
+                              ReductionFailure, ReductionTrace,
+                              RestrictedSystem, StandardSystem, Word,
+                              bracket_decompose,
                               enumerate_bracket_decompositions, is_stable_word,
                               reduce_cycle)
 from chevalley.cycles import (ReductionMove, _match_h_mult, _PrefixProducts,
                               _Reducer, _stability)
 from chevalley.relations import delta_word, fit_structure_functions, h_delta
 from chevalley.roots import Root, build_root_system
-from chevalley.scalars import GaussianRational, LaurentFrac, parse_scalar
+from chevalley.scalars import (GaussianRational, LaurentFrac, ScalarError,
+                               parse_scalar)
 
 F = Fraction
 SP2 = GroupModel("sp", 2)
@@ -119,6 +121,17 @@ class TestWordEval:
             Word.parse("x 1,-1 (1+i, 0)\nx 1,-1 (a, 0)",
                        rsys(GroupModel("sl-c", 2)))
 
+    def test_code_built_mixed_word_is_a_scalar_error(self):
+        # a Word built without parse meets the mode check before any delta
+        # work, on both evaluation routes and in the reducer
+        sys_ = rsys(GroupModel("sl-c", 2))
+        letters = (Word.parse("x 1,-1 (1+i, 0)", sys_).letters
+                   + Word.parse("x 1,-1 (a, 0)", sys_).letters)
+        w = Word(sys_, letters)
+        for route in (w.eval, w.eval_dense, lambda: reduce_cycle(w)):
+            with pytest.raises(ScalarError, match="cannot be mixed"):
+                route()
+
     def test_parse_reports_bad_line(self):
         with pytest.raises(CycleError, match="line 2"):
             Word.parse("x 1,0,0,-1 (2)\nnot a letter\n", StandardSystem(4))
@@ -158,8 +171,8 @@ class TestStability:
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_witness_ignores_root_order(self, n):
-        # the shared memo solves a root set in sorted order; every order
-        # gives the same witness, so sharing it changes no reported point
+        # the stability memo solves a root set in sorted order; every order
+        # gives the same witness, so the memo changes no reported point
         rng = random.Random("stability-order:%d" % n)
         roots = build_root_system(n).roots
         seen = set()
@@ -176,7 +189,7 @@ class TestStability:
                         (base.feasible, base.point)
         assert seen == {True, False}
 
-    def test_one_memo_entry_serves_two_reductions(self, monkeypatch):
+    def test_one_memo_entry_serves_a_reduction(self, monkeypatch):
         solved = []
         real = cycles.find_stable_element
 
@@ -185,12 +198,14 @@ class TestStability:
             return real(roots, region, ambient_dim)
 
         monkeypatch.setattr(cycles, "find_stable_element", record)
-        cycles._stability_of.cache_clear()
-        first = reduce_cycle(Word.parse("x 0,2 (2)\nx 0,2 (-2)", rsys(SP2)))
+        text = "x 0,2 (2)\nx 0,2 (-2)\nx 0,2 (3)\nx 0,2 (-3)"
+        trace = reduce_cycle(Word.parse(text, rsys(SP2)))
+        assert isinstance(trace, ReductionTrace) and len(trace.moves) == 2
         assert solved == [[(0, 2)]]
-        second = reduce_cycle(Word.parse("x 0,2 (3)\nx 0,2 (-3)", rsys(SP2)))
-        assert solved == [[(0, 2)]]
-        assert first.moves[0].stability == second.moves[0].stability
+        assert trace.moves[0].stability == trace.moves[1].stability
+        # the memo lives for one call: a second reduction solves afresh
+        reduce_cycle(Word.parse(text, rsys(SP2)))
+        assert solved == [[(0, 2)]] * 2
 
 
 class TestLetterSystems:
@@ -470,6 +485,7 @@ def eager_choice_moves(system, region, letters):
     """Reference: every push (farthest partner first), then every swap, then
     a stable sort on (unstable, position), so that at one position the
     pushes precede the swap."""
+    memo = {}
     out = []
     for i in range(len(letters) - 1):
         for j in range(len(letters) - 1, i + 1, -1):
@@ -482,7 +498,7 @@ def eager_choice_moves(system, region, letters):
                 continue
             out.append(ReductionMove(
                 "conjugation-push", None, i, (a,) + inner + (b,), inner,
-                _stability(system, region, [a.root.untagged()])))
+                _stability(memo, system, region, [a.root.untagged()])))
     for i in range(len(letters) - 1):
         a, b = letters[i], letters[i + 1]
         rsum = tuple(x + y for x, y in zip(a.root.coeffs, b.root.coeffs))
@@ -496,7 +512,8 @@ def eager_choice_moves(system, region, letters):
         out.append(ReductionMove(
             "relation-substitution",
             "commutator" if factors else "trivial-commutator", i, (a, b),
-            tuple(factors) + (b, a), _stability(system, region, touched)))
+            tuple(factors) + (b, a),
+            _stability(memo, system, region, touched)))
     out.sort(key=lambda mv: (not mv.stability.stable, mv.position))
     return out
 
