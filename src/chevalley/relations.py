@@ -12,7 +12,11 @@ Families (reports carry these ids):
 * ``weyl-conj-1..6``        conjugation of w/h letters by w elements (sp)
 * ``weyl-w-conj-1..3``      w-by-w conjugation displays (sl)
 * ``w-inversion``           w_g(t1,t2) = w_{-g}(-1/t1, -1/t2) and variants
-* ``weyl-component-conj``   w-conjugation permutes restricted components (sl)
+* ``weyl-component-conj``   w x^delta_beta(v) w^{-1} relabelled through w's
+                            monomial form: target in the component table,
+                            value as the SL2 blocks of w predict, and
+                            w(-t) = w(t)^{-1} once per form (sl; Carter's
+                            signs eta are not yet the oracle)
 * ``h-decomposition-*``     long-root h decomposition through the short torus (sp)
 * ``monomial-form-1..7``    the explicit permutation-times-diagonal displays
 
@@ -34,8 +38,8 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 
-from .generators import (GRID, REGIMES, SYMBOLIC, gen_h, gen_h_literal,
-                         h_reference, position_component_table,
+from .generators import (GRID, REGIMES, SYMBOLIC, MonomialForm, gen_h,
+                         gen_h_literal, h_reference, position_component_table,
                          root_entry_positions, w_factors, with_mode)
 from .matrices import ExactMatrix
 from .roots import Root, build_root_system, positive_combinations
@@ -753,9 +757,18 @@ def _sp_weyl_suite(model, regime, grid):
 
 
 def _sl_component_conjugation(model, regime, grid):
-    """w x^delta_beta(v) w^{-1} is a single component letter at the permuted
-    support; one aggregated report per w-form: (u) on long roots, and
-    (u,0), (0,u), (u,v) on short ones."""
+    """w x^delta_beta(v) w^{-1} is the component letter at the permuted
+    support with the value the SL2 blocks of w predict; one aggregated report
+    per w-form: (u) on long roots, and (u,0), (0,u), (u,v) on short ones.
+
+    The conjugate is a relabel through the monomial form of w, so no
+    instance takes a delta product.  The prediction is a second route: each
+    nonzero slot t on a component (r, c) of gamma is the block
+    [[0, t], [-1/t, 0]] on rows and columns r, c (Steinberg's w in SL2), and
+    its target must lie in the component table.  Each form also checks once
+    that w(-t) is the inverse of w(t); if not, every instance fails.
+    Carter's signs eta are not yet the oracle here.
+    """
     n = model.n
     system = build_root_system(n)
     table = position_component_table(n)
@@ -770,21 +783,21 @@ def _sl_component_conjugation(model, regime, grid):
 
     def relation(gamma, wparams, label):
         wd = w_delta(model, gamma, wparams)
-        wd_inv = w_delta(model, gamma, tuple(-x for x in wparams))
-        perm = _delta_perm(wd, 2 * n)
+        inverse = delta_mul(wd, w_delta(model, gamma,
+                                        tuple(-x for x in wparams)))
+        form = MonomialForm.from_matrix(delta_to_matrix(wd, model.size))
+        predicted = _sl2_block_form(model, gamma, wparams)
+        perm, diag = predicted.perm, predicted.diag
 
         def sides(beta, d):
             row, col, _s = root_entry_positions(model, beta)[d - 1]
-            inner = {(row, col): v}
-            out = _conj(wd, inner, wd_inv)
-            target = (perm[row], perm[col])
-            if len(out) != 1:
-                return out, inner
-            if target not in out:
-                return out, {target: v}
+            if inverse:
+                return inverse, {}
+            out = _monomial_conj(form, {(row, col): v})
+            target = (perm[row - 1], perm[col - 1])
             if target not in table:
                 return out, {}
-            return out, out
+            return out, {target: _scaled(diag[row - 1], v, diag[col - 1])}
 
         return Relation("weyl-component-conj", (gamma,), tuples, sides,
                         shown=lambda beta, d: (v,), params=label)
@@ -797,16 +810,31 @@ def _sl_component_conjugation(model, regime, grid):
     return _sweep_all(model, regime, relations)
 
 
-def _delta_perm(wd, size):
-    """Permutation of the monomial matrix I + wd, read off the delta; 1-based
-    map.  A diagonal entry 1 + wd[j, j] is zero exactly when wd[j, j] = -1."""
-    cols = {j: [] if wd.get((j, j)) == -1 else [j] for j in range(1, size + 1)}
-    for i, j in wd:
-        if i != j:
-            cols[j].append(i)
-    if any(len(col) != 1 for col in cols.values()):
-        raise RelationError("w element is not monomial")
-    return {j: col[0] for j, col in cols.items()}
+def _monomial_conj(form, inner):
+    """Delta of w (I + inner) w^{-1} for w = p(pi) diag(d), the MonomialForm
+    form: w e_rc w^{-1} = (d_r / d_c) e_{pi(r), pi(c)}."""
+    perm, diag = form.perm, form.diag
+    return {(perm[r - 1], perm[c - 1]): _scaled(diag[r - 1], x, diag[c - 1])
+            for (r, c), x in inner.items()}
+
+
+def _scaled(num, x, den):
+    """num * x / den.  When num and den are one object they cancel without
+    arithmetic; the unit columns of a monomial form share one embedded 1."""
+    return x if num is den else num * x / den
+
+
+def _sl2_block_form(model, gamma, params):
+    """The MonomialForm that w_gamma(params) should have on sl: each nonzero
+    slot t on a component (r, c) is the block [[0, t], [-1/t, 0]] on rows and
+    columns r, c; every other column is the identity's."""
+    perm = list(range(1, model.size + 1))
+    diag = [1] * model.size
+    for (r, c, _s), t in zip(root_entry_positions(model, gamma), params):
+        if t:
+            perm[c - 1], diag[c - 1] = r, t
+            perm[r - 1], diag[r - 1] = c, -(1 / t)
+    return MonomialForm(tuple(perm), tuple(diag))
 
 
 def _sl_w_conjugation(model, regime, grid):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from chevalley import relations
 from chevalley.generators import (GeneratorError, GeneratorLetter, GroupModel,
-                                  gen_h)
+                                  MonomialForm, gen_h)
 from chevalley.matrices import ExactMatrix, mat_inv, mat_mul, mat_prod
 from chevalley.relations import (DEFAULT_GRID, Relation, RelationError,
                                  _commutator, _sweep, _trivial_commutator,
@@ -392,6 +392,91 @@ class TestWeylSuiteSpotChecks:
         wl = delta_to_matrix(w_delta(SP2, Root.of(2, 1), (F(2),)), 4)
         assert wl == ExactMatrix([[0, 0, 2, 0], [0, 1, 0, 0],
                                   [F(-1, 2), 0, 0, 0], [0, 0, 0, 1]])
+
+
+class TestComponentConjugation:
+    """weyl-component-conj relabels through w's monomial form and compares
+    the value with the SL2-block prediction."""
+
+    @staticmethod
+    def forms(gamma, u, u2):
+        zero = u - u
+        return [(u,)] if gamma.is_long else [(u, zero), (zero, u), (u, u2)]
+
+    @pytest.mark.parametrize("family", ["sl-r", "sl-c"])
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("regime", ["grid", "symbolic"])
+    def test_relabel_matches_the_delta_product(self, family, n, regime):
+        model = GroupModel(family, n)
+        if regime == "symbolic":
+            u, u2, v = (LaurentFrac.symbol(x) for x in "uvc")
+            values = (v, 1 / v - v)
+        elif family == "sl-c":
+            u, u2 = GaussianRational(1, 1), GaussianRational(-1, 3)
+            values = (GaussianRational(2, -1), F(1, 2))
+        else:
+            u, u2 = F(2), F(3)
+            values = (F(1, 2), F(-5, 7))
+        roots = build_root_system(n).roots
+        checked = 0
+        for gamma in roots:
+            for wparams in self.forms(gamma, u, u2):
+                wd = w_delta(model, gamma, wparams)
+                wd_inv = w_delta(model, gamma, tuple(-x for x in wparams))
+                form = MonomialForm.from_matrix(
+                    delta_to_matrix(wd, model.size))
+                for beta in roots:
+                    positions = relations.root_entry_positions(model, beta)
+                    for row, col, _s in positions:
+                        for v in values:
+                            inner = {(row, col): v}
+                            assert relations._monomial_conj(form, inner) == \
+                                relations._conj(wd, inner, wd_inv)
+                            checked += 1
+        assert checked == {2: 192, 3: 1260}[n] * len(values)
+
+    def test_times_seven_fails_every_report(self, monkeypatch):
+        def reports():
+            return relations._sl_component_conjugation(SL3, "grid",
+                                                       DEFAULT_GRID)
+
+        assert len(reports()) == 42 and all(r.passed for r in reports())
+        real = relations._monomial_conj
+        monkeypatch.setattr(relations, "_monomial_conj", lambda form, inner: {
+            k: 7 * x for k, x in real(form, inner).items()})
+        failed = [r for r in reports() if not r.passed]
+        assert len(failed) == 42
+        assert all(r.instances == 1 for r in failed)
+
+    def test_target_outside_the_component_table_fails(self, monkeypatch):
+        # drop the L1-L2 component at (1, 2) from the table: each form maps
+        # some component onto (1, 2), so every report fails at that entry
+        real = relations.position_component_table
+        monkeypatch.setattr(relations, "position_component_table", lambda n: {
+            k: rd for k, rd in real(n).items() if k != (1, 2)})
+        reports = relations._sl_component_conjugation(SL3, "grid",
+                                                      DEFAULT_GRID)
+        assert len(reports) == 42
+        assert all(not r.passed and r.witness["entry"] == [1, 2]
+                   for r in reports)
+
+    def test_w_minus_t_not_the_inverse_fails_its_report(self, monkeypatch):
+        # w_{2L1}(-t) is replaced by w_{2L1}(-2t), which does not invert
+        # w_{2L1}(t); only that form's report may fail
+        gamma = Root.of(3, 1)
+        real = relations.w_delta
+
+        def w_delta_bent(model, root, params):
+            if root == gamma and params[0] < 0:
+                params = (2 * params[0],)
+            return real(model, root, params)
+
+        monkeypatch.setattr(relations, "w_delta", w_delta_bent)
+        reports = relations._sl_component_conjugation(SL3, "grid",
+                                                      DEFAULT_GRID)
+        failed = [r for r in reports if not r.passed]
+        assert [r.roots for r in failed] == [(gamma,)]
+        assert failed[0].instances == 1
 
 
 class TestStructureConstants:
