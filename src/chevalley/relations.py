@@ -26,6 +26,11 @@ polynomial of total degree <= 8 per parameter; the default has 11 values);
 ``symbolic`` treats parameters as Laurent symbols and decides by canonical
 equality, which certifies the identity for all parameter values at once.
 
+Both commutator families check [X, Y] = F, for X = x_r(a), Y = x_p(b) and F
+the product of the structure factors (id for a trivial pair), as
+X Y = F Y X.  In any group the two statements are equivalent, and the second
+multiplies the letters as they are, with no inverse letter.
+
 The hot path works on sparse "identity plus delta" dictionaries
 {(row, col): scalar}; every generator's nilpotent part squares to zero, so
 x-letters are exactly I + f and products stay tiny.  The dense ExactMatrix
@@ -34,7 +39,7 @@ route is independent and is cross-checked against this one in the tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 
@@ -179,42 +184,35 @@ def h_delta(model, root, params):
     return dict(_h_delta_cached(model, root, *with_mode(params)))
 
 
-def _letter_pair(model, root, params):
-    """The deltas of x_root(params) and of its inverse x_root(-params)."""
-    return (x_delta(model, root, params),
-            x_delta(model, root, tuple(-t for t in params)))
-
-
-def _commutator_word(xr, xp):
-    """Delta of [x_r(a), x_p(b)] = x_r(a) x_p(b) x_r(-a) x_p(-b), from the
-    letter pairs (x_r(a), x_r(-a)) and (x_p(b), x_p(-b))."""
-    return delta_word([xr[0], xp[0], xr[1], xp[1]])
-
-
 def commutator_delta(model, r, p, a, b):
     """Delta of [x_r(a), x_p(b)] = x_r(a) x_p(b) x_r(-a) x_p(-b)."""
-    return _commutator_word(_letter_pair(model, r, a), _letter_pair(model, p, b))
+    return delta_word([x_delta(model, r, a), x_delta(model, p, b),
+                       x_delta(model, r, tuple(-t for t in a)),
+                       x_delta(model, p, tuple(-t for t in b))])
 
 
 def _letter_memo(model, root):
-    """_letter_pair(model, root, .) memoized for the life of one relation.
+    """x_delta(model, root, .) memoized for the life of one relation.
 
-    A sweep meets each slot tuple of a letter many times, so each pair of
-    deltas is built once and shared; delta_mul and delta_word never mutate
-    their arguments, which makes the sharing safe.  The memo is keyed by the
-    slot tuple's identity, so a lookup hashes no scalar: the grid designs
-    share one tuple object per distinct slot tuple (param_tuples), and an
-    equal tuple held in another object only costs a rebuild.  Each entry
-    keeps its tuple alive, so no other object can take its id.
+    A sweep meets each slot tuple of a letter many times, so each letter's
+    delta is built once and shared; delta_mul and delta_word never mutate
+    their arguments, which makes the sharing safe.  The commutator records
+    check x_r(a) x_p(b) = F x_p(b) x_r(a), which in any group is
+    [x_r(a), x_p(b)] = F, so they need these letters and no inverse letter.
+    The memo is keyed by the slot tuple's identity, so a lookup hashes no
+    scalar: the grid designs share one tuple object per distinct slot tuple
+    (param_tuples), and an equal tuple held in another object only costs a
+    rebuild.  Each entry keeps its tuple alive, so no other object can take
+    its id.
     """
     memo = {}
 
-    def pair(params):
+    def letter(params):
         hit = memo.get(id(params))
         if hit is None:
-            hit = memo[id(params)] = (params, _letter_pair(model, root, params))
+            hit = memo[id(params)] = (params, x_delta(model, root, params))
         return hit[1]
-    return pair
+    return letter
 
 
 # ---------------------------------------------------------------------------
@@ -348,6 +346,9 @@ def param_tuples(arity_a, arity_b, grid):
     (each letter sweeps against a pinned partner, plus a joint diagonal).
     The symbolic regime provides the complete polynomial certificate.
     Equal slot tuples are one shared object, which _letter_memo keys on.
+    The commutator records check x_r(a) x_p(b) = F x_p(b) x_r(a) on these
+    tuples, which in any group is [x_r(a), x_p(b)] = F; both sides keep a
+    bounded degree in each slot, so a full product of grid values certifies.
     """
     singles = [(g,) for g in grid]
     if arity_a == 1 and arity_b == 1:
@@ -405,6 +406,9 @@ class StructureFunction:
 
     Each output slot is a homogeneous polynomial of bidegree exactly (i, j)
     in the slot variables of (a, b); for sp it is a single integer monomial.
+    ``evaluate`` reads each law in a form compiled once: per term, the
+    coefficient (the int 1 or -1 for a unit, applied with no multiplication)
+    and its (slot index, exponent) factors over the slot values a + b.
     """
 
     i: int
@@ -413,11 +417,19 @@ class StructureFunction:
     slot_laws: tuple          # one LaurentPoly per output slot
     a_vars: tuple
     b_vars: tuple
+    compiled: tuple = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        slot = {name: k for k, name in enumerate(self.a_vars + self.b_vars)}
+        object.__setattr__(self, "compiled", tuple(
+            tuple((int(c) if c in (1, -1) else c,
+                   tuple((slot[name], e) for name, e in key))
+                  for key, c in law.terms.items())
+            for law in self.slot_laws))
 
     def evaluate(self, a, b):
-        point = dict(zip(self.a_vars, a))
-        point.update(zip(self.b_vars, b))
-        return tuple(law.evaluate(point) for law in self.slot_laws)
+        point = (*a, *b)
+        return tuple(_evaluate_compiled(form, point) for form in self.compiled)
 
     def bidegree_ok(self):
         for law in self.slot_laws:
@@ -436,6 +448,28 @@ class StructureFunction:
             "target": str(self.target),
             "laws": [_poly_text(law) for law in self.slot_laws],
         }
+
+
+def _evaluate_compiled(form, point):
+    """One compiled law at the slot values ``point``, summed in term order;
+    the same value and class as LaurentPoly.evaluate."""
+    total = None
+    for c, factors in form:
+        term = None
+        for k, e in factors:
+            v = point[k] if e == 1 else point[k] ** e
+            term = v if term is None else term * v
+        if term is None:
+            term = Fraction(c)
+        elif c == -1:
+            if total is not None:
+                total = total - term
+                continue
+            term = -term
+        elif c != 1:
+            term = c * term
+        total = term if total is None else total + term
+    return Fraction(0) if total is None else total
 
 
 def _poly_text(p):
@@ -474,8 +508,9 @@ def fit_structure_functions(model, r, p):
     """Symbolically extract the g-laws of [x_r(a), x_p(b)]; cached.
 
     Raises DecompositionError if the factors do not reassemble, and
-    RelationError if a law violates its bidegree or (sp) is not a single
-    integer monomial.
+    RelationError if a law is not a polynomial (no denominator, no negative
+    exponent, so evaluating it never divides), violates its bidegree or (sp)
+    is not a single integer monomial.
     """
     a_vars = ("a",) if model.param_arity(r) == 1 else ("a1", "a2")
     b_vars = ("b",) if model.param_arity(p) == 1 else ("b1", "b2")
@@ -497,6 +532,9 @@ def fit_structure_functions(model, r, p):
         for v in vals:
             if v.den is not _ONE:
                 raise RelationError("non-polynomial structure law for %s,%s" % (r, p))
+            if any(e < 0 for key in v.num.terms for _name, e in key):
+                raise RelationError("structure law with a negative exponent "
+                                    "for %s,%s" % (r, p))
             polys.append(v.num)
         sf = StructureFunction(i, j, q, tuple(polys), a_vars, b_vars)
         if not sf.bidegree_ok():
@@ -545,19 +583,27 @@ def _additivity(model, r, tuples):
 
 
 def _commutator(model, r, p, laws, tuples):
-    """[x_r(a), x_p(b)] = the product of its structure factors."""
+    """[x_r(a), x_p(b)] = F, the product of its structure factors, checked
+    as x_r(a) x_p(b) = F x_p(b) x_r(a)."""
     xr, xp = _letter_memo(model, r), _letter_memo(model, p)
-    return Relation("commutator", (r, p), tuples, lambda a, b: (
-        _commutator_word(xr(a), xp(b)),
-        delta_word([x_delta(model, law.target, law.evaluate(a, b))
-                    for law in laws])))
+
+    def sides(a, b):
+        x, y = xr(a), xp(b)
+        factors = delta_word([x_delta(model, law.target, law.evaluate(a, b))
+                              for law in laws])
+        return delta_mul(x, y), delta_mul(factors, delta_mul(y, x))
+    return Relation("commutator", (r, p), tuples, sides)
 
 
 def _trivial_commutator(model, r, p, tuples):
-    """[x_r(a), x_p(b)] = id when r+p is outside the system."""
+    """[x_r(a), x_p(b)] = id when r+p is outside the system, checked as
+    x_r(a) x_p(b) = x_p(b) x_r(a)."""
     xr, xp = _letter_memo(model, r), _letter_memo(model, p)
-    return Relation("trivial-commutator", (r, p), tuples,
-                    lambda a, b: (_commutator_word(xr(a), xp(b)), {}))
+
+    def sides(a, b):
+        x, y = xr(a), xp(b)
+        return delta_mul(x, y), delta_mul(y, x)
+    return Relation("trivial-commutator", (r, p), tuples, sides)
 
 
 def _single(model, regime, rel):

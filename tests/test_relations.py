@@ -1,5 +1,6 @@
 """Relation verification: oracles, structure laws, suites, both regimes."""
 
+from dataclasses import replace
 from fractions import Fraction
 from math import comb
 
@@ -12,6 +13,7 @@ from chevalley.generators import (GeneratorError, GeneratorLetter, GroupModel,
                                   MonomialForm, gen_h)
 from chevalley.matrices import ExactMatrix, mat_inv, mat_mul, mat_prod
 from chevalley.relations import (DEFAULT_GRID, Relation, RelationError,
+                                 StructureFunction,
                                  _commutator, _sweep, _trivial_commutator,
                                  commutator_delta, decompose_commutator,
                                  delta_mul, delta_to_matrix, delta_word,
@@ -21,7 +23,8 @@ from chevalley.relations import (DEFAULT_GRID, Relation, RelationError,
                                  verify_additivity, verify_commutator,
                                  verify_trivial_commutator, w_delta, x_delta)
 from chevalley.roots import Root, build_root_system
-from chevalley.scalars import GaussianRational, LaurentFrac
+from chevalley.scalars import (GaussianRational, LaurentFrac, LaurentPoly,
+                               format_scalar)
 
 SP2 = GroupModel("sp", 2)
 SP3 = GroupModel("sp", 3)
@@ -99,21 +102,34 @@ class TestSharedLetterDeltas:
         tuples = param_tuples(model.param_arity(r), model.param_arity(p),
                               DEFAULT_GRID)
         if build_root_system(3).is_root(r + p):
-            rel = _commutator(model, r, p,
-                              fit_structure_functions(model, r, p), tuples)
+            laws = fit_structure_functions(model, r, p)
+            rel = _commutator(model, r, p, laws, tuples)
         else:
+            laws = ()
             rel = _trivial_commutator(model, r, p, tuples)
         built = []
         real = relations.x_delta
         monkeypatch.setattr(relations, "x_delta", lambda model, root, params:
                             built.append(root) or real(model, root, params))
         assert _sweep(model, "grid", rel).passed
-        # one x_r(a), x_r(-a) per distinct a and one x_p(b), x_p(-b) per b;
-        # the structure factors x_q are built per instance
+        # one x_r(a) per distinct a and one x_p(b) per distinct b, and no
+        # inverse letter; the structure factors x_q are built per instance
         distinct = len({a for a, _b in tuples}) + len({b for _a, b in tuples})
-        assert built.count(r) + built.count(p) == 2 * distinct
+        assert built.count(r) + built.count(p) == distinct
+
+        def dense(root, params):
+            return delta_to_matrix(real(model, root, params), model.size)
+
+        # the sides are X Y and F Y X for X = x_r(a), Y = x_p(b) and F the
+        # product of the structure factors
         for a, b in tuples[::7]:
-            assert rel.sides(a, b)[0] == commutator_delta(model, r, p, a, b)
+            x, y = dense(r, a), dense(p, b)
+            f = mat_prod([ExactMatrix.identity(model.size)]
+                         + [dense(law.target, law.evaluate(a, b))
+                            for law in laws])
+            lhs, rhs = rel.sides(a, b)
+            assert delta_to_matrix(lhs, model.size) == mat_mul(x, y)
+            assert delta_to_matrix(rhs, model.size) == mat_prod([f, y, x])
 
 
 class TestAdditivity:
@@ -250,6 +266,139 @@ class TestTrivialCommutator:
         r = Root.of(2, 1, 2, 1, -1)
         with pytest.raises(RelationError, match="antipodal"):
             verify_trivial_commutator(SP2, r, -r, (F(1),), (F(1),))
+
+
+R12, R23 = Root.of(3, 1, 2, 1, -1), Root.of(3, 2, 3, 1, -1)
+
+
+def _bent(laws, k, factor):
+    """laws with slot 0 of law k multiplied by factor."""
+    law = laws[k]
+    slots = (law.slot_laws[0] * factor,) + law.slot_laws[1:]
+    return laws[:k] + (replace(law, slot_laws=slots),) + laws[k + 1:]
+
+
+class TestCommutedCommutator:
+    """[X, Y] = F is checked as X Y = F Y X, which is equivalent in any
+    group; these records must still catch a wrong F."""
+
+    @pytest.mark.parametrize("model", [SP3, SL3])
+    def test_trivial_record_fails_on_a_pair_summing_to_a_root(self, model):
+        tuples = relations._letter_tuples(model, "grid", DEFAULT_GRID,
+                                          R12, R23)
+        rep = _sweep(model, "grid",
+                     _trivial_commutator(model, R12, R23, tuples))
+        assert not rep.passed
+        # the witness reads one entry of X Y and the same entry of Y X
+        a, b = tuples[rep.instances - 1]
+        x, y = x_delta(model, R12, a), x_delta(model, R23, b)
+        entry = tuple(rep.witness["entry"])
+        for side, delta in (("lhs", delta_mul(x, y)),
+                            ("rhs", delta_mul(y, x))):
+            assert rep.witness[side] == format_scalar(delta.get(entry, F(0)))
+
+    @pytest.mark.parametrize("regime", ["grid", "symbolic"])
+    @pytest.mark.parametrize("factor", [-1, 2])
+    @pytest.mark.parametrize("model,r,p", [
+        (SP2, Root.of(2, 1, 2, 1, -1), Root.of(2, 2)),       # two laws
+        (SL3, R12, R23),                                     # two slots
+        (SL2, Root.of(2, 1, 2, 1, -1), Root.of(2, 1, 2, 1, 1))])  # a1b2-a2b1
+    def test_a_bent_law_fails(self, model, r, p, factor, regime):
+        tuples = relations._letter_tuples(model, regime, DEFAULT_GRID, r, p)
+        laws = fit_structure_functions(model, r, p)
+        assert _sweep(model, regime,
+                      _commutator(model, r, p, laws, tuples)).passed
+        for k in range(len(laws)):
+            rel = _commutator(model, r, p, _bent(laws, k, factor), tuples)
+            assert not _sweep(model, regime, rel).passed
+
+
+def _reference(law, a, b):
+    """The laws evaluated through LaurentPoly.evaluate at a point dict."""
+    point = dict(zip(law.a_vars, a))
+    point.update(zip(law.b_vars, b))
+    return tuple(poly.evaluate(point) for poly in law.slot_laws)
+
+
+class TestCompiledLaws:
+    """StructureFunction.evaluate reads a form compiled once per law."""
+
+    @staticmethod
+    def points(model, arity):
+        """Fraction slots (the zero slots of pair_sweep among them),
+        Gaussian slots on sl-c, and Laurent values."""
+        s, t = LaurentFrac.symbol("s"), LaurentFrac.symbol("t")
+        if arity == 1:
+            fractions = [(g,) for g in DEFAULT_GRID[::4]] + [(F(0),)]
+            gaussians = [(GaussianRational(1, 1),),
+                         (GaussianRational(-1, 2) / 3,)]
+            laurents = [(s,), ((s + 1) / t,)]
+        else:
+            ps = relations.pair_sweep(DEFAULT_GRID)
+            fractions = ps[1:2] + ps[13:14] + ps[25:26] + ps[9:10]
+            gaussians = [(GaussianRational(1, 1), GaussianRational(0, -2)),
+                         (GaussianRational(3, -1), F(1, 2))]
+            laurents = [(s, t), (s - t, 1 / s)]
+        if model.family != "sl-c":
+            gaussians = []
+        return [fractions, gaussians, laurents]
+
+    def check(self, law, a, b):
+        got, want = law.evaluate(a, b), _reference(law, a, b)
+        assert got == want
+        assert [type(x) for x in got] == [type(x) for x in want]
+        assert [format_scalar(x) for x in got] == \
+            [format_scalar(x) for x in want]
+
+    @pytest.mark.parametrize("family", ["sp", "sl-r", "sl-c"])
+    def test_matches_laurent_poly_evaluate(self, family):
+        terms, coefficients = 0, set()
+        for n in (2, 3, 4):
+            model = GroupModel(family, n)
+            system = build_root_system(n)
+            for r in system.roots:
+                for p in system.roots:
+                    if not any(r + p) or not system.is_root(r + p):
+                        continue
+                    laws = fit_structure_functions(model, r, p)
+                    pa = self.points(model, model.param_arity(r))
+                    pb = self.points(model, model.param_arity(p))
+                    for law in laws:
+                        for poly in law.slot_laws:
+                            terms += len(poly.terms)
+                            coefficients.update(poly.terms.values())
+                        for xs, ys in zip(pa, pb):
+                            for a in xs:
+                                for b in ys:
+                                    self.check(law, a, b)
+        assert terms == {"sp": 640, "sl-r": 1120, "sl-c": 1120}[family]
+        assert coefficients <= {1, -1, 2, -2}
+
+    def test_degenerate_forms(self):
+        # an empty law, constant terms, a squared slot and a coefficient
+        # other than a unit, beside the unit coefficients
+        a, b = LaurentFrac.symbol("a").num, LaurentFrac.symbol("b").num
+        law = StructureFunction(1, 1, Root.of(2, 1), (
+            LaurentPoly(), LaurentPoly.const(5) + a * a * b * 3 - a * b,
+            -(a * b) + a * a, LaurentPoly.const(-1)), ("a",), ("b",))
+        for x in (F(2), F(0), GaussianRational(1, -1),
+                  LaurentFrac.symbol("u")):
+            self.check(law, (x,), (F(-3, 2),))
+        assert law.evaluate((F(2),), (F(1),))[0] == F(0)
+
+    def test_laurent_law_is_rejected(self, monkeypatch):
+        # evaluating a compiled law never divides: a law term with a
+        # negative exponent is refused when the laws are fitted
+        r, p = Root.of(2, 1, 2, 1, -1), Root.of(2, 2)
+        real = relations._peel
+        a = LaurentFrac.symbol("a")
+
+        def laurent(*args):
+            (i, j, q, vals), *rest = real(*args)
+            return [(i, j, q, (vals[0] / (a * a),) + vals[1:])] + rest
+        monkeypatch.setattr(relations, "_peel", laurent)
+        with pytest.raises(RelationError, match="negative exponent"):
+            fit_structure_functions.__wrapped__(SP2, r, p)
 
 
 class TestHRelations:
