@@ -84,7 +84,8 @@ def _load_roots(source, n, ambient):
     """--roots <file|builtin:restricted|builtin:sl-standard>.
 
     A builtin list fixes its dimension (n, or 2n for sl-standard); an
-    --ambient that differs from it is a usage error.
+    --ambient that differs from it is a usage error.  A file's dimension is
+    --ambient, else its first root's length, and every root must have it.
     """
     if source in ("builtin:restricted", "builtin:sl-standard"):
         if n is None:
@@ -107,6 +108,10 @@ def _load_roots(source, n, ambient):
     if not roots:
         raise UsageError("no roots in %r" % source)
     dim = ambient or roots[0].n
+    for r in roots:
+        if r.n != dim:
+            raise UsageError("root %s in %r has %d coordinates, not the "
+                             "dimension %d" % (r, source, r.n, dim))
     return roots, dim
 
 

@@ -30,7 +30,7 @@ non-stable generators).  The engine asks a system only these questions:
 * ``letter_delta(letter)``: the sparse delta M - I of a letter;
 * ``unit_params(root)``: the all-ones parameters, whose length is the arity;
 * ``summand_pairs(target)``: the root pairs (p, q) with p + q = target;
-* ``commutator_value(p, p_params, q, q_params)``: the delta of [x_p, x_q];
+* a letter's ``inverse()``: ``commutator_value`` builds [x_p, x_q] with it;
 * ``single_letter(k, l, v)``: the letter I + v e_{k,l}, or None where no
   single letter sits (sp short roots, the diagonal);
 * ``swap_factors(a, b)``: the factors of x_a x_b = [x_a, x_b] x_b x_a as
@@ -47,9 +47,8 @@ from .arrangements import find_stable_element
 from .generators import (GeneratorLetter, h_reference,
                          position_component_table, w_factors)
 from .matrices import ExactMatrix, mat_prod
-from .relations import (commutator_delta, delta_mul, delta_to_matrix,
-                        delta_word, fit_structure_functions, h_delta, w_delta,
-                        x_delta)
+from .relations import (delta_mul, delta_to_matrix, delta_word,
+                        fit_structure_functions, h_delta, w_delta, x_delta)
 from .roots import CartanVector, Root, build_root_system
 from .scalars import format_scalar, join_mode, mode_of, parse_scalar
 
@@ -120,6 +119,8 @@ class StandardSystem:
         self.ambient_dim = size
 
     def letter(self, root, params):
+        if root.n != self.size:
+            raise CycleError("root %s is not of ambient size %d" % (root, self.size))
         k, l = _diff_indices(root)
         (t,) = params
         return ElementaryLetter(self.size, k, l, t)
@@ -148,12 +149,6 @@ class StandardSystem:
 
     def unit_params(self, root):
         return (Fraction(1),)
-
-    def commutator_value(self, p, p_params, q, q_params):
-        lp = self.letter(p, p_params)
-        lq = self.letter(q, q_params)
-        return delta_word([lp.delta(), lq.delta(),
-                           lp.inverse().delta(), lq.inverse().delta()])
 
     def single_letter(self, k, l, v):
         return ElementaryLetter(self.size, k, l, v) if k != l else None
@@ -204,12 +199,7 @@ class RestrictedSystem:
         return out
 
     def unit_params(self, root):
-        one = Fraction(1)
-        return (one,) * self.model.param_arity(root)
-
-    def commutator_value(self, p, p_params, q, q_params):
-        return commutator_delta(self.model, p, q,
-                                tuple(p_params), tuple(q_params))
+        return (Fraction(1),) * self.model.param_arity(root)
 
     def single_letter(self, k, l, v):
         root, delta = position_component_table(self.model.n).get((k, l),
@@ -232,10 +222,16 @@ class RestrictedSystem:
                 for law in fit_structure_functions(self.model, ra, rb)]
 
 
+def commutator_value(system, p, p_params, q, q_params):
+    """The delta of [x_p, x_q] = x_p x_q x_p^{-1} x_q^{-1} on a letter system."""
+    lp, lq = system.letter(p, p_params), system.letter(q, q_params)
+    return Word(system, (lp, lq, lp.inverse(), lq.inverse())).delta()
+
+
 def _single_entry_factors(system, a, b):
     """[x_a, x_b] as at most one letter: [] when trivial, else the letter
     I + v e_{k,l} of a single-entry commutator; None otherwise."""
-    comm = system.commutator_value(a.root, a.params, b.root, b.params)
+    comm = commutator_value(system, a.root, a.params, b.root, b.params)
     if not comm:
         return []
     if len(comm) == 1:
@@ -394,9 +390,7 @@ class ReductionTrace:
         reference = self.initial.delta()
         for move in self.moves:
             letters = move.apply(letters)
-            current = delta_word([self.initial.system.letter_delta(l)
-                                  for l in letters])
-            if current != reference:
+            if Word(self.initial.system, letters).delta() != reference:
                 raise CycleError("move at position %d changed the evaluation"
                                  % move.position)
         if letters != self.final.letters:
@@ -762,11 +756,9 @@ def _solve_left_params(system, p, q, q_params, target_delta):
     arity = len(system.unit_params(p))
     zero = Fraction(0)
     one = Fraction(1)
-    basis = []
-    for k in range(arity):
-        probe = tuple(one if t == k else zero for t in range(arity))
-        comm = system.commutator_value(p, probe, q, q_params)
-        basis.append(comm)
+    probes = [tuple(one if t == k else zero for t in range(arity))
+              for k in range(arity)]
+    basis = [commutator_value(system, p, probe, q, q_params) for probe in probes]
     # target_delta must be an integer combination ... solve per support entry
     # a = sum c_k probe_k works when the law is linear in a, which holds for
     # single-string targets; verify at the end regardless.
@@ -775,7 +767,7 @@ def _solve_left_params(system, p, q, q_params, target_delta):
     # build candidate coefficients from the first support entry present in
     # some basis commutator
     for combo in _combo_candidates(basis, target_delta, arity):
-        comm = system.commutator_value(p, combo, q, q_params)
+        comm = commutator_value(system, p, combo, q, q_params)
         if comm == target_delta:
             return combo
     return None

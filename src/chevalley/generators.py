@@ -81,8 +81,9 @@ class GroupModel:
     def check_params(self, root, params, regime=None):
         """Check and normalize the parameters of an x-letter on root.
 
-        The one parameter validator.  Arity: one on sp, long and tagged
-        roots, two on sl short roots; root=None checks a value list (a grid).
+        The one parameter validator.  The root's rank must be the model's.
+        Arity: one on sp, long and tagged roots, two on sl short roots;
+        root=None checks a value list (a grid).
         ints become Fractions; no mode is widened.  Domain: the grid regime
         takes the model's field, Q or Q(i) for sl-c; the symbolic regime
         Laurent fractions over Q; regime None both, minus Gaussian values on
@@ -93,6 +94,9 @@ class GroupModel:
         if regime is not None and regime not in REGIMES:
             raise GeneratorError("unknown regime %r" % (regime,))
         if root is not None:
+            if root.n != self.n:
+                raise GeneratorError("root rank %d does not match model rank %d"
+                                     % (root.n, self.n))
             if root.restricted_tag is not None and self.is_sp:
                 raise GeneratorError("restricted tags only on sl x-letters")
             arity = self.param_arity(root)
@@ -163,9 +167,6 @@ def root_entry_positions(model, root):
 
 def gen_f(model, root, params):
     """The root-space element f_r(params), one component on a tagged root."""
-    if root.n != model.n:
-        raise GeneratorError("root rank %d does not match model rank %d"
-                             % (root.n, model.n))
     params = model.check_params(root, params)
     positions = root_entry_positions(model, root.untagged())
     tag = root.restricted_tag
@@ -217,6 +218,17 @@ class MonomialForm:
             len(self.perm),
             {(pj, j): dj for j, (pj, dj) in enumerate(zip(self.perm, self.diag),
                                                       start=1)}, mode)
+
+    def delta(self):
+        """The sparse delta M - I, zero entries pruned, read off the form
+        with no dense matrix."""
+        out = {}
+        for j, (i, d) in enumerate(zip(self.perm, self.diag), start=1):
+            if i != j:
+                out[(i, j)], out[(j, j)] = d, Fraction(-1)
+            elif d != 1:
+                out[(j, j)] = d - 1
+        return out
 
     @staticmethod
     def from_matrix(m):

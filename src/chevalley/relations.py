@@ -48,12 +48,16 @@ from .generators import (GRID, REGIMES, SYMBOLIC, MonomialForm, gen_h,
                          root_entry_positions, w_factors, with_mode)
 from .matrices import ExactMatrix
 from .roots import Root, build_root_system, positive_combinations
-from .scalars import (_ONE, LaurentFrac, coerce, format_scalar, join_mode,
+from .scalars import (_ONE, LaurentFrac, format_scalar, join_mode,
                       mode_of)
 
 DEFAULT_GRID = (Fraction(1), Fraction(-1), Fraction(2), Fraction(-2),
                 Fraction(3), Fraction(-3), Fraction(1, 2), Fraction(-1, 2),
                 Fraction(2, 3), Fraction(-2, 3), Fraction(5, 7))
+
+
+# an empty scalar slot in every mode: equal values compare and hash alike
+_ZERO = Fraction(0)
 
 
 class RelationError(ValueError):
@@ -107,7 +111,9 @@ def delta_mul(a, b):
 
 
 def delta_word(deltas):
-    out = {}
+    """Delta of the ordered product; a new dict, never one of the inputs."""
+    deltas = iter(deltas)
+    out = dict(next(deltas, {}))
     for d in deltas:
         out = delta_mul(out, d)
     return out
@@ -124,17 +130,16 @@ def delta_to_matrix(delta, size, mode=None):
 def matrix_to_delta(m):
     """The delta M - I of a matrix, zero entries pruned."""
     out = {}
-    one = coerce(1, m.mode)
     for i in range(m.size):
         for j in m._support[i]:
             v = m.rows[i][j]
             if i == j:
-                v = v - one
+                v = v - 1
             if v:
                 out[(i + 1, j + 1)] = v
     for i in range(m.size):
         if not m.rows[i][i]:
-            out[(i + 1, i + 1)] = -one
+            out[(i + 1, i + 1)] = Fraction(-1)
     return out
 
 
@@ -330,12 +335,8 @@ def pair_sweep(grid):
 
     Each scalar slot ranges over the full grid within the sweep.
     """
-    zero = grid[0] - grid[0]
-    rot = grid[3:] + grid[:3]
-    out = [(g, h) for g, h in zip(grid, rot)]
-    out += [(g, zero) for g in grid]
-    out += [(zero, g) for g in grid]
-    return out
+    return (list(zip(grid, grid[3:] + grid[:3])) + [(g, _ZERO) for g in grid]
+            + [(_ZERO, g) for g in grid])
 
 
 def param_tuples(arity_a, arity_b, grid):
@@ -367,14 +368,10 @@ def param_tuples(arity_a, arity_b, grid):
     return out
 
 
-def unit_tuples(arity, grid):
-    """Parameter tuples for letters that need units: no zero slots."""
-    if arity == 1:
-        return [(g,) for g in grid]
-    rot = grid[3:] + grid[:3]
-    rot2 = grid[7:] + grid[:7]
-    return [(g, h) for g, h in zip(grid, rot)] + \
-        [(g, h) for g, h in zip(grid, rot2)]
+def unit_tuples(grid):
+    """Two-slot parameter tuples for letters that need units: no zero slots."""
+    return (list(zip(grid, grid[3:] + grid[:3]))
+            + list(zip(grid, grid[7:] + grid[:7])))
 
 
 def symbolic_params(arity, prefix):
@@ -392,7 +389,7 @@ def _scalar_designs(regime, grid):
     if regime == SYMBOLIC:
         a, b = LaurentFrac.symbol("a"), LaurentFrac.symbol("b")
         return [(a,)], [(a, b)], [(a, b)]
-    return ([(g,) for g in grid], unit_tuples(2, grid),
+    return ([(g,) for g in grid], unit_tuples(grid),
             [(x, y) for x in grid for y in grid])
 
 
@@ -555,7 +552,7 @@ def decompose_commutator(model, r, p, a, b):
     """
     a, b = _pair_params(model, r, p, a, b)
     comm = commutator_delta(model, r, p, a, b)
-    factors = _peel(model, positive_combinations(r, p), comm, a[0] - a[0],
+    factors = _peel(model, positive_combinations(r, p), comm, _ZERO,
                     "decomposition residual is not the identity")
     return ([(q, vals) for _i, _j, q, vals in factors],
             fit_structure_functions(model, r, p))
@@ -584,26 +581,19 @@ def _additivity(model, r, tuples):
 
 def _commutator(model, r, p, laws, tuples):
     """[x_r(a), x_p(b)] = F, the product of its structure factors, checked
-    as x_r(a) x_p(b) = F x_p(b) x_r(a)."""
+    as x_r(a) x_p(b) = F x_p(b) x_r(a).  No laws means F = id, the
+    trivial-commutator relation of a pair with r+p outside the system."""
     xr, xp = _letter_memo(model, r), _letter_memo(model, p)
 
     def sides(a, b):
         x, y = xr(a), xp(b)
-        factors = delta_word([x_delta(model, law.target, law.evaluate(a, b))
-                              for law in laws])
-        return delta_mul(x, y), delta_mul(factors, delta_mul(y, x))
-    return Relation("commutator", (r, p), tuples, sides)
-
-
-def _trivial_commutator(model, r, p, tuples):
-    """[x_r(a), x_p(b)] = id when r+p is outside the system, checked as
-    x_r(a) x_p(b) = x_p(b) x_r(a)."""
-    xr, xp = _letter_memo(model, r), _letter_memo(model, p)
-
-    def sides(a, b):
-        x, y = xr(a), xp(b)
-        return delta_mul(x, y), delta_mul(y, x)
-    return Relation("trivial-commutator", (r, p), tuples, sides)
+        rhs = delta_mul(y, x)
+        if laws:
+            rhs = delta_word([x_delta(model, law.target, law.evaluate(a, b))
+                              for law in laws] + [rhs])
+        return delta_mul(x, y), rhs
+    return Relation("commutator" if laws else "trivial-commutator", (r, p),
+                    tuples, sides)
 
 
 def _single(model, regime, rel):
@@ -630,7 +620,7 @@ def verify_trivial_commutator(model, r, p, a, b, regime=GRID):
     a, b = _pair_params(model, r, p, a, b, regime)
     if build_root_system(model.n).is_root(r + p):
         raise RelationError("pair %s,%s sums to a root; not a trivial pair" % (r, p))
-    return _single(model, regime, _trivial_commutator(model, r, p, [(a, b)]))
+    return _single(model, regime, _commutator(model, r, p, (), [(a, b)]))
 
 
 def _letter_tuples(model, regime, grid, r, p):
@@ -657,10 +647,8 @@ def commutator_suites(model, regime, grid):
             rsum = r + p
             if not any(rsum):
                 continue
-            tuples = _letter_tuples(model, regime, grid, r, p)
-            if not system.is_root(rsum):
-                rel = _trivial_commutator(model, r, p, tuples)
-            else:
+            laws = ()
+            if system.is_root(rsum):
                 try:
                     laws = fit_structure_functions(model, r, p)
                 except RelationError as exc:
@@ -668,8 +656,9 @@ def commutator_suites(model, regime, grid):
                         "commutator", model, (r, p), regime, "fail", 0,
                         note=str(exc)))
                     continue
-                rel = _commutator(model, r, p, laws, tuples)
-            reports.append(_sweep(model, regime, rel))
+            tuples = _letter_tuples(model, regime, grid, r, p)
+            reports.append(_sweep(model, regime,
+                                  _commutator(model, r, p, laws, tuples)))
     return reports
 
 
@@ -680,7 +669,7 @@ def h_relation_suite(model, regime, grid):
     ln = Root.of(n, n)
 
     def h_params(t):
-        return (t,) if model.is_sp else (t, t - t)
+        return (t,) if model.is_sp else (t, _ZERO)
 
     def h12(t):
         return h_delta(model, r12, h_params(t))
@@ -689,9 +678,8 @@ def h_relation_suite(model, regime, grid):
     literal_tuples = singles if regime == SYMBOLIC else singles[:5]
 
     # involution: h_{2Ln}(-1) is diag(1,..,-1 at n,1,..,-1 at 2n), square id
-    one = grid[0] / grid[0] if grid else Fraction(1)
-    minus_one = -one
-    expected = {(n, n): minus_one - one, (2 * n, 2 * n): minus_one - one}
+    minus_one = Fraction(-1)
+    expected = {(n, n): Fraction(-2), (2 * n, 2 * n): Fraction(-2)}
 
     def involution(m):
         hm = h_delta(model, ln, (m,))
@@ -818,12 +806,8 @@ def _sl_component_conjugation(model, regime, grid):
     n = model.n
     system = build_root_system(n)
     table = position_component_table(n)
-    if regime == SYMBOLIC:
-        v, u, u2 = (LaurentFrac.symbol(x) for x in "cuv")
-        zero = LaurentFrac(0)
-    else:
-        v, u, u2 = grid[6], grid[2], grid[4]  # v = 1/2
-        zero = u - u
+    v, u, u2 = ((LaurentFrac.symbol(x) for x in "cuv") if regime == SYMBOLIC
+                else (grid[6], grid[2], grid[4]))  # grid v = 1/2
     tuples = [(beta, d) for beta in system.roots
               for d in ((1,) if beta.is_long else (1, 2))]
 
@@ -851,7 +835,7 @@ def _sl_component_conjugation(model, regime, grid):
     relations = []
     for gamma in system.roots:
         forms = [((u,), "u")] if gamma.is_long else \
-            [((u, zero), "(u,0)"), ((zero, u), "(0,u)"), ((u, u2), "(u,v)")]
+            [((u, _ZERO), "(u,0)"), ((_ZERO, u), "(0,u)"), ((u, u2), "(u,v)")]
         relations += [relation(gamma, *form) for form in forms]
     return _sweep_all(model, regime, relations)
 
@@ -891,7 +875,7 @@ def _sl_w_conjugation(model, regime, grid):
                    LaurentFrac.symbol("b2"))]
     else:
         tuples = [(a, t1, t2) for a in grid
-                  for (t1, t2) in unit_tuples(2, grid)[:11]]
+                  for (t1, t2) in unit_tuples(grid)[:11]]
 
     def w(root, *params):
         return w_delta(model, root, params)
@@ -904,14 +888,13 @@ def _sl_w_conjugation(model, regime, grid):
         lj2neg = Root.of(n, j, si=-1)
 
         def conj_1(a, t1, t2):
-            z = a - a
-            return (_conj(w(rsum, a, z), w(rdiff, t1, t2), w(rsum, -a, z)),
+            return (_conj(w(rsum, a, _ZERO), w(rdiff, t1, t2),
+                          w(rsum, -a, _ZERO)),
                     delta_mul(w(lj2neg, -(t1 / a)), w(li2, a * t2)))
 
         def conj_3(a, t1, t2):
-            z = a - a
-            return (_conj(w(li2, a), w(rsum, t1, z), w(li2, -a)),
-                    w(rdiff_op, z, -(t1 / a)))
+            return (_conj(w(li2, a), w(rsum, t1, _ZERO), w(li2, -a)),
+                    w(rdiff_op, _ZERO, -(t1 / a)))
 
         return [
             Relation("weyl-w-conj-1", (rsum, rdiff), tuples, conj_1),
@@ -935,8 +918,7 @@ def _w_inversion_suite(model, regime, grid):
     def variants(t1, t2=None):
         if t2 is None:
             return ((t1,),)
-        z = t1 - t1
-        return ((t1, t2), (t1, z), (z, t2))
+        return ((t1, t2), (t1, _ZERO), (_ZERO, t2))
 
     def relation(gamma):
         def first_failing(*ts):
@@ -959,29 +941,6 @@ def _w_inversion_suite(model, regime, grid):
 # ---------------------------------------------------------------------------
 # Monomial-form suite
 # ---------------------------------------------------------------------------
-
-def _perm_diag_delta(size, swaps, diag, mode_probe):
-    """Delta of p(pi) diag(...) with pi a product of disjoint swaps.
-
-    diag maps position -> value (positions absent mean 1).
-    """
-    one = mode_probe / mode_probe
-    perm = {k: k for k in range(1, size + 1)}
-    for (x, y) in swaps:
-        perm[x], perm[y] = y, x
-    out = {}
-    for j in range(1, size + 1):
-        dj = diag.get(j, one)
-        i = perm[j]
-        if i == j:
-            v = dj - one
-            if v:
-                out[(i, j)] = v
-        else:
-            out[(i, j)] = dj
-            out[(j, j)] = -one
-    return out
-
 
 # The seven displays w = p(pi) diag(...).  Each row: id, root (Li-Lj, Li+Lj
 # or 2Li), the w-letter's slots (1 -> t1, 2 -> t2, 0 -> zero), the swapped
@@ -1012,19 +971,21 @@ def _monomial_relation(model, form, i, j, tuples):
     root = Root.of(n, i) if kind == "long" else \
         Root.of(n, i, j, 1, -1 if kind == "diff" else 1)
     pos = (i, j, i + n, j + n)
+    perm = list(range(1, model.size + 1))
+    for x, y in swaps:
+        perm[pos[x] - 1], perm[pos[y] - 1] = pos[y], pos[x]
+    perm = tuple(perm)
 
     def used(ts):
         return tuple(ts[s - 1] for s in slots if s)
 
     def sides(*ts):
-        probe = used(ts)[0]
-        lhs = w_delta(model, root, tuple(ts[s - 1] if s else probe - probe
+        lhs = w_delta(model, root, tuple(ts[s - 1] if s else _ZERO
                                          for s in slots))
-        rhs = _perm_diag_delta(
-            model.size, [(pos[x], pos[y]) for x, y in swaps],
-            {pos[k]: -(1 / ts[s - 1]) if inv else ts[s - 1]
-             for k, s, inv in diag}, probe)
-        return lhs, rhs
+        d = [1] * model.size
+        for k, s, inv in diag:
+            d[pos[k] - 1] = -(1 / ts[s - 1]) if inv else ts[s - 1]
+        return lhs, MonomialForm(perm, tuple(d)).delta()
 
     return Relation(rid, (root,), tuples, sides,
                     shown=lambda *ts: used(ts))

@@ -208,6 +208,20 @@ class TestReduce:
         assert err.startswith("error: word mixes scalar modes")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("system", [("--model", "sp", "--n", "2"),
+                                        ("--system", "standard",
+                                         "--ambient", "4")])
+    def test_root_of_another_size_is_a_bad_letter(self, system, tmp_path):
+        # a rank-3 root on an n=2 model, or a 6-vector on ambient 4: exit 2
+        # on line 1, never a letter read as a shorter root
+        root = "1,-1,0" if "sp" in system else "1,0,-1,0,0,0"
+        wf = tmp_path / "word.txt"
+        wf.write_text("x %s (2)\nx %s (-2)\n" % (root, root))
+        code, out, err = run_cli_err("reduce", str(wf), *system)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: bad letter on line 1: ")
+        assert len(err.splitlines()) == 1
+
 
 class TestDecompose:
     def test_two_factor_string(self):
@@ -277,6 +291,11 @@ USAGE_ERRORS = [
     ("verify", "--model", "sp", "--n", "2", "--regime", "symbolic",
      "--grid", "1,2"),
     ("reduce", "WORDFILE", "--model", "sp", "--n", "2", "--budget", "-5"),
+    # rank-3 roots on an n=2 model, never relabelled as n=2 roots
+    ("decompose", "--model", "sp", "--n", "2", "-r", "1,-1,0", "-p", "0,2,0",
+     "-a", "1", "-b", "1"),
+    ("decompose", "--model", "sp", "--n", "2", "-r", "1,0,-1", "-p", "0,0,2",
+     "-a", "1", "-b", "1"),
 ]
 
 
@@ -378,11 +397,17 @@ DIMENSION_ERRORS = [
      "--ambient", "2"),
     ("stable", "--roots", "builtin:restricted", "--n", "2",
      "--region", "eq:1"),
+    # a file of 2-vectors read at --ambient 3
+    ("stable", "--roots", "ROOTSFILE", "--ambient", "3",
+     "--region", "eq:1,1,1", "--check", "-1,0"),
 ]
 
 
 @pytest.mark.parametrize("argv", DIMENSION_ERRORS, ids=lambda a: " ".join(a))
-def test_dimension_mismatch_is_a_usage_error(argv):
+def test_dimension_mismatch_is_a_usage_error(argv, tmp_path):
+    roots = tmp_path / "roots.txt"
+    roots.write_text("1,-1\n1,1\n")
+    argv = [str(roots) if a == "ROOTSFILE" else a for a in argv]
     code, out, err = run_cli_err(*argv)
     assert (code, out) == (2, "")
     assert len(err.splitlines()) == 1 and err.startswith("error: ")

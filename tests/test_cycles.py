@@ -13,12 +13,13 @@ from chevalley.matrices import ExactMatrix, mat_mul
 from chevalley.cycles import (CycleError, ElementaryLetter, NonCycleError,
                               ReductionFailure, ReductionTrace,
                               RestrictedSystem, StandardSystem, Word,
-                              bracket_decompose,
+                              bracket_decompose, commutator_value,
                               enumerate_bracket_decompositions, is_stable_word,
                               reduce_cycle)
 from chevalley.cycles import (ReductionMove, _match_h_mult, _PrefixProducts,
                               _Reducer, _stability)
-from chevalley.relations import delta_word, fit_structure_functions, h_delta
+from chevalley.relations import (delta_to_matrix, delta_word,
+                                 fit_structure_functions, h_delta)
 from chevalley.roots import Root, build_root_system
 from chevalley.scalars import (GaussianRational, LaurentFrac, ScalarError,
                                parse_scalar)
@@ -206,6 +207,52 @@ class TestStability:
         # the memo lives for one call: a second reduction solves afresh
         reduce_cycle(Word.parse(text, rsys(SP2)))
         assert solved == [[(0, 2)]] * 2
+
+
+def four_letter_word(system, p, a, q, b):
+    lp, lq = system.letter(p, a), system.letter(q, b)
+    return Word(system, (lp, lq, lp.inverse(), lq.inverse()))
+
+
+class TestCommutatorValue:
+    """The cycle engine's one commutator against the dense product of the
+    word x_p x_q x_p^{-1} x_q^{-1}, on both letter systems."""
+
+    @pytest.mark.parametrize("family", ["sp", "sl-r", "sl-c"])
+    def test_restricted_matches_dense_word(self, family):
+        system = rsys(GroupModel(family, 2))
+        rng = random.Random("commutator-value:" + family)
+        values = [F(2), F(-1, 3), F(5), F(0)]
+        if family == "sl-c":
+            values.append(GaussianRational(1, -2))
+        roots = list(system.system.roots)
+        if family != "sp":
+            roots += [Root(r.coeffs, tag) for r in system.system.roots
+                      if not r.is_long for tag in (1, 2)]
+        for p in roots:
+            for q in roots:
+                a, b = (tuple(rng.choice(values)
+                              for _ in system.unit_params(r)) for r in (p, q))
+                word = four_letter_word(system, p, a, q, b)
+                assert delta_to_matrix(commutator_value(system, p, a, q, b),
+                                       system.size, word.mode()) == \
+                    word.eval_dense()
+
+    def test_standard_matches_dense_word(self):
+        system = StandardSystem(4)
+        rng = random.Random("commutator-value:standard")
+        roots = [Root.of(4, k, l, 1, -1) for k in range(1, 5)
+                 for l in range(1, 5) if k != l]
+        for p in roots:
+            for q in roots:
+                a, b = (rng.choice([F(3), F(-2, 5)]),), (F(7),)
+                word = four_letter_word(system, p, a, q, b)
+                assert delta_to_matrix(commutator_value(system, p, a, q, b),
+                                       4) == word.eval_dense()
+
+    def test_standard_letter_must_fit_the_ambient(self):
+        with pytest.raises(CycleError, match="ambient size 4"):
+            StandardSystem(4).letter(Root.of(6, 1, 3, 1, -1), (F(2),))
 
 
 class TestLetterSystems:
@@ -603,8 +650,8 @@ class TestBracketDecompose:
         assert (d.right.k, d.right.l) == (3, 4) and d.right.param == 1
         assert d.left.param == F(7)
         # replay: the commutator reproduces the target exactly
-        comm = sys_.commutator_value(d.left.root, d.left.params,
-                                     d.right.root, d.right.params)
+        comm = commutator_value(sys_, d.left.root, d.left.params,
+                                d.right.root, d.right.params)
         assert comm == sys_.letter_delta(target)
         # witnesses satisfy all strict inequalities on the plane
         for witness, root in ((d.witness_left, d.left.root),
@@ -629,16 +676,16 @@ class TestBracketDecompose:
         assert ((1, -1), (1, 1)) in [(p.coeffs, q.coeffs) for p, q in pairs]
         target = sys_.letter(Root.of(2, 1), (F(6),))
         dec = bracket_decompose(sys_, target)
-        comm = sys_.commutator_value(dec.left.root, dec.left.params,
-                                     dec.right.root, dec.right.params)
+        comm = commutator_value(sys_, dec.left.root, dec.left.params,
+                                dec.right.root, dec.right.params)
         assert comm == sys_.letter_delta(target)
 
     def test_restricted_sl_two_slot_target(self):
         sys_ = rsys(SL2)
         target = sys_.letter(Root.of(2, 1), (F(5),))
         dec = bracket_decompose(sys_, target)
-        comm = sys_.commutator_value(dec.left.root, dec.left.params,
-                                     dec.right.root, dec.right.params)
+        comm = commutator_value(sys_, dec.left.root, dec.left.params,
+                                dec.right.root, dec.right.params)
         assert comm == sys_.letter_delta(target)
 
     def test_failure_when_no_pairs(self):

@@ -305,7 +305,10 @@ class TestCheckParams:
                                     (SL2, self.SHORT, (1,)),
                                     (SL2, long_, (1, 2)),
                                     (SL2, tagged, (1, 2)),
-                                    (SP2, Root((1, -1), restricted_tag=1), (1,))):
+                                    (SP2, Root((1, -1), restricted_tag=1), (1,)),
+                                    # rank 3 on n=2, with the right arity
+                                    (SP2, Root.of(3, 1, 2, 1, -1), (1,)),
+                                    (SL2, Root.of(3, 3), (1,))):
             with pytest.raises(GeneratorError):
                 model.check_params(root, params)
 

@@ -24,6 +24,7 @@ import pytest
 
 from chevalley.cli import _parse_plane, main
 from chevalley.cycles import (RestrictedSystem, StandardSystem, Word,
+                              commutator_value,
                               enumerate_bracket_decompositions, is_stable_word)
 from chevalley.generators import GroupModel, h_word_letters, w_word_letters
 from chevalley.relations import fit_structure_functions
@@ -198,7 +199,7 @@ def _standard_words(size):
         return system.letter(Root.of(size, k, l, 1, -1), (F(t),))
 
     def block(a, b):
-        comm = system.commutator_value(a.root, a.params, b.root, b.params)
+        comm = commutator_value(system, a.root, a.params, b.root, b.params)
         factors = [x(k, l, v) for (k, l), v in sorted(comm.items())]
         return [a, b, a.inverse(), b.inverse()] + \
             [f.inverse() for f in reversed(factors)]

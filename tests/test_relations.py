@@ -1,5 +1,6 @@
 """Relation verification: oracles, structure laws, suites, both regimes."""
 
+import random
 from dataclasses import replace
 from fractions import Fraction
 from math import comb
@@ -14,7 +15,7 @@ from chevalley.generators import (GeneratorError, GeneratorLetter, GroupModel,
 from chevalley.matrices import ExactMatrix, mat_inv, mat_mul, mat_prod
 from chevalley.relations import (DEFAULT_GRID, Relation, RelationError,
                                  StructureFunction,
-                                 _commutator, _sweep, _trivial_commutator,
+                                 _commutator, _sweep,
                                  commutator_delta, decompose_commutator,
                                  delta_mul, delta_to_matrix, delta_word,
                                  fit_structure_functions, grid_for_model,
@@ -71,6 +72,26 @@ class TestDeltaRoute:
                          [0, 0, 1, 5], [0, 0, 0, 1]])
         assert delta_to_matrix(matrix_to_delta(m), 4) == m
 
+    @pytest.mark.parametrize("mode", ["rational", "gaussian", "laurent"])
+    def test_monomial_form_delta_matches_dense(self, mode):
+        # seeded p(pi) diag(d): fixed points with d = 1 (pruned) and d != 1,
+        # moved columns, and entries of the named mode beside rationals
+        pool = {"rational": [F(-1), F(2, 3), F(-5)],
+                "gaussian": [GaussianRational(0, 1), GaussianRational(2, -1),
+                             F(-1)],
+                "laurent": [LaurentFrac.symbol("a"), -LaurentFrac.symbol("b"),
+                            1 / LaurentFrac.symbol("a")]}[mode] + [F(1)] * 2
+        rng = random.Random("monomial-delta:" + mode)
+        for size in (2, 4, 6, 8):
+            for _ in range(40):
+                perm = list(range(1, size + 1))
+                moved = rng.sample(range(size), rng.randint(0, size))
+                for k, v in zip(moved, rng.sample(moved, len(moved))):
+                    perm[k] = v + 1
+                form = MonomialForm(tuple(perm),
+                                    tuple(rng.choice(pool) for _ in perm))
+                assert form.delta() == matrix_to_delta(form.to_matrix())
+
 
 small = st.fractions(min_value=-3, max_value=3, max_denominator=2)
 deltas = st.dictionaries(st.tuples(st.integers(1, 3), st.integers(1, 3)),
@@ -106,7 +127,7 @@ class TestSharedLetterDeltas:
             rel = _commutator(model, r, p, laws, tuples)
         else:
             laws = ()
-            rel = _trivial_commutator(model, r, p, tuples)
+            rel = _commutator(model, r, p, (), tuples)
         built = []
         real = relations.x_delta
         monkeypatch.setattr(relations, "x_delta", lambda model, root, params:
@@ -157,6 +178,14 @@ class TestAdditivity:
 
 
 class TestCommutator:
+    @pytest.mark.parametrize("verify", [verify_commutator,
+                                        verify_trivial_commutator])
+    def test_roots_of_another_rank_are_rejected(self, verify):
+        # rank-3 roots on an n=2 model: no report over relabelled positions
+        with pytest.raises(GeneratorError, match="rank 3"):
+            verify(SP2, Root.of(3, 1, 2, 1, -1), Root.of(3, 2), (F(1),),
+                   (F(1),))
+
     def test_chain_single_factor_sp(self):
         # [x_{L1-L2}(a), x_{L2-L3}(b)] = x_{L1-L3}(c a b) for some integer c
         r, p = Root.of(3, 1, 2, 1, -1), Root.of(3, 2, 3, 1, -1)
@@ -287,7 +316,7 @@ class TestCommutedCommutator:
         tuples = relations._letter_tuples(model, "grid", DEFAULT_GRID,
                                           R12, R23)
         rep = _sweep(model, "grid",
-                     _trivial_commutator(model, R12, R23, tuples))
+                     _commutator(model, R12, R23, (), tuples))
         assert not rep.passed
         # the witness reads one entry of X Y and the same entry of Y X
         a, b = tuples[rep.instances - 1]
