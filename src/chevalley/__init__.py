@@ -20,7 +20,7 @@ from .matrices import (ExactMatrix, check_membership, exp_nilpotent, mat_inv,
                        mat_mul)
 from .relations import (DEFAULT_GRID, decompose_commutator,
                         fit_structure_functions, run_suite, verify_additivity,
-                        verify_commutator, verify_trivial_commutator)
+                        verify_commutator)
 from .roots import (CartanVector, Root, RootSystem, build_root_system,
                     positive_combinations, root_eval, standard_sl_roots)
 from .scalars import GaussianRational, LaurentFrac, LaurentPoly, parse_scalar

@@ -13,7 +13,6 @@ import argparse
 import json
 import re
 import sys
-from fractions import Fraction
 
 from .arrangements import (ArrangementError, Plane, find_stable_element,
                            is_generic, lyapunov_hyperplanes, weyl_chambers)
@@ -24,7 +23,7 @@ from .matrices import MatrixError
 from .relations import (DEFAULT_GRID, GRID, REGIMES, SUITES, RelationError,
                         decompose_commutator, run_suite)
 from .roots import Root, RootError, build_root_system, standard_sl_roots
-from .scalars import ScalarError, format_scalar, parse_scalar
+from .scalars import RATIONAL, ScalarError, format_scalar, parse_scalar
 from .symbols import (ALL_AXIOMS, BILINEAR_ONLY, SymbolError, SymbolExpr,
                       build_axiom_lattice, is_consequence,
                       matrix_realization_check, replay_certificate)
@@ -67,7 +66,8 @@ def _as_text(payload, indent=0):
 
 
 def _parse_vector(text):
-    return [Fraction(x) for x in text.strip().split(",") if x.strip()]
+    """Comma-separated exact rationals; an empty slot is a usage error."""
+    return [parse_scalar(x, RATIONAL) for x in text.split(",")]
 
 
 def _parse_plane(text, ambient):

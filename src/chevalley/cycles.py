@@ -45,12 +45,12 @@ from fractions import Fraction
 
 from .arrangements import find_stable_element
 from .generators import (GeneratorLetter, h_reference,
-                         position_component_table, w_factors)
-from .matrices import ExactMatrix, mat_prod
-from .relations import (delta_mul, delta_to_matrix, delta_word,
-                        fit_structure_functions, h_delta, w_delta, x_delta)
+                         position_component_table, read_letter, w_factors)
+from .matrices import ExactMatrix, delta_to_matrix, mat_prod
+from .relations import (delta_mul, delta_word, fit_structure_functions,
+                        h_delta, w_delta, x_delta)
 from .roots import CartanVector, Root, build_root_system
-from .scalars import format_scalar, join_mode, mode_of, parse_scalar
+from .scalars import format_scalar, join_mode, mode_of
 
 
 class CycleError(ValueError):
@@ -126,12 +126,10 @@ class StandardSystem:
         return ElementaryLetter(self.size, k, l, t)
 
     def parse_letter(self, line):
-        bits = line.split(None, 1)
-        if len(bits) != 2 or bits[0] != "x" or "(" not in bits[1]:
-            raise CycleError("want 'x <root> (<param>)'")
-        root_txt, param_txt = bits[1].split("(", 1)
-        t = parse_scalar(param_txt.rstrip().rstrip(")"))
-        return self.letter(Root.parse(root_txt), (t,))
+        kind, root, params = read_letter(line)
+        if kind != "x" or len(params) != 1 or root.restricted_tag is not None:
+            raise CycleError("want 'x <untagged root> (<param>)'")
+        return self.letter(root, params)
 
     def letter_delta(self, letter):
         return letter.delta()
@@ -291,7 +289,7 @@ class Word:
                 continue
             try:
                 letters.append(system.parse_letter(line))
-            except (ValueError, IndexError) as exc:
+            except ValueError as exc:
                 raise CycleError("bad letter on line %d: %s" % (lineno, exc))
         word = Word(system, tuple(letters))
         try:

@@ -26,11 +26,13 @@ zero pattern.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .matrices import ExactMatrix, exp_nilpotent, mat_inv, mat_mul, mat_prod
+from .matrices import (ExactMatrix, exp_nilpotent, mat_inv, mat_mul, mat_prod,
+                       matrix_to_delta)
 from .roots import Root, build_root_system
 from .scalars import (GAUSSIAN, LAURENT, RATIONAL, coerce, format_scalar,
                       join_mode, mode_of, parse_scalar)
@@ -231,27 +233,47 @@ class MonomialForm:
         return out
 
     @staticmethod
-    def from_matrix(m):
-        size = m.size
-        perm = []
-        diag = []
-        seen = set()
-        for j in range(size):
-            col = [(i, m.rows[i][j]) for i in range(size) if m.rows[i][j]]
-            if len(col) != 1:
-                raise GeneratorError("matrix is not monomial at column %d" % (j + 1))
-            i, v = col[0]
-            if i in seen:
-                raise GeneratorError("matrix is not monomial (row %d repeats)" % (i + 1))
-            seen.add(i)
-            perm.append(i + 1)
-            diag.append(v)
-        return MonomialForm(tuple(perm), tuple(diag))
+    def from_delta(delta, size):
+        """The form of I + delta, read off the sparse entries with no dense
+        matrix; every unit column shares one 1 object.  Raises
+        GeneratorError unless I + delta is monomial."""
+        one = Fraction(1)
+        cols = [{j: one} for j in range(1, size + 1)]
+        for (i, j), v in delta.items():
+            v = v + 1 if i == j else v
+            if v:
+                cols[j - 1][i] = v
+            else:
+                cols[j - 1].pop(i, None)
+        if any(len(col) != 1 for col in cols) or \
+                len({i for col in cols for i in col}) != size:
+            raise GeneratorError("I + delta is not monomial")
+        perm, diag = zip(*(entry for col in cols for entry in col.items()))
+        return MonomialForm(perm, diag)
 
 
 # ---------------------------------------------------------------------------
 # Letters
 # ---------------------------------------------------------------------------
+
+_LETTER = re.compile(r"\s*(\S+)\s+([^()]*)\(([^()]*)\)\s*\Z")
+
+
+def read_letter(text):
+    """(kind, root, params) of the letter text "kind root (p1, ..., pk)".
+
+    The one reader of the letter format: one pair of parentheses closes
+    the text, every slot holds a scalar (parse_scalar), and no slot is
+    empty.  Any other text, blank text included, raises GeneratorError or
+    ScalarError; the caller checks kind and arity.
+    """
+    match = _LETTER.match(text)
+    if match is None:
+        raise GeneratorError("want 'kind root (p1, ..., pk)', got %r" % text)
+    kind, root_txt, params_txt = match.groups()
+    return kind, Root.parse(root_txt), tuple(parse_scalar(p) for p in
+                                             params_txt.split(","))
+
 
 @dataclass(frozen=True)
 class GeneratorLetter:
@@ -294,17 +316,7 @@ class GeneratorLetter:
 
     @staticmethod
     def parse(text, model):
-        bits = text.strip().split(None, 1)
-        if len(bits) != 2:
-            raise GeneratorError("bad letter %r" % text)
-        kind, rest = bits
-        if "(" not in rest or not rest.rstrip().endswith(")"):
-            raise GeneratorError("bad letter %r" % text)
-        root_txt, params_txt = rest.split("(", 1)
-        params_txt = params_txt.rstrip().rstrip(")")
-        root = Root.parse(root_txt)
-        params = tuple(parse_scalar(p) for p in params_txt.split(",") if p.strip())
-        return GeneratorLetter(model, kind, root, params)
+        return GeneratorLetter(model, *read_letter(text))
 
     def __str__(self):
         return self.format()
@@ -357,7 +369,7 @@ def gen_w(model, root, params):
     """Weyl representative w_r(params) with its monomial decomposition."""
     letter = GeneratorLetter(model, "w", root, params)
     m = letter.matrix()
-    form = MonomialForm.from_matrix(m)
+    form = MonomialForm.from_delta(matrix_to_delta(m), m.size)
     if form.to_matrix(m.mode) != m:
         raise GeneratorError("monomial decomposition failed to round-trip")
     return GroupElement(m, model), form

@@ -1,4 +1,4 @@
-"""Dense exact matrices: products, inverses, nilpotent exponentials, membership.
+"""Dense exact matrices: deltas, products, inverses, exponentials, membership.
 
 Matrices are 2n x 2n grids of scalars sharing one mode (see
 :mod:`chevalley.scalars`).  The :class:`ExactMatrix` constructor is the one
@@ -139,6 +139,26 @@ class ExactMatrix:
 
     def __str__(self):
         return format_matrix(self)
+
+
+def delta_to_matrix(delta, size, mode=None):
+    """The matrix I + delta of a sparse delta {(i, j): scalar}, 1-based, by
+    default over the join of the entry modes."""
+    entries = {(i, i): 1 for i in range(1, size + 1)}
+    for (i, j), v in delta.items():
+        entries[(i, j)] = 1 + v if i == j else v
+    return ExactMatrix.sparse(size, entries, mode)
+
+
+def matrix_to_delta(m):
+    """The sparse delta M - I of a matrix, zero entries pruned."""
+    out = {}
+    for i, row in enumerate(m.rows, start=1):
+        for j, v in enumerate(row, start=1):
+            v = v - 1 if i == j else v
+            if v:
+                out[(i, j)] = v
+    return out
 
 
 # ---------------------------------------------------------------------------

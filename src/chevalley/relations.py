@@ -8,7 +8,8 @@ Families (reports carry these ids):
 * ``h-multiplicativity``    h_{L1-L2}(a) h_{L1-L2}(b) = h_{L1-L2}(ab)
 * ``h-involution``          h_{2Ln}(-1)^2 = id, with the explicit diagonal form
 * ``h-diagonal-form``       h_{L1-L2} diagonal displays
-* ``h-literal-form``        normalized h agrees with the literal two-factor product
+* ``h-literal-form``        the literal h(t) = w(t) w(-ref) is the normalized
+                            w(t) w(ref)^{-1}, checked as h(t) w(ref) = w(t)
 * ``weyl-conj-1..6``        conjugation of w/h letters by w elements (sp)
 * ``weyl-w-conj-1..3``      w-by-w conjugation displays (sl)
 * ``w-inversion``           w_g(t1,t2) = w_{-g}(-1/t1, -1/t2) and variants
@@ -31,10 +32,10 @@ the product of the structure factors (id for a trivial pair), as
 X Y = F Y X.  In any group the two statements are equivalent, and the second
 multiplies the letters as they are, with no inverse letter.
 
-The hot path works on sparse "identity plus delta" dictionaries
+Every relation works on sparse "identity plus delta" dictionaries
 {(row, col): scalar}; every generator's nilpotent part squares to zero, so
-x-letters are exactly I + f and products stay tiny.  The dense ExactMatrix
-route is independent and is cross-checked against this one in the tests.
+x-letters are exactly I + f and products stay tiny.  No dense matrix is
+built here: the ExactMatrix route is the tests' independent oracle.
 """
 
 from __future__ import annotations
@@ -43,10 +44,9 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 
-from .generators import (GRID, REGIMES, SYMBOLIC, MonomialForm, gen_h,
-                         gen_h_literal, h_reference, position_component_table,
-                         root_entry_positions, w_factors, with_mode)
-from .matrices import ExactMatrix
+from .generators import (GRID, REGIMES, SYMBOLIC, MonomialForm, h_reference,
+                         position_component_table, root_entry_positions,
+                         w_factors, with_mode)
 from .roots import Root, build_root_system, positive_combinations
 from .scalars import (_ONE, LaurentFrac, format_scalar, join_mode,
                       mode_of)
@@ -65,7 +65,7 @@ class RelationError(ValueError):
 
 
 class DecompositionError(RelationError):
-    """Residual not identity after peeling; carries the residual matrix."""
+    """Residual not identity after peeling; carries the residual delta."""
 
     def __init__(self, message, residual):
         super().__init__(message)
@@ -116,30 +116,6 @@ def delta_word(deltas):
     out = dict(next(deltas, {}))
     for d in deltas:
         out = delta_mul(out, d)
-    return out
-
-
-def delta_to_matrix(delta, size, mode=None):
-    """The matrix I + delta, by default over the join of the entry modes."""
-    entries = {(i, i): 1 for i in range(1, size + 1)}
-    for (i, j), v in delta.items():
-        entries[(i, j)] = 1 + v if i == j else v
-    return ExactMatrix.sparse(size, entries, mode)
-
-
-def matrix_to_delta(m):
-    """The delta M - I of a matrix, zero entries pruned."""
-    out = {}
-    for i in range(m.size):
-        for j in m._support[i]:
-            v = m.rows[i][j]
-            if i == j:
-                v = v - 1
-            if v:
-                out[(i + 1, j + 1)] = v
-    for i in range(m.size):
-        if not m.rows[i][i]:
-            out[(i + 1, i + 1)] = Fraction(-1)
     return out
 
 
@@ -495,8 +471,7 @@ def _peel(model, combos, comm, zero, failure):
     if rhs != comm:
         inverse = delta_word([x_delta(model, q, tuple(-v for v in vals))
                               for _i, _j, q, vals in reversed(factors)])
-        raise DecompositionError(failure, delta_to_matrix(
-            delta_mul(comm, inverse), model.size))
+        raise DecompositionError(failure, delta_mul(comm, inverse))
     return factors
 
 
@@ -610,17 +585,11 @@ def verify_additivity(model, r, a, b, regime=GRID):
 
 
 def verify_commutator(model, r, p, a, b, regime=GRID):
-    """[x_r(a), x_p(b)] equals the product of its structure factors."""
+    """[x_r(a), x_p(b)] equals the product of its structure factors: no
+    factor, the trivial-commutator report, when r+p is no root."""
     a, b = _pair_params(model, r, p, a, b, regime)
     laws = fit_structure_functions(model, r, p)
     return _single(model, regime, _commutator(model, r, p, laws, [(a, b)]))
-
-
-def verify_trivial_commutator(model, r, p, a, b, regime=GRID):
-    a, b = _pair_params(model, r, p, a, b, regime)
-    if build_root_system(model.n).is_root(r + p):
-        raise RelationError("pair %s,%s sums to a root; not a trivial pair" % (r, p))
-    return _single(model, regime, _commutator(model, r, p, (), [(a, b)]))
 
 
 def _letter_tuples(model, regime, grid, r, p):
@@ -696,10 +665,11 @@ def h_relation_suite(model, regime, grid):
             exp[(2 + n, 2 + n)] = t - 1
         return hd, {k: v for k, v in exp.items() if v}
 
-    # literal two-factor h displays agree with the normalized definition
+    # h(t) = w(t) w(-ref) is w(t) w(ref)^{-1}, checked with no inverse
     def literal(t):
-        return (matrix_to_delta(gen_h(model, r12, h_params(t)).matrix),
-                matrix_to_delta(gen_h_literal(model, r12, h_params(t)).matrix))
+        params = h_params(t)
+        return (delta_mul(h12(t), w_delta(model, r12, h_reference(params))),
+                w_delta(model, r12, params))
 
     return _sweep_all(model, regime, [
         Relation("h-multiplicativity", (r12,), pairs,
@@ -815,7 +785,7 @@ def _sl_component_conjugation(model, regime, grid):
         wd = w_delta(model, gamma, wparams)
         inverse = delta_mul(wd, w_delta(model, gamma,
                                         tuple(-x for x in wparams)))
-        form = MonomialForm.from_matrix(delta_to_matrix(wd, model.size))
+        form = MonomialForm.from_delta(wd, model.size)
         predicted = _sl2_block_form(model, gamma, wparams)
         perm, diag = predicted.perm, predicted.diag
 

@@ -732,7 +732,7 @@ def parse_scalar(text, mode=None):
             return g
         raise ScalarError("gaussian value %r not allowed in %s mode" % (text, mode))
     try:
-        q = Fraction(compact)
+        q = Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
         raise ScalarError("bad rational %r" % text) from exc
     if mode == GAUSSIAN:

@@ -222,6 +222,25 @@ class TestReduce:
         assert err.startswith("error: bad letter on line 1: ")
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("word, system", [
+        ("x 1,-1 (2,)\nx 1,-1 (-2)\n", ("--model", "sp", "--n", "2")),
+        ("x 1,-1 (,2)\nx 1,-1 (-2)\n", ("--model", "sp", "--n", "2")),
+        ("x 1,-1 (2)))\nx 1,-1 (-2)\n", ("--model", "sp", "--n", "2")),
+        ("x 1,0,0,-1 (2\nx 1,0,0,-1 (-2)\n",
+         ("--system", "standard", "--ambient", "4")),
+        ("x 1,0,0,-1:1 (2)\nx 1,0,0,-1 (-2)\n",
+         ("--system", "standard", "--ambient", "4"))],
+        ids=["trailing-empty-slot", "leading-empty-slot", "extra-parens",
+             "standard-unclosed", "standard-tagged"])
+    def test_malformed_letter_is_a_bad_letter(self, word, system, tmp_path):
+        # each first line would reduce if read leniently; it is a bad letter
+        wf = tmp_path / "word.txt"
+        wf.write_text(word)
+        code, out, err = run_cli_err("reduce", str(wf), *system)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: bad letter on line 1: ")
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+
 
 class TestDecompose:
     def test_two_factor_string(self):
@@ -296,6 +315,21 @@ USAGE_ERRORS = [
      "-a", "1", "-b", "1"),
     ("decompose", "--model", "sp", "--n", "2", "-r", "1,0,-1", "-p", "0,0,2",
      "-a", "1", "-b", "1"),
+    # vector slots are exact rationals: no ZeroDivisionError traceback and
+    # no empty slot dropped from a point
+    ("generic", "--roots", "builtin:restricted", "--n", "2",
+     "--plane", "1/0,1;0,1"),
+    ("stable", "--roots", "builtin:restricted", "--n", "2", "--check", "1/0,1"),
+    ("stable", "--roots", "builtin:restricted", "--n", "2",
+     "--region", "1/0,1"),
+    ("chambers", "--roots", "builtin:restricted", "--n", "2",
+     "--region", "1/0,1"),
+    ("reduce", "WORDFILE", "--model", "sp", "--n", "2", "--region", "1/0,1"),
+    ("stable", "--roots", "builtin:restricted", "--n", "2", "--check", "1,,2"),
+    # a space inside a rational never joins its digits: "1 0" is not 10
+    ("stable", "--roots", "builtin:restricted", "--n", "2", "--check", "1 0,-3"),
+    ("verify", "--model", "sp", "--n", "2", "--suite", "monomial",
+     "--grid", "1 2,3,4,5,6,7,8,9,10"),
 ]
 
 

@@ -9,7 +9,7 @@ import pytest
 from chevalley import cycles
 from chevalley.arrangements import Plane, find_stable_element
 from chevalley.generators import GroupModel, gen_h, gen_x, h_word_letters
-from chevalley.matrices import ExactMatrix, mat_mul
+from chevalley.matrices import ExactMatrix, delta_to_matrix, mat_mul
 from chevalley.cycles import (CycleError, ElementaryLetter, NonCycleError,
                               ReductionFailure, ReductionTrace,
                               RestrictedSystem, StandardSystem, Word,
@@ -18,8 +18,7 @@ from chevalley.cycles import (CycleError, ElementaryLetter, NonCycleError,
                               reduce_cycle)
 from chevalley.cycles import (ReductionMove, _match_h_mult, _PrefixProducts,
                               _Reducer, _stability)
-from chevalley.relations import (delta_to_matrix, delta_word,
-                                 fit_structure_functions, h_delta)
+from chevalley.relations import delta_word, fit_structure_functions, h_delta
 from chevalley.roots import Root, build_root_system
 from chevalley.scalars import (GaussianRational, LaurentFrac, ScalarError,
                                parse_scalar)

@@ -1,5 +1,6 @@
 """Generator construction: f/x/w/h tables, monomial forms, torus characters."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,13 +9,13 @@ from chevalley.generators import (GeneratorError, GeneratorLetter, GroupModel,
                                   TorusElement, _letter_matrix, gen_f,
                                   gen_f_component, gen_h, gen_h_literal, gen_w,
                                   gen_x, h_word_letters,
-                                  position_component_table, torus_conjugate,
-                                  w_word_letters)
+                                  position_component_table, read_letter,
+                                  torus_conjugate, w_word_letters)
 from chevalley.matrices import (ExactMatrix, check_lie_membership,
                                 check_membership, exp_nilpotent, mat_inv,
                                 mat_mul, mat_prod)
 from chevalley.roots import Root, build_root_system
-from chevalley.scalars import GaussianRational, LaurentFrac
+from chevalley.scalars import GaussianRational, LaurentFrac, ScalarError
 
 SP2 = GroupModel("sp", 2)
 SP3 = GroupModel("sp", 3)
@@ -257,6 +258,41 @@ class TestLetters:
                             (Fraction(3, 2), Fraction(-1)))
         assert l.format() == "x 1,-1 (3/2, -1)"
         assert GeneratorLetter.parse(l.format(), SL2) == l
+
+    @pytest.mark.parametrize("model, pool", [
+        (SLC2, [GaussianRational(1, 2), GaussianRational(0, -1),
+                GaussianRational(Fraction(-1, 2), 3), Fraction(0),
+                Fraction(5, 7)]),
+        (SL2, [LaurentFrac.symbol("a"), LaurentFrac.symbol("b1"),
+               Fraction(0), Fraction(-3, 2)]),
+        (SP2, [LaurentFrac.symbol("t"), Fraction(2)])],
+        ids=["gaussian", "laurent-sl", "laurent-sp"])
+    def test_read_letter_gives_back_seeded_letters(self, model, pool):
+        rng = random.Random("read-letter:%s" % model.family)
+        roots = build_root_system(2).roots
+        for _ in range(200):
+            root = rng.choice(roots)
+            kind = rng.choice("xwh")
+            if kind == "x" and not model.is_sp and not root.is_long and \
+                    rng.random() < 0.3:
+                root = Root(root.coeffs, rng.choice((1, 2)))
+            params = tuple(rng.choice(pool)
+                           for _ in range(model.param_arity(root)))
+            if kind != "x" and not any(params):
+                continue
+            l = GeneratorLetter(model, kind, root, params)
+            assert read_letter(l.format()) == (kind, root, l.params)
+            assert GeneratorLetter.parse(l.format(), model) == l
+
+    @pytest.mark.parametrize("text", [
+        "", "   ", "x", "x 1,-1", "x 1,-1 (2", "x 1,-1 2)", "x 1,-1 (2)))",
+        "x 1,-1 ((2)", "x 1,-1 (2) 3", "x 1,-1 (2,)", "x 1,-1 (,2)",
+        "x 1,-1 ()", "x 1,-1 (2,,3)", "x 1,-1 (1/0)"])
+    def test_read_letter_rejects_malformed_text(self, text):
+        # a format or scalar error, never an IndexError or a letter read
+        # with a slot dropped
+        with pytest.raises((GeneratorError, ScalarError)):
+            read_letter(text)
 
     def test_inverse_matrices(self):
         for kind, params in (("x", (Fraction(2), Fraction(3))),

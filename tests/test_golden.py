@@ -26,7 +26,8 @@ from chevalley.cli import _parse_plane, main
 from chevalley.cycles import (RestrictedSystem, StandardSystem, Word,
                               commutator_value,
                               enumerate_bracket_decompositions, is_stable_word)
-from chevalley.generators import GroupModel, h_word_letters, w_word_letters
+from chevalley.generators import (GroupModel, h_word_letters, read_letter,
+                                  w_word_letters)
 from chevalley.relations import fit_structure_functions
 from chevalley.roots import Root, build_root_system, standard_sl_roots
 from chevalley.scalars import parse_scalar
@@ -253,13 +254,12 @@ def _w_power(family, n):
     return w_word_letters(model, Root.of(n, 1, 2, 1, -1), one) * 4
 
 
-def reduce_cases():
-    """(case name, argv with WORDFILE, word text) for every reduce golden."""
+def reduce_words():
+    """(case name, argv with WORDFILE, letters) for every reduce golden."""
     cases = []
 
     def add(name, argv, letters):
-        text = "\n".join(l.format() for l in letters) + "\n"
-        cases.append((name, ["reduce"] + argv, text))
+        cases.append((name, ["reduce"] + argv, letters))
 
     for family in FAMILIES:
         for n in (2, 3):
@@ -291,6 +291,12 @@ def reduce_cases():
             add("standard-%d-%s-region" % (size, kind),
                 std + ["--region", region], letters)
     return cases
+
+
+def reduce_cases():
+    """(case name, argv with WORDFILE, word text) for every reduce golden."""
+    return [(name, argv, "\n".join(l.format() for l in letters) + "\n")
+            for name, argv, letters in reduce_words()]
 
 
 def reduce_text(argv, word_text):
@@ -393,6 +399,14 @@ def bracket_text():
 def test_reduce_golden(name, argv, word_text):
     golden = GOLDEN / ("reduce-%s.txt" % name)
     assert reduce_text(argv, word_text) == golden.read_text(encoding="utf-8")
+
+
+def test_read_letter_gives_back_every_golden_letter():
+    # read_letter is the one reader of the letter text of both systems
+    letters = [l for _name, _argv, word in reduce_words() for l in word]
+    assert len(letters) > 700
+    for l in letters:
+        assert read_letter(l.format()) == (l.kind, l.root, l.params)
 
 
 def test_reduce_goldens_are_all_cases():

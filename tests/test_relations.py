@@ -11,21 +11,22 @@ from hypothesis import strategies as st
 
 from chevalley import relations
 from chevalley.generators import (GeneratorError, GeneratorLetter, GroupModel,
-                                  MonomialForm, gen_h)
-from chevalley.matrices import ExactMatrix, mat_inv, mat_mul, mat_prod
+                                  MonomialForm, gen_h, h_reference)
+from chevalley.matrices import (ExactMatrix, delta_to_matrix, mat_inv, mat_mul,
+                                mat_prod, matrix_to_delta)
 from chevalley.relations import (DEFAULT_GRID, Relation, RelationError,
                                  StructureFunction,
                                  _commutator, _sweep,
                                  commutator_delta, decompose_commutator,
-                                 delta_mul, delta_to_matrix, delta_word,
+                                 delta_mul, delta_word,
                                  fit_structure_functions, grid_for_model,
-                                 h_delta, matrix_to_delta, param_tuples,
+                                 h_delta, param_tuples,
                                  run_suite,
                                  verify_additivity, verify_commutator,
-                                 verify_trivial_commutator, w_delta, x_delta)
+                                 w_delta, x_delta)
 from chevalley.roots import Root, build_root_system
 from chevalley.scalars import (GaussianRational, LaurentFrac, LaurentPoly,
-                               format_scalar)
+                               format_scalar, parse_scalar)
 
 SP2 = GroupModel("sp", 2)
 SP3 = GroupModel("sp", 3)
@@ -75,7 +76,8 @@ class TestDeltaRoute:
     @pytest.mark.parametrize("mode", ["rational", "gaussian", "laurent"])
     def test_monomial_form_delta_matches_dense(self, mode):
         # seeded p(pi) diag(d): fixed points with d = 1 (pruned) and d != 1,
-        # moved columns, and entries of the named mode beside rationals
+        # moved columns, and entries of the named mode beside rationals;
+        # from_delta reads each form back off its delta
         pool = {"rational": [F(-1), F(2, 3), F(-5)],
                 "gaussian": [GaussianRational(0, 1), GaussianRational(2, -1),
                              F(-1)],
@@ -91,6 +93,16 @@ class TestDeltaRoute:
                 form = MonomialForm(tuple(perm),
                                     tuple(rng.choice(pool) for _ in perm))
                 assert form.delta() == matrix_to_delta(form.to_matrix())
+                assert MonomialForm.from_delta(form.delta(), size) == form
+
+    @pytest.mark.parametrize("delta", [
+        {(1, 2): F(3)},                      # column 2 holds two entries
+        {(1, 1): F(-1)},                     # column 1 is zero
+        {(1, 2): F(3), (2, 2): F(-1)}],      # row 1 holds two columns
+        ids=["two-in-a-column", "zero-column", "row-repeats"])
+    def test_non_monomial_delta_is_rejected(self, delta):
+        with pytest.raises(GeneratorError, match="not monomial"):
+            MonomialForm.from_delta(delta, 4)
 
 
 small = st.fractions(min_value=-3, max_value=3, max_denominator=2)
@@ -178,13 +190,14 @@ class TestAdditivity:
 
 
 class TestCommutator:
-    @pytest.mark.parametrize("verify", [verify_commutator,
-                                        verify_trivial_commutator])
-    def test_roots_of_another_rank_are_rejected(self, verify):
-        # rank-3 roots on an n=2 model: no report over relabelled positions
+    @pytest.mark.parametrize("p", [Root.of(3, 2), Root.of(3, 3)],
+                             ids=["non-trivial", "trivial"])
+    def test_roots_of_another_rank_are_rejected(self, p):
+        # rank-3 roots on an n=2 model: no report over relabelled positions,
+        # whether r + p is a root (L1+L2) or not (L1-L2+2L3)
         with pytest.raises(GeneratorError, match="rank 3"):
-            verify(SP2, Root.of(3, 1, 2, 1, -1), Root.of(3, 2), (F(1),),
-                   (F(1),))
+            verify_commutator(SP2, Root.of(3, 1, 2, 1, -1), p, (F(1),),
+                              (F(1),))
 
     def test_chain_single_factor_sp(self):
         # [x_{L1-L2}(a), x_{L2-L3}(b)] = x_{L1-L3}(c a b) for some integer c
@@ -269,32 +282,37 @@ class TestCommutator:
 
 
 class TestTrivialCommutator:
+    """verify_commutator on a pair with r+p outside the system fits no law
+    and gives the trivial-commutator report."""
+
+    @staticmethod
+    def trivial(model, r, p, a, b):
+        rep = verify_commutator(model, r, p, a, b)
+        assert rep.relation_id == "trivial-commutator"
+        return rep
+
     def test_two_long_roots(self):
-        rep = verify_trivial_commutator(SP2, Root.of(2, 1), Root.of(2, 2),
-                                        (F(2),), (F(3),))
-        assert rep.passed
+        assert self.trivial(SP2, Root.of(2, 1), Root.of(2, 2),
+                            (F(2),), (F(3),)).passed
 
     def test_disjoint_short_roots(self):
-        rep = verify_trivial_commutator(GroupModel("sp", 4),
-                                        Root.of(4, 1, 2, 1, -1),
-                                        Root.of(4, 3, 4, 1, -1),
-                                        (F(2),), (F(3),))
-        assert rep.passed
+        assert self.trivial(GroupModel("sp", 4), Root.of(4, 1, 2, 1, -1),
+                            Root.of(4, 3, 4, 1, -1), (F(2),), (F(3),)).passed
 
     def test_zero_parameter(self):
-        rep = verify_trivial_commutator(SP2, Root.of(2, 1), Root.of(2, 2),
-                                        (F(0),), (F(3),))
-        assert rep.passed
+        assert self.trivial(SP2, Root.of(2, 1), Root.of(2, 2),
+                            (F(0),), (F(3),)).passed
 
     def test_rejects_string_pairs(self):
-        with pytest.raises(RelationError):
-            verify_trivial_commutator(SP2, Root.of(2, 1, 2, 1, -1),
-                                      Root.of(2, 2), (F(1),), (F(1),))
+        # a pair summing to a root never gets the trivial report
+        rep = verify_commutator(SP2, Root.of(2, 1, 2, 1, -1), Root.of(2, 2),
+                                (F(1),), (F(1),))
+        assert rep.passed and rep.relation_id == "commutator"
 
     def test_rejects_antipodal_pair(self):
         r = Root.of(2, 1, 2, 1, -1)
         with pytest.raises(RelationError, match="antipodal"):
-            verify_trivial_commutator(SP2, r, -r, (F(1),), (F(1),))
+            verify_commutator(SP2, r, -r, (F(1),), (F(1),))
 
 
 R12, R23 = Root.of(3, 1, 2, 1, -1), Root.of(3, 2, 3, 1, -1)
@@ -454,18 +472,72 @@ class TestHRelations:
             gen_h(SP2, r, (F(1),)).matrix
 
 
+def no_dense_matrix(monkeypatch):
+    """Make every ExactMatrix construction fail: the relation engine builds
+    no dense matrix, which is the tests' oracle alone."""
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a dense matrix was built")
+
+    monkeypatch.setattr(ExactMatrix, "__init__", refuse)
+
+
+class TestDenseOracleOnly:
+    def test_complex_grid_suites_pass_with_no_dense_matrix(self, monkeypatch):
+        no_dense_matrix(monkeypatch)
+        grid = tuple(parse_scalar(v) for v in
+                     "1+i,2,-1/2+3i,4,5,6,7,8,9".split(","))
+        reports = run_suite(SLC2, "all", "grid", grid)
+        bad = [r for r in reports if not r.passed]
+        assert reports and not bad, bad[:3]
+
+    def test_relations_takes_nothing_from_matrices(self):
+        from chevalley import matrices
+        assert not [name for name, value in vars(relations).items()
+                    if value is matrices or
+                    getattr(value, "__module__", None) == matrices.__name__]
+
+    @pytest.mark.parametrize("regime", ["grid", "symbolic"])
+    @pytest.mark.parametrize("model", [SP2, SL2])
+    def test_h_literal_form_catches_an_h_built_with_plus_ref(
+            self, model, regime, monkeypatch):
+        def reports():
+            return {r.relation_id: r for r in
+                    relations.h_relation_suite(model, regime, DEFAULT_GRID)}
+
+        assert reports()["h-literal-form"].passed
+        # h(t) = w(t) w(+ref) is not w(t) w(ref)^{-1}
+        monkeypatch.setattr(relations, "h_delta", lambda m, root, params:
+                            delta_mul(w_delta(m, root, params),
+                                      w_delta(m, root, h_reference(params))))
+        rep = reports()["h-literal-form"]
+        assert not rep.passed and rep.instances == 1
+        # the witness reads entries of h(t) w(ref) and of w(t)
+        t = DEFAULT_GRID[0] if regime == "grid" else LaurentFrac.symbol("a")
+        assert rep.witness["params"] == [format_scalar(t)]
+        r12 = Root.of(2, 1, 2, 1, -1)
+        params = (t,) if model.is_sp else (t, F(0))
+        lhs = delta_mul(relations.h_delta(model, r12, params),
+                        w_delta(model, r12, h_reference(params)))
+        entry = tuple(rep.witness["entry"])
+        assert rep.witness["lhs"] == format_scalar(lhs.get(entry, F(0)))
+        assert rep.witness["rhs"] == \
+            format_scalar(w_delta(model, r12, params).get(entry, F(0)))
+
+
 class TestSuites:
     @pytest.mark.parametrize("family", ["sp", "sl-r", "sl-c"])
-    def test_grid_regime_n2(self, family):
+    def test_grid_regime_n2(self, family, monkeypatch):
+        no_dense_matrix(monkeypatch)
         reports = run_suite(GroupModel(family, 2), "all", "grid")
         bad = [r for r in reports if not r.passed]
-        assert not bad, bad[:3]
+        assert reports and not bad, bad[:3]
 
     @pytest.mark.parametrize("family", ["sp", "sl-r", "sl-c"])
-    def test_symbolic_regime_n2(self, family):
+    def test_symbolic_regime_n2(self, family, monkeypatch):
+        no_dense_matrix(monkeypatch)
         reports = run_suite(GroupModel(family, 2), "all", "symbolic")
         bad = [r for r in reports if not r.passed]
-        assert not bad, bad[:3]
+        assert reports and not bad, bad[:3]
 
     @pytest.mark.parametrize("family", ["sp", "sl-r", "sl-c"])
     def test_symbolic_relation_families_n4(self, family):
@@ -563,10 +635,9 @@ class TestWeylSuiteSpotChecks:
         # three of the displays at (1,1), (2,3), (-1,1/2)
         for (t1, t2) in ((F(1), F(1)), (F(2), F(3)), (F(-1), F(1, 2))):
             for rid in (Root.of(2, 1, 2, 1, -1), Root.of(2, 1, 2, 1, 1)):
-                wd = delta_to_matrix(w_delta(SL2, rid, (t1, t2)), 4)
-                from chevalley.generators import MonomialForm
-                form = MonomialForm.from_matrix(wd)
-                assert form.to_matrix(wd.mode) == wd
+                wd = w_delta(SL2, rid, (t1, t2))
+                form = MonomialForm.from_delta(wd, 4)
+                assert form.to_matrix() == delta_to_matrix(wd, 4)
         wl = delta_to_matrix(w_delta(SP2, Root.of(2, 1), (F(2),)), 4)
         assert wl == ExactMatrix([[0, 0, 2, 0], [0, 1, 0, 0],
                                   [F(-1, 2), 0, 0, 0], [0, 0, 0, 1]])
@@ -601,8 +672,7 @@ class TestComponentConjugation:
             for wparams in self.forms(gamma, u, u2):
                 wd = w_delta(model, gamma, wparams)
                 wd_inv = w_delta(model, gamma, tuple(-x for x in wparams))
-                form = MonomialForm.from_matrix(
-                    delta_to_matrix(wd, model.size))
+                form = MonomialForm.from_delta(wd, model.size)
                 for beta in roots:
                     positions = relations.root_entry_positions(model, beta)
                     for row, col, _s in positions:

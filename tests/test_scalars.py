@@ -412,7 +412,8 @@ class TestParsing:
         assert isinstance(v, LaurentFrac)
         assert v == LaurentFrac.symbol("t1")
 
-    @pytest.mark.parametrize("text", ["", "2//3", "1+2j", "t-1"])
+    # a space inside a rational is no digit separator: "1 2" is not 12
+    @pytest.mark.parametrize("text", ["", "2//3", "1+2j", "t-1", "1 2"])
     def test_rejects_garbage(self, text):
         with pytest.raises(ScalarError):
             parse_scalar(text)
