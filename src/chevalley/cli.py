@@ -71,13 +71,19 @@ def _parse_vector(text):
 
 
 def _parse_plane(text, ambient):
-    """"<vec>;<vec>" gives a basis; "eq:<vec>;<vec>" gives equations."""
+    """"<vec>;<vec>" gives a basis; "eq:<vec>;<vec>" gives equations.
+
+    An empty vector, as in "1,0;;0,1" or a bare "eq:", is a usage error.
+    """
     text = text.strip()
-    if text.startswith("eq:"):
-        eqs = [_parse_vector(v) for v in text[3:].split(";") if v.strip()]
-        return Plane.from_equations(ambient, eqs)
-    basis = [_parse_vector(v) for v in text.split(";") if v.strip()]
-    return Plane(ambient, tuple(tuple(v) for v in basis))
+    eq = text.startswith("eq:")
+    items = (text[3:] if eq else text).split(";")
+    if not all(v.strip() for v in items):
+        raise UsageError("empty vector in %r" % text)
+    vecs = [_parse_vector(v) for v in items]
+    if eq:
+        return Plane.from_equations(ambient, vecs)
+    return Plane(ambient, tuple(tuple(v) for v in vecs))
 
 
 def _load_roots(source, n, ambient):

@@ -649,7 +649,8 @@ def _match_h_mult(letters):
     The w-words w_r(t) = x_r(t) x_{-r}(-1/t) x_r(t) at t = A, -1, B, -AB over
     an untagged root r; sl letters carry the value in one slot with the other
     slot zero throughout.  A window is rejected on its roots before any value
-    is computed.
+    is computed, and on its values before any is inverted: t must be a unit,
+    t * (-1/t) = -1, so a merged sum such as a+b never matches.
     """
     size = 12
     for i in range(len(letters) - size + 1):
@@ -669,7 +670,8 @@ def _match_h_mult(letters):
         slot = slots[0]
         a_val = params[slot]
         b_val = window[6].params[slot]
-        if not b_val:
+        if a_val * window[1].params[slot] != -1 or \
+                b_val * window[7].params[slot] != -1:
             continue
         neg_ref = tuple(-p for p in h_reference(params))
         b_params, ab_params = (params[:slot] + (v,) + params[slot + 1:]

@@ -88,7 +88,7 @@ class GroupModel:
         root=None checks a value list (a grid).
         ints become Fractions; no mode is widened.  Domain: the grid regime
         takes the model's field, Q or Q(i) for sl-c; the symbolic regime
-        Laurent fractions over Q; regime None both, minus Gaussian values on
+        Laurent polynomials over Q; regime None both, minus Gaussian values on
         sp and sl-r.  A tuple never mixes Gaussian values with symbols.
         """
         if not isinstance(params, tuple):

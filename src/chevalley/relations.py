@@ -48,8 +48,7 @@ from .generators import (GRID, REGIMES, SYMBOLIC, MonomialForm, h_reference,
                          position_component_table, root_entry_positions,
                          w_factors, with_mode)
 from .roots import Root, build_root_system, positive_combinations
-from .scalars import (_ONE, LaurentFrac, format_scalar, join_mode,
-                      mode_of)
+from .scalars import LaurentFrac, format_scalar, join_mode, mode_of
 
 DEFAULT_GRID = (Fraction(1), Fraction(-1), Fraction(2), Fraction(-2),
                 Fraction(3), Fraction(-3), Fraction(1, 2), Fraction(-1, 2),
@@ -480,9 +479,9 @@ def fit_structure_functions(model, r, p):
     """Symbolically extract the g-laws of [x_r(a), x_p(b)]; cached.
 
     Raises DecompositionError if the factors do not reassemble, and
-    RelationError if a law is not a polynomial (no denominator, no negative
-    exponent, so evaluating it never divides), violates its bidegree or (sp)
-    is not a single integer monomial.
+    RelationError if a law has a negative exponent (so evaluating a law
+    never divides), violates its bidegree or (sp) is not a single integer
+    monomial.
     """
     a_vars = ("a",) if model.param_arity(r) == 1 else ("a1", "a2")
     b_vars = ("b",) if model.param_arity(p) == 1 else ("b1", "b2")
@@ -502,12 +501,10 @@ def fit_structure_functions(model, r, p):
                                % (r, p)):
         polys = []
         for v in vals:
-            if v.den is not _ONE:
-                raise RelationError("non-polynomial structure law for %s,%s" % (r, p))
-            if any(e < 0 for key in v.num.terms for _name, e in key):
+            if any(e < 0 for key in v.poly.terms for _name, e in key):
                 raise RelationError("structure law with a negative exponent "
                                     "for %s,%s" % (r, p))
-            polys.append(v.num)
+            polys.append(v.poly)
         sf = StructureFunction(i, j, q, tuple(polys), a_vars, b_vars)
         if not sf.bidegree_ok():
             raise RelationError("bidegree violation at %s for pair %s,%s" % (q, r, p))

@@ -1,4 +1,4 @@
-"""Exact scalar arithmetic: rationals, Gaussian rationals, Laurent fractions.
+"""Exact scalar arithmetic: rationals, Gaussian rationals, Laurent polynomials.
 
 Three scalar modes, never any floating point:
 
@@ -7,28 +7,24 @@ Three scalar modes, never any floating point:
 * ``gaussian``  -- :class:`GaussianRational`, a pair of canonical Fractions
   modelling Q(i).  Every identity in scope has integer structure constants,
   so validity on a Q(i) grid certifies it over C.
-* ``laurent``   -- :class:`LaurentFrac`, a ratio of sparse multivariate
-  Laurent polynomials over Q in named parameter symbols.  Used by the
-  symbolic verification regime: an identity that holds as a canonical
-  Laurent-fraction equality holds for every parameter value with nonzero
-  denominators.
+* ``laurent``   -- :class:`LaurentFrac`, an element of the ring of sparse
+  multivariate Laurent polynomials over Q in named parameter symbols.  Used
+  by the symbolic verification regime: an identity that holds as an
+  equality of Laurent polynomials holds for every nonzero parameter value.
 
-Laurent canonical form: numerator and denominator share no monomial factor,
-their integer contents are coprime, and the denominator's lex-leading
-coefficient is positive.  A denominator that is a monomial (the only kind any
-operation path in this package produces) is folded into the numerator, and an
-exact polynomial division is attempted otherwise.  Equality is decided by
-cross-multiplication, which is sound independently of gcd reduction.
+Laurent canonical form: a dict from sorted monomial keys with nonzero
+exponents to nonzero Fraction coefficients, so equality is dict equality.
+The ring divides only by a monomial, which is a unit; any other divisor is a
+ScalarError, since the quotient would leave the ring.
 
 One hash rule: equal values hash alike.  A real ``GaussianRational`` and a
 constant ``LaurentPoly`` or ``LaurentFrac`` hash like their ``Fraction``, and a
-``LaurentFrac`` over 1 like its numerator; a cache keys on the mode as well.
+``LaurentFrac`` like its ``LaurentPoly``; a cache keys on the mode as well.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 
 
 RATIONAL = "rational"
@@ -335,51 +331,6 @@ class LaurentPoly:
 
     __rmul__ = __mul__
 
-    def shift(self, key):
-        """Multiply by the monomial with the given key."""
-        if not key:
-            return self
-        return LaurentPoly({_key_mul(k, key): c for k, c in self.terms.items()})
-
-    def min_exponents(self):
-        """Per-variable minimum exponent over all terms (0 for absent vars)."""
-        mins = {}
-        first = True
-        for k in self.terms:
-            seen = dict(k)
-            if first:
-                mins = dict(seen)
-                first = False
-            else:
-                for v in set(mins) | set(seen):
-                    mins[v] = min(mins.get(v, 0), seen.get(v, 0))
-        return {v: e for v, e in mins.items() if e}
-
-    def variables(self):
-        out = set()
-        for k in self.terms:
-            for name, _e in k:
-                out.add(name)
-        return out
-
-    def content(self):
-        """Positive rational c with self/c integer-primitive; 0-poly gives 1."""
-        if not self.terms:
-            return Fraction(1)
-        num_gcd = 0
-        den_lcm = 1
-        for c in self.terms.values():
-            num_gcd = gcd(num_gcd, abs(c.numerator))
-            den_lcm = den_lcm * c.denominator // gcd(den_lcm, c.denominator)
-        return Fraction(num_gcd, den_lcm)
-
-    def lead_key(self):
-        """Lexicographically largest monomial key (by sorted var/exp tuple)."""
-        return max(self.terms)
-
-    def lead_coeff(self):
-        return self.terms[self.lead_key()]
-
     def evaluate(self, point):
         """Evaluate at Fraction/GaussianRational values; exact."""
         total = None
@@ -407,133 +358,72 @@ class LaurentPoly:
         return "LaurentPoly(%s)" % " + ".join(bits)
 
 
-# the denominator of every Laurent polynomial, shared: see LaurentFrac
-_ONE = LaurentPoly.const(1)
+def _normalize(num, den):
+    """num / den in the Laurent-polynomial ring: the ring's one division.
 
-
-def _div_monomial(p, key, c):
-    """p divided by the monomial c * key; distinct keys stay distinct."""
-    inv = tuple((name, -e) for name, e in key)
-    return LaurentPoly._raw({_key_mul(k, inv): v / c for k, v in p.terms.items()})
-
-
-def _poly_divmod_exact(num, den):
-    """Exact multivariate division num/den; returns quotient or None.
-
-    Both arguments must be ordinary polynomials (no negative exponents).
-    Lead-term reduction in graded-lex order over the joint variable list;
-    any nonzero remainder step aborts with None.
+    Only a monomial c * key, a unit of the ring, divides; distinct keys
+    stay distinct, so the quotient is canonical.  Any other nonzero divisor
+    is a ScalarError.
     """
-    if not den:
-        raise ZeroDivisionError("polynomial division by zero")
-    varlist = sorted(num.variables() | den.variables())
-
-    def rank(key):
-        exps = dict(key)
-        vec = tuple(exps.get(v, 0) for v in varlist)
-        return (sum(vec), vec)
-
-    q = {}
-    rem = dict(num.terms)
-    dlk = max(den.terms, key=rank)
-    dlc = den.terms[dlk]
-    dneg = dict(dlk)
-    while rem:
-        rlk = max(rem, key=rank)
-        # candidate quotient monomial = rlk / dlk
-        qk = dict(rlk)
-        for name, e in dneg.items():
-            e2 = qk.get(name, 0) - e
-            if e2:
-                qk[name] = e2
-            else:
-                qk.pop(name, None)
-        if any(e < 0 for e in qk.values()):
-            return None
-        qk = tuple(sorted(qk.items()))
-        qc = rem[rlk] / dlc
-        q[qk] = qc
-        for k, c in den.terms.items():
-            k2 = _key_mul(k, qk)
-            c2 = rem.get(k2, Fraction(0)) - qc * c
-            if c2:
-                rem[k2] = c2
-            else:
-                rem.pop(k2, None)
-    return LaurentPoly(q)
+    if len(den.terms) != 1:
+        if not den:
+            raise ZeroDivisionError("division by zero Laurent polynomial")
+        raise ScalarError("cannot divide by %s: only a monomial is a unit of "
+                          "the Laurent-polynomial ring" % _poly_str(den))
+    (key, c), = den.terms.items()
+    inv = tuple((name, -e) for name, e in key)
+    return LaurentPoly._raw({_key_mul(k, inv): v / c
+                             for k, v in num.terms.items()})
 
 
 class LaurentFrac:
-    """Ratio of Laurent polynomials, canonicalized on construction.
+    """Element of the Laurent-polynomial ring over Q: one canonical
+    LaurentPoly.
 
-    A denominator of 1 is always the shared ``_ONE``, so ``den is _ONE``
-    tells a Laurent polynomial.  When every operand is one, ``+``, ``-``,
-    ``*``, ``==`` and ``/`` by a monomial work on the numerators alone:
-    ``_normalize`` would hand such a numerator back unchanged.
+    ``+``, ``-``, ``*``, ``==`` and ``hash`` work on the term dicts alone;
+    ``/`` takes only a monomial divisor (see ``_normalize``).
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("poly",)
 
-    def __init__(self, num, den=None):
-        if isinstance(num, (int, Fraction)):
-            num = LaurentPoly.const(num)
-        if den is None:
-            den = _ONE
-        elif isinstance(den, (int, Fraction)):
-            den = LaurentPoly.const(den)
-        if not den:
-            raise ZeroDivisionError("zero denominator in Laurent fraction")
-        num, den = _normalize(num, den)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
-    @classmethod
-    def _poly(cls, num):
-        # internal fast path: num is the canonical numerator over _ONE
-        f = object.__new__(cls)
-        object.__setattr__(f, "num", num)
-        object.__setattr__(f, "den", _ONE)
-        return f
+    def __init__(self, poly):
+        if isinstance(poly, (int, Fraction)):
+            poly = LaurentPoly.const(poly)
+        object.__setattr__(self, "poly", poly)
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentFrac is immutable")
 
     @staticmethod
     def symbol(name):
-        return LaurentFrac._poly(LaurentPoly.symbol(name))
+        return LaurentFrac(LaurentPoly.symbol(name))
 
-    def _coerce(self, other):
+    @staticmethod
+    def _coerce(other):
         if isinstance(other, LaurentFrac):
-            return other
+            return other.poly
         if isinstance(other, (int, Fraction)):
-            return LaurentFrac._poly(LaurentPoly.const(other))
+            return LaurentPoly.const(other)
         if isinstance(other, LaurentPoly):
-            return LaurentFrac(other)
+            return other
         return None
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if self.den is _ONE and o.den is _ONE:
-            return LaurentFrac._poly(self.num + o.num)
-        if self.den == o.den:
-            return LaurentFrac(self.num + o.num, self.den)
-        return LaurentFrac(self.num * o.den + o.num * self.den, self.den * o.den)
+        return LaurentFrac(self.poly + o)
 
     __radd__ = __add__
 
     def __neg__(self):
-        f = LaurentFrac.__new__(LaurentFrac)
-        object.__setattr__(f, "num", -self.num)
-        object.__setattr__(f, "den", self.den)
-        return f
+        return LaurentFrac(-self.poly)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        return LaurentFrac(self.poly - o)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -542,9 +432,7 @@ class LaurentFrac:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if self.den is _ONE and o.den is _ONE:
-            return LaurentFrac._poly(self.num * o.num)
-        return LaurentFrac(self.num * o.num, self.den * o.den)
+        return LaurentFrac(self.poly * o)
 
     __rmul__ = __mul__
 
@@ -552,18 +440,13 @@ class LaurentFrac:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if not o.num:
-            raise ZeroDivisionError("division by zero Laurent fraction")
-        if self.den is _ONE and o.den is _ONE and len(o.num.terms) == 1:
-            (dk, dc), = o.num.terms.items()
-            return LaurentFrac._poly(_div_monomial(self.num, dk, dc))
-        return LaurentFrac(self.num * o.den, self.den * o.num)
+        return LaurentFrac(_normalize(self.poly, o))
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o / self
+        return LaurentFrac(_normalize(o, self.poly))
 
     def __pow__(self, k):
         if not isinstance(k, int):
@@ -571,77 +454,32 @@ class LaurentFrac:
         return _power(self, k, LaurentFrac(1))
 
     def __bool__(self):
-        return bool(self.num)
+        return bool(self.poly)
 
     def __eq__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if self.den is _ONE and o.den is _ONE:
-            return self.num.terms == o.num.terms
-        # cross-multiplication: exact regardless of gcd reduction
-        return self.num * o.den == o.num * self.den
+        return self.poly.terms == o.terms
 
     def __hash__(self):
-        if self.den is _ONE:
-            return hash(self.num)
-        return hash((frozenset(self.num.terms.items()),
-                     frozenset(self.den.terms.items())))
+        return hash(self.poly)
 
     def evaluate(self, point):
-        den = self.den.evaluate(point)
-        if not den:
-            raise ZeroDivisionError("denominator vanishes at evaluation point")
-        return self.num.evaluate(point) / den
-
-    def variables(self):
-        return self.num.variables() | self.den.variables()
+        return self.poly.evaluate(point)
 
     def is_canonical(self):
-        """Re-normalization is the identity (used by the exactness suite)."""
-        n2, d2 = _normalize(self.num, self.den)
-        return n2.terms == self.num.terms and d2.terms == self.den.terms
+        """The public constructor keeps the terms (used by the exactness
+        suite): sorted keys, nonzero exponents and Fraction coefficients."""
+        terms = self.poly.terms
+        return LaurentPoly(terms).terms == terms and \
+            all(type(c) is Fraction for c in terms.values())
 
     def __repr__(self):
-        if self.den is _ONE:
-            return "LaurentFrac(%r)" % (self.num,)
-        return "LaurentFrac(%r / %r)" % (self.num, self.den)
+        return "LaurentFrac(%r)" % (self.poly,)
 
     def __str__(self):
         return format_scalar(self)
-
-
-def _normalize(num, den):
-    if not num:
-        return LaurentPoly(), _ONE
-    # strip any common monomial factor so both sides are honest polynomials
-    mn = num.min_exponents()
-    md = den.min_exponents()
-    joint = {}
-    for v in set(mn) | set(md):
-        m = min(mn.get(v, 0), md.get(v, 0))
-        if m:
-            joint[v] = -m
-    if joint:
-        key = tuple(sorted(joint.items()))
-        num = num.shift(key)
-        den = den.shift(key)
-    if len(den.terms) == 1:
-        # monomial denominator folds into the numerator
-        (dk, dc), = den.terms.items()
-        return _div_monomial(num, dk, dc), _ONE
-    q = _poly_divmod_exact(num, den)
-    if q is not None:
-        return q, _ONE
-    # scale so the denominator is integer-primitive with positive lex-leading
-    # coefficient; the numerator carries the remaining rational factor
-    scale = den.content()
-    if den.lead_coeff() < 0:
-        scale = -scale
-    if scale != 1:
-        num = num * (1 / scale)
-        den = den * (1 / scale)
-    return num, den
 
 
 # ---------------------------------------------------------------------------
@@ -706,24 +544,18 @@ def parse_scalar(text, mode=None):
         if any(ch not in _SYMBOL_OK for ch in s):
             raise ScalarError("bad symbol name %r" % s)
         return LaurentFrac.symbol(s)
-    compact = s.replace(" ", "")
-    if compact.endswith("i"):
-        body = compact[:-1]
-        # split into real and imaginary at the last +/- not at position 0
-        # and not part of an exponent (exponents never occur in this format)
-        split = None
-        for idx in range(len(body) - 1, 0, -1):
-            if body[idx] in "+-" and body[idx - 1] not in "+-/":
-                split = idx
-                break
-        if split is None:
-            re_part, im_part = "0", body or "1"
-        else:
-            re_part, im_part = body[:split], body[split:]
-        if im_part in ("", "+"):
-            im_part = "1"
-        elif im_part == "-":
-            im_part = "-1"
+    if s.endswith("i"):
+        # spaces may stand around the imaginary part's sign and before "i",
+        # never inside a number: "1 2+i" and "1+2 3i" are bad
+        body = s[:-1].rstrip()
+        # the imaginary part starts at the last +/- that follows a number
+        # (exponents never occur in this format)
+        split = next((idx for idx in range(len(body) - 1, 0, -1)
+                      if body[idx] in "+-"
+                      and body[:idx].rstrip()[-1] not in "+-/"), 0)
+        re_part, im_part = body[:split] or "0", body[split:]
+        sign = im_part[0] if im_part[:1] in ("+", "-") else ""
+        im_part = sign + (im_part[len(sign):].strip() or "1")
         try:
             g = GaussianRational(Fraction(re_part), Fraction(im_part))
         except (ValueError, ZeroDivisionError) as exc:
@@ -754,10 +586,7 @@ def format_scalar(x):
         sign = "+" if x.im >= 0 else "-"
         return "%s%s%s i" % (x.re, sign, abs(x.im))
     if isinstance(x, LaurentFrac):
-        num = _poly_str(x.num)
-        if x.den is _ONE:
-            return num
-        return "(%s)/(%s)" % (num, _poly_str(x.den))
+        return _poly_str(x.poly)
     raise ScalarError("not an exact scalar: %r" % (x,))
 
 

@@ -9,6 +9,8 @@ import random
 import time
 from fractions import Fraction
 
+import pytest
+
 from chevalley.arrangements import Plane, is_generic, lyapunov_hyperplanes
 from chevalley.cycles import (ElementaryLetter, RestrictedSystem,
                               StandardSystem, Word,
@@ -19,7 +21,7 @@ from chevalley.matrices import (ExactMatrix, mat_inv, mat_mul, mat_prod)
 from chevalley.relations import (DEFAULT_GRID, decompose_commutator,
                                  fit_structure_functions, run_suite)
 from chevalley.roots import Root, build_root_system, standard_sl_roots
-from chevalley.scalars import GaussianRational, LaurentFrac
+from chevalley.scalars import GaussianRational, LaurentFrac, ScalarError
 from chevalley.symbols import (BILINEAR_ONLY, SymbolExpr, build_axiom_lattice,
                                is_consequence, replay_certificate)
 
@@ -258,14 +260,21 @@ def _small_enough(x):
         return abs(x.numerator) < 10 ** 9 and x.denominator < 10 ** 9
     if isinstance(x, GaussianRational):
         return _small_enough(x.re) and _small_enough(x.im)
-    return len(x.num.terms) + len(x.den.terms) <= 10 and \
-        all(_small_enough(c) for c in x.num.terms.values())
+    return len(x.poly.terms) <= 10 and \
+        all(_small_enough(c) for c in x.poly.terms.values())
+
+
+def _is_unit(x):
+    """Nonzero and, in the Laurent-polynomial ring, a monomial."""
+    return bool(x) and (not isinstance(x, LaurentFrac) or
+                        len(x.poly.terms) == 1)
 
 
 def test_criterion_8_exactness_round_trips():
-    """10^4 mixed operations never leave canonical form."""
+    """10^4 mixed operations never leave canonical form, and a Laurent
+    division by a non-unit is refused."""
     rng = random.Random(271828)
-    ops = 0
+    ops = rejected = 0
 
     def rand_fraction():
         return F(rng.randrange(-40, 41), rng.randrange(1, 13))
@@ -301,8 +310,14 @@ def test_criterion_8_exactness_round_trips():
                 c = a - b
             elif op == 2:
                 c = a * b
+            elif _is_unit(b):
+                c = a / b
             else:
-                c = a / b if b else a * b
+                if b:
+                    with pytest.raises(ScalarError):
+                        a / b
+                    rejected += 1
+                c = a * b
             assert_canonical(c)
             # feed results back only while they stay small, else repeated
             # products grow numerators exponentially and the run measures
@@ -323,4 +338,5 @@ def test_criterion_8_exactness_round_trips():
                         assert_canonical(x)
             except ZeroDivisionError:
                 pass
-    _report(8, True, "exactness: %d mixed operations stayed canonical" % ops)
+    _report(8, rejected > 0, "exactness: %d mixed operations stayed canonical,"
+            " %d non-unit Laurent divisions refused" % (ops, rejected))

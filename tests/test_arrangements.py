@@ -16,7 +16,7 @@ from chevalley.cycles import RestrictedSystem, Word, reduce_cycle
 from chevalley.generators import GroupModel
 from chevalley.roots import (CartanVector, Root, build_root_system,
                              standard_sl_roots)
-from chevalley.scalars import GaussianRational, LaurentFrac
+from chevalley.scalars import GaussianRational, LaurentFrac, ScalarError
 
 F = Fraction
 GOLDEN = Path(__file__).parent / "golden"
@@ -541,7 +541,10 @@ class TestRankAndNullspace:
         basis = _nullspace(eqs, 3)
         assert basis[0][0] == -1 / t
         assert all(_annihilates(eqs, v) for v in basis)
-        assert _rank([(t, one, z), (one, t, z)]) == 2
+        assert _rank([(t, one, z), (one, 2 / t, z)]) == 2
+        # the second pivot t - 1/t is no unit of the Laurent-polynomial ring
+        with pytest.raises(ScalarError):
+            _rank([(t, one, z), (one, t, z)])
 
     def test_against_sympy(self):
         sympy = pytest.importorskip("sympy")

@@ -330,6 +330,13 @@ USAGE_ERRORS = [
     ("stable", "--roots", "builtin:restricted", "--n", "2", "--check", "1 0,-3"),
     ("verify", "--model", "sp", "--n", "2", "--suite", "monomial",
      "--grid", "1 2,3,4,5,6,7,8,9,10"),
+    # nor in a Gaussian value: "1 2+i" is not 12+i
+    ("verify", "--model", "sl-c", "--n", "2", "--suite", "monomial",
+     "--grid", "1 2+i,2,3,4,5,6,7,8,9"),
+    # an empty vector is never dropped, and "eq:" needs an equation
+    ("generic", "--roots", "builtin:restricted", "--n", "2",
+     "--plane", "1,0;;0,1"),
+    ("stable", "--roots", "builtin:restricted", "--n", "2", "--region", "eq:"),
 ]
 
 

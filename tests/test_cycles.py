@@ -344,6 +344,27 @@ class TestReduce:
         assert len(hmoves[0].removed) == 12
         assert not hmoves[0].stability.stable  # antipodal roots: unstable
 
+    def test_h_window_over_a_merged_symbol_sum(self):
+        # x_r(a) x_r(b) merge into x_r(a+b), the first letter of a window
+        # with the h-template's roots; no letter holds -1/(a+b), so the
+        # window is no match rather than a division the ring refuses.  The
+        # inverse half's first letter is split in two, so the word does not
+        # free-cancel from its middle before the merge
+        sys_ = rsys(SL2)
+        r, z = Root.of(2, 1, 2, 1, -1), F(0)
+        a, b = LaurentFrac.symbol("a"), LaurentFrac.symbol("b")
+        word = [sys_.letter(r, (a, z)), sys_.letter(r, (b, z))] + \
+            [sys_.letter(q, (F(k + 2), z))
+             for k, q in enumerate([-r, r, r] * 3 + [-r, r])]
+        inverse = [l.inverse() for l in reversed(word)]
+        half = sys_.letter(r, (inverse[0].params[0] / 2, z))
+        merged = [sys_.letter(r, (a + b, z))] + word[2:]
+        assert _match_h_mult(merged) is None
+        trace = reduce_cycle(Word(sys_, tuple(word + [half, half] + inverse[1:])))
+        assert trace.reduced_to_empty and trace.replay()
+        assert ("relation-substitution", "additivity") in \
+            [(m.kind, m.relation_id) for m in trace.moves]
+
     def test_sp_h_multiplicativity_word(self):
         w = hmult_word(SP2, Root.of(2, 1, 2, 1, -1), F(2), F(-3))
         trace = reduce_cycle(w, budget=200)

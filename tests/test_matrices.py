@@ -13,7 +13,7 @@ from chevalley.matrices import (ExactMatrix, MatrixError, NotNilpotentError,
                                 exp_nilpotent, format_matrix, mat_add,
                                 mat_det, mat_inv, mat_mul, parse_matrix,
                                 row_reduce, symplectic_form)
-from chevalley.scalars import GaussianRational, LaurentFrac
+from chevalley.scalars import GaussianRational, LaurentFrac, ScalarError
 
 
 def unit_plus(size, entries):
@@ -290,14 +290,18 @@ class TestRowReduce:
         assert rref[0] == [one, -i]
 
     def test_laurent(self):
+        # every pivot a monomial, a unit of the Laurent-polynomial ring
         t = LaurentFrac.symbol("t")
-        one = LaurentFrac(1)
-        rref, pivots, det = row_reduce([[t, one], [one, t]], 2)
-        assert pivots == (0, 1)
-        assert det == t * t - 1
+        one, z = LaurentFrac(1), LaurentFrac(0)
+        rref, pivots, det = row_reduce([[t, one], [one, 2 / t]], 2)
+        assert pivots == (0, 1) and det == 1
+        assert rref == [[one, z], [z, one]]
         rref, pivots, det = row_reduce([[t, one], [t * t, t]], 2)
         assert pivots == (0,) and not det
         assert rref[0] == [one, 1 / t]
+        # the second pivot t - 1/t is no unit: the ring cannot divide by it
+        with pytest.raises(ScalarError):
+            row_reduce([[t, one], [one, t]], 2)
 
 
 class TestDet:
@@ -321,10 +325,12 @@ class TestDet:
             assert mat_det(m) == det
             assert isinstance(mat_det(m), GaussianRational)
         t = LaurentFrac.symbol("t")
-        for m, det in ((ExactMatrix([[t, 1], [1, t]]), t * t - 1),
+        for m, det in ((ExactMatrix([[t, 1], [1, 2 / t]]), LaurentFrac(1)),
                        (ExactMatrix([[t, 1], [t * t, t]]), LaurentFrac(0))):
             assert mat_det(m) == det
             assert isinstance(mat_det(m), LaurentFrac)
+        with pytest.raises(ScalarError):
+            mat_det(ExactMatrix([[t, 1], [1, t]]))
 
     def test_multiplicative(self):
         rng = random.Random(11)

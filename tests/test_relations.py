@@ -424,7 +424,7 @@ class TestCompiledLaws:
     def test_degenerate_forms(self):
         # an empty law, constant terms, a squared slot and a coefficient
         # other than a unit, beside the unit coefficients
-        a, b = LaurentFrac.symbol("a").num, LaurentFrac.symbol("b").num
+        a, b = LaurentFrac.symbol("a").poly, LaurentFrac.symbol("b").poly
         law = StructureFunction(1, 1, Root.of(2, 1), (
             LaurentPoly(), LaurentPoly.const(5) + a * a * b * 3 - a * b,
             -(a * b) + a * a, LaurentPoly.const(-1)), ("a",), ("b",))

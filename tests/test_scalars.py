@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chevalley import scalars
-from chevalley.scalars import (_ONE, GaussianRational, LaurentFrac, LaurentPoly,
-                               ScalarError, _normalize, format_scalar,
+from chevalley.scalars import (GaussianRational, LaurentFrac, LaurentPoly,
+                               ScalarError, format_scalar,
                                join_mode, mode_of, parse_scalar)
 
 rationals = st.fractions(min_value=-60, max_value=60, max_denominator=12)
@@ -148,54 +148,78 @@ class TestLaurent:
         assert t ** -2 * t ** 2 == 1
 
     def test_exact_division_reduces(self):
+        # a monomial divides exactly, and the quotient is one polynomial
         t = LaurentFrac.symbol("t")
-        expr = (t ** 2 - 1) / (t - 1)
-        assert expr == t + 1
-        assert expr.den == LaurentPoly.const(1)
+        s = LaurentFrac.symbol("s")
+        expr = (t ** 3 - t * s) / (t * s)
+        assert expr == t * t / s - 1
+        assert expr.poly == LaurentPoly({(("s", -1), ("t", 2)): 1, (): -1})
 
     def test_monomial_denominator_folds(self):
         t = LaurentFrac.symbol("t")
         s = LaurentFrac.symbol("s")
         expr = (t * t + s) / (t * s)
-        # monomial denominator folded into a Laurent numerator
-        assert expr.den == LaurentPoly.const(1)
+        # the monomial's inverse multiplies each term
         assert expr == t / s + 1 / t
+        assert expr.poly.terms == {(("s", -1), ("t", 1)): Fraction(1),
+                                   (("t", -1),): Fraction(1)}
 
     def test_denominator_sign_and_content(self):
+        # a monomial divisor's sign and coefficient divide every coefficient;
+        # a divisor of two terms is refused whatever its content
         t = LaurentFrac.symbol("t")
-        f = LaurentFrac(LaurentPoly.const(2),
-                        LaurentPoly.symbol("t") * (-2) + LaurentPoly.const(-4))
-        # den normalized primitive with positive leading coefficient
-        assert f.den.lead_coeff() > 0
-        assert f.den.content() == 1
-        assert f * (t + 2) == -1
+        f = LaurentFrac(2) / LaurentFrac(LaurentPoly.symbol("t") * Fraction(-2, 3))
+        assert f == -3 / t
+        assert f.poly.terms == {(("t", -1),): Fraction(-3)}
+        with pytest.raises(ScalarError):
+            LaurentFrac(2) / (t * (-2) - 4)
 
-    def test_cross_multiplication_equality(self):
+    def test_equality_compares_terms(self):
         t = LaurentFrac.symbol("t")
-        a = (t * t - 1) / (t + 1)
-        b = t - 1
-        assert a == b
+        a = (t * t - 1) / t
+        b = t - 1 / t
+        assert a == b and a.poly.terms == b.poly.terms and hash(a) == hash(b)
+        assert a != t - 1 and not (a == t - 1)
+
+    def test_non_unit_divisor_is_refused(self):
+        # (x*x-1)/(x*x+x) and (x-1)/x are one rational function, yet a ratio
+        # of polynomials kept without a gcd hashed them apart; the ring has
+        # no such quotient at all
+        x = LaurentFrac.symbol("x")
+        with pytest.raises(ScalarError, match="only a monomial"):
+            (x * x - 1) / (x * x + x)
+        assert (x - 1) / x == 1 - 1 / x
+        with pytest.raises(ScalarError):
+            1 / (x + 1)
+        with pytest.raises(ScalarError):
+            (x + 1) ** -1
+        for zero in (LaurentFrac(0), x - x, 0):
+            with pytest.raises(ZeroDivisionError):
+                x / zero
 
     def test_evaluate_matches_rational_route(self):
         t = LaurentFrac.symbol("t")
         s = LaurentFrac.symbol("s")
-        expr = (t ** 2 - s) / (t * s) + 1 / (t - s)
+        expr = (t ** 2 - s) / (t * s) + 1 / (3 * t * s ** 2)
         for tv, sv in [(Fraction(2), Fraction(3)), (Fraction(-1, 2), Fraction(5))]:
-            direct = (tv ** 2 - sv) / (tv * sv) + 1 / (tv - sv)
+            direct = (tv ** 2 - sv) / (tv * sv) + 1 / (3 * tv * sv ** 2)
             assert expr.evaluate({"t": tv, "s": sv}) == direct
 
     def test_evaluate_rejects_vanishing_denominator(self):
+        # a negative exponent has no value at zero
         t = LaurentFrac.symbol("t")
         with pytest.raises(ZeroDivisionError):
-            (1 / (t - 1)).evaluate({"t": Fraction(1)})
+            (1 / t + 1).evaluate({"t": Fraction(0)})
 
     @given(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2),
                               st.integers(-4, 4)), min_size=1, max_size=4),
+           st.tuples(st.integers(-2, 2), st.integers(-2, 2), nonzero_rationals),
            st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2),
                               st.integers(-4, 4)), min_size=1, max_size=4))
     @settings(max_examples=100, deadline=None)
-    def test_product_division_round_trip(self, pterms, qterms):
-        # (p*q)/q reduces back to p for random small polynomials
+    def test_product_division_round_trip(self, pterms, mono, qterms):
+        # (p*m)/m is p for every monomial m; a q of two or more terms divides
+        # nothing, not even its own multiple
         def build(terms):
             out = LaurentPoly()
             for et, es, c in terms:
@@ -204,15 +228,13 @@ class TestLaurent:
             return out
 
         p = build(pterms)
+        m = LaurentPoly({_mk_key(mono[0], mono[1]): mono[2]})
+        quotient = LaurentFrac(p * m) / LaurentFrac(m)
+        assert quotient == LaurentFrac(p) and quotient.is_canonical()
         q = build(qterms)
-        if not q:
-            return
-        prod = LaurentFrac(p * q, LaurentPoly.const(1))
-        quotient = prod / LaurentFrac(q, LaurentPoly.const(1))
-        assert quotient == LaurentFrac(p, LaurentPoly.const(1))
-        if p:
-            # exact division must collapse the denominator entirely
-            assert quotient.den == LaurentPoly.const(1)
+        if len(q.terms) > 1:
+            with pytest.raises(ScalarError):
+                LaurentFrac(p * q) / LaurentFrac(q)
 
     @given(nonzero_rationals, nonzero_rationals, nonzero_rationals)
     @settings(max_examples=40, deadline=None)
@@ -234,13 +256,13 @@ class TestLaurent:
         # a constant reached through symbolic arithmetic is still the value
         t = LaurentFrac.symbol("t")
         for value, c in (((t + a) - t, a), ((a * t) / t, a),
-                         ((t * b + a * b) / (t + a), b)):
+                         ((b * t * t + a * t) / (b * t) - t, a / b)):
             assert value == c and hash(value) == hash(c)
 
     def test_polynomial_fraction_hashes_like_its_numerator(self):
         p = LaurentPoly.symbol("t") * 3 + LaurentPoly.symbol("s", -2) + 1
         f = LaurentFrac(p)
-        assert f.den is _ONE and f == p
+        assert f.poly is p and f == p
         assert hash(f) == hash(p)
         assert len({f, p}) == 1
 
@@ -279,20 +301,18 @@ def _laurent_pairs(draw):
     return _laurent(pt), _laurent(qt)
 
 
-def _general(num, den):
-    """The general route: the unsimplified operands re-canonicalized by the
-    public constructor, then normalized."""
-    return _normalize(LaurentPoly(num.terms), LaurentPoly(den.terms))
+def _inverse(m):
+    """The inverse of the monomial m in the Laurent-polynomial ring."""
+    (key, c), = m.terms.items()
+    return LaurentPoly({tuple((name, -e) for name, e in key): 1 / c})
 
 
-def _assert_general(f, route):
-    num, den = route
+def _assert_ring(f, p):
+    """f holds the general route's polynomial p, re-canonicalized by the
+    public constructor."""
     assert type(f) is LaurentFrac
-    assert f.num.terms == num.terms
-    assert f.den.terms == den.terms
-    if den.terms == {(): Fraction(1)}:
-        assert f.den is _ONE
-    _assert_canonical_poly(f.num)
+    assert f.poly.terms == LaurentPoly(p.terms).terms
+    _assert_canonical_poly(f.poly)
 
 
 def _assert_canonical_poly(p):
@@ -302,23 +322,29 @@ def _assert_canonical_poly(p):
 
 
 class TestLaurentPolynomialFastPaths:
-    """On two Laurent polynomials (denominator 1) every LaurentFrac operator
-    agrees part for part with the normalizer's route, and a denominator of 1
-    is always the shared _ONE."""
+    """Every LaurentFrac operator agrees term for term with LaurentPoly
+    arithmetic, and the only divisor is a monomial."""
 
     @given(_laurent_pairs())
     @settings(max_examples=300, deadline=None)
     def test_operators_against_general_route(self, pq):
         p, q = pq
         a, b = LaurentFrac(p), LaurentFrac(q)
-        assert a.den is _ONE and b.den is _ONE
-        _assert_general(a + b, _general(p * _ONE + q * _ONE, _ONE * _ONE))
-        _assert_general(a - b, _general(p * _ONE + (-q) * _ONE, _ONE * _ONE))
-        _assert_general(-a, _general(-p, _ONE))
-        _assert_general(a * b, _general(p * q, _ONE * _ONE))
-        assert (a == b) == ((p * _ONE).terms == (q * _ONE).terms)
-        if q:
-            _assert_general(a / b, _general(p * _ONE, _ONE * q))
+        _assert_ring(a + b, p + q)
+        _assert_ring(a - b, p - q)
+        _assert_ring(-a, -p)
+        _assert_ring(a * b, p * q)
+        assert (a == b) == (p.terms == q.terms)
+        if a == b:
+            assert hash(a) == hash(b)
+        if len(q.terms) == 1:
+            _assert_ring(a / b, p * _inverse(q))
+        elif q:
+            with pytest.raises(ScalarError):
+                a / b
+        else:
+            with pytest.raises(ZeroDivisionError):
+                a / b
 
     @given(_laurent_pairs(), rationals, st.integers(-5, 5))
     @settings(max_examples=150, deadline=None)
@@ -327,17 +353,20 @@ class TestLaurentPolynomialFastPaths:
         a = LaurentFrac(p)
         for c in (r, k):
             cp = LaurentPoly.const(c)
-            _assert_general(a + c, _general(p + cp, _ONE))
-            _assert_general(c + a, _general(p + cp, _ONE))
-            _assert_general(a - c, _general(p + (-cp), _ONE))
-            _assert_general(c - a, _general(-p + cp, _ONE))
-            _assert_general(a * c, _general(p * cp, _ONE))
-            _assert_general(c * a, _general(p * cp, _ONE))
+            _assert_ring(a + c, p + cp)
+            _assert_ring(c + a, p + cp)
+            _assert_ring(a - c, p - cp)
+            _assert_ring(c - a, cp - p)
+            _assert_ring(a * c, p * cp)
+            _assert_ring(c * a, p * cp)
             assert (a == c) == (LaurentPoly(p.terms) == cp)
             if c:
-                _assert_general(a / c, _general(p, cp))
-            if p:
-                _assert_general(c / a, _general(cp, p))
+                _assert_ring(a / c, p * _inverse(cp))
+            if len(p.terms) == 1:
+                _assert_ring(c / a, cp * _inverse(p))
+            elif p:
+                with pytest.raises(ScalarError):
+                    c / a
 
     @given(_laurent_pairs())
     @settings(max_examples=150, deadline=None)
@@ -359,38 +388,43 @@ class TestLaurentPolynomialFastPaths:
         assert ((t + s) * (t - s)).terms == (t * t - s * s).terms
         assert (t + s) * (t - s) == LaurentPoly({(("t", 2),): 1, (("s", -2),): -1})
 
-    def test_denominator_one_is_shared(self):
+    def test_results_hold_one_polynomial(self):
         t = LaurentFrac.symbol("t")
         s = LaurentFrac.symbol("s")
         results = [
             t, LaurentFrac(0), LaurentFrac(Fraction(3, 5)), t - t, t * 2,
-            (t * t - 1) / (t - 1),                # exact division
+            (t * t - t) / t,                      # exact division
             (t * t + s) / (t * s),                # monomial fold
-            1 / t, t / (3 * s), t ** -2, LaurentFrac(LaurentPoly.symbol("t"), 5),
-            (1 / (t + 1)) * (t + 1),
+            1 / t, t / (3 * s), t ** -2, LaurentFrac(LaurentPoly.symbol("t")) / 5,
+            ((t + 1) * t) / t,
         ]
         for f in results:
-            assert f.den is _ONE
-            assert f.den.terms == {(): Fraction(1)}
-            assert repr(f) == "LaurentFrac(%r)" % (f.num,)
-        g = 1 / (t + 1)
-        assert g.den is not _ONE and len(g.den.terms) == 2
+            assert type(f.poly) is LaurentPoly and f.is_canonical()
+            assert repr(f) == "LaurentFrac(%r)" % (f.poly,)
+        for divisor in (t + 1, t - s, 2 * t * s + 1):
+            with pytest.raises(ScalarError):
+                1 / divisor
 
     @given(_laurent_pairs(), st.integers(-2, 2), rationals.filter(bool))
     @settings(max_examples=100, deadline=None)
-    def test_divisor_with_two_terms_takes_general_path(self, pq, e, c):
+    def test_divisor_with_two_terms_raises(self, pq, e, c):
+        # only / reaches the ring's one division routine, _normalize
         p, q = pq
         a, b = LaurentFrac(p), LaurentFrac(q)
         monomial = LaurentFrac(LaurentPoly({_mk_key(e, 1): c}))
         with mock.patch.object(scalars, "_normalize",
                                wraps=scalars._normalize) as normalize:
-            for f in (a + b, a - b, a * b, a / monomial, monomial / monomial):
-                assert f.den is _ONE
+            for f in (a + b, a - b, a * b):
+                assert f.is_canonical()
             assert (a == b) == (p == q)
             assert normalize.call_count == 0
+            assert (a / monomial).is_canonical()
+            assert monomial / monomial == 1
+            assert normalize.call_count == 2
             if len(q.terms) >= 2:
-                a / b
-                assert normalize.call_count == 1
+                with pytest.raises(ScalarError):
+                    a / b
+                assert normalize.call_count == 3
                 (num, den), _kw = normalize.call_args
                 assert num.terms == p.terms and den.terms == q.terms
 
@@ -403,6 +437,10 @@ class TestParsing:
         ("1/2-3/4 i", GaussianRational(Fraction(1, 2), Fraction(-3, 4))),
         ("-2 i", GaussianRational(0, -2)),
         ("i", GaussianRational(0, 1)),
+        # spaces around the imaginary part's sign and before "i"
+        ("1/2 + 3/4 i", GaussianRational(Fraction(1, 2), Fraction(3, 4))),
+        ("2 -i", GaussianRational(2, -1)),
+        ("- 2i", GaussianRational(0, -2)),
     ])
     def test_parse(self, text, value):
         assert parse_scalar(text) == value
@@ -412,8 +450,10 @@ class TestParsing:
         assert isinstance(v, LaurentFrac)
         assert v == LaurentFrac.symbol("t1")
 
-    # a space inside a rational is no digit separator: "1 2" is not 12
-    @pytest.mark.parametrize("text", ["", "2//3", "1+2j", "t-1", "1 2"])
+    # a space inside a number is no digit separator: "1 2" is not 12, nor
+    # "1 2+i" 12+i, nor "1+2 3i" 1+23i
+    @pytest.mark.parametrize("text", ["", "2//3", "1+2j", "t-1", "1 2",
+                                      "1 2+i", "1+2 3i"])
     def test_rejects_garbage(self, text):
         with pytest.raises(ScalarError):
             parse_scalar(text)
