@@ -22,8 +22,8 @@ from .relations import (DEFAULT_GRID, decompose_commutator,
                         fit_structure_functions, run_suite, verify_additivity,
                         verify_commutator)
 from .roots import (CartanVector, Root, RootSystem, build_root_system,
-                    positive_combinations, root_eval, standard_sl_roots)
-from .scalars import GaussianRational, LaurentFrac, LaurentPoly, parse_scalar
+                    positive_combinations, standard_sl_roots)
+from .scalars import GaussianRational, LaurentFrac, parse_scalar
 from .symbols import (SymbolExpr, build_axiom_lattice, is_consequence,
                       replay_certificate)
 

@@ -753,17 +753,16 @@ def _solve_left_params(system, p, q, q_params, target_delta):
     Solves slot by slot using the linearity of the top structure law in a,
     then verifies the commutator exactly (which also rules out spill into
     other string factors)."""
+    if not target_delta:
+        return None
     arity = len(system.unit_params(p))
     zero = Fraction(0)
     one = Fraction(1)
     probes = [tuple(one if t == k else zero for t in range(arity))
               for k in range(arity)]
     basis = [commutator_value(system, p, probe, q, q_params) for probe in probes]
-    # target_delta must be an integer combination ... solve per support entry
     # a = sum c_k probe_k works when the law is linear in a, which holds for
     # single-string targets; verify at the end regardless.
-    if not target_delta:
-        return None
     # build candidate coefficients from the first support entry present in
     # some basis commutator
     for combo in _combo_candidates(basis, target_delta, arity):

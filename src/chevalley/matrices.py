@@ -33,7 +33,7 @@ class SingularMatrixError(ZeroDivisionError):
 class ExactMatrix:
     """Immutable 2n x 2n matrix over one exact scalar mode."""
 
-    __slots__ = ("size", "n_block", "mode", "rows", "_support")
+    __slots__ = ("size", "mode", "rows", "_support")
 
     def __init__(self, rows, mode=None):
         rows = [list(r) for r in rows]
@@ -52,7 +52,6 @@ class ExactMatrix:
         rows = [[embed[x] if isinstance(x, int) else coerce(x, mode) for x in r]
                 for r in rows]
         object.__setattr__(self, "size", size)
-        object.__setattr__(self, "n_block", size // 2)
         object.__setattr__(self, "mode", mode)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "_support",

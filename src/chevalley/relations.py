@@ -386,7 +386,7 @@ class StructureFunction:
     i: int
     j: int
     target: Root
-    slot_laws: tuple          # one LaurentPoly per output slot
+    slot_laws: tuple          # one LaurentFrac per output slot
     a_vars: tuple
     b_vars: tuple
     compiled: tuple = field(init=False, compare=False, repr=False)
@@ -418,13 +418,13 @@ class StructureFunction:
             "i": self.i,
             "j": self.j,
             "target": str(self.target),
-            "laws": [_poly_text(law) for law in self.slot_laws],
+            "laws": [format_scalar(law) for law in self.slot_laws],
         }
 
 
 def _evaluate_compiled(form, point):
     """One compiled law at the slot values ``point``, summed in term order;
-    the same value and class as LaurentPoly.evaluate."""
+    the same value and class as LaurentFrac.evaluate."""
     total = None
     for c, factors in form:
         term = None
@@ -442,10 +442,6 @@ def _evaluate_compiled(form, point):
             term = c * term
         total = term if total is None else total + term
     return Fraction(0) if total is None else total
-
-
-def _poly_text(p):
-    return format_scalar(LaurentFrac(p))
 
 
 def _peel(model, combos, comm, zero, failure):
@@ -499,17 +495,14 @@ def fit_structure_functions(model, r, p):
     for i, j, q, vals in _peel(model, combos, comm, LaurentFrac(0),
                                "structure-law reassembly failed for %s,%s"
                                % (r, p)):
-        polys = []
-        for v in vals:
-            if any(e < 0 for key in v.poly.terms for _name, e in key):
-                raise RelationError("structure law with a negative exponent "
-                                    "for %s,%s" % (r, p))
-            polys.append(v.poly)
-        sf = StructureFunction(i, j, q, tuple(polys), a_vars, b_vars)
+        if any(e < 0 for v in vals for key in v.terms for _name, e in key):
+            raise RelationError("structure law with a negative exponent "
+                                "for %s,%s" % (r, p))
+        sf = StructureFunction(i, j, q, vals, a_vars, b_vars)
         if not sf.bidegree_ok():
             raise RelationError("bidegree violation at %s for pair %s,%s" % (q, r, p))
         if model.is_sp:
-            terms = polys[0].terms
+            terms = vals[0].terms
             if len(terms) > 1 or any(c.denominator != 1 for c in terms.values()):
                 raise RelationError("sp law is not a single integer monomial")
         laws.append(sf)

@@ -164,11 +164,6 @@ class CartanVector:
         return ",".join(str(x) for x in self.coords)
 
 
-def root_eval(r, t):
-    """Exact linear-functional value r(t)."""
-    return r.eval(t)
-
-
 @dataclass(frozen=True)
 class RootSystem:
     """Full root list with positive/simple subsets, deterministically ordered."""

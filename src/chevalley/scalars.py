@@ -7,7 +7,7 @@ Three scalar modes, never any floating point:
 * ``gaussian``  -- :class:`GaussianRational`, a pair of canonical Fractions
   modelling Q(i).  Every identity in scope has integer structure constants,
   so validity on a Q(i) grid certifies it over C.
-* ``laurent``   -- :class:`LaurentFrac`, an element of the ring of sparse
+* ``laurent``   -- :class:`LaurentFrac`, the one class of the ring of sparse
   multivariate Laurent polynomials over Q in named parameter symbols.  Used
   by the symbolic verification regime: an identity that holds as an
   equality of Laurent polynomials holds for every nonzero parameter value.
@@ -18,8 +18,8 @@ The ring divides only by a monomial, which is a unit; any other divisor is a
 ScalarError, since the quotient would leave the ring.
 
 One hash rule: equal values hash alike.  A real ``GaussianRational`` and a
-constant ``LaurentPoly`` or ``LaurentFrac`` hash like their ``Fraction``, and a
-``LaurentFrac`` like its ``LaurentPoly``; a cache keys on the mode as well.
+constant ``LaurentFrac`` hash like their ``Fraction``; a cache keys on the
+mode as well.
 """
 
 from __future__ import annotations
@@ -204,31 +204,68 @@ def _key_str(key):
     return "*".join(name if e == 1 else "%s^%d" % (name, e) for name, e in key)
 
 
-class LaurentPoly:
-    """Sparse Laurent polynomial over Q in named symbols."""
+def _merge(terms, other, negate):
+    """terms + other, or terms - other if negate, as a new term dict; every
+    key comes from an operand, so it is already canonical, and each zero
+    coefficient is pruned as it appears."""
+    out = dict(terms)
+    for k, c in other.items():
+        if negate:
+            c = -c
+        c2 = out.get(k)
+        if c2 is None:
+            out[k] = c
+        else:
+            c2 = c2 + c
+            if c2:
+                out[k] = c2
+            else:
+                del out[k]
+    return out
+
+
+def _normalize(num, den):
+    """num / den in the Laurent-polynomial ring: the ring's one division.
+
+    Only a monomial c * key, a unit of the ring, divides; distinct keys
+    stay distinct, so the quotient is canonical.  Any other nonzero divisor
+    is a ScalarError.
+    """
+    if len(den.terms) != 1:
+        if not den:
+            raise ZeroDivisionError("division by zero Laurent polynomial")
+        raise ScalarError("cannot divide by %s: only a monomial is a unit of "
+                          "the Laurent-polynomial ring" % _poly_str(den))
+    (key, c), = den.terms.items()
+    inv = tuple((name, -e) for name, e in key)
+    return LaurentFrac._raw({_key_mul(k, inv): v / c
+                             for k, v in num.terms.items()})
+
+
+class LaurentFrac:
+    """Element of the Laurent-polynomial ring over Q in named symbols.
+
+    ``terms`` is the canonical term dict.  ``+``, ``-``, ``*``, ``==`` and
+    ``hash`` work on the term dicts alone; ``/`` takes only a monomial
+    divisor (see ``_normalize``).
+    """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms=None):
-        # public constructor: canonicalize keys (sorted names, nonzero
-        # exponents), merge duplicates, drop zero coefficients
+    def __init__(self, value):
+        # public constructor: a constant, or a dict from monomial keys to
+        # coefficients, canonicalized (sorted names, nonzero exponents,
+        # duplicates merged, zero coefficients dropped)
+        if isinstance(value, (int, Fraction)):
+            c = Fraction(value)
+            object.__setattr__(self, "terms", {(): c} if c else {})
+            return
         clean = {}
-        if terms:
-            for key, c in dict(terms).items():
-                c = Fraction(c)
-                if not c:
-                    continue
-                key = tuple(sorted((n, int(e)) for n, e in key if e))
-                cur = clean.get(key)
-                if cur is None:
-                    clean[key] = c
-                else:
-                    cur = cur + c
-                    if cur:
-                        clean[key] = cur
-                    else:
-                        del clean[key]
-        object.__setattr__(self, "terms", clean)
+        for key, c in dict(value).items():
+            key = tuple(sorted((n, int(e)) for n, e in key if e))
+            clean[key] = clean.get(key, 0) + Fraction(c)
+        object.__setattr__(self, "terms",
+                           {k: c for k, c in clean.items() if c})
 
     @classmethod
     def _raw(cls, terms):
@@ -238,85 +275,50 @@ class LaurentPoly:
         return obj
 
     def __setattr__(self, name, value):
-        raise AttributeError("LaurentPoly is immutable")
+        raise AttributeError("LaurentFrac is immutable")
 
     @staticmethod
-    def const(c):
-        c = Fraction(c)
-        return LaurentPoly._raw({(): c} if c else {})
+    def symbol(name):
+        return LaurentFrac._raw({((name, 1),): Fraction(1)})
 
     @staticmethod
-    def symbol(name, exponent=1):
-        if not exponent:
-            return LaurentPoly.const(1)
-        return LaurentPoly._raw({((name, int(exponent)),): Fraction(1)})
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
+    def _coerce(other):
+        if isinstance(other, LaurentFrac):
+            return other
         if isinstance(other, (int, Fraction)):
-            other = LaurentPoly.const(other)
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        terms = self.terms
-        if not terms:
-            return hash(_ZERO)
-        if len(terms) == 1 and () in terms:
-            return hash(terms[()])
-        return hash(frozenset(terms.items()))
-
-    # Arithmetic results skip the public constructor: every key comes from
-    # _key_mul or an operand, so it is already canonical, and each zero
-    # coefficient is pruned as it appears.
+            return LaurentFrac(other)
+        return None
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = LaurentPoly.const(other)
-        if not isinstance(other, LaurentPoly):
+        o = self._coerce(other)
+        if o is None:
             return NotImplemented
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            c2 = out.get(k)
-            if c2 is None:
-                out[k] = c
-            else:
-                c2 = c2 + c
-                if c2:
-                    out[k] = c2
-                else:
-                    del out[k]
-        return LaurentPoly._raw(out)
+        return LaurentFrac._raw(_merge(self.terms, o.terms, False))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly._raw({k: -c for k, c in self.terms.items()})
+        return LaurentFrac._raw({k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = LaurentPoly.const(other)
-        if not isinstance(other, LaurentPoly):
+        o = self._coerce(other)
+        if o is None:
             return NotImplemented
-        return self + (-other)
+        return LaurentFrac._raw(_merge(self.terms, o.terms, True))
 
     def __rsub__(self, other):
-        return (-self) + other
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return LaurentFrac._raw(_merge(o.terms, self.terms, True))
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            if not c:
-                return LaurentPoly()
-            return LaurentPoly._raw({k: v * c for k, v in self.terms.items()})
-        if not isinstance(other, LaurentPoly):
+        o = self._coerce(other)
+        if o is None:
             return NotImplemented
         out = {}
         for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
+            for k2, c2 in o.terms.items():
                 k = _key_mul(k1, k2)
                 c = out.get(k)
                 if c is None:
@@ -327,9 +329,43 @@ class LaurentPoly:
                         out[k] = c
                     else:
                         del out[k]
-        return LaurentPoly._raw(out)
+        return LaurentFrac._raw(out)
 
     __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return _normalize(self, o)
+
+    def __rtruediv__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return _normalize(o, self)
+
+    def __pow__(self, k):
+        if not isinstance(k, int):
+            return NotImplemented
+        return _power(self, k, LaurentFrac(1))
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __eq__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self.terms == o.terms
+
+    def __hash__(self):
+        terms = self.terms
+        if not terms:
+            return hash(_ZERO)
+        if len(terms) == 1 and () in terms:
+            return hash(terms[()])
+        return hash(frozenset(terms.items()))
 
     def evaluate(self, point):
         """Evaluate at Fraction/GaussianRational values; exact."""
@@ -348,135 +384,15 @@ class LaurentPoly:
             return Fraction(0)
         return total
 
-    def __repr__(self):
-        if not self.terms:
-            return "LaurentPoly(0)"
-        bits = []
-        for k in sorted(self.terms, reverse=True):
-            c = self.terms[k]
-            bits.append("%s*%s" % (c, _key_str(k)) if k else str(c))
-        return "LaurentPoly(%s)" % " + ".join(bits)
-
-
-def _normalize(num, den):
-    """num / den in the Laurent-polynomial ring: the ring's one division.
-
-    Only a monomial c * key, a unit of the ring, divides; distinct keys
-    stay distinct, so the quotient is canonical.  Any other nonzero divisor
-    is a ScalarError.
-    """
-    if len(den.terms) != 1:
-        if not den:
-            raise ZeroDivisionError("division by zero Laurent polynomial")
-        raise ScalarError("cannot divide by %s: only a monomial is a unit of "
-                          "the Laurent-polynomial ring" % _poly_str(den))
-    (key, c), = den.terms.items()
-    inv = tuple((name, -e) for name, e in key)
-    return LaurentPoly._raw({_key_mul(k, inv): v / c
-                             for k, v in num.terms.items()})
-
-
-class LaurentFrac:
-    """Element of the Laurent-polynomial ring over Q: one canonical
-    LaurentPoly.
-
-    ``+``, ``-``, ``*``, ``==`` and ``hash`` work on the term dicts alone;
-    ``/`` takes only a monomial divisor (see ``_normalize``).
-    """
-
-    __slots__ = ("poly",)
-
-    def __init__(self, poly):
-        if isinstance(poly, (int, Fraction)):
-            poly = LaurentPoly.const(poly)
-        object.__setattr__(self, "poly", poly)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LaurentFrac is immutable")
-
-    @staticmethod
-    def symbol(name):
-        return LaurentFrac(LaurentPoly.symbol(name))
-
-    @staticmethod
-    def _coerce(other):
-        if isinstance(other, LaurentFrac):
-            return other.poly
-        if isinstance(other, (int, Fraction)):
-            return LaurentPoly.const(other)
-        if isinstance(other, LaurentPoly):
-            return other
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return LaurentFrac(self.poly + o)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return LaurentFrac(-self.poly)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return LaurentFrac(self.poly - o)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return LaurentFrac(self.poly * o)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return LaurentFrac(_normalize(self.poly, o))
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return LaurentFrac(_normalize(o, self.poly))
-
-    def __pow__(self, k):
-        if not isinstance(k, int):
-            return NotImplemented
-        return _power(self, k, LaurentFrac(1))
-
-    def __bool__(self):
-        return bool(self.poly)
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.poly.terms == o.terms
-
-    def __hash__(self):
-        return hash(self.poly)
-
-    def evaluate(self, point):
-        return self.poly.evaluate(point)
-
     def is_canonical(self):
         """The public constructor keeps the terms (used by the exactness
         suite): sorted keys, nonzero exponents and Fraction coefficients."""
-        terms = self.poly.terms
-        return LaurentPoly(terms).terms == terms and \
+        terms = self.terms
+        return LaurentFrac(terms).terms == terms and \
             all(type(c) is Fraction for c in terms.values())
 
     def __repr__(self):
-        return "LaurentFrac(%r)" % (self.poly,)
+        return "LaurentFrac(%s)" % _poly_str(self)
 
     def __str__(self):
         return format_scalar(self)
@@ -586,7 +502,7 @@ def format_scalar(x):
         sign = "+" if x.im >= 0 else "-"
         return "%s%s%s i" % (x.re, sign, abs(x.im))
     if isinstance(x, LaurentFrac):
-        return _poly_str(x.poly)
+        return _poly_str(x)
     raise ScalarError("not an exact scalar: %r" % (x,))
 
 

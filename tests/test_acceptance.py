@@ -260,14 +260,14 @@ def _small_enough(x):
         return abs(x.numerator) < 10 ** 9 and x.denominator < 10 ** 9
     if isinstance(x, GaussianRational):
         return _small_enough(x.re) and _small_enough(x.im)
-    return len(x.poly.terms) <= 10 and \
-        all(_small_enough(c) for c in x.poly.terms.values())
+    return len(x.terms) <= 10 and \
+        all(_small_enough(c) for c in x.terms.values())
 
 
 def _is_unit(x):
     """Nonzero and, in the Laurent-polynomial ring, a monomial."""
     return bool(x) and (not isinstance(x, LaurentFrac) or
-                        len(x.poly.terms) == 1)
+                        len(x.terms) == 1)
 
 
 def test_criterion_8_exactness_round_trips():

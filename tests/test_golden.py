@@ -4,9 +4,11 @@ The files under ``tests/golden/`` are the exact stdout of ``chevalley``
 invocations.  ``verify-<family>-n<n>-<regime>.json`` holds one
 ``verify --suite all --format json`` report; ``decompose-<family>-n2.txt``
 holds, for every ordered non-antipodal root pair at n=2, a ``$ <argv>`` line
-followed by that ``decompose`` invocation's output; ``reduce-<case>.txt``
-holds one ``reduce`` invocation with its word file, and two more files pin
-stability witnesses and bracket decompositions (see the section below).
+followed by that ``decompose`` invocation's output, and
+``decompose-<family>-n2-symbolic.txt`` the same with symbol parameters;
+``reduce-<case>.txt`` holds one ``reduce`` invocation with its word file,
+and two more files pin stability witnesses and bracket decompositions (see
+the section below).
 Any change to a report, a parameter text, an instance count, a fitted law, a
 reduction move or a witness shows up as a diff.
 """
@@ -42,6 +44,12 @@ DECOMPOSE_PARAMS = {
     "sl-r": {1: ("2/3", "-5"), 2: ("2/3,-3", "-5,1/2")},
     "sl-c": {1: ("1+2i", "-5"), 2: ("1+2i,-3/2i", "-5,1/2+i")},
 }
+# symbol parameters, the same for every family, so that every factor
+# parameter and law prints as a Laurent polynomial
+SYMBOLIC_PARAMS = {1: ("a", "b"), 2: ("a1,a2", "b1,b2")}
+# (family, golden file suffix)
+DECOMPOSE_CASES = [(family, suffix) for suffix in ("", "-symbolic")
+                   for family in FAMILIES]
 
 
 def run_cli(argv):
@@ -60,10 +68,10 @@ def verify_cases():
             for regime in ("grid", "symbolic")]
 
 
-def decompose_argvs(family):
+def decompose_argvs(family, symbolic=False):
     """Every ordered non-antipodal root pair at n=2, fixed parameters."""
     model = GroupModel(family, 2)
-    params = DECOMPOSE_PARAMS[family]
+    params = SYMBOLIC_PARAMS if symbolic else DECOMPOSE_PARAMS[family]
     roots = build_root_system(2).roots
     out = []
     for r in roots:
@@ -78,9 +86,9 @@ def decompose_argvs(family):
     return out
 
 
-def decompose_text(family):
+def decompose_text(family, symbolic=False):
     chunks = []
-    for argv in decompose_argvs(family):
+    for argv in decompose_argvs(family, symbolic):
         code, out = run_cli(argv)
         assert code == 0, argv
         chunks.append("$ %s\n%s" % (" ".join(argv), out))
@@ -95,10 +103,12 @@ def test_verify_golden(name, argv):
     assert out == (GOLDEN / name).read_text(encoding="utf-8")
 
 
-@pytest.mark.parametrize("family", FAMILIES)
-def test_decompose_golden(family):
-    golden = GOLDEN / ("decompose-%s-n2.txt" % family)
-    assert decompose_text(family) == golden.read_text(encoding="utf-8")
+@pytest.mark.parametrize("family,suffix", DECOMPOSE_CASES,
+                         ids=[f + s for f, s in DECOMPOSE_CASES])
+def test_decompose_golden(family, suffix):
+    golden = GOLDEN / ("decompose-%s-n2%s.txt" % (family, suffix))
+    assert decompose_text(family, bool(suffix)) == \
+        golden.read_text(encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------

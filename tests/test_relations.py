@@ -25,8 +25,8 @@ from chevalley.relations import (DEFAULT_GRID, Relation, RelationError,
                                  verify_additivity, verify_commutator,
                                  w_delta, x_delta)
 from chevalley.roots import Root, build_root_system
-from chevalley.scalars import (GaussianRational, LaurentFrac, LaurentPoly,
-                               format_scalar, parse_scalar)
+from chevalley.scalars import (GaussianRational, LaurentFrac, format_scalar,
+                               parse_scalar)
 
 SP2 = GroupModel("sp", 2)
 SP3 = GroupModel("sp", 3)
@@ -361,7 +361,7 @@ class TestCommutedCommutator:
 
 
 def _reference(law, a, b):
-    """The laws evaluated through LaurentPoly.evaluate at a point dict."""
+    """The laws evaluated through LaurentFrac.evaluate at a point dict."""
     point = dict(zip(law.a_vars, a))
     point.update(zip(law.b_vars, b))
     return tuple(poly.evaluate(point) for poly in law.slot_laws)
@@ -424,10 +424,10 @@ class TestCompiledLaws:
     def test_degenerate_forms(self):
         # an empty law, constant terms, a squared slot and a coefficient
         # other than a unit, beside the unit coefficients
-        a, b = LaurentFrac.symbol("a").poly, LaurentFrac.symbol("b").poly
+        a, b = LaurentFrac.symbol("a"), LaurentFrac.symbol("b")
         law = StructureFunction(1, 1, Root.of(2, 1), (
-            LaurentPoly(), LaurentPoly.const(5) + a * a * b * 3 - a * b,
-            -(a * b) + a * a, LaurentPoly.const(-1)), ("a",), ("b",))
+            LaurentFrac(0), LaurentFrac(5) + a * a * b * 3 - a * b,
+            -(a * b) + a * a, LaurentFrac(-1)), ("a",), ("b",))
         for x in (F(2), F(0), GaussianRational(1, -1),
                   LaurentFrac.symbol("u")):
             self.check(law, (x,), (F(-3, 2),))

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from chevalley.roots import (CartanVector, Root, RootError,
                              build_root_system, positive_combinations,
-                             root_eval, standard_sl_roots)
+                             standard_sl_roots)
 
 
 class TestBuild:
@@ -72,18 +72,18 @@ def _express_in_simple(target, simple):
 class TestEval:
     def test_example_point_value(self):
         r = Root.of(4, 3, 4, 1, -1)  # L3 - L4
-        assert root_eval(r, (5, -8, 1, 2)) == -1
+        assert r.eval((5, -8, 1, 2)) == -1
 
     def test_long_root_at_zero(self):
-        assert root_eval(Root.of(4, 1), (0, 0, 0, 0)) == 0
+        assert Root.of(4, 1).eval((0, 0, 0, 0)) == 0
 
     def test_second_example_value(self):
         r = Root.of(4, 2, 3, 1, -1)  # L2 - L3
-        assert root_eval(r, (0, -1, 2, -1)) == -3
+        assert r.eval((0, -1, 2, -1)) == -3
 
     def test_dimension_mismatch(self):
         with pytest.raises(RootError):
-            root_eval(Root.of(2, 1), (1, 2, 3))
+            Root.of(2, 1).eval((1, 2, 3))
 
     @given(st.fractions(min_value=-20, max_value=20, max_denominator=6),
            st.lists(st.fractions(min_value=-10, max_value=10, max_denominator=4),
@@ -94,11 +94,11 @@ class TestEval:
     def test_linearity(self, s, t, u):
         for r in build_root_system(3).roots[:6]:
             combo = tuple(s * a + b for a, b in zip(t, u))
-            assert root_eval(r, combo) == s * root_eval(r, t) + root_eval(r, u)
+            assert r.eval(combo) == s * r.eval(t) + r.eval(u)
 
     def test_tag_is_ignored_by_eval(self):
         r = Root((1, -1), restricted_tag=2)
-        assert root_eval(r, (3, 1)) == root_eval(r.untagged(), (3, 1)) == 2
+        assert r.eval((3, 1)) == r.untagged().eval((3, 1)) == 2
 
 
 class TestCombinations:
