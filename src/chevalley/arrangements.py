@@ -290,24 +290,41 @@ def _local_rows(vecs, region, ambient_dim):
     return rows, dim, lift
 
 
+def _functional(v):
+    """A functional as the solvers take it.  The coefficients of a Root or
+    of an all-int sequence stay ints, which Fourier-Motzkin takes as they
+    are; any other vector is converted by _as_vector."""
+    if isinstance(v, Root):
+        return v.coeffs
+    if not isinstance(v, CartanVector):
+        ints = tuple(v)
+        if all(type(x) is int for x in ints):
+            return ints
+    return _as_vector(v)
+
+
 def find_stable_element(roots, region=None, ambient_dim=None):
     """A rational point of the region with every functional strictly negative.
 
-    Either a point (re-validated before returning) or a Farkas certificate:
-    nonnegative weights, not all zero, whose weighted functional sum vanishes
-    identically on the region.
+    Either a point (re-validated exactly against every functional before
+    returning) or a Farkas certificate: nonnegative weights, not all zero,
+    whose weighted functional sum vanishes identically on the region.
     """
     roots = list(roots)
     if not roots:
         raise ArrangementError("need at least one functional")
-    vecs = [_as_vector(r) for r in roots]
+    vecs = [_functional(r) for r in roots]
     local, dim, lift = _local_rows(vecs, region, ambient_dim)
-    rows = [(c, {k: Fraction(1)}) for k, c in enumerate(local)]
+    one = Fraction(1)
+    rows = [(c, {k: one}) for k, c in enumerate(local)]
     feasible, point_or_cert = _strict_feasible(rows, dim)
     if feasible:
         point = lift(point_or_cert)
+        # the values at den * point, den > 0, have the signs of those at point
+        den = lcm(*(x.denominator for x in point.coords))
+        nums = [x.numerator * (den // x.denominator) for x in point.coords]
         for k, v in enumerate(vecs):
-            if _dot(v, tuple(point)) >= 0:
+            if sum(c * y for c, y in zip(v, nums) if c) >= 0:
                 raise ArrangementError("internal error: point fails check %d" % k)
         return StableSearchResult(point, None)
     cert = tuple(sorted((k, w) for k, w in _weights(point_or_cert).items()
@@ -360,10 +377,12 @@ def _bound(row, var, point):
     """The bound that row puts on y[var]; a row of the stage of var is zero
     before var, and the coordinates after var are already set."""
     coeffs, _prov, rhs, _content = row
-    total = Fraction(rhs)
+    total = rhs
     for c, y in zip(coeffs[var + 1:], point[var + 1:]):
         if c and y:
             total -= c * y
+    if type(total) is int:
+        return Fraction(total, coeffs[var])
     return total / coeffs[var]
 
 
@@ -415,11 +434,11 @@ def _strict_feasible(rows, dim):
     point = [Fraction(0)] * dim
     for var, pos, neg in reversed(stages):
         # coeffs.y <= rhs bounds y[var] above if its coefficient is positive
-        hi = min((_bound(row, var, point) for row in pos), default=None)
-        lo = max((_bound(row, var, point) for row in neg), default=None)
+        hi = min(_bound(row, var, point) for row in pos) if pos else None
+        lo = max(_bound(row, var, point) for row in neg) if neg else None
         if lo is None and hi is None:
-            point[var] = Fraction(0)
-        elif lo is None:
+            continue   # y[var] stays 0
+        if lo is None:
             point[var] = hi - 1
         elif hi is None:
             point[var] = lo + 1
@@ -462,7 +481,7 @@ def weyl_chambers(hyperplanes, region=None, ambient_dim=None):
     if not hyperplanes:
         raise ArrangementError("need at least one hyperplane")
     restricted, dim, lift = _local_rows(
-        [_as_vector(h.normal) for h in hyperplanes], region, ambient_dim)
+        [_functional(h.normal) for h in hyperplanes], region, ambient_dim)
     if dim < 1:
         raise ArrangementError("region must have dimension at least 1")
     # sign s demands s*h(x) > 0, i.e. (-s)*h(x) < 0 for the solver

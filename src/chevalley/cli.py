@@ -261,59 +261,53 @@ def cmd_symbol(args):
 # Parser
 # ---------------------------------------------------------------------------
 
-def build_parser():
-    ap = _Parser(
-        prog="chevalley",
-        description="Exact verification of split-group generator relations, "
-                    "hyperplane genericity analysis, and cycle-word reduction.")
-    sub = ap.add_subparsers(dest="command", required=True)
+def _common(p, model=False, roots=False, fmt=True):
+    if model:
+        p.add_argument("--model", choices=("sp", "sl-r", "sl-c"),
+                       default="sp")
+        p.add_argument("--n", type=int, default=2)
+    if roots:
+        p.add_argument("--roots", default="builtin:restricted",
+                       help="file, builtin:restricted, or builtin:sl-standard")
+        p.add_argument("--n", type=int, default=None,
+                       help="rank for builtin root lists")
+        p.add_argument("--ambient", type=int, default=None)
+    if fmt:
+        p.add_argument("--format", choices=("json", "text"),
+                       default="json")
 
-    def common(p, model=False, roots=False, fmt=True):
-        if model:
-            p.add_argument("--model", choices=("sp", "sl-r", "sl-c"),
-                           default="sp")
-            p.add_argument("--n", type=int, default=2)
-        if roots:
-            p.add_argument("--roots", default="builtin:restricted",
-                           help="file, builtin:restricted, or builtin:sl-standard")
-            p.add_argument("--n", type=int, default=None,
-                           help="rank for builtin root lists")
-            p.add_argument("--ambient", type=int, default=None)
-        if fmt:
-            p.add_argument("--format", choices=("json", "text"),
-                           default="json")
 
-    p = sub.add_parser("verify", help="run relation/conjugation/monomial suites")
-    common(p, model=True)
+def _verify_args(p):
+    _common(p, model=True)
     p.add_argument("--suite", choices=SUITES, default="all")
     p.add_argument("--regime", choices=REGIMES, default=GRID)
     p.add_argument("--grid", default=None,
                    help="grid regime only: comma list of nonzero rationals "
                         "(Gaussian rationals for sl-c; default grid: %s)"
                         % ",".join(str(g) for g in DEFAULT_GRID))
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("generic", help="2-plane genericity against an arrangement")
-    common(p, roots=True)
+
+def _generic_args(p):
+    _common(p, roots=True)
     p.add_argument("--plane", required=False,
                    help='basis "<vec>;<vec>" or equations "eq:<vec>;<vec>"')
-    p.set_defaults(func=cmd_generic)
 
-    p = sub.add_parser("stable", help="common strictly-stable element search")
-    common(p, roots=True)
+
+def _stable_args(p):
+    _common(p, roots=True)
     p.add_argument("--region", default=None,
                    help="plane expression restricting the search")
     p.add_argument("--check", default=None,
                    help="validate this point instead of searching")
-    p.set_defaults(func=cmd_stable)
 
-    p = sub.add_parser("chambers", help="enumerate chambers with sample points")
-    common(p, roots=True)
+
+def _chambers_args(p):
+    _common(p, roots=True)
     p.add_argument("--region", default=None)
-    p.set_defaults(func=cmd_chambers)
 
-    p = sub.add_parser("reduce", help="reduce a cycle word file to the empty word")
-    common(p, model=True)
+
+def _reduce_args(p):
+    _common(p, model=True)
     p.add_argument("wordfile")
     p.add_argument("--system", choices=("restricted", "standard"),
                    default="restricted")
@@ -321,33 +315,82 @@ def build_parser():
                    help="matrix size for the standard system")
     p.add_argument("--region", default=None)
     p.add_argument("--budget", type=int, default=10000)
-    p.set_defaults(func=cmd_reduce)
 
-    p = sub.add_parser("decompose", help="commutator factor decomposition")
-    common(p, model=True)
+
+def _decompose_args(p):
+    _common(p, model=True)
     p.add_argument("-r", dest="root_r", required=True, help="first root")
     p.add_argument("-p", dest="root_p", required=True, help="second root")
     p.add_argument("-a", required=True, help="first parameter(s), comma separated")
     p.add_argument("-b", required=True, help="second parameter(s)")
-    p.set_defaults(func=cmd_decompose)
 
-    p = sub.add_parser("symbol", help="symbol-lattice consequence check")
-    common(p)
+
+def _symbol_args(p):
+    _common(p)
     p.add_argument("--universe", required=True,
                    help="comma list of nonzero rationals")
     p.add_argument("--expr", required=True,
                    help='JSON [[[s,t],e],...] exponent list')
     p.add_argument("--axioms", choices=("all", "bilinear"), default="all")
-    p.set_defaults(func=cmd_symbol)
+
+
+# (name, help, handler, argument builder), in the order of the help text
+COMMANDS = (
+    ("verify", "run relation/conjugation/monomial suites", cmd_verify,
+     _verify_args),
+    ("generic", "2-plane genericity against an arrangement", cmd_generic,
+     _generic_args),
+    ("stable", "common strictly-stable element search", cmd_stable,
+     _stable_args),
+    ("chambers", "enumerate chambers with sample points", cmd_chambers,
+     _chambers_args),
+    ("reduce", "reduce a cycle word file to the empty word", cmd_reduce,
+     _reduce_args),
+    ("decompose", "commutator factor decomposition", cmd_decompose,
+     _decompose_args),
+    ("symbol", "symbol-lattice consequence check", cmd_symbol, _symbol_args),
+)
+
+
+class _ParseAgain(Exception):
+    """A parser built for one subcommand met an error; only the full parser
+    prints that error as a user would see it."""
+
+
+class _OneCommandParser(_Parser):
+    def error(self, message):
+        raise _ParseAgain(message)
+
+
+def build_parser(only=None):
+    """The command-line parser: every subcommand, or only the one named."""
+    cls = _Parser if only is None else _OneCommandParser
+    ap = cls(
+        prog="chevalley",
+        description="Exact verification of split-group generator relations, "
+                    "hyperplane genericity analysis, and cycle-word reduction.")
+    sub = ap.add_subparsers(dest="command", required=True)
+    for name, text, func, add_args in COMMANDS:
+        if only is None or name == only:
+            p = sub.add_parser(name, help=text)
+            add_args(p)
+            p.set_defaults(func=func)
     return ap
 
 
-def main(argv=None):
-    ap = build_parser()
-    try:
-        args = ap.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
+def _parse(argv):
+    """Parse with the one parser that argv[0] names, if it names one.  Any
+    usage error parses again with the full parser, whose messages list
+    every subcommand, so the text on either path is the full parser's."""
+    if argv and argv[0] in {c[0] for c in COMMANDS}:
+        try:
+            return build_parser(argv[0]).parse_args(argv)
+        except _ParseAgain:
+            pass
+    return build_parser().parse_args(argv)
+
+
+def _run(args):
     try:
         return args.func(args)
     except (UsageError, GeneratorError, RootError, RelationError,
@@ -355,6 +398,15 @@ def main(argv=None):
             MatrixError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+
+
+def main(argv=None):
+    argv = sys.argv[1:] if argv is None else list(argv)
+    try:
+        args = _parse(argv)
+    except SystemExit as exc:
+        return 2 if exc.code not in (0, None) else 0
+    return _run(args)
 
 
 if __name__ == "__main__":

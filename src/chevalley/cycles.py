@@ -346,6 +346,23 @@ def _stability(memo, system, region, roots):
 # Moves and traces
 # ---------------------------------------------------------------------------
 
+def _letter_texts():
+    """A map from a letter tuple to the letters' texts that formats each
+    letter object once.  Moves insert and remove the same letter objects,
+    so one map across a trace formats each of them once."""
+    seen = {}   # id -> (letter, text); holding the letter pins its id
+
+    def texts(letters):
+        out = []
+        for l in letters:
+            hit = seen.get(id(l))
+            if hit is None:
+                hit = seen[id(l)] = (l, l.format())
+            out.append(hit[1])
+        return out
+    return texts
+
+
 @dataclass(frozen=True)
 class ReductionMove:
     kind: str                 # free-cancellation | relation-substitution
@@ -362,10 +379,13 @@ class ReductionMove:
             raise CycleError("move does not match the word at position %d" % pos)
         return letters[:pos] + self.inserted + letters[pos + len(self.removed):]
 
-    def describe(self):
+    def describe(self, texts=None):
+        """The move as a dict; texts, when given, maps a letter tuple to
+        the letters' texts (ReductionTrace.describe shares one)."""
+        texts = texts or _letter_texts()
         out = {"kind": self.kind, "position": self.position,
-               "removed": [l.format() for l in self.removed],
-               "inserted": [l.format() for l in self.inserted],
+               "removed": texts(self.removed),
+               "inserted": texts(self.inserted),
                "stability": self.stability.describe()}
         if self.relation_id:
             out["relation"] = self.relation_id
@@ -396,9 +416,10 @@ class ReductionTrace:
         return True
 
     def describe(self):
-        return {"initial": [l.format() for l in self.initial.letters],
-                "moves": [m.describe() for m in self.moves],
-                "final": [l.format() for l in self.final.letters],
+        texts = _letter_texts()
+        return {"initial": texts(self.initial.letters),
+                "moves": [m.describe(texts) for m in self.moves],
+                "final": texts(self.final.letters),
                 "reduced": self.reduced_to_empty}
 
 

@@ -145,7 +145,8 @@ class CartanVector:
 
     def __post_init__(self):
         object.__setattr__(self, "coords",
-                           tuple(Fraction(x) for x in self.coords))
+                           tuple(x if type(x) is Fraction else Fraction(x)
+                                 for x in self.coords))
 
     @property
     def ambient_dim(self):

@@ -417,6 +417,73 @@ class TestFullSpaceRoute:
             find_stable_element(roots, region, 2)
 
 
+def _seeded_functional_sets():
+    """(n, roots, region): seeded subsets of the restricted roots at n=2..4,
+    antipodal (infeasible) sets among them, each in the full space, on a
+    line and on the hyperplane where the coordinates sum to zero."""
+    rng = random.Random("int-functionals")
+    out = []
+    for n in (2, 3, 4):
+        roots = list(build_root_system(n).roots)
+        sets = [rng.sample(roots, rng.randint(1, min(len(roots), 5)))
+                for _ in range(10)]
+        sets += [[r, -r] for r in rng.sample(roots, 3)]
+        sets += [rng.sample(roots, 3) + [-r] for r in rng.sample(roots, 3)]
+        direction = tuple(rng.choice((-2, -1, 1, 3)) for _ in range(n))
+        regions = (None, Plane(n, (direction,)),
+                   Plane.from_equations(n, [(1,) * n]))
+        out += [(n, chosen, region) for chosen in sets for region in regions]
+    return out
+
+
+class TestIntegerFunctionals:
+    """Integer functionals, as Roots or int tuples, reach Fourier-Motzkin
+    as ints; the answer is that of the same functionals as Fractions."""
+
+    def test_same_answer_for_roots_ints_and_fractions(self):
+        outcomes = set()
+        for n, roots, region in _seeded_functional_sets():
+            as_ints = [r.coeffs for r in roots]
+            as_fractions = [tuple(F(c) for c in r.coeffs) for r in roots]
+            want = find_stable_element(as_fractions, region, n)
+            for given_as in (roots, as_ints, [list(v) for v in as_ints]):
+                got = find_stable_element(given_as, region, n)
+                assert got == want
+                assert got.describe(roots) == want.describe(roots)
+            if want.feasible:
+                assert all(type(c) is Fraction for c in want.point.coords)
+                assert region is None or region.contains(want.point)
+                assert all(r.eval(want.point) < 0 for r in roots)
+            else:
+                assert all(type(w) is Fraction for _k, w in want.certificate)
+            outcomes.add((region is None, want.feasible))
+        assert outcomes == {(True, True), (True, False),
+                            (False, True), (False, False)}
+
+    def test_returned_coordinates_are_fractions(self):
+        for roots in ([(1, 0)], [(0, -1)], [(1, -1), (1, 1)]):
+            res = find_stable_element(roots, ambient_dim=2)
+            assert res.feasible
+            assert all(type(c) is Fraction for c in res.point.coords)
+        res = find_stable_element([(1, -1)], region=Plane(2, ((1, 1),)))
+        assert not res.feasible
+        assert [type(w) for _k, w in res.certificate] == [Fraction]
+
+    def test_no_int_reaches_row_reduce(self, monkeypatch):
+        real = arrangements.row_reduce
+
+        def fractions_only(rows, ncols):
+            assert not any(type(x) is int for row in rows for x in row)
+            return real(rows, ncols)
+
+        monkeypatch.setattr(arrangements, "row_reduce", fractions_only)
+        region = Plane(3, ((1, -2, 1),))
+        res = find_stable_element([(1, 0, 0), (0, -1, 0)], region, 3)
+        assert res.feasible and region.contains(res.point)
+        assert region.contains((2, -4, 2))
+        assert not region.contains((1, 0, 0))
+
+
 # The ordered sign vectors of full-space restricted n=3, over its hyperplanes
 # in lyapunov_hyperplanes order.  The order of the search is part of the
 # output; the sample points are not, so only the signs are pinned.

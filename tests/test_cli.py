@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chevalley import cli
 from chevalley.cli import main
 
 
@@ -461,3 +462,78 @@ def test_matching_ambient_is_accepted(roots, ambient):
     assert plain[0] == 0
     assert run_cli("chambers", "--roots", roots, "--n", "2",
                    "--ambient", ambient) == plain
+
+
+# main builds the parser of the one subcommand that argv[0] names and parses
+# again with every subcommand on a usage error; its text must be the full
+# parser's on either path, on whatever argparse the interpreter has.
+COMMAND_NAMES = [name for name, _help, _func, _args in cli.COMMANDS]
+TOP_USAGE = "{verify,generic,stable,chambers,reduce,decompose,symbol}"
+LAZY_PARSE_CASES = (
+    [[], ["-h"], ["frobnicate"]]
+    + [[name, "--help"] for name in COMMAND_NAMES]
+    + [[name, "--bogus"] for name in COMMAND_NAMES]
+    + [["reduce", "WORD", "--bogus"],
+       ["verify", "--model", "gl"],
+       ["reduce", "WORD", "--model", "gl"],
+       ["generic"],
+       ["generic", "--n", "2"]])
+
+
+def full_parser_main(argv):
+    """main as it ran before it built one subcommand's parser: parse with
+    the full parser, then run the command."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            args = cli.build_parser().parse_args(argv)
+        except SystemExit as exc:
+            code = 2 if exc.code not in (0, None) else 0
+        else:
+            code = cli._run(args)
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestOneCommandParser:
+    def test_commands_in_help_order(self):
+        assert COMMAND_NAMES == ["verify", "generic", "stable", "chambers",
+                                 "reduce", "decompose", "symbol"]
+
+    @pytest.mark.parametrize("argv", LAZY_PARSE_CASES,
+                             ids=lambda a: " ".join(a) or "no-arguments")
+    def test_same_text_as_the_full_parser(self, argv):
+        assert run_cli_err(*argv) == full_parser_main(argv)
+
+    def test_top_level_messages_name_every_command(self):
+        code, out, err = run_cli_err("reduce", "WORD", "--bogus")
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: chevalley [-h]")
+        assert TOP_USAGE + " ..." in err
+        assert "unrecognized arguments: --bogus" in err
+        code, out, err = run_cli_err("frobnicate")
+        assert (code, out) == (2, "")
+        assert "argument command: invalid choice: 'frobnicate'" in err
+        code, out, err = run_cli_err("-h")
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: chevalley [-h]")
+        assert TOP_USAGE + " ..." in out
+
+    def test_a_command_builds_only_its_parser(self, monkeypatch, tmp_path):
+        built = []
+        real = cli.build_parser
+
+        def spy(only=None):
+            built.append(only)
+            return real(only)
+
+        monkeypatch.setattr(cli, "build_parser", spy)
+        wf = tmp_path / "word.txt"
+        wf.write_text("x 1,-1 (2)\nx 1,-1 (-2)\n")
+        assert run_cli("reduce", str(wf))[0] == 0
+        assert built == ["reduce"]
+        del built[:]
+        assert run_cli_err("reduce", str(wf), "--bogus")[0] == 2
+        assert built == ["reduce", None]
+        del built[:]
+        assert run_cli_err("--help")[0] == 0
+        assert built == [None]

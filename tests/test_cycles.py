@@ -8,7 +8,8 @@ import pytest
 
 from chevalley import cycles
 from chevalley.arrangements import Plane, find_stable_element
-from chevalley.generators import GroupModel, gen_h, gen_x, h_word_letters
+from chevalley.generators import (GeneratorLetter, GroupModel, gen_h, gen_x,
+                                  h_word_letters)
 from chevalley.matrices import ExactMatrix, delta_to_matrix, mat_mul
 from chevalley.cycles import (CycleError, ElementaryLetter, NonCycleError,
                               ReductionFailure, ReductionTrace,
@@ -297,6 +298,28 @@ class TestLetterSystems:
 
 
 class TestReduce:
+    def test_describe_formats_each_letter_once(self, monkeypatch):
+        word = seeded_words("sl-r", 3, count=1)[0]
+        trace = reduce_cycle(word, budget=200)
+        assert trace.reduced_to_empty and len(trace.moves) > 10
+        letters = list(word.letters) + [l for m in trace.moves
+                                        for l in m.removed + m.inserted]
+        real = GeneratorLetter.format
+        per_move = [m.describe() for m in trace.moves]
+        calls = []
+
+        def counted(letter):
+            calls.append(id(letter))
+            return real(letter)
+
+        monkeypatch.setattr(GeneratorLetter, "format", counted)
+        out = trace.describe()
+        assert sorted(calls) == sorted({id(l) for l in letters})
+        assert len(calls) < sum(len(m.removed + m.inserted)
+                                for m in trace.moves)
+        assert out["initial"] == [real(l) for l in word.letters]
+        assert out["moves"] == per_move and out["final"] == []
+
     def test_additivity_word(self):
         sys_ = rsys(SP2)
         r = Root.of(2, 2)
