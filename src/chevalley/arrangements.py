@@ -297,9 +297,9 @@ def _functional(v):
     if isinstance(v, Root):
         return v.coeffs
     if not isinstance(v, CartanVector):
-        ints = tuple(v)
-        if all(type(x) is int for x in ints):
-            return ints
+        v = tuple(v)
+        if all(type(x) is int for x in v):
+            return v
     return _as_vector(v)
 
 
