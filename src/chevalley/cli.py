@@ -14,17 +14,16 @@ import json
 import re
 import sys
 
-from .arrangements import (ArrangementError, Plane, find_stable_element,
-                           is_generic, lyapunov_hyperplanes, weyl_chambers)
-from .cycles import (CycleError, RestrictedSystem, StandardSystem, Word,
-                     reduce_cycle)
-from .generators import GeneratorError, GroupModel
-from .matrices import MatrixError
-from .relations import (DEFAULT_GRID, GRID, REGIMES, SUITES, RelationError,
+from .arrangements import (Plane, find_stable_element, is_generic,
+                           lyapunov_hyperplanes, weyl_chambers)
+from .cycles import RestrictedSystem, StandardSystem, Word, reduce_cycle
+from .generators import GroupModel
+from .relations import (DEFAULT_GRID, GRID, REGIMES, SUITES,
                         decompose_commutator, run_suite)
-from .roots import Root, RootError, build_root_system, standard_sl_roots
-from .scalars import RATIONAL, ScalarError, format_scalar, parse_scalar
-from .symbols import (ALL_AXIOMS, BILINEAR_ONLY, SymbolError, SymbolExpr,
+from .roots import Root, build_root_system, standard_sl_roots
+from .scalars import (format_scalar, parse_scalar, read_integer, read_lines,
+                      read_list, read_rational)
+from .symbols import (ALL_AXIOMS, BILINEAR_ONLY, SymbolExpr,
                       build_axiom_lattice, is_consequence,
                       matrix_realization_check, replay_certificate)
 
@@ -35,11 +34,12 @@ class UsageError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     """Reads a token that starts like a negative scalar (-1,1 or -1/2 or -i)
-    as a value, where argparse would read it as an unknown option."""
+    as a value, not as an unknown option, and type=int as read_integer."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"-[\d.i]")
+        self._negative_number_matcher = re.compile(r"-[\di]")
+        self.register("type", int, read_integer)
 
 
 def _emit(payload, fmt):
@@ -66,8 +66,8 @@ def _as_text(payload, indent=0):
 
 
 def _parse_vector(text):
-    """Comma-separated exact rationals; an empty slot is a usage error."""
-    return [parse_scalar(x, RATIONAL) for x in text.split(",")]
+    """A list of exact rationals separated by ","."""
+    return read_list(text, ",", read_rational)
 
 
 def _parse_plane(text, ambient):
@@ -77,21 +77,17 @@ def _parse_plane(text, ambient):
     """
     text = text.strip()
     eq = text.startswith("eq:")
-    items = (text[3:] if eq else text).split(";")
-    if not all(v.strip() for v in items):
-        raise UsageError("empty vector in %r" % text)
-    vecs = [_parse_vector(v) for v in items]
-    if eq:
-        return Plane.from_equations(ambient, vecs)
-    return Plane(ambient, tuple(tuple(v) for v in vecs))
+    vecs = read_list(text[3:] if eq else text, ";", _parse_vector)
+    return Plane.from_equations(ambient, vecs) if eq else Plane(ambient, vecs)
 
 
 def _load_roots(source, n, ambient):
     """--roots <file|builtin:restricted|builtin:sl-standard>.
 
     A builtin list fixes its dimension (n, or 2n for sl-standard); an
-    --ambient that differs from it is a usage error.  A file's dimension is
-    --ambient, else its first root's length, and every root must have it.
+    --ambient that differs from it is a usage error.  A file holds a root
+    per content line; its dimension is --ambient, else its first root's
+    length, and every root must have it.
     """
     if source in ("builtin:restricted", "builtin:sl-standard"):
         if n is None:
@@ -106,14 +102,13 @@ def _load_roots(source, n, ambient):
         return roots, dim
     try:
         with open(source, "r", encoding="utf-8") as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()
-                     and not ln.strip().startswith("#")]
+            text = fh.read()
     except OSError as exc:
         raise UsageError("cannot read roots from %r: %s" % (source, exc))
-    roots = [Root.parse(ln) for ln in lines]
+    roots = [Root.parse(line) for _lineno, line in read_lines(text)]
     if not roots:
         raise UsageError("no roots in %r" % source)
-    dim = ambient or roots[0].n
+    dim = roots[0].n if ambient is None else ambient
     for r in roots:
         if r.n != dim:
             raise UsageError("root %s in %r has %d coordinates, not the "
@@ -126,9 +121,8 @@ def _model(args):
 
 
 def _grid(args):
-    if args.grid is None:
-        return None
-    return tuple(parse_scalar(v) for v in args.grid.split(","))
+    if args.grid is not None:
+        return tuple(read_list(args.grid, ",", parse_scalar))
 
 
 # ---------------------------------------------------------------------------
@@ -193,12 +187,12 @@ def cmd_chambers(args):
 
 
 def cmd_reduce(args):
-    if args.system == "standard":
-        if args.ambient is None:
-            raise UsageError("standard-system words need --ambient")
-        system = StandardSystem(args.ambient)
-    else:
-        system = RestrictedSystem(_model(args))
+    standard = args.system == "standard"
+    if standard != (args.ambient is not None):
+        raise UsageError("--ambient goes with --system standard, and only "
+                         "with it")
+    system = StandardSystem(args.ambient) if standard else \
+        RestrictedSystem(_model(args))
     try:
         with open(args.wordfile, "r", encoding="utf-8") as fh:
             word = Word.parse(fh.read(), system)
@@ -215,8 +209,8 @@ def cmd_decompose(args):
     model = _model(args)
     r = Root.parse(args.root_r)
     p = Root.parse(args.root_p)
-    a = tuple(parse_scalar(v) for v in args.a.split(","))
-    b = tuple(parse_scalar(v) for v in args.b.split(","))
+    a = tuple(read_list(args.a, ",", parse_scalar))
+    b = tuple(read_list(args.b, ",", parse_scalar))
     factors, laws = decompose_commutator(model, r, p, a, b)
     payload = {
         "model": model.family, "n": model.n,
@@ -232,8 +226,19 @@ def cmd_decompose(args):
     return 0
 
 
+def _expr_scalar(value):
+    """A JSON string (a scalar token) or integer, never a float or a
+    boolean, as a symbol argument of --expr."""
+    if isinstance(value, str):
+        return parse_scalar(value)
+    if type(value) is not int:
+        raise TypeError("an argument must be a string or an integer, got %s"
+                        % json.dumps(value))
+    return value
+
+
 def cmd_symbol(args):
-    universe = [parse_scalar(v) for v in args.universe.split(",")]
+    universe = read_list(args.universe, ",", parse_scalar)
     kinds = ALL_AXIOMS if args.axioms == "all" else BILINEAR_ONLY
     lattice = build_axiom_lattice(universe, kinds)
     try:
@@ -241,8 +246,7 @@ def cmd_symbol(args):
         if not isinstance(items, list):
             raise TypeError("not a JSON list")
         expr = SymbolExpr.from_pairs(
-            [((parse_scalar(str(s)), parse_scalar(str(t))), e)
-             for (s, t), e in items])
+            [((_expr_scalar(s), _expr_scalar(t)), e) for (s, t), e in items])
     except (ValueError, TypeError) as exc:
         raise UsageError("bad --expr, want JSON [[[s,t],e],...]: %s" % exc)
     result = is_consequence(expr, lattice)
@@ -393,9 +397,8 @@ def _parse(argv):
 def _run(args):
     try:
         return args.func(args)
-    except (UsageError, GeneratorError, RootError, RelationError,
-            ArrangementError, CycleError, SymbolError, ScalarError,
-            MatrixError, ValueError) as exc:
+    # every module's error (ScalarError, RootError, ...) is a ValueError
+    except (UsageError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

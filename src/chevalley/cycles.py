@@ -50,7 +50,7 @@ from .matrices import ExactMatrix, delta_to_matrix, mat_prod
 from .relations import (delta_mul, delta_word, fit_structure_functions,
                         h_delta, w_delta, x_delta)
 from .roots import CartanVector, Root, build_root_system
-from .scalars import format_scalar, join_mode, mode_of
+from .scalars import format_scalar, join_mode, mode_of, read_lines
 
 
 class CycleError(ValueError):
@@ -283,10 +283,7 @@ class Word:
     @staticmethod
     def parse(text, system):
         letters = []
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
+        for lineno, line in read_lines(text):
             try:
                 letters.append(system.parse_letter(line))
             except ValueError as exc:

@@ -35,7 +35,7 @@ from .matrices import (ExactMatrix, exp_nilpotent, mat_inv, mat_mul, mat_prod,
                        matrix_to_delta)
 from .roots import Root, build_root_system
 from .scalars import (GAUSSIAN, LAURENT, RATIONAL, coerce, format_scalar,
-                      join_mode, mode_of, parse_scalar)
+                      join_mode, mode_of, parse_scalar, read_list)
 
 FAMILIES = ("sp", "sl-r", "sl-c")
 
@@ -263,16 +263,16 @@ def read_letter(text):
     """(kind, root, params) of the letter text "kind root (p1, ..., pk)".
 
     The one reader of the letter format: one pair of parentheses closes
-    the text, every slot holds a scalar (parse_scalar), and no slot is
-    empty.  Any other text, blank text included, raises GeneratorError or
-    ScalarError; the caller checks kind and arity.
+    the text around a list (read_list) of scalars.  Any other text, blank
+    text included, raises GeneratorError, RootError or ScalarError; the
+    caller checks kind and arity.
     """
     match = _LETTER.match(text)
     if match is None:
         raise GeneratorError("want 'kind root (p1, ..., pk)', got %r" % text)
     kind, root_txt, params_txt = match.groups()
-    return kind, Root.parse(root_txt), tuple(parse_scalar(p) for p in
-                                             params_txt.split(","))
+    return kind, Root.parse(root_txt), tuple(read_list(params_txt, ",",
+                                                       parse_scalar))
 
 
 @dataclass(frozen=True)

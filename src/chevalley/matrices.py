@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import factorial
 
 from .scalars import (LAURENT, RATIONAL, coerce, format_scalar, join_mode,
-                      mode_of, parse_scalar)
+                      mode_of, parse_scalar, read_list)
 
 
 class MatrixError(ValueError):
@@ -346,15 +346,8 @@ def check_lie_membership(x, model):
 # ---------------------------------------------------------------------------
 
 def parse_matrix(text, mode=None):
-    rows = []
-    for chunk in text.strip().split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        rows.append([parse_scalar(e, mode) for e in chunk.split(",")])
-    if not rows:
-        raise MatrixError("empty matrix text")
-    return ExactMatrix(rows, mode)
+    return ExactMatrix(read_list(text, ";", lambda row: read_list(
+        row, ",", parse_scalar)), mode)
 
 
 def format_matrix(m):

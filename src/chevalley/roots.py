@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from .scalars import ScalarError, read_integer, read_list
+
 
 class RootError(ValueError):
     pass
@@ -32,6 +34,9 @@ class Root:
 
     def __post_init__(self):
         c = tuple(int(x) for x in self.coeffs)
+        if c != tuple(self.coeffs):
+            raise RootError("root coefficients must be integers: %r"
+                            % (self.coeffs,))
         object.__setattr__(self, "coeffs", c)
         nz = [(i, v) for i, v in enumerate(c) if v]
         if not nz:
@@ -62,13 +67,15 @@ class Root:
 
     @staticmethod
     def parse(text):
-        """Parse "c1,...,cn" with optional ":1"/":2" restricted-tag suffix."""
-        s = text.strip()
-        tag = None
-        if ":" in s:
-            s, tagtxt = s.rsplit(":", 1)
-            tag = int(tagtxt)
-        return Root(tuple(int(x) for x in s.split(",")), tag)
+        """Parse the integer list "c1,...,cn", tagged ":1", ":2" or not."""
+        try:
+            coeffs, *tag = read_list(text, ":")
+            if tag not in ([], ["1"], ["2"]):
+                raise RootError("the tag of %r is not :1 or :2" % text)
+            return Root(tuple(read_list(coeffs, ",", read_integer)),
+                        read_integer(tag[0]) if tag else None)
+        except ScalarError as exc:
+            raise RootError("bad root %r: %s" % (text, exc)) from None
 
     # -- structure -------------------------------------------------------
 

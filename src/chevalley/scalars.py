@@ -24,6 +24,7 @@ mode as well.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 
@@ -438,56 +439,71 @@ def join_mode(modes):
     raise ScalarError("gaussian and laurent scalars cannot be mixed")
 
 
-_SYMBOL_OK = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_0123456789"
+# The text grammar of every reader in the package, over ASCII digits D:
+#   integer   [+-]?D
+#   rational  [+-]?D(/D)?
+#   gaussian  [rational] ± [unsigned rational] i, where spaces may stand
+#             only around the imaginary part's sign and before "i"
+#   symbol    [A-Za-z_][A-Za-z0-9_]*
+# so decimals, exponents, "_" separators and non-ASCII digits are errors.
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+_GAUSSIAN = re.compile(r"(?:([+-]?[0-9]+(?:/[0-9]+)?)\s*(?=[+-]))?"
+                       r"\s*([+-]?)\s*([0-9]+(?:/[0-9]+)?)?\s*i")
+_SYMBOL = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
-def parse_scalar(text, mode=None):
-    """Parse "p/q", "p/q+r/s i", or a symbol name (laurent mode).
+def read_list(text, sep, item=None):
+    """The items of text separated by sep, each read by item (or kept as
+    text).  Whitespace may stand around a separator; no item is empty."""
+    parts = [p.strip() for p in text.split(sep)]
+    if not all(parts):
+        raise ScalarError("empty item in %r" % text)
+    return parts if item is None else [item(p) for p in parts]
 
-    With mode=None the mode is inferred: presence of "i" as the imaginary
-    tail gives gaussian, a leading letter gives laurent, else rational.
-    """
+
+def read_lines(text):
+    """(1-based line number, stripped line) for each line of text that is
+    neither blank nor a "#" comment."""
+    lines = enumerate(map(str.strip, text.splitlines()), 1)
+    return [(n, line) for n, line in lines if line and line[0] != "#"]
+
+
+def read_integer(text):
+    """An integer token, as an int."""
+    if _INTEGER.fullmatch(text) is None:
+        raise ScalarError("bad integer %r" % text)
+    return int(text)
+
+
+def read_rational(text):
+    """A rational token, as a Fraction."""
+    match = _RATIONAL.fullmatch(text)
+    if match is None:
+        raise ScalarError("bad rational %r" % text)
+    num, den = match.groups()
+    if den is None:
+        return Fraction(int(num))
+    if not int(den):
+        raise ScalarError("zero denominator in %r" % text)
+    return Fraction(int(num), int(den))
+
+
+def parse_scalar(text):
+    """A rational, Gaussian or symbol token, outer spaces dropped, in the
+    token's mode: a Fraction, a GaussianRational or a LaurentFrac."""
     s = text.strip()
-    if not s:
-        raise ScalarError("empty scalar")
-    if s in ("i", "-i", "+i"):
-        if mode not in (None, GAUSSIAN):
-            raise ScalarError("imaginary unit not allowed in %s mode" % mode)
-        return GaussianRational(0, -1 if s[0] == "-" else 1)
-    if (s[0].isalpha() or s[0] == "_") and s != "i":
-        if mode not in (None, LAURENT):
-            raise ScalarError("symbol %r not allowed in %s mode" % (s, mode))
-        if any(ch not in _SYMBOL_OK for ch in s):
-            raise ScalarError("bad symbol name %r" % s)
-        return LaurentFrac.symbol(s)
-    if s.endswith("i"):
-        # spaces may stand around the imaginary part's sign and before "i",
-        # never inside a number: "1 2+i" and "1+2 3i" are bad
-        body = s[:-1].rstrip()
-        # the imaginary part starts at the last +/- that follows a number
-        # (exponents never occur in this format)
-        split = next((idx for idx in range(len(body) - 1, 0, -1)
-                      if body[idx] in "+-"
-                      and body[:idx].rstrip()[-1] not in "+-/"), 0)
-        re_part, im_part = body[:split] or "0", body[split:]
-        sign = im_part[0] if im_part[:1] in ("+", "-") else ""
-        im_part = sign + (im_part[len(sign):].strip() or "1")
-        try:
-            g = GaussianRational(Fraction(re_part), Fraction(im_part))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ScalarError("bad gaussian scalar %r" % text) from exc
-        if mode in (None, GAUSSIAN):
-            return g
-        raise ScalarError("gaussian value %r not allowed in %s mode" % (text, mode))
-    try:
-        q = Fraction(s)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ScalarError("bad rational %r" % text) from exc
-    if mode == GAUSSIAN:
-        return GaussianRational(q)
-    if mode == LAURENT:
-        return LaurentFrac(q)
-    return q
+    if _RATIONAL.fullmatch(s):
+        return read_rational(s)
+    # "i" is the imaginary unit, never a symbol
+    match = _GAUSSIAN.fullmatch(s)
+    if match is not None:
+        re_part, sign, im_part = match.groups()
+        return GaussianRational(read_rational(re_part) if re_part else _ZERO,
+                                read_rational(sign + (im_part or "1")))
+    if _SYMBOL.fullmatch(s) is None:
+        raise ScalarError("bad scalar %r" % text)
+    return LaurentFrac.symbol(s)
 
 
 def format_scalar(x):

@@ -36,7 +36,7 @@ from functools import cached_property
 from .generators import GroupModel, gen_h
 from .matrices import mat_inv, mat_mul, mat_prod
 from .roots import Root
-from .scalars import GaussianRational, format_scalar, parse_scalar
+from .scalars import GaussianRational, format_scalar
 
 AXIOM_BILINEAR_LEFT = "bilinear-left"
 AXIOM_BILINEAR_RIGHT = "bilinear-right"
@@ -54,8 +54,6 @@ class SymbolError(ValueError):
 
 def _canon(value):
     """One key per value: a real Gaussian rational becomes its Fraction."""
-    if isinstance(value, str):
-        value = parse_scalar(value)
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, GaussianRational):

@@ -2,6 +2,7 @@
 
 import io
 import json
+import random
 from fractions import Fraction
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -11,6 +12,11 @@ from hypothesis import strategies as st
 
 from chevalley import cli
 from chevalley.cli import main
+from chevalley.generators import GeneratorError, GeneratorLetter, GroupModel
+from chevalley.matrices import MatrixError, format_matrix, parse_matrix
+from chevalley.roots import Root, RootError
+from chevalley.scalars import (ScalarError, format_scalar, parse_scalar,
+                               read_integer, read_list, read_rational)
 
 
 def run_cli(*argv):
@@ -230,9 +236,13 @@ class TestReduce:
         ("x 1,0,0,-1 (2\nx 1,0,0,-1 (-2)\n",
          ("--system", "standard", "--ambient", "4")),
         ("x 1,0,0,-1:1 (2)\nx 1,0,0,-1 (-2)\n",
-         ("--system", "standard", "--ambient", "4"))],
+         ("--system", "standard", "--ambient", "4")),
+        ("x \u0661,-1 (2)\nx 1,-1 (-2)\n", ("--model", "sp", "--n", "2")),
+        ("x 1,-1 (1.5)\nx 1,-1 (-3/2)\n", ("--model", "sp", "--n", "2")),
+        ("x 1,-1:+1 (2)\nx 1,-1:1 (-2)\n", ("--model", "sl-r", "--n", "2"))],
         ids=["trailing-empty-slot", "leading-empty-slot", "extra-parens",
-             "standard-unclosed", "standard-tagged"])
+             "standard-unclosed", "standard-tagged", "arabic-indic-digit",
+             "decimal-slot", "signed-tag"])
     def test_malformed_letter_is_a_bad_letter(self, word, system, tmp_path):
         # each first line would reduce if read leniently; it is a bad letter
         wf = tmp_path / "word.txt"
@@ -296,6 +306,21 @@ class TestSymbol:
         assert (code, out) == (2, "")
         assert err.startswith("error: bad --expr")
 
+    @pytest.mark.parametrize("arg", ["0.5", "true", "null", "[2]", '"1.5"'])
+    def test_expr_arguments_are_strings_or_integers(self, arg):
+        # a JSON float is never read as a rational, nor true as a symbol
+        code, out, err = run_cli_err("symbol", "--universe", "2,3,6",
+                                     "--expr", '[[[%s,"3"],1]]' % arg)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: bad --expr")
+        assert len(err.splitlines()) == 1 and "LaurentFrac" not in err
+
+    def test_expr_integer_arguments_read_as_their_strings(self):
+        assert run_cli("symbol", "--universe", "2,-2,-1",
+                       "--expr", '[[[2,-2],1]]') == \
+            run_cli("symbol", "--universe", "2,-2,-1",
+                    "--expr", '[[["2","-2"],1]]')
+
 
 # Out-of-domain input: each argv must end in exit 2 with one error line.
 WORD = "x 0,2 (2)\nx 0,2 (-2)\n"
@@ -338,6 +363,25 @@ USAGE_ERRORS = [
     ("generic", "--roots", "builtin:restricted", "--n", "2",
      "--plane", "1,0;;0,1"),
     ("stable", "--roots", "builtin:restricted", "--n", "2", "--region", "eq:"),
+    # decimals, exponents, "_" separators and non-ASCII digits are no
+    # tokens of the grammar, never read as 3/2, 10, 1000 or 1
+    ("decompose", "--model", "sp", "--n", "2", "-r", "1,-1", "-p", "2,0",
+     "-a", "1.5", "-b", "1"),
+    ("decompose", "--model", "sp", "--n", "2", "-r", "1,-1", "-p", "2,0",
+     "-a", "1", "-b", "1e1"),
+    ("decompose", "--model", "sp", "--n", "2", "-r", "1,-1", "-p", "2,0",
+     "-a", "1_000", "-b", "1"),
+    ("decompose", "--model", "sp", "--n", "2", "-r", "1,-1", "-p", "2,0",
+     "-a", "\u0661", "-b", "1"),
+    ("decompose", "--model", "sp", "--n", "2", "-r", "1_0,-1", "-p", "2,0",
+     "-a", "1", "-b", "1"),
+    ("decompose", "--model", "sp", "--n", "2", "-r", "1,-1,", "-p", "2,0",
+     "-a", "1", "-b", "1"),
+    ("verify", "--model", "sp", "--n", "2", "--suite", "monomial",
+     "--grid", "1,2,3,4,5,6,7,8,1.5"),
+    ("stable", "--roots", "builtin:restricted", "--n", "2",
+     "--check", "-1.5,-3"),
+    ("symbol", "--universe", "2,3,1e3", "--expr", '[[["2","3"],1]]'),
 ]
 
 
@@ -394,7 +438,7 @@ def test_value_starting_with_dash(argv, tmp_path):
 
 
 SCALARS = ("i", "x", "1+i", "0", "1/0", "", "1", "-1", "2", "-2", "3", "1/2",
-           "-1/2", "2/3", "5/7", "2i", "1-i")
+           "-1/2", "2/3", "5/7", "2i", "1-i", "1.5", "1e3", "1_000")
 ROOTS = ("1,-1", "-1,1", "1,1", "-1,-1", "2,0", "0,-2", "0,2", "1,-1:1",
          "1,1:2", "2,0:1", "1,-1:3", "1,0", "x")
 
@@ -442,6 +486,10 @@ DIMENSION_ERRORS = [
     # a file of 2-vectors read at --ambient 3
     ("stable", "--roots", "ROOTSFILE", "--ambient", "3",
      "--region", "eq:1,1,1", "--check", "-1,0"),
+    # --ambient 0 is no dimension, never the file's own
+    ("stable", "--roots", "ROOTSFILE", "--ambient", "0"),
+    # the restricted system's dimension is --n; --ambient is never dropped
+    ("reduce", "WORDFILE", "--model", "sp", "--n", "2", "--ambient", "7"),
 ]
 
 
@@ -449,7 +497,10 @@ DIMENSION_ERRORS = [
 def test_dimension_mismatch_is_a_usage_error(argv, tmp_path):
     roots = tmp_path / "roots.txt"
     roots.write_text("1,-1\n1,1\n")
-    argv = [str(roots) if a == "ROOTSFILE" else a for a in argv]
+    word = tmp_path / "word.txt"
+    word.write_text(WORD)
+    files = {"ROOTSFILE": str(roots), "WORDFILE": str(word)}
+    argv = [files.get(a, a) for a in argv]
     code, out, err = run_cli_err(*argv)
     assert (code, out) == (2, "")
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
@@ -537,3 +588,76 @@ class TestOneCommandParser:
         del built[:]
         assert run_cli_err("--help")[0] == 0
         assert built == [None]
+
+
+@pytest.mark.parametrize("value", ["1_0", "1.0", " 10", "\u0661\u0660",
+                                   "1e1"])
+def test_integer_options_read_integer_tokens(value, tmp_path):
+    # --budget 1_0 is not a budget of 10
+    word = tmp_path / "word.txt"
+    word.write_text(WORD)
+    code, out, err = run_cli_err("reduce", str(word), "--budget", value)
+    assert (code, out) == (2, "")
+    assert "argument --budget: invalid int value" in err
+
+
+# One grammar: strings drawn from the grammar's pieces and from noise that no
+# token holds.  Every reader returns a value whose text reads back equal, or
+# raises its module's error; the CLI turns that into exit 2 with one line.
+SL_C2 = GroupModel("sl-c", 2)
+GRAMMAR_TEXTS = ("3", "-5/7", "1/2+3/4 i", "- 2i", "i", "2 -i", "t1", "1,-1",
+                 "0,2", "-1,1:2", "x 1,-1 (2, 3)", "x 0,2 (1/2)",
+                 "w 1,1 (t, -1)", "x 1,-1:1 (1+i)", "1,0;0,1",
+                 "1,2/3;-4,5;1,0;0,1")
+GRAMMAR_NOISE = ("", " ", "  ", "\t", ",", ";", ":", "/", "+", "-", "i", "(",
+                 ")", "0", "7", "_", ".", "e", "1/0", "\u0661", "\uff13")
+# (name, reader, the value read back from its text); the matrix text has
+# no mode, so a Gaussian matrix of real entries reads back in its own mode
+READERS = [
+    ("scalar", parse_scalar, lambda v: parse_scalar(format_scalar(v))),
+    ("rational", read_rational, lambda v: read_rational(format_scalar(v))),
+    ("integer", read_integer, lambda v: read_integer(str(v))),
+    ("root", Root.parse, lambda v: Root.parse(v.format())),
+    ("letter", lambda s: GeneratorLetter.parse(s, SL_C2),
+     lambda v: GeneratorLetter.parse(v.format(), SL_C2)),
+    ("matrix", parse_matrix, lambda v: parse_matrix(format_matrix(v), v.mode)),
+    ("scalar list", lambda s: read_list(s, ",", parse_scalar),
+     lambda v: read_list(",".join(map(format_scalar, v)), ",", parse_scalar)),
+]
+MODULE_ERRORS = (ScalarError, RootError, GeneratorError, MatrixError)
+
+
+def grammar_strings(rng, count):
+    for _ in range(count):
+        text = rng.choice(GRAMMAR_TEXTS)
+        for _ in range(rng.randrange(3)):
+            at = rng.randrange(len(text) + 1)
+            cut = at + rng.randrange(2)
+            text = text[:at] + rng.choice(GRAMMAR_NOISE) + text[cut:]
+        yield text
+
+
+def test_grammar_fuzz():
+    rng = random.Random("one grammar")
+    texts = list(grammar_strings(rng, 3000))
+    for text in texts:
+        for name, read, read_back in READERS:
+            try:
+                value = read(text)
+            except MODULE_ERRORS as exc:
+                assert "\n" not in str(exc), (name, text)
+                continue
+            assert not set(text) & {".", "\u0661", "\uff13"}, (name, text)
+            assert read_back(value) == value, (name, text)
+    for text in rng.sample(texts, 100):
+        try:
+            read_list(text, ",", read_rational)
+            refused = False
+        except ScalarError:
+            refused = True
+        code, _out, err = run_cli_err("stable", "--roots",
+                                      "builtin:restricted", "--n", "2",
+                                      "--check=" + text)
+        assert code == 2 if refused else code in (0, 1, 2), text
+        if code == 2:
+            assert err.startswith("error: ") and err.count("\n") == 1, text

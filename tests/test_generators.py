@@ -14,7 +14,7 @@ from chevalley.generators import (GeneratorError, GeneratorLetter, GroupModel,
 from chevalley.matrices import (ExactMatrix, check_lie_membership,
                                 check_membership, exp_nilpotent, mat_inv,
                                 mat_mul, mat_prod)
-from chevalley.roots import Root, build_root_system
+from chevalley.roots import Root, RootError, build_root_system
 from chevalley.scalars import GaussianRational, LaurentFrac, ScalarError
 
 SP2 = GroupModel("sp", 2)
@@ -287,11 +287,19 @@ class TestLetters:
     @pytest.mark.parametrize("text", [
         "", "   ", "x", "x 1,-1", "x 1,-1 (2", "x 1,-1 2)", "x 1,-1 (2)))",
         "x 1,-1 ((2)", "x 1,-1 (2) 3", "x 1,-1 (2,)", "x 1,-1 (,2)",
-        "x 1,-1 ()", "x 1,-1 (2,,3)", "x 1,-1 (1/0)"])
+        "x 1,-1 ()", "x 1,-1 (2,,3)", "x 1,-1 (1/0)", "x 1,-1 (1.5)",
+        "x 1,-1 (1_0)"])
     def test_read_letter_rejects_malformed_text(self, text):
         # a format or scalar error, never an IndexError or a letter read
         # with a slot dropped
         with pytest.raises((GeneratorError, ScalarError)):
+            read_letter(text)
+
+    @pytest.mark.parametrize("text", ["x \u0661,-1 (2)", "x 1,-1, (2)",
+                                      "x 1,-1:+1 (2)", "x 1.0,-1 (2)"])
+    def test_read_letter_rejects_malformed_roots(self, text):
+        # the root is a list of integer tokens with an exact tag
+        with pytest.raises(RootError):
             read_letter(text)
 
     def test_inverse_matrices(self):

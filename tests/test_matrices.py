@@ -217,6 +217,13 @@ class TestTextFormat:
         with pytest.raises(MatrixError):
             parse_matrix("1,0,0;0,1,0;0,0,1")
 
+    @pytest.mark.parametrize("text", ["1,0;;0,1", "1,0;0,1;", "", "1,,0;0,1",
+                                      "1.5,0;0,1"])
+    def test_empty_rows_and_entries_rejected(self, text):
+        # an empty row is never skipped
+        with pytest.raises(ScalarError):
+            parse_matrix(text)
+
 
 class TestLaurentGridAgreement:
     def test_symbolic_matrix_evaluates_to_rational_matrix(self):

@@ -158,9 +158,22 @@ class TestParsing:
         assert r.format() == "0,1,-1:2"
 
     def test_rejects_bad_shapes(self):
-        for bad in ("0,0", "1,1,1", "3,0", "2,1"):
+        # the coefficients are integer tokens in a list with no empty item,
+        # and the tag is exactly ":1" or ":2"
+        for bad in ("0,0", "1,1,1", "3,0", "2,1", "1_0,-1", "\u0661,-1",
+                    "1,-1,", "1,-1:+1", "1.0,-1", "1,-1:", "1,-1:1:1",
+                    ":1", "1,-1:01"):
             with pytest.raises(RootError):
                 Root.parse(bad)
+
+    def test_spaces_around_separators(self):
+        assert Root.parse(" 1 , -1 : 2 ") == Root((1, -1), 2)
+
+    def test_non_integral_coefficients_are_refused(self):
+        # never truncated: (5/2, -1/2) is not the root 2L1
+        with pytest.raises(RootError):
+            Root((Fraction(5, 2), Fraction(-1, 2)))
+        assert Root((Fraction(2), 0)) == Root((2, 0))
 
     def test_long_roots_refuse_tags(self):
         with pytest.raises(RootError):

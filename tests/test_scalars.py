@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 from chevalley import scalars
 from chevalley.scalars import (GaussianRational, LaurentFrac, ScalarError,
                                format_scalar, join_mode, mode_of,
-                               parse_scalar)
+                               parse_scalar, read_integer, read_lines,
+                               read_list, read_rational)
 
 rationals = st.fractions(min_value=-60, max_value=60, max_denominator=12)
 nonzero_rationals = rationals.filter(bool)
@@ -499,6 +500,8 @@ class TestParsing:
         ("1/2 + 3/4 i", GaussianRational(Fraction(1, 2), Fraction(3, 4))),
         ("2 -i", GaussianRational(2, -1)),
         ("- 2i", GaussianRational(0, -2)),
+        ("3i", GaussianRational(0, 3)),
+        ("+i", GaussianRational(0, 1)),
     ])
     def test_parse(self, text, value):
         assert parse_scalar(text) == value
@@ -509,12 +512,43 @@ class TestParsing:
         assert v == LaurentFrac.symbol("t1")
 
     # a space inside a number is no digit separator: "1 2" is not 12, nor
-    # "1 2+i" 12+i, nor "1+2 3i" 1+23i
+    # "1 2+i" 12+i, nor "1+2 3i" 1+23i; decimals, exponents, "_" separators
+    # and non-ASCII digits are no tokens of the grammar
     @pytest.mark.parametrize("text", ["", "2//3", "1+2j", "t-1", "1 2",
-                                      "1 2+i", "1+2 3i"])
+                                      "1 2+i", "1+2 3i", "1.5", "1e3",
+                                      "1_000", "\u0661", "1.5+2i",
+                                      "\uff13", "1/0", "1+1/0 i"])
     def test_rejects_garbage(self, text):
         with pytest.raises(ScalarError):
             parse_scalar(text)
+
+    @pytest.mark.parametrize("text", ["1.5", "1e3", "1_000", "\u0661",
+                                      " 1", "+1/2", "1/2/3"])
+    def test_integer_token_is_strict(self, text):
+        with pytest.raises(ScalarError):
+            read_integer(text)
+
+    @pytest.mark.parametrize("text", ["1.5", "1e3", "1_000", "\u0661", "i",
+                                      "x", "1/-2", "1/0"])
+    def test_rational_token_is_strict(self, text):
+        with pytest.raises(ScalarError):
+            read_rational(text)
+
+    def test_tokens(self):
+        assert read_integer("-007") == -7 and read_integer("+3") == 3
+        assert read_rational("-2/4") == Fraction(-1, 2)
+
+    def test_list_reader(self):
+        assert read_list(" 1 , -2/3 ", ",", read_rational) == \
+            [Fraction(1), Fraction(-2, 3)]
+        assert read_list("a;b", ";") == ["a", "b"]
+        for text in ("", " ", "1,,2", ",1", "1,", "1, ,2"):
+            with pytest.raises(ScalarError):
+                read_list(text, ",")
+
+    def test_content_lines_reader(self):
+        text = "\n  # note\nx 1 \n\n\t#\ny\n"
+        assert list(read_lines(text)) == [(3, "x 1"), (6, "y")]
 
     @given(rationals)
     @settings(max_examples=40, deadline=None)
