@@ -440,19 +440,19 @@ class ReductionFailure:
 def reduce_cycle(word, region=None, budget=10000):
     """Reduce an identity-evaluating word to the empty word.
 
-    Deterministic stable-first greedy strategy with bounded backtracking:
+    Deterministic stable-first greedy strategy in one forward pass:
     length-reducing moves (zero drops, free cancellations, the
     h-multiplicativity template, additivity merges) fire unconditionally;
-    commutator swaps and conjugation pushes are choice points.  Their
-    candidates come stable first, then by position; at one position the
-    pushes come before the swap, those with the farthest partner first, so
-    a conjugator u ... u^{-1} around a cycle is removed before the swaps
-    inside it are tried.  Candidates are produced on demand: a choice point
-    builds and tags them only up to the first stable one, and a stuck word
-    rewinds to the most recent choice point with a further candidate.  The
-    budget counts every applied move, including moves later undone.  Returns
-    a ReductionTrace on success or a ReductionFailure with the stuck word and
-    partial trace.  A negative budget is an error.
+    when none applies, the first choice move does.  Choice moves are
+    commutator swaps and conjugation pushes, ordered stable first, then by
+    position; at one position the pushes come before the swap, those with
+    the farthest partner first, so a conjugator u ... u^{-1} around a cycle
+    is removed before the swaps inside it are tried.  Candidates are built
+    and tagged on demand, only up to the first stable one.  Every applied
+    move is in the trace.  The pass stops with "budget exhausted" once the
+    trace holds ``budget`` moves, and with "no applicable move" when no move
+    applies.  Returns a ReductionTrace on success or a ReductionFailure with
+    the stuck word and partial trace.  A negative budget is an error.
     """
     if budget < 0:
         raise CycleError("budget must be at least 0, got %d" % budget)
@@ -468,7 +468,7 @@ def reduce_cycle(word, region=None, budget=10000):
     final = Word(word.system, tuple(letters))
     trace = ReductionTrace(word, tuple(state.moves), final)
     if final.letters:
-        return ReductionFailure(trace, state.stuck_reason or "budget exhausted")
+        return ReductionFailure(trace, state.stuck_reason)
     return trace
 
 
@@ -488,7 +488,6 @@ class _Reducer:
         return _stability(self.stabilities, self.system, self.region, roots)
 
     def _emit(self, letters, move):
-        self.budget -= 1
         self.moves.append(move)
         return list(move.apply(tuple(letters)))
 
@@ -496,46 +495,22 @@ class _Reducer:
                "_additivity_merge")
 
     def run(self, letters):
-        # stack of choice points: (letters, move count, candidate iterator)
-        stack = []
-        while True:
-            progressed = True
-            while letters and self.budget > 0 and progressed:
-                progressed = False
-                for name in self._FORCED:
-                    step = getattr(self, name)(letters)
-                    if step is not None:
-                        letters = step
-                        progressed = True
-                        break
-                if progressed:
-                    continue
-                snapshot = tuple(letters)
-                candidates = self._choice_moves(snapshot)
-                move = next(candidates, None)
-                if move is not None:
-                    stack.append((snapshot, len(self.moves), candidates))
-                    letters = self._emit(letters, move)
-                    progressed = True
-            if not letters:
-                return letters
-            if self.budget <= 0:
+        while letters:
+            if len(self.moves) >= self.budget:
                 self.stuck_reason = "budget exhausted"
-                return letters
-            # stuck: rewind to the last choice point with untried candidates
-            rewound = False
-            while stack and self.budget > 0:
-                prev, nmoves, candidates = stack.pop()
-                move = next(candidates, None)
-                if move is not None:
-                    del self.moves[nmoves:]
-                    stack.append((prev, nmoves, candidates))
-                    letters = self._emit(prev, move)
-                    rewound = True
+                break
+            for name in self._FORCED:
+                step = getattr(self, name)(letters)
+                if step is not None:
+                    letters = step
                     break
-            if not rewound:
-                self.stuck_reason = "no applicable move"
-                return letters
+            else:
+                move = next(self._choice_moves(tuple(letters)), None)
+                if move is None:
+                    self.stuck_reason = "no applicable move"
+                    break
+                letters = self._emit(letters, move)
+        return letters
 
     def _choice_moves(self, letters):
         """Commutator swaps and conjugation pushes, generated on demand:

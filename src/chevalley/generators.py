@@ -185,17 +185,6 @@ def gen_f(model, root, params):
     return ExactMatrix.sparse(model.size, entries)
 
 
-def gen_f_component(model, root, delta, param):
-    """Single restricted component f^delta_r(t) for sl models."""
-    if model.is_sp:
-        raise GeneratorError("sp roots have no restricted components")
-    if root.is_long:
-        if delta != 1:
-            raise GeneratorError("long roots have a single component")
-        return gen_f(model, root, (param,))
-    return gen_f(model, Root(root.coeffs, delta), (param,))
-
-
 @dataclass(frozen=True)
 class GroupElement:
     """Group matrix tagged with its model."""

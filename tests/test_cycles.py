@@ -20,7 +20,7 @@ from chevalley.cycles import (CycleError, ElementaryLetter, NonCycleError,
 from chevalley.cycles import (ReductionMove, _match_h_mult, _PrefixProducts,
                               _Reducer, _stability)
 from chevalley.relations import delta_word, fit_structure_functions, h_delta
-from chevalley.roots import Root, build_root_system
+from chevalley.roots import Root, build_root_system, standard_sl_roots
 from chevalley.scalars import (GaussianRational, LaurentFrac, ScalarError,
                                parse_scalar)
 
@@ -282,6 +282,37 @@ class TestLetterSystems:
         c = sys_.letter(Root.of(2, 1, 2, 1, 1, tag=1), (F(3),))
         assert sys_.swap_factors(a, c) == []
 
+    def test_single_entry_swaps_always_name_their_factors(self):
+        # a tagged sl-r pair with a root sum, and a non-antipodal standard
+        # pair, has a trivial or a single-entry commutator: swap_factors
+        # never gives None on them
+        pairs = 0
+        for n in (2, 3, 4):
+            sys_ = rsys(GroupModel("sl-r", n))
+            letters = []
+            for r in sys_.system.roots:
+                if r.is_long:
+                    letters.append(sys_.letter(r, (F(2),)))
+                    continue
+                letters.append(sys_.letter(r, (F(2), F(-3))))
+                letters += [sys_.letter(Root(r.coeffs, tag), (F(5),))
+                            for tag in (1, 2)]
+            for a, b in itertools.product(letters, repeat=2):
+                if a.root.restricted_tag is None and \
+                        b.root.restricted_tag is None:
+                    continue
+                if sys_.system.is_root(a.root.untagged() + b.root.untagged()):
+                    pairs += 1
+                    assert isinstance(sys_.swap_factors(a, b), list), (a, b)
+        assert pairs == 2880
+        std = StandardSystem(4)
+        pairs = [(p, q) for p, q in itertools.product(standard_sl_roots(4),
+                                                      repeat=2) if any(p + q)]
+        assert len(pairs) == 132
+        for p, q in pairs:
+            a, b = std.letter(p, (F(2),)), std.letter(q, (F(-3),))
+            assert isinstance(std.swap_factors(a, b), list), (a, b)
+
     def test_h_template_rejects_on_roots_before_values(self):
         class Letter:
             def __init__(self, root):
@@ -493,7 +524,7 @@ class TestReduce:
         assert all(m.stability.stable for m in choices[:first_unstable])
         assert choices[0].position != 0  # leftmost inversion was unstable
 
-    def test_backtracking_budget_accounts_undone_moves(self):
+    def test_budget_one_applies_one_move(self):
         # budget 1 on a three-letter additivity cycle: one merge applies,
         # then the budget is gone; the partial trace must stay sound
         sys_ = rsys(SP2)
@@ -650,6 +681,24 @@ class TestChoiceOrder:
         assert head == [("conjugation-push", 0, 6),
                         ("conjugation-push", 0, 4),
                         ("relation-substitution", 0, 2)]
+
+
+class TestBudget:
+    @pytest.mark.parametrize("family,n,region", CHOICE_CASES)
+    def test_budget_bounds_the_trace(self, family, n, region):
+        reasons = set()
+        for word in seeded_words(family, n):
+            for budget in (0, 1, 7, 200):
+                out = reduce_cycle(word, region=region, budget=budget)
+                trace = out.trace if isinstance(out, ReductionFailure) else out
+                assert len(trace.moves) <= budget
+                exhausted = bool(trace.final.letters) and \
+                    len(trace.moves) == budget
+                reason = getattr(out, "reason", None)
+                assert (reason == "budget exhausted") == exhausted
+                assert trace.replay()
+                reasons.add(reason)
+        assert {None, "budget exhausted"} <= reasons
 
 
 class TestPushRule:

@@ -6,9 +6,8 @@ from fractions import Fraction
 import pytest
 
 from chevalley.generators import (GeneratorError, GeneratorLetter, GroupModel,
-                                  TorusElement, _letter_matrix, gen_f,
-                                  gen_f_component, gen_h, gen_h_literal, gen_w,
-                                  gen_x, h_word_letters,
+                                  TorusElement, _letter_matrix, gen_f, gen_h,
+                                  gen_h_literal, gen_w, gen_x, h_word_letters,
                                   position_component_table, read_letter,
                                   torus_conjugate, w_word_letters)
 from chevalley.matrices import (ExactMatrix, check_lie_membership,
@@ -61,14 +60,14 @@ class TestGenF:
     def test_sl_components_split(self):
         r = Root.of(2, 1, 2, 1, 1)
         full = gen_f(SL2, r, (Fraction(2), Fraction(3)))
-        part = mat_mul(exp_nilpotent(gen_f_component(SL2, r, 1, Fraction(2))),
-                       exp_nilpotent(gen_f_component(SL2, r, 2, Fraction(3))))
+        part = mat_mul(exp_nilpotent(gen_f(SL2, Root(r.coeffs, 1),
+                                           (Fraction(2),))),
+                       exp_nilpotent(gen_f(SL2, Root(r.coeffs, 2),
+                                           (Fraction(3),))))
         assert exp_nilpotent(full) == part
 
     def test_tagged_root_is_one_component(self):
         tagged = Root((1, -1), restricted_tag=2)
-        assert gen_f(SL2, tagged, (Fraction(5),)) == \
-            gen_f_component(SL2, Root.of(2, 1, 2, 1, -1), 2, Fraction(5))
         assert gen_f(SL2, tagged, (Fraction(5),)) == e(4, 4, 3, 5)
 
     def test_arity_mismatch(self):
@@ -109,8 +108,8 @@ class TestGenX:
             t1, t2 = Fraction(3, 2), Fraction(-4)
             whole = gen_x(SL2, r, (t1, t2)).matrix
             split = mat_mul(
-                exp_nilpotent(gen_f_component(SL2, r, 1, t1)),
-                exp_nilpotent(gen_f_component(SL2, r, 2, t2)))
+                exp_nilpotent(gen_f(SL2, Root(r.coeffs, 1), (t1,))),
+                exp_nilpotent(gen_f(SL2, Root(r.coeffs, 2), (t2,))))
             assert whole == split, r
 
 
@@ -444,6 +443,6 @@ class TestPositionTable:
                         if root.is_long:
                             f = gen_f(GroupModel("sl-r", n), root, (Fraction(1),))
                         else:
-                            f = gen_f_component(GroupModel("sl-r", n), root,
-                                                delta, Fraction(1))
+                            f = gen_f(GroupModel("sl-r", n),
+                                      Root(root.coeffs, delta), (Fraction(1),))
                         assert f.entry(i, j) == 1

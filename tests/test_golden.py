@@ -264,6 +264,17 @@ def _w_power(family, n):
     return w_word_letters(model, Root.of(n, 1, 2, 1, -1), one) * 4
 
 
+# an sp n=2 cycle that the forward pass leaves at 13 letters after 46
+# moves on the plane eq:-2,-1, whatever the budget
+STUCK_REGION_WORD = (
+    "x 1,1 (1)", "x 0,-2 (-2)", "x 1,1 (-3/2)", "x 0,-2 (2)", "x 1,1 (3/2)",
+    "x 2,0 (9/2)", "x 1,-1 (3)", "x 1,1 (-1)", "x 2,0 (1/2)",
+    "x -1,-1 (-2)", "x -1,1 (1)", "x -1,-1 (2)", "x -1,1 (-1)",
+    "x -2,0 (4)", "x 2,0 (-1/2)", "x 2,0 (-3/2)", "x -2,0 (-1)",
+    "x 1,1 (1/2)", "x -2,0 (1)", "x 1,1 (-1/2)", "x 0,2 (1/4)",
+    "x -1,1 (-1/2)", "x 2,0 (3/2)")
+
+
 def reduce_words():
     """(case name, argv with WORDFILE, letters) for every reduce golden."""
     cases = []
@@ -293,6 +304,10 @@ def reduce_words():
                                    "--budget", "3"], words["commutator"])
     add("sl-r-n2-stuck", ["--model", "sl-r", "--n", "2", "WORDFILE"],
         _w_power("sl-r", 2))
+    sp2 = RestrictedSystem(GroupModel("sp", 2))
+    add("sp-n2-stuck-region", ["--model", "sp", "--n", "2", "WORDFILE",
+                               "--region", "eq:-2,-1"],
+        [sp2.parse_letter(line) for line in STUCK_REGION_WORD])
     for size in (4, 6):
         std = ["--system", "standard", "--ambient", str(size), "WORDFILE"]
         region = "eq:1,1,1,1;0,1,2,3" if size == 4 else "eq:1,1,1,1,1,1"
@@ -309,13 +324,18 @@ def reduce_cases():
             for name, argv, letters in reduce_words()]
 
 
-def reduce_text(argv, word_text):
-    """The golden text of one reduce case, running it on a temporary file."""
+def run_reduce(argv, word_text):
+    """(exit code, stdout) of one reduce case, run on a temporary file."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "word.txt")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(word_text)
-        code, out = run_cli([path if a == "WORDFILE" else a for a in argv])
+        return run_cli([path if a == "WORDFILE" else a for a in argv])
+
+
+def reduce_text(argv, word_text):
+    """The golden text of one reduce case."""
+    code, out = run_reduce(argv, word_text)
     assert code in (0, 1), argv
     return "$ %s\n--- WORDFILE\n%s--- stdout\n%s" % (" ".join(argv),
                                                       word_text, out)
@@ -409,6 +429,22 @@ def bracket_text():
 def test_reduce_golden(name, argv, word_text):
     golden = GOLDEN / ("reduce-%s.txt" % name)
     assert reduce_text(argv, word_text) == golden.read_text(encoding="utf-8")
+
+
+def test_stuck_region_word_stops_below_the_budget():
+    # no move applies after 46 moves, so budget 200 prints the same bytes
+    # as the default budget the golden runs at
+    (argv, word_text), = [(argv, text) for name, argv, text in reduce_cases()
+                          if name == "sp-n2-stuck-region"]
+    golden = (GOLDEN / "reduce-sp-n2-stuck-region.txt").read_text(
+        encoding="utf-8")
+    stdout = golden.split("--- stdout\n", 1)[1]
+    out = json.loads(stdout)
+    assert out["failure"] == "no applicable move"
+    assert (len(out["moves"]), len(out["final"])) == (46, 13)
+    for budget in ("200", "10000"):
+        assert run_reduce(argv + ["--budget", budget], word_text) == \
+            (1, stdout)
 
 
 def test_read_letter_gives_back_every_golden_letter():
