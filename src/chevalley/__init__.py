@@ -13,9 +13,8 @@ from .arrangements import (Plane, find_stable_element, is_generic,
 from .cycles import (ElementaryLetter, RestrictedSystem, StandardSystem, Word,
                      bracket_decompose, enumerate_bracket_decompositions,
                      is_stable_word, reduce_cycle)
-from .generators import (GeneratorLetter, GroupModel, MonomialForm,
-                         TorusElement, gen_f, gen_h, gen_w, gen_x,
-                         torus_conjugate)
+from .generators import (GeneratorLetter, GroupModel, MonomialForm, gen_f,
+                         gen_h, gen_w, gen_x)
 from .matrices import (ExactMatrix, check_membership, exp_nilpotent, mat_inv,
                        mat_mul)
 from .relations import (DEFAULT_GRID, decompose_commutator,

@@ -71,12 +71,6 @@ class Hyperplane:
     normal: tuple
     labels: tuple
 
-    def eval_at(self, point):
-        coords = _as_vector(point)
-        if len(coords) != len(self.normal):
-            raise ArrangementError("dimension mismatch")
-        return sum((c * x for c, x in zip(self.normal, coords)), Fraction(0))
-
     def __str__(self):
         return ",".join(str(c) for c in self.normal)
 

@@ -186,14 +186,6 @@ def gen_f(model, root, params):
 
 
 @dataclass(frozen=True)
-class GroupElement:
-    """Group matrix tagged with its model."""
-
-    matrix: ExactMatrix
-    model: GroupModel
-
-
-@dataclass(frozen=True)
 class MonomialForm:
     """Permutation-times-diagonal decomposition p(pi) * diag(d).
 
@@ -350,8 +342,7 @@ def _w_word_matrix(model, root, params):
 
 def gen_x(model, root, params):
     """Unipotent generator x_r(params) = exp f_r(params)."""
-    letter = GeneratorLetter(model, "x", root, params)
-    return GroupElement(letter.matrix(), model)
+    return GeneratorLetter(model, "x", root, params).matrix()
 
 
 def gen_w(model, root, params):
@@ -361,7 +352,7 @@ def gen_w(model, root, params):
     form = MonomialForm.from_delta(matrix_to_delta(m), m.size)
     if form.to_matrix(m.mode) != m:
         raise GeneratorError("monomial decomposition failed to round-trip")
-    return GroupElement(m, model), form
+    return m, form
 
 
 def gen_h(model, root, params):
@@ -370,7 +361,7 @@ def gen_h(model, root, params):
     m = letter.matrix()
     if not m.is_diagonal():
         raise GeneratorError("h element is not diagonal")
-    return GroupElement(m, model)
+    return m
 
 
 def gen_h_literal(model, root, params):
@@ -381,8 +372,8 @@ def gen_h_literal(model, root, params):
     """
     params = model.check_params(root, params)
     neg_ref = tuple(-p for p in h_reference(params))
-    return GroupElement(mat_mul(_w_word_matrix(model, root, params),
-                                _w_word_matrix(model, root, neg_ref)), model)
+    return mat_mul(_w_word_matrix(model, root, params),
+                   _w_word_matrix(model, root, neg_ref))
 
 
 def h_word_letters(model, root, params):
@@ -397,53 +388,6 @@ def w_word_letters(model, root, params):
     params = model.check_params(root, params)
     return [GeneratorLetter(model, "x", r, p)
             for r, p in w_factors(root, params)]
-
-
-# ---------------------------------------------------------------------------
-# Torus elements and conjugation characters
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TorusElement:
-    """diag(d_1..d_n, 1/d_1..1/d_n) for units d_i; the multiplicative
-    stand-in for the exponentiated Cartan coordinates."""
-
-    d: tuple
-
-    def __post_init__(self):
-        d = tuple(Fraction(x) if isinstance(x, int) else x for x in self.d)
-        if not all(d):
-            raise GeneratorError("torus entries must be units")
-        object.__setattr__(self, "d", d)
-
-    @property
-    def n(self):
-        return len(self.d)
-
-    def to_matrix(self, mode=None):
-        entries = {}
-        for i, di in enumerate(self.d, start=1):
-            entries[(i, i)] = di
-            entries[(i + self.n, i + self.n)] = 1 / di
-        return ExactMatrix.sparse(2 * self.n, entries, mode)
-
-    def character(self, root):
-        """chi_r(D) = prod d_i^{c_i}, the multiplicative weight of the root."""
-        out = None
-        for di, c in zip(self.d, root.coeffs):
-            if c:
-                v = di ** c
-                out = v if out is None else out * v
-        return out
-
-
-def torus_conjugate(torus, letter):
-    """D x_r(a) D^{-1} = x_r(chi_r(D) a), returned as the rescaled letter."""
-    if letter.kind != "x":
-        raise GeneratorError("torus conjugation is defined on x-letters")
-    chi = torus.character(letter.root)
-    return GeneratorLetter(letter.model, "x", letter.root,
-                           tuple(chi * p for p in letter.params))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import factorial
 
 from .scalars import (LAURENT, RATIONAL, coerce, format_scalar, join_mode,
-                      mode_of, parse_scalar, read_list)
+                      mode_of)
 
 
 class MatrixError(ValueError):
@@ -77,30 +77,7 @@ class ExactMatrix:
         return ExactMatrix.sparse(size, {(i, i): 1 for i in range(1, size + 1)},
                                   mode)
 
-    @staticmethod
-    def zeros(size, mode=None):
-        return ExactMatrix.sparse(size, {}, mode)
-
-    @staticmethod
-    def elementary(size, i, j, value=1, mode=None):
-        """value * e_{i,j} with 1-based indices."""
-        return ExactMatrix.sparse(size, {(i, j): value}, mode)
-
-    @staticmethod
-    def from_entries(size, entries, mode=None):
-        """Build from {(i, j): value} with 1-based indices; identity base."""
-        return ExactMatrix.sparse(
-            size, {**{(i, i): 1 for i in range(1, size + 1)}, **entries}, mode)
-
     # -- basics ------------------------------------------------------------
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.rows[i][j]
-
-    def entry(self, i, j):
-        """1-based entry access."""
-        return self.rows[i - 1][j - 1]
 
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
@@ -344,11 +321,6 @@ def check_lie_membership(x, model):
 # ---------------------------------------------------------------------------
 # Text format: row-major, semicolon-separated rows, comma-separated entries
 # ---------------------------------------------------------------------------
-
-def parse_matrix(text, mode=None):
-    return ExactMatrix(read_list(text, ";", lambda row: read_list(
-        row, ",", parse_scalar)), mode)
-
 
 def format_matrix(m):
     return ";".join(",".join(format_scalar(x) for x in r) for r in m.rows)

@@ -173,9 +173,6 @@ class GaussianRational:
         return format_scalar(self)
 
 
-I_UNIT = GaussianRational(0, 1)
-
-
 # ---------------------------------------------------------------------------
 # Sparse multivariate Laurent polynomials
 # ---------------------------------------------------------------------------

@@ -19,11 +19,11 @@ the empty expression.  The elimination runs on integer column ranks (the
 lattice's pairs numbered in ``_pair_key`` order) and is built once per
 ``AxiomLattice``, on its first query; every later query only reduces.
 
-Soundness of anything judged true is guaranteed against the matrix
-realization: the symbol {s, t} maps to h(s) h(t) h(st)^{-1}, which is the
-identity matrix for all s, t (h-multiplicativity holds in the matrix group),
-so the realization check can only confirm, never refute --- it tests the
-engine's bookkeeping, not completeness.
+The matrix realization maps {s, t} to h(s) h(t) h(st)^{-1}.  Since h is
+multiplicative in the matrix group, that is the identity matrix for all s
+and t, so ``matrix_realization_check`` is true for every expression, a
+consequence or not: it confirms nothing.  ``replay_certificate`` is the
+check that tests a certificate.
 """
 
 from __future__ import annotations
@@ -36,7 +36,8 @@ from functools import cached_property
 from .generators import GroupModel, gen_h
 from .matrices import mat_inv, mat_mul, mat_prod
 from .roots import Root
-from .scalars import GaussianRational, format_scalar
+from .scalars import (GAUSSIAN, GaussianRational, coerce, format_scalar,
+                      join_mode, mode_of)
 
 AXIOM_BILINEAR_LEFT = "bilinear-left"
 AXIOM_BILINEAR_RIGHT = "bilinear-right"
@@ -404,18 +405,19 @@ def matrix_realization_check(expr, model=None):
     """Evaluate the expression under the matrix realization of the symbol.
 
     {s, t} maps to h(s) h(t) h(st)^{-1} at the first short root; the result
-    is the identity for every pair, so this can only confirm soundness.
-    Gaussian arguments use the complex model.
+    is the identity for every pair, so this is true for every expression.
+    Gaussian arguments use the complex model, and every h is built in the
+    joined mode of all the arguments.
     """
+    mode = join_mode(mode_of(x) for (s, t), _e in expr.pairs for x in (s, t))
     if model is None:
-        gaussian = any(isinstance(x, GaussianRational)
-                       for (s, t), _e in expr.pairs for x in (s, t))
-        model = GroupModel("sl-c" if gaussian else "sp", 2)
+        model = GroupModel("sl-c" if mode == GAUSSIAN else "sp", 2)
     r12 = Root.of(model.n, 1, 2, 1, -1)
 
     def h_of(t):
+        t = coerce(t, mode)
         params = (t,) if model.is_sp else (t, 0)
-        return gen_h(model, r12, params).matrix
+        return gen_h(model, r12, params)
 
     total = None
     for (s, t), e in expr.pairs:

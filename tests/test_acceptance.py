@@ -116,6 +116,12 @@ def test_criterion_3_conjugation_and_display_suites():
             % (len(failures), sorted(missing), elapsed))
 
 
+def _diagonal(size, entries):
+    """The diagonal matrix with entries {i: value}, ones elsewhere."""
+    return ExactMatrix.sparse(size, {(i, i): entries.get(i, 1)
+                                     for i in range(1, size + 1)})
+
+
 def test_criterion_4_diagonal_forms():
     """h_{L1-L2}(t) and h_{2Ln}(-1) explicit diagonals for n in {2,3,4}."""
     checked = 0
@@ -123,16 +129,14 @@ def test_criterion_4_diagonal_forms():
         model = GroupModel("sp", n)
         r12 = Root.of(n, 1, 2, 1, -1)
         for t in DEFAULT_GRID:
-            h = gen_h(model, r12, (t,)).matrix
-            expected = ExactMatrix.from_entries(
-                2 * n, {(1, 1): t, (2, 2): 1 / t,
-                        (n + 1, n + 1): 1 / t, (n + 2, n + 2): t})
+            h = gen_h(model, r12, (t,))
+            expected = _diagonal(2 * n, {1: t, 2: 1 / t, n + 1: 1 / t,
+                                         n + 2: t})
             assert h == expected, (n, t)
             checked += 1
         ln = Root.of(n, n)
-        hn = gen_h(model, ln, (F(-1),)).matrix
-        expected = ExactMatrix.from_entries(
-            2 * n, {(n, n): F(-1), (2 * n, 2 * n): F(-1)})
+        hn = gen_h(model, ln, (F(-1),))
+        expected = _diagonal(2 * n, {n: F(-1), 2 * n: F(-1)})
         assert hn == expected, n
         assert mat_mul(hn, hn) == ExactMatrix.identity(2 * n), n
         checked += 1

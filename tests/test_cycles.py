@@ -60,7 +60,7 @@ class TestWordEval:
         r = Root.of(2, 1, 2, 1, -1)
         letters = h_word_letters(SP2, r, (F(7),))
         w = Word(rsys(SP2), tuple(letters))
-        assert w.eval() == gen_h(SP2, r, (F(7),)).matrix
+        assert w.eval() == gen_h(SP2, r, (F(7),))
 
     def test_dense_route_agrees(self):
         sys_ = rsys(SL2)
@@ -75,8 +75,8 @@ class TestWordEval:
         w = Word.parse("x 1,-1 (1)\nx 0,2 (a)", rsys(SP2))
         a = LaurentFrac.symbol("a")
         expected = mat_mul(gen_x(SP2, Root.of(2, 1, 2, 1, -1),
-                                 (LaurentFrac(1),)).matrix,
-                           gen_x(SP2, Root.of(2, 2), (a,)).matrix)
+                                 (LaurentFrac(1),)),
+                           gen_x(SP2, Root.of(2, 2), (a,)))
         assert w.eval() == expected
         assert expected.mode == "laurent"
 

@@ -1,15 +1,16 @@
-"""Generator construction: f/x/w/h tables, monomial forms, torus characters."""
+"""Generator construction: f/x/w/h tables, monomial forms, letters."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
+from chevalley import relations
 from chevalley.generators import (GeneratorError, GeneratorLetter, GroupModel,
-                                  TorusElement, _letter_matrix, gen_f, gen_h,
-                                  gen_h_literal, gen_w, gen_x, h_word_letters,
+                                  MonomialForm, _letter_matrix, gen_f, gen_h, gen_h_literal,
+                                  gen_w, gen_x, h_word_letters,
                                   position_component_table, read_letter,
-                                  torus_conjugate, w_word_letters)
+                                  w_word_letters)
 from chevalley.matrices import (ExactMatrix, check_lie_membership,
                                 check_membership, exp_nilpotent, mat_inv,
                                 mat_mul, mat_prod)
@@ -23,11 +24,12 @@ SLC2 = GroupModel("sl-c", 2)
 
 
 def e(size, i, j, v=1):
-    return ExactMatrix.elementary(size, i, j, v)
+    return ExactMatrix.sparse(size, {(i, j): v})
 
 
 def uni(size, entries):
-    return ExactMatrix.from_entries(size, entries)
+    return ExactMatrix.sparse(
+        size, {**{(i, i): 1 for i in range(1, size + 1)}, **entries})
 
 
 class TestGenF:
@@ -79,18 +81,18 @@ class TestGenF:
 
 class TestGenX:
     def test_zero_parameter_is_identity(self):
-        assert gen_x(SP2, Root.of(2, 1), (0,)).matrix == ExactMatrix.identity(4)
-        assert gen_x(SL2, Root.of(2, 1, 2, 1, -1), (0, 0)).matrix == \
+        assert gen_x(SP2, Root.of(2, 1), (0,)) == ExactMatrix.identity(4)
+        assert gen_x(SL2, Root.of(2, 1, 2, 1, -1), (0, 0)) == \
             ExactMatrix.identity(4)
 
     def test_sp_difference_root_matrix(self):
         t = Fraction(5, 7)
-        got = gen_x(SP2, Root.of(2, 1, 2, 1, -1), (t,)).matrix
+        got = gen_x(SP2, Root.of(2, 1, 2, 1, -1), (t,))
         assert got == uni(4, {(1, 2): t, (4, 3): -t})
 
     def test_sl_two_parameter_matrix(self):
         t1, t2 = Fraction(2), Fraction(-1, 3)
-        got = gen_x(SL2, Root.of(2, 1, 2, 1, -1), (t1, t2)).matrix
+        got = gen_x(SL2, Root.of(2, 1, 2, 1, -1), (t1, t2))
         assert got == uni(4, {(1, 2): t1, (4, 3): t2})
 
     def test_membership_all_roots_all_models(self):
@@ -98,7 +100,7 @@ class TestGenX:
         for model in (SP2, SP3, SL2, GroupModel("sl-r", 3), SLC2):
             for r in build_root_system(model.n).roots:
                 g = gen_x(model, r, params[model.param_arity(r)])
-                assert check_membership(g.matrix, model), (model, r)
+                assert check_membership(g, model), (model, r)
 
     def test_exp_product_agreement_with_split_definition(self):
         # the single-exponential and split-component definitions agree
@@ -106,7 +108,7 @@ class TestGenX:
             if r.is_long:
                 continue
             t1, t2 = Fraction(3, 2), Fraction(-4)
-            whole = gen_x(SL2, r, (t1, t2)).matrix
+            whole = gen_x(SL2, r, (t1, t2))
             split = mat_mul(
                 exp_nilpotent(gen_f(SL2, Root(r.coeffs, 1), (t1,))),
                 exp_nilpotent(gen_f(SL2, Root(r.coeffs, 2), (t2,))))
@@ -120,14 +122,14 @@ class TestGenW:
         # p(pi) diag(-1/t at 2, t at 4), pi swaps 2 and 4
         assert form.perm == (1, 4, 3, 2)
         assert form.diag == (Fraction(1), -1 / t, Fraction(1), t)
-        assert form.to_matrix() == g.matrix
+        assert form.to_matrix() == g
 
     def test_sl_difference_first_slot(self):
         t = Fraction(2)
         g, form = gen_w(SL2, Root.of(2, 1, 2, 1, -1), (t, Fraction(0)))
         assert form.perm == (2, 1, 3, 4)
         assert form.diag == (-1 / t, t, Fraction(1), Fraction(1))
-        assert form.to_matrix() == g.matrix
+        assert form.to_matrix() == g
 
     def test_sl_sum_second_slot(self):
         t = Fraction(5, 3)
@@ -135,14 +137,14 @@ class TestGenW:
         # pi swaps j=2 with i+n=3
         assert form.perm == (1, 3, 2, 4)
         assert form.diag == (Fraction(1), -1 / t, t, Fraction(1))
-        assert form.to_matrix() == g.matrix
+        assert form.to_matrix() == g
 
     def test_word_equals_letters_product(self):
         r = Root.of(2, 1, 2, 1, -1)
         params = (Fraction(3), Fraction(-2))
         g, _ = gen_w(SL2, r, params)
         letters = w_word_letters(SL2, r, params)
-        assert mat_prod([l.matrix() for l in letters]) == g.matrix
+        assert mat_prod([l.matrix() for l in letters]) == g
 
     def test_rejects_zero_parameters(self):
         with pytest.raises(GeneratorError):
@@ -161,42 +163,42 @@ class TestGenW:
                              (Fraction(0), Fraction(-1, 2))]
                 for params in cases:
                     g, form = gen_w(model, r, params)
-                    assert form.to_matrix(g.matrix.mode) == g.matrix
+                    assert form.to_matrix(g.mode) == g
 
 
 class TestGenH:
     def test_sp_short_diagonal_form(self):
         t = Fraction(7, 2)
         g = gen_h(SP2, Root.of(2, 1, 2, 1, -1), (t,))
-        assert g.matrix == ExactMatrix([[t, 0, 0, 0], [0, 1 / t, 0, 0],
-                                        [0, 0, 1 / t, 0], [0, 0, 0, t]])
+        assert g == ExactMatrix([[t, 0, 0, 0], [0, 1 / t, 0, 0],
+                                 [0, 0, 1 / t, 0], [0, 0, 0, t]])
 
     def test_sp_involution_diagonal(self):
         for model in (SP2, SP3):
             n = model.n
             g = gen_h(model, Root.of(n, n), (Fraction(-1),))
             expected = {(n, n): Fraction(-1), (2 * n, 2 * n): Fraction(-1)}
-            m = ExactMatrix.from_entries(2 * n, expected)
-            assert g.matrix == m
-            assert mat_mul(g.matrix, g.matrix) == ExactMatrix.identity(2 * n)
+            m = uni(2 * n, expected)
+            assert g == m
+            assert mat_mul(g, g) == ExactMatrix.identity(2 * n)
 
     def test_reference_parameter_gives_identity(self):
-        assert gen_h(SP2, Root.of(2, 1), (1,)).matrix == ExactMatrix.identity(4)
-        assert gen_h(SL2, Root.of(2, 1, 2, 1, -1), (1, 1)).matrix == \
+        assert gen_h(SP2, Root.of(2, 1), (1,)) == ExactMatrix.identity(4)
+        assert gen_h(SL2, Root.of(2, 1, 2, 1, -1), (1, 1)) == \
             ExactMatrix.identity(4)
-        assert gen_h(SL2, Root.of(2, 1, 2, 1, -1), (1, 0)).matrix == \
+        assert gen_h(SL2, Root.of(2, 1, 2, 1, -1), (1, 0)) == \
             ExactMatrix.identity(4)
 
     def test_sl_slot_diagonals(self):
         t = Fraction(5)
         g1 = gen_h(SL2, Root.of(2, 1, 2, 1, -1), (t, 0))
-        assert g1.matrix == uni(4, {(1, 1): t, (2, 2): 1 / t})
+        assert g1 == uni(4, {(1, 1): t, (2, 2): 1 / t})
         # second slot lands inverted (w(0,t) w(0,-1) = diag(1/t, t) on the
         # shifted block); the subgroup {diag(a, 1/a)} is the same either way
         g2 = gen_h(SL2, Root.of(2, 1, 2, 1, -1), (0, t))
-        assert g2.matrix == uni(4, {(3, 3): 1 / t, (4, 4): t})
-        assert mat_mul(g2.matrix,
-                       gen_h(SL2, Root.of(2, 1, 2, 1, -1), (0, 1 / t)).matrix) \
+        assert g2 == uni(4, {(3, 3): 1 / t, (4, 4): t})
+        assert mat_mul(g2,
+                       gen_h(SL2, Root.of(2, 1, 2, 1, -1), (0, 1 / t))) \
             == ExactMatrix.identity(4)
 
     def test_literal_form_agrees(self):
@@ -206,8 +208,8 @@ class TestGenH:
                  (SL2, Root.of(2, 1, 2, 1, -1), (Fraction(3), Fraction(0))),
                  (SL2, Root.of(2, 1, 2, 1, 1), (Fraction(0), Fraction(4)))]
         for model, r, params in cases:
-            assert gen_h(model, r, params).matrix == \
-                gen_h_literal(model, r, params).matrix
+            assert gen_h(model, r, params) == \
+                gen_h_literal(model, r, params)
 
     def test_h_word_letters_multiply_to_h(self):
         r = Root.of(2, 1, 2, 1, -1)
@@ -216,7 +218,7 @@ class TestGenH:
             letters = h_word_letters(model, r, params)
             assert len(letters) == 6
             assert mat_prod([l.matrix() for l in letters]) == \
-                gen_h(model, r, params).matrix
+                gen_h(model, r, params)
 
 
 class TestLetterCacheModes:
@@ -235,9 +237,9 @@ class TestLetterCacheModes:
     @pytest.mark.parametrize("model, real, wide, other, mode", CASES,
                              ids=["sl-c", "sp"])
     @pytest.mark.parametrize("build", [
-        lambda *a: gen_x(*a).matrix,
-        lambda *a: gen_w(*a)[0].matrix,
-        lambda *a: gen_h(*a).matrix,
+        gen_x,
+        lambda *a: gen_w(*a)[0],
+        gen_h,
     ], ids=["x", "w", "h"])
     def test_equal_params_of_a_wider_mode_after_rationals(
             self, model, real, wide, other, mode, build):
@@ -246,7 +248,7 @@ class TestLetterCacheModes:
         assert build(model, r, real).mode == "rational"
         m = build(model, r, wide)
         assert m.mode == mode
-        assert mat_mul(m, gen_x(model, r, other).matrix).mode == mode
+        assert mat_mul(m, gen_x(model, r, other)).mode == mode
         _letter_matrix.cache_clear()
         assert build(model, r, wide) == m
 
@@ -389,46 +391,56 @@ class TestCheckParams:
             SP2.check_params(None, (1,), "sampled")
 
 
+def torus(*d):
+    """diag(d_1..d_n, 1/d_1..1/d_n) as a MonomialForm with the identity
+    permutation."""
+    d = tuple(Fraction(x) for x in d)
+    return MonomialForm(tuple(range(1, 2 * len(d) + 1)),
+                        d + tuple(1 / x for x in d))
+
+
 class TestTorus:
+    """A torus element acts on a letter's delta by relabelling through its
+    monomial form: D x_r(a) D^{-1} = x_r(chi_r(D) a)."""
+
     def test_identity_torus_fixes_letters(self):
-        d = TorusElement((Fraction(1), Fraction(1)))
-        l = GeneratorLetter(SP2, "x", Root.of(2, 1), (Fraction(3),))
-        assert torus_conjugate(d, l) == l
+        inner = relations.x_delta(SP2, Root.of(2, 1), (Fraction(3),))
+        assert relations._monomial_conj(torus(1, 1), inner) == inner
 
     def test_long_root_squares_character(self):
-        d = TorusElement((Fraction(2), Fraction(1)))
-        l = GeneratorLetter(SP2, "x", Root.of(2, 1), (Fraction(1),))
-        out = torus_conjugate(d, l)
-        assert out.params == (Fraction(4),)
+        r = Root.of(2, 1)
+        out = relations._monomial_conj(
+            torus(2, 1), relations.x_delta(SP2, r, (Fraction(1),)))
+        assert out == relations.x_delta(SP2, r, (Fraction(4),))
 
     def test_sl_difference_character_both_slots(self):
-        d = TorusElement((Fraction(2), Fraction(3)))
-        l = GeneratorLetter(SL2, "x", Root.of(2, 1, 2, 1, -1),
-                            (Fraction(1), Fraction(1)))
-        out = torus_conjugate(d, l)
-        assert out.params == (Fraction(2, 3), Fraction(2, 3))
+        r = Root.of(2, 1, 2, 1, -1)
+        out = relations._monomial_conj(
+            torus(2, 3), relations.x_delta(SL2, r, (Fraction(1), Fraction(1))))
+        assert out == relations.x_delta(SL2, r,
+                                        (Fraction(2, 3), Fraction(2, 3)))
 
     def test_matches_matrix_conjugation_oracle(self):
         # direct matrix conjugation is the independent route
-        d = TorusElement((Fraction(2), Fraction(-3)))
-        dm = d.to_matrix()
+        form = torus(2, -3)
+        dm = form.to_matrix()
         for r in build_root_system(2).roots:
             for model in (SP2, SL2):
                 arity = model.param_arity(r)
                 params = (Fraction(5, 7),) * arity
                 l = GeneratorLetter(model, "x", r, params)
                 conj = mat_mul(mat_mul(dm, l.matrix()), mat_inv(dm))
-                assert conj == torus_conjugate(d, l).matrix(), (model, r)
-
-    def test_rejects_non_x_letters(self):
-        d = TorusElement((Fraction(2), Fraction(1)))
-        w = GeneratorLetter(SP2, "w", Root.of(2, 1), (Fraction(1),))
-        with pytest.raises(GeneratorError):
-            torus_conjugate(d, w)
+                delta = relations._monomial_conj(
+                    form, relations.x_delta(model, r, params))
+                assert conj == uni(model.size, delta), (model, r)
 
     def test_rejects_zero_entries(self):
+        # a torus element needs unit entries: diag(0, 1, 1, 1) has no
+        # monomial form, and h_r(0) is no letter
         with pytest.raises(GeneratorError):
-            TorusElement((Fraction(0), Fraction(1)))
+            MonomialForm.from_delta({(1, 1): Fraction(-1)}, 4)
+        with pytest.raises(GeneratorError):
+            GeneratorLetter(SP2, "h", Root.of(2, 1), (Fraction(0),))
 
 
 class TestPositionTable:
@@ -445,4 +457,4 @@ class TestPositionTable:
                         else:
                             f = gen_f(GroupModel("sl-r", n),
                                       Root(root.coeffs, delta), (Fraction(1),))
-                        assert f.entry(i, j) == 1
+                        assert f.rows[i - 1][j - 1] == 1

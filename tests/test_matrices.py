@@ -11,28 +11,30 @@ from chevalley.generators import GroupModel
 from chevalley.matrices import (ExactMatrix, MatrixError, NotNilpotentError,
                                 SingularMatrixError, check_membership,
                                 exp_nilpotent, format_matrix, mat_add,
-                                mat_det, mat_inv, mat_mul, parse_matrix,
-                                row_reduce, symplectic_form)
-from chevalley.scalars import GaussianRational, LaurentFrac, ScalarError
+                                mat_det, mat_inv, mat_mul, row_reduce,
+                                symplectic_form)
+from chevalley.scalars import (GaussianRational, LaurentFrac, ScalarError,
+                               parse_scalar, read_list)
 
 
 def unit_plus(size, entries):
-    return ExactMatrix.from_entries(size, entries)
+    return ExactMatrix.sparse(
+        size, {**{(i, i): 1 for i in range(1, size + 1)}, **entries})
 
 
 class TestSparse:
     def test_int_entries_infer_rational(self):
         m = ExactMatrix.sparse(4, {(1, 2): 3, (4, 1): -1})
         assert m.mode == "rational"
-        assert m.entry(1, 2) == 3 and type(m.entry(1, 2)) is Fraction
-        assert type(m.entry(2, 2)) is Fraction and not m.entry(2, 2)
+        assert m.rows[0][1] == 3 and type(m.rows[0][1]) is Fraction
+        assert type(m.rows[1][1]) is Fraction and not m.rows[1][1]
 
     def test_one_symbol_infers_laurent(self):
         a = LaurentFrac.symbol("a")
         m = ExactMatrix.sparse(4, {(1, 1): 1, (1, 2): a, (3, 4): Fraction(1, 2)})
         assert m.mode == "laurent"
         assert all(isinstance(x, LaurentFrac) for r in m.rows for x in r)
-        assert m.entry(1, 2) == a and m.entry(3, 4) == Fraction(1, 2)
+        assert m.rows[0][1] == a and m.rows[2][3] == Fraction(1, 2)
 
     @pytest.mark.parametrize("mode, cls", [("gaussian", GaussianRational),
                                            ("laurent", LaurentFrac)])
@@ -40,16 +42,12 @@ class TestSparse:
         m = ExactMatrix.sparse(2, {(1, 1): 1, (2, 1): -2}, mode)
         assert m.mode == mode
         assert all(type(x) is cls for r in m.rows for x in r)
-        assert m.entry(1, 1) == 1 and m.entry(2, 1) == -2
-        assert not m.entry(1, 2) and not m.entry(2, 2)
+        assert m.rows[0][0] == 1 and m.rows[1][0] == -2
+        assert not m.rows[0][1] and not m.rows[1][1]
 
     def test_builders_agree_with_sparse(self):
         assert ExactMatrix.identity(4) == \
             ExactMatrix.sparse(4, {(i, i): 1 for i in range(1, 5)})
-        assert ExactMatrix.zeros(4, "laurent") == \
-            ExactMatrix.sparse(4, {}, "laurent")
-        assert ExactMatrix.elementary(4, 1, 3, Fraction(2)) == \
-            ExactMatrix.sparse(4, {(1, 3): 2})
 
 
 class TestMul:
@@ -65,9 +63,9 @@ class TestMul:
         assert mat_mul(a, b) == expected
 
     def test_disjoint_elementaries_annihilate(self):
-        e12 = ExactMatrix.elementary(4, 1, 2)
-        e34 = ExactMatrix.elementary(4, 3, 4)
-        assert mat_mul(e12, e34) == ExactMatrix.zeros(4)
+        e12 = ExactMatrix.sparse(4, {(1, 2): 1})
+        e34 = ExactMatrix.sparse(4, {(3, 4): 1})
+        assert mat_mul(e12, e34) == ExactMatrix.sparse(4, {})
 
     def test_size_mismatch(self):
         with pytest.raises(MatrixError):
@@ -90,8 +88,8 @@ class TestInv:
         assert mat_inv(m) == unit_plus(4, {(1, 2): -t})
 
     def test_diagonal(self):
-        m = parse_matrix("2,0;0,1/2")
-        assert mat_inv(m) == parse_matrix("1/2,0;0,2")
+        m = ExactMatrix([[2, 0], [0, Fraction(1, 2)]])
+        assert mat_inv(m) == ExactMatrix([[Fraction(1, 2), 0], [0, 2]])
 
     def test_singular_reports_rank(self):
         m = ExactMatrix([[1, 2], [2, 4]])
@@ -113,25 +111,26 @@ class TestInv:
 
 class TestExp:
     def test_zero(self):
-        assert exp_nilpotent(ExactMatrix.zeros(4)) == ExactMatrix.identity(4)
+        assert exp_nilpotent(ExactMatrix.sparse(4, {})) == ExactMatrix.identity(4)
 
     def test_single_long_entry(self):
         # square of e_{1,3} is zero in size 4
         t = Fraction(7, 2)
-        n = ExactMatrix.elementary(4, 1, 3, t)
-        assert mat_mul(n, n) == ExactMatrix.zeros(4)
+        n = ExactMatrix.sparse(4, {(1, 3): t})
+        assert mat_mul(n, n) == ExactMatrix.sparse(4, {})
         assert exp_nilpotent(n) == unit_plus(4, {(1, 3): t})
 
     def test_two_component_square_zero(self):
         # oracle: t1 e_{1,2} + t2 e_{4,3} has square 0, so exp is I + sum
         t1, t2 = Fraction(2), Fraction(-3, 5)
-        n = mat_add(ExactMatrix.elementary(4, 1, 2, t1),
-                    ExactMatrix.elementary(4, 4, 3, t2))
-        assert mat_mul(n, n) == ExactMatrix.zeros(4)
+        n = mat_add(ExactMatrix.sparse(4, {(1, 2): t1}),
+                    ExactMatrix.sparse(4, {(4, 3): t2}))
+        assert mat_mul(n, n) == ExactMatrix.sparse(4, {})
         assert exp_nilpotent(n) == unit_plus(4, {(1, 2): t1, (4, 3): t2})
 
     def test_order_three_divides_by_factorials(self):
-        n = mat_add(ExactMatrix.elementary(4, 1, 2), ExactMatrix.elementary(4, 2, 3))
+        n = mat_add(ExactMatrix.sparse(4, {(1, 2): 1}),
+                    ExactMatrix.sparse(4, {(2, 3): 1}))
         expected = unit_plus(4, {(1, 2): 1, (2, 3): 1, (1, 3): Fraction(1, 2)})
         assert exp_nilpotent(n) == expected
 
@@ -158,8 +157,8 @@ class TestExp:
             ExactMatrix.identity(4)
 
     def test_commuting_sum_splits(self):
-        n1 = ExactMatrix.elementary(4, 1, 3, Fraction(2))
-        n2 = ExactMatrix.elementary(4, 2, 4, Fraction(-7, 3))
+        n1 = ExactMatrix.sparse(4, {(1, 3): Fraction(2)})
+        n2 = ExactMatrix.sparse(4, {(2, 4): Fraction(-7, 3)})
         assert mat_mul(n1, n2) == mat_mul(n2, n1)
         assert exp_nilpotent(mat_add(n1, n2)) == \
             mat_mul(exp_nilpotent(n1), exp_nilpotent(n2))
@@ -198,31 +197,40 @@ class TestMembership:
                 arity = model.param_arity(r)
                 params = tuple(Fraction(rng.randrange(-4, 5), rng.randrange(1, 4))
                                for _ in range(arity))
-                prod = mat_mul(prod, gen_x(model, r, params).matrix)
+                prod = mat_mul(prod, gen_x(model, r, params))
             assert check_membership(prod, model)
             assert check_membership(mat_inv(prod), model)
 
 
+def read_matrix(text):
+    """The matrix of format_matrix's text, read row by row with the one
+    list reader of the text grammar."""
+    return ExactMatrix(read_list(text, ";", lambda row: read_list(
+        row, ",", parse_scalar)))
+
+
 class TestTextFormat:
     def test_round_trip(self):
-        m = parse_matrix("1,2/3;-4,5")
-        assert format_matrix(m) == "1,2/3;-4,5"
-        assert parse_matrix(format_matrix(m)) == m
+        m = ExactMatrix([[1, Fraction(2, 3)], [-4, 5]])
+        assert format_matrix(m) == "1,2/3;-4,5" == str(m)
+        assert read_matrix(format_matrix(m)) == m
 
     def test_gaussian_round_trip(self):
-        m = parse_matrix("1+2 i,0;0,1/2-1/3 i")
-        assert parse_matrix(format_matrix(m)) == m
+        m = ExactMatrix([[GaussianRational(1, 2), 0],
+                         [0, GaussianRational(Fraction(1, 2), Fraction(-1, 3))]])
+        assert format_matrix(m) == "1+2 i,0;0,1/2-1/3 i"
+        assert read_matrix(format_matrix(m)) == m
 
     def test_odd_size_rejected(self):
         with pytest.raises(MatrixError):
-            parse_matrix("1,0,0;0,1,0;0,0,1")
+            ExactMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
 
     @pytest.mark.parametrize("text", ["1,0;;0,1", "1,0;0,1;", "", "1,,0;0,1",
                                       "1.5,0;0,1"])
     def test_empty_rows_and_entries_rejected(self, text):
         # an empty row is never skipped
         with pytest.raises(ScalarError):
-            parse_matrix(text)
+            read_matrix(text)
 
 
 class TestLaurentGridAgreement:
@@ -368,7 +376,7 @@ class TestInvModes:
             mat_inv(ExactMatrix([[t, 1], [t * t, t]]))
         assert err.value.rank == 1
         with pytest.raises(SingularMatrixError) as err:
-            mat_inv(ExactMatrix.zeros(4))
+            mat_inv(ExactMatrix.sparse(4, {}))
         assert err.value.rank == 0
 
 

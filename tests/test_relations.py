@@ -59,8 +59,8 @@ class TestDeltaRoute:
             wd = delta_to_matrix(w_delta(model, r, params), 4)
             hd = delta_to_matrix(h_delta(model, r, params), 4)
             from chevalley.generators import gen_w
-            assert wd == gen_w(model, r, params)[0].matrix
-            assert hd == gen_h(model, r, params).matrix
+            assert wd == gen_w(model, r, params)[0]
+            assert hd == gen_h(model, r, params)
 
     def test_commutator_delta_matches_dense(self):
         r, p = Root.of(2, 1, 2, 1, -1), Root.of(2, 2)
@@ -452,24 +452,24 @@ class TestHRelations:
     def test_sp_multiplicativity_hand_value(self):
         # h(2) h(3) = h(6) = diag(6, 1/6, 1/6, 6)
         r = Root.of(2, 1, 2, 1, -1)
-        lhs = mat_mul(gen_h(SP2, r, (F(2),)).matrix,
-                      gen_h(SP2, r, (F(3),)).matrix)
-        h6 = gen_h(SP2, r, (F(6),)).matrix
+        lhs = mat_mul(gen_h(SP2, r, (F(2),)),
+                      gen_h(SP2, r, (F(3),)))
+        h6 = gen_h(SP2, r, (F(6),))
         assert lhs == h6
         assert h6 == ExactMatrix([[6, 0, 0, 0], [0, F(1, 6), 0, 0],
                                   [0, 0, F(1, 6), 0], [0, 0, 0, 6]])
 
     def test_sp_involution_hand_value(self):
-        h = gen_h(SP2, Root.of(2, 2), (F(-1),)).matrix
+        h = gen_h(SP2, Root.of(2, 2), (F(-1),))
         assert h == ExactMatrix([[1, 0, 0, 0], [0, -1, 0, 0],
                                  [0, 0, 1, 0], [0, 0, 0, -1]])
         assert mat_mul(h, h) == ExactMatrix.identity(4)
 
     def test_trivial_unit_case(self):
         r = Root.of(2, 1, 2, 1, -1)
-        assert mat_mul(gen_h(SP2, r, (F(1),)).matrix,
-                       gen_h(SP2, r, (F(1),)).matrix) == \
-            gen_h(SP2, r, (F(1),)).matrix
+        assert mat_mul(gen_h(SP2, r, (F(1),)),
+                       gen_h(SP2, r, (F(1),))) == \
+            gen_h(SP2, r, (F(1),))
 
 
 def no_dense_matrix(monkeypatch):
@@ -623,14 +623,14 @@ class TestWeylSuiteSpotChecks:
         assert mat_prod([lhs, mid, mat_inv(lhs)]) == rhs
 
     def test_short_h_square_is_identity(self):
-        h = gen_h(SP2, Root.of(2, 1, 2, 1, -1), (F(-1),)).matrix
+        h = gen_h(SP2, Root.of(2, 1, 2, 1, -1), (F(-1),))
         assert mat_mul(h, h) == ExactMatrix.identity(4)
         assert h == ExactMatrix([[-1, 0, 0, 0], [0, -1, 0, 0],
                                  [0, 0, -1, 0], [0, 0, 0, -1]])
 
     def test_short_pair_cancellation(self):
-        hs = gen_h(SP2, Root.of(2, 1, 2, 1, -1), (F(-1),)).matrix
-        hp = gen_h(SP2, Root.of(2, 1, 2, 1, 1), (F(-1),)).matrix
+        hs = gen_h(SP2, Root.of(2, 1, 2, 1, -1), (F(-1),))
+        hp = gen_h(SP2, Root.of(2, 1, 2, 1, 1), (F(-1),))
         assert mat_mul(hs, hp) == ExactMatrix.identity(4)
 
     def test_monomial_display_examples(self):
@@ -650,14 +650,18 @@ class TestComponentConjugation:
     the value with the SL2-block prediction."""
 
     @staticmethod
-    def forms(gamma, u, u2):
+    def forms(model, gamma, u, u2):
+        if model.param_arity(gamma) == 1:
+            return [(u,)]
         zero = u - u
-        return [(u,)] if gamma.is_long else [(u, zero), (zero, u), (u, u2)]
+        return [(u, zero), (zero, u), (u, u2)]
 
-    @pytest.mark.parametrize("family", ["sl-r", "sl-c"])
+    @pytest.mark.parametrize("family", ["sp", "sl-r", "sl-c"])
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("regime", ["grid", "symbolic"])
     def test_relabel_matches_the_delta_product(self, family, n, regime):
+        # the monomial form of an h letter is a torus element: relabelling
+        # through it is the torus action on every root-space entry
         model = GroupModel(family, n)
         if regime == "symbolic":
             u, u2, v = (LaurentFrac.symbol(x) for x in "uvc")
@@ -671,19 +675,25 @@ class TestComponentConjugation:
         roots = build_root_system(n).roots
         checked = 0
         for gamma in roots:
-            for wparams in self.forms(gamma, u, u2):
-                wd = w_delta(model, gamma, wparams)
-                wd_inv = w_delta(model, gamma, tuple(-x for x in wparams))
-                form = MonomialForm.from_delta(wd, model.size)
-                for beta in roots:
-                    positions = relations.root_entry_positions(model, beta)
-                    for row, col, _s in positions:
-                        for v in values:
-                            inner = {(row, col): v}
-                            assert relations._monomial_conj(form, inner) == \
-                                relations._conj(wd, inner, wd_inv)
-                            checked += 1
-        assert checked == {2: 192, 3: 1260}[n] * len(values)
+            for params in self.forms(model, gamma, u, u2):
+                neg = tuple(-x for x in params)
+                inv = tuple(1 / x if x else x for x in params)
+                for gd, gd_inv in ((w_delta(model, gamma, params),
+                                    w_delta(model, gamma, neg)),
+                                   (h_delta(model, gamma, params),
+                                    h_delta(model, gamma, inv))):
+                    form = MonomialForm.from_delta(gd, model.size)
+                    for beta in roots:
+                        positions = relations.root_entry_positions(model, beta)
+                        for row, col, _s in positions:
+                            for v in values:
+                                inner = {(row, col): v}
+                                assert relations._monomial_conj(form, inner) \
+                                    == relations._conj(gd, inner, gd_inv)
+                                checked += 1
+        # forms per letter kind times root-space positions, w and h each
+        per_kind = {"sp": {2: 96, 3: 540}}.get(family, {2: 192, 3: 1260})[n]
+        assert checked == 2 * per_kind * len(values)
 
     def test_times_seven_fails_every_report(self, monkeypatch):
         def reports():
