@@ -24,8 +24,7 @@ from .roots import Root, build_root_system, standard_sl_roots
 from .scalars import (format_scalar, parse_scalar, read_integer, read_lines,
                       read_list, read_rational)
 from .symbols import (ALL_AXIOMS, BILINEAR_ONLY, SymbolExpr,
-                      build_axiom_lattice, is_consequence,
-                      matrix_realization_check, replay_certificate)
+                      build_axiom_lattice, is_consequence, replay_certificate)
 
 
 class UsageError(Exception):
@@ -256,7 +255,6 @@ def cmd_symbol(args):
     if result.is_consequence:
         payload["replay_ok"] = replay_certificate(result, lattice) == \
             dict(expr.vector())
-        payload["matrix_realization_identity"] = matrix_realization_check(expr)
     print(_emit(payload, args.format))
     return 0
 
@@ -265,7 +263,7 @@ def cmd_symbol(args):
 # Parser
 # ---------------------------------------------------------------------------
 
-def _common(p, model=False, roots=False, fmt=True):
+def _common(p, model=False, roots=False):
     if model:
         p.add_argument("--model", choices=("sp", "sl-r", "sl-c"),
                        default="sp")
@@ -276,9 +274,7 @@ def _common(p, model=False, roots=False, fmt=True):
         p.add_argument("--n", type=int, default=None,
                        help="rank for builtin root lists")
         p.add_argument("--ambient", type=int, default=None)
-    if fmt:
-        p.add_argument("--format", choices=("json", "text"),
-                       default="json")
+    p.add_argument("--format", choices=("json", "text"), default="json")
 
 
 def _verify_args(p):

@@ -63,14 +63,6 @@ class RelationError(ValueError):
     pass
 
 
-class DecompositionError(RelationError):
-    """Residual not identity after peeling; carries the residual delta."""
-
-    def __init__(self, message, residual):
-        super().__init__(message)
-        self.residual = residual
-
-
 # ---------------------------------------------------------------------------
 # Sparse identity+delta arithmetic
 # ---------------------------------------------------------------------------
@@ -444,14 +436,11 @@ def _evaluate_compiled(form, point):
     return Fraction(0) if total is None else total
 
 
-def _peel(model, combos, comm, zero, failure):
-    """Read each factor's params off a commutator delta and reassemble.
+def _peel(model, combos, comm):
+    """Read each factor's params off a commutator delta.
 
-    Returns [(i, j, q, params)] in the order of ``combos``.  Raises
-    DecompositionError with message ``failure`` unless the factor word
-    x_q1(params1) x_q2(params2) ... equals ``comm`` exactly; its residual is
-    comm times the inverse word (the reversed word with negated params,
-    since every x-letter is I + f with f^2 = 0).
+    Returns [(i, j, q, params)] in the order of ``combos``, or None unless
+    the factor word x_q1(params1) x_q2(params2) ... equals ``comm`` exactly.
     """
     factors = []
     for i, j, q in combos:
@@ -459,25 +448,20 @@ def _peel(model, combos, comm, zero, failure):
         slots = root_entry_positions(model, q)[:model.param_arity(q)]
         vals = []
         for (row, col, s) in slots:
-            v = comm.get((row, col), zero)
+            v = comm.get((row, col), LaurentFrac(0))
             vals.append(v if s == 1 else -v)
         factors.append((i, j, q, tuple(vals)))
     rhs = delta_word([x_delta(model, q, vals) for _i, _j, q, vals in factors])
-    if rhs != comm:
-        inverse = delta_word([x_delta(model, q, tuple(-v for v in vals))
-                              for _i, _j, q, vals in reversed(factors)])
-        raise DecompositionError(failure, delta_mul(comm, inverse))
-    return factors
+    return factors if rhs == comm else None
 
 
 @lru_cache(maxsize=None)
 def fit_structure_functions(model, r, p):
     """Symbolically extract the g-laws of [x_r(a), x_p(b)]; cached.
 
-    Raises DecompositionError if the factors do not reassemble, and
-    RelationError if a law has a negative exponent (so evaluating a law
-    never divides), violates its bidegree or (sp) is not a single integer
-    monomial.
+    Raises RelationError if the factors do not reassemble, if a law has a
+    negative exponent (so evaluating a law never divides), violates its
+    bidegree or (sp) is not a single integer monomial.
     """
     a_vars = ("a",) if model.param_arity(r) == 1 else ("a1", "a2")
     b_vars = ("b",) if model.param_arity(p) == 1 else ("b1", "b2")
@@ -491,10 +475,12 @@ def fit_structure_functions(model, r, p):
             if (row, col) in used:
                 raise RelationError("overlapping factor supports for %s,%s" % (r, p))
             used.add((row, col))
+    factors = _peel(model, combos, comm)
+    if factors is None:
+        raise RelationError("structure-law reassembly failed for %s,%s"
+                            % (r, p))
     laws = []
-    for i, j, q, vals in _peel(model, combos, comm, LaurentFrac(0),
-                               "structure-law reassembly failed for %s,%s"
-                               % (r, p)):
+    for i, j, q, vals in factors:
         if any(e < 0 for v in vals for key in v.terms for _name, e in key):
             raise RelationError("structure law with a negative exponent "
                                 "for %s,%s" % (r, p))
@@ -510,17 +496,14 @@ def fit_structure_functions(model, r, p):
 
 
 def decompose_commutator(model, r, p, a, b):
-    """Peel [x_r(a), x_p(b)] into root-ordered factors; exact reassembly.
+    """[x_r(a), x_p(b)] as root-ordered factors: the fitted laws at (a, b).
 
     Returns (factors, laws) where factors is a list of (root, params) in the
     positive-combination order and laws are the fitted StructureFunctions.
     """
     a, b = _pair_params(model, r, p, a, b)
-    comm = commutator_delta(model, r, p, a, b)
-    factors = _peel(model, positive_combinations(r, p), comm, _ZERO,
-                    "decomposition residual is not the identity")
-    return ([(q, vals) for _i, _j, q, vals in factors],
-            fit_structure_functions(model, r, p))
+    laws = fit_structure_functions(model, r, p)
+    return [(law.target, law.evaluate(a, b)) for law in laws], laws
 
 
 def _pair_params(model, r, p, a, b, regime=None):

@@ -18,12 +18,7 @@ so a positive answer returns an exact integer certificate that replays to
 the empty expression.  The elimination runs on integer column ranks (the
 lattice's pairs numbered in ``_pair_key`` order) and is built once per
 ``AxiomLattice``, on its first query; every later query only reduces.
-
-The matrix realization maps {s, t} to h(s) h(t) h(st)^{-1}.  Since h is
-multiplicative in the matrix group, that is the identity matrix for all s
-and t, so ``matrix_realization_check`` is true for every expression, a
-consequence or not: it confirms nothing.  ``replay_certificate`` is the
-check that tests a certificate.
+``replay_certificate`` is the check that tests a certificate.
 """
 
 from __future__ import annotations
@@ -33,11 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .generators import GroupModel, gen_h
-from .matrices import mat_inv, mat_mul, mat_prod
-from .roots import Root
-from .scalars import (GAUSSIAN, GaussianRational, coerce, format_scalar,
-                      join_mode, mode_of)
+from .scalars import GaussianRational, format_scalar
 
 AXIOM_BILINEAR_LEFT = "bilinear-left"
 AXIOM_BILINEAR_RIGHT = "bilinear-right"
@@ -399,38 +390,3 @@ def replay_certificate(result, lattice):
     for idx, coeff in result.certificate:
         _add_multiple(acc, coeff, lattice.instances[idx].vector)
     return acc
-
-
-def matrix_realization_check(expr, model=None):
-    """Evaluate the expression under the matrix realization of the symbol.
-
-    {s, t} maps to h(s) h(t) h(st)^{-1} at the first short root; the result
-    is the identity for every pair, so this is true for every expression.
-    Gaussian arguments use the complex model, and every h is built in the
-    joined mode of all the arguments.
-    """
-    mode = join_mode(mode_of(x) for (s, t), _e in expr.pairs for x in (s, t))
-    if model is None:
-        model = GroupModel("sl-c" if mode == GAUSSIAN else "sp", 2)
-    r12 = Root.of(model.n, 1, 2, 1, -1)
-
-    def h_of(t):
-        t = coerce(t, mode)
-        params = (t,) if model.is_sp else (t, 0)
-        return gen_h(model, r12, params)
-
-    total = None
-    for (s, t), e in expr.pairs:
-        sym = mat_mul(mat_mul(h_of(s), h_of(t)),
-                      _mat_pow(h_of(s * t), -1))
-        m = _mat_pow(sym, e)
-        total = m if total is None else mat_mul(total, m)
-    if total is None:
-        return True
-    return total.is_identity()
-
-
-def _mat_pow(m, e):
-    if e < 0:
-        m, e = mat_inv(m), -e
-    return mat_prod([m] * e, size=m.size, mode=m.mode)

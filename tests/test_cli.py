@@ -10,9 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chevalley import cli
+from chevalley import cli, generators
 from chevalley.cli import main
 from chevalley.generators import GeneratorError, GeneratorLetter, GroupModel
+from chevalley.matrices import ExactMatrix
 from chevalley.roots import Root, RootError
 from chevalley.scalars import (ScalarError, format_scalar, parse_scalar,
                                read_integer, read_list, read_rational)
@@ -267,6 +268,11 @@ class TestDecompose:
         assert code == 2
 
 
+# every field of a consequence's payload
+SYMBOL_CONSEQUENCE_FIELDS = {"certificate", "consequence", "expression",
+                             "lattice", "replay_ok"}
+
+
 class TestSymbol:
     def test_axiom_consequence(self):
         code, out = run_cli("symbol", "--universe", "2,-2,-1",
@@ -275,18 +281,17 @@ class TestSymbol:
         payload = json.loads(out)
         assert payload["consequence"] is True
         assert payload["replay_ok"] is True
-        assert payload["matrix_realization_identity"] is True
+        assert set(payload) == SYMBOL_CONSEQUENCE_FIELDS
 
     def test_gaussian_paired_with_rational_argument(self):
-        # {i,-1}{-1,i} is an antisymmetry instance; each realization h is
-        # built in the joined Gaussian mode, so no product mixes modes
+        # {i,-1}{-1,i} is an antisymmetry instance
         code, out = run_cli("symbol", "--universe", "i,-1,-i",
                             "--expr", '[[["i","-1"],1],[["-1","i"],1]]')
         assert code == 0
         payload = json.loads(out)
         assert payload["consequence"] is True
         assert payload["replay_ok"] is True
-        assert payload["matrix_realization_identity"] is True
+        assert set(payload) == SYMBOL_CONSEQUENCE_FIELDS
 
     def test_bilinear_only_rejection(self):
         code, out = run_cli("symbol", "--universe", "2,3,6",
@@ -598,6 +603,42 @@ class TestOneCommandParser:
         del built[:]
         assert run_cli_err("--help")[0] == 0
         assert built == [None]
+
+
+def one_invocation(name, tmp_path):
+    """An argv for the named subcommand; reduce reads a two-letter cycle."""
+    word = tmp_path / "word.txt"
+    word.write_text("x 1,-1 (2)\nx 1,-1 (-2)\n")
+    return {
+        "verify": ["verify", "--model", "sl-c", "--n", "2", "--suite", "all"],
+        "generic": ["generic", "--roots", "builtin:restricted", "--n", "2",
+                    "--plane", "1,0;0,1"],
+        "stable": ["stable", "--roots", "builtin:restricted", "--n", "2"],
+        "chambers": ["chambers", "--roots", "builtin:restricted", "--n", "2"],
+        "reduce": ["reduce", str(word)],
+        "decompose": ["decompose", "--model", "sl-r", "--n", "2",
+                      "-r", "1,-1", "-p", "1,1", "-a", "2,3", "-b", "5,7"],
+        "symbol": ["symbol", "--universe", "i,-1,-i",
+                   "--expr", '[[["i","-1"],1],[["-1","i"],1]]'],
+    }[name]
+
+
+@pytest.mark.parametrize("name", COMMAND_NAMES)
+def test_no_command_builds_a_dense_matrix(name, tmp_path, monkeypatch):
+    # the dense ExactMatrix route is the tests' oracle alone: with its
+    # construction refused, and no cached letter matrix to stand in for
+    # one, every subcommand answers as it does unpatched
+    argv = one_invocation(name, tmp_path)
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a dense matrix was built")
+
+    generators._letter_matrix.cache_clear()
+    with monkeypatch.context() as patch:
+        patch.setattr(ExactMatrix, "__init__", refuse)
+        refused = run_cli_err(*argv)
+    assert refused == run_cli_err(*argv)
+    assert refused[0] == 0
 
 
 @pytest.mark.parametrize("value", ["1_0", "1.0", " 10", "\u0661\u0660",

@@ -224,6 +224,14 @@ class TestCommutator:
         assert abs(vals[0]) == 10 and abs(vals[1]) == 21
         assert dense_commutator(SL3, r, p, a, b) == \
             GeneratorLetter(SL3, "x", q, vals).matrix()
+        # a tagged root takes one of the two components; decompose is the
+        # one command path on which a tagged root reaches the fitted laws
+        for tagged in (Root(r.coeffs, 1), Root(r.coeffs, 2)):
+            factors, _laws = decompose_commutator(SL3, tagged, p, a[:1], b)
+            assert [q.coeffs for q, _vals in factors] == [(1, 0, -1)]
+            assert dense_commutator(SL3, tagged, p, a[:1], b) == mat_prod(
+                [GeneratorLetter(SL3, "x", q, vals).matrix()
+                 for q, vals in factors])
 
     def test_short_long_string_two_factors(self):
         # [x_{L1-L2}(a), x_{2L2}(b)] has factors at L1+L2 and 2L1 with
@@ -491,10 +499,12 @@ class TestDenseOracleOnly:
         assert reports and not bad, bad[:3]
 
     def test_relations_takes_nothing_from_matrices(self):
-        from chevalley import matrices
-        assert not [name for name, value in vars(relations).items()
-                    if value is matrices or
-                    getattr(value, "__module__", None) == matrices.__name__]
+        from chevalley import matrices, symbols
+        for module in (relations, symbols):
+            assert not [name for name, value in vars(module).items()
+                        if value is matrices or
+                        getattr(value, "__module__", None) ==
+                        matrices.__name__], module.__name__
 
     @pytest.mark.parametrize("regime", ["grid", "symbolic"])
     @pytest.mark.parametrize("model", [SP2, SL2])
@@ -783,6 +793,10 @@ class TestSymbolicRegimeWitness:
         laws = fit_structure_functions(SP2, r, p)
         for a in DEFAULT_GRID[:4]:
             for b in DEFAULT_GRID[:4]:
-                vals = [law.evaluate((a,), (b,)) for law in laws]
+                # decompose evaluates the laws, so its factors are checked
+                # against the concrete commutator at the grid point
                 factors, _ = decompose_commutator(SP2, r, p, (a,), (b,))
-                assert [v for _q, v in factors] == [tuple(v) for v in vals]
+                assert [v for _q, v in factors] == \
+                    [law.evaluate((a,), (b,)) for law in laws]
+                assert delta_word([x_delta(SP2, q, v) for q, v in factors]) \
+                    == commutator_delta(SP2, r, p, (a,), (b,))

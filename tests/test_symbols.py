@@ -10,7 +10,7 @@ from chevalley.scalars import GaussianRational
 from chevalley.symbols import (AXIOM_MINUS_SELF, BILINEAR_ONLY, SymbolError,
                                SymbolExpr, _add_multiple, _Echelon, _row_comb,
                                build_axiom_lattice, is_consequence,
-                               matrix_realization_check, replay_certificate)
+                               replay_certificate)
 
 F = Fraction
 
@@ -80,6 +80,9 @@ class TestConsequences:
         res = certify(SymbolExpr.single(2, 3), lat)
         assert not res.is_consequence
         assert res.residue  # leftover vector reported
+        # nor is it a consequence of all the axioms
+        lat = build_axiom_lattice([2, 3, 6])
+        assert not is_consequence(SymbolExpr.single(2, 3), lat).is_consequence
 
     def test_antisymmetry_derivable_from_bilinearity_and_minus_self(self):
         lat = build_axiom_lattice([2, 3, 6, -2, -3, -6, 1, -1],
@@ -189,25 +192,6 @@ class TestLatticeClosure:
 
 
 class TestSoundness:
-    def test_matrix_realization_is_identity(self):
-        # h-multiplicativity holds in the matrix group, so every symbol is
-        # matrix-trivial, a consequence or not: {2, 3} is none.  {i, -1}
-        # pairs a Gaussian argument with a rational one, so every h is built
-        # in their joined mode
-        i = GaussianRational(0, 1)
-        exprs = [SymbolExpr.single(2, -2),
-                 SymbolExpr.from_pairs([((2, 2), 1), ((2, -1), -1)]),
-                 SymbolExpr.single(F(5, 7), -3),
-                 SymbolExpr.single(GaussianRational(1, 1),
-                                   GaussianRational(2, -1)),
-                 SymbolExpr.single(i, -1),
-                 SymbolExpr.from_pairs([((i, -1), 1), ((-1, i), 1)]),
-                 SymbolExpr.single(2, 3)]
-        for expr in exprs:
-            assert matrix_realization_check(expr)
-        lat = build_axiom_lattice([2, 3, 6])
-        assert not is_consequence(SymbolExpr.single(2, 3), lat).is_consequence
-
     def test_certificate_pairs_stay_in_universe(self):
         universe = [1, -1, 2, -2, 4, -4]
         lat = build_axiom_lattice(universe)
