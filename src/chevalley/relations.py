@@ -44,9 +44,9 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 
-from .generators import (GRID, REGIMES, SYMBOLIC, MonomialForm, h_reference,
-                         position_component_table, root_entry_positions,
-                         w_factors, with_mode)
+from .generators import (GRID, REGIMES, SYMBOLIC, GroupModel, MonomialForm,
+                         h_reference, position_component_table,
+                         root_entry_positions, w_factors, with_mode)
 from .roots import Root, build_root_system, positive_combinations
 from .scalars import LaurentFrac, format_scalar, join_mode, mode_of
 
@@ -164,7 +164,7 @@ def commutator_delta(model, r, p, a, b):
 
 
 def _letter_memo(model, root):
-    """x_delta(model, root, .) memoized for the life of one relation.
+    """x_delta(model, root, .) memoized for the life of one memo scope.
 
     A sweep meets each slot tuple of a letter many times, so each letter's
     delta is built once and shared; delta_mul and delta_word never mutate
@@ -172,10 +172,11 @@ def _letter_memo(model, root):
     check x_r(a) x_p(b) = F x_p(b) x_r(a), which in any group is
     [x_r(a), x_p(b)] = F, so they need these letters and no inverse letter.
     The memo is keyed by the slot tuple's identity, so a lookup hashes no
-    scalar: the grid designs share one tuple object per distinct slot tuple
-    (param_tuples), and an equal tuple held in another object only costs a
-    rebuild.  Each entry keeps its tuple alive, so no other object can take
-    its id.
+    scalar: a commutator suite keeps one memo per root for all its pairs,
+    and its designs share one tuple object per distinct slot tuple across
+    the suite (_designs), so x_r(a) is built once per (root, slot tuple);
+    an equal tuple held in another object only costs a rebuild.  Each entry
+    keeps its tuple alive, so no other object can take its id.
     """
     memo = {}
 
@@ -185,6 +186,26 @@ def _letter_memo(model, root):
             hit = memo[id(params)] = (params, x_delta(model, root, params))
         return hit[1]
     return letter
+
+
+def _law_memo(law, values):
+    """law.evaluate memoized in ``values`` for the life of one memo scope.
+
+    ``values`` maps a compiled form to its values by (id(a), id(b)), so laws
+    of one compiled form share them: evaluate is a pure function of the form
+    and the point, and each grid point is evaluated once per form.  As in
+    _letter_memo, a lookup hashes no scalar, and each entry keeps a and b
+    alive, so no other object can take their ids.
+    """
+    memo = values.setdefault(law.compiled, {})
+
+    def value(a, b):
+        key = (id(a), id(b))
+        hit = memo.get(key)
+        if hit is None:
+            hit = memo[key] = (a, b, law.evaluate(a, b))
+        return hit[2]
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -306,22 +327,29 @@ def pair_sweep(grid):
             + [(_ZERO, g) for g in grid])
 
 
-def param_tuples(arity_a, arity_b, grid):
+def _slot_tuples(grid):
+    """The one-slot and two-slot tuples the grid designs draw on."""
+    return [(g,) for g in grid], pair_sweep(grid)
+
+
+def param_tuples(arity_a, arity_b, grid, slots=None):
     """Deterministic grid-regime designs per scalar-slot count.
 
     Up to two slots get the full Cartesian product; three slots cross the
     two-slot sweep with the full grid; four slots use an anchored design
     (each letter sweeps against a pinned partner, plus a joint diagonal).
     The symbolic regime provides the complete polynomial certificate.
-    Equal slot tuples are one shared object, which _letter_memo keys on.
+    The designs draw their slot tuples from ``slots``, the (one-slot,
+    two-slot) tuple lists (default: new ones).  _designs passes one pair to
+    every design of a suite, so equal slot tuples are one shared object
+    across the suite, which _letter_memo and _law_memo key on.
     The commutator records check x_r(a) x_p(b) = F x_p(b) x_r(a) on these
     tuples, which in any group is [x_r(a), x_p(b)] = F; both sides keep a
     bounded degree in each slot, so a full product of grid values certifies.
     """
-    singles = [(g,) for g in grid]
+    singles, ps = _slot_tuples(grid) if slots is None else slots
     if arity_a == 1 and arity_b == 1:
         return [(a, b) for a in singles for b in singles]
-    ps = pair_sweep(grid)
     if arity_a == 2 and arity_b == 1:
         return [(pa, b) for pa in ps for b in singles]
     if arity_a == 1 and arity_b == 2:
@@ -527,18 +555,30 @@ def _additivity(model, r, tuples):
         x_delta(model, r, tuple(x + y for x, y in zip(a, b)))))
 
 
-def _commutator(model, r, p, laws, tuples):
+def _commutator(model, r, p, laws, tuples, letters=None, values=None):
     """[x_r(a), x_p(b)] = F, the product of its structure factors, checked
     as x_r(a) x_p(b) = F x_p(b) x_r(a).  No laws means F = id, the
-    trivial-commutator relation of a pair with r+p outside the system."""
-    xr, xp = _letter_memo(model, r), _letter_memo(model, p)
+    trivial-commutator relation of a pair with r+p outside the system.
+
+    ``letters`` (root -> _letter_memo) and ``values`` (_law_memo) are the
+    memo scope the record draws on: commutator_suites passes one of each to
+    all its records, and a record alone gets fresh ones.  Every instance
+    still multiplies both sides and compares them exactly.
+    """
+    letters = {} if letters is None else letters
+    values = {} if values is None else values
+    for q in (r, p):
+        if q not in letters:
+            letters[q] = _letter_memo(model, q)
+    xr, xp = letters[r], letters[p]
+    factors = [(law.target, _law_memo(law, values)) for law in laws]
 
     def sides(a, b):
         x, y = xr(a), xp(b)
         rhs = delta_mul(y, x)
-        if laws:
-            rhs = delta_word([x_delta(model, law.target, law.evaluate(a, b))
-                              for law in laws] + [rhs])
+        if factors:
+            rhs = delta_word([x_delta(model, q, value(a, b))
+                              for q, value in factors] + [rhs])
         return delta_mul(x, y), rhs
     return Relation("commutator" if laws else "trivial-commutator", (r, p),
                     tuples, sides)
@@ -565,13 +605,34 @@ def verify_commutator(model, r, p, a, b, regime=GRID):
     return _single(model, regime, _commutator(model, r, p, laws, [(a, b)]))
 
 
+def _designs(regime, grid):
+    """design(arity_a, arity_b): the (a, b) design for a pair of x-letters
+    x_r(a), x_p(b) with those slot counts, built once per call of _designs.
+
+    Every design of one call draws on one set of slot tuples: the grid's
+    one-slot and two-slot tuples (param_tuples), or one symbol tuple per
+    side and slot count, so equal slot tuples are one object across them.
+    """
+    if regime == SYMBOLIC:
+        symbols = {(k, side): symbolic_params(k, side)
+                   for k in (1, 2) for side in "ab"}
+    else:
+        slots = _slot_tuples(grid)
+    built = {}
+
+    def design(arity_a, arity_b):
+        key = (arity_a, arity_b)
+        if key not in built:
+            built[key] = ([(symbols[arity_a, "a"], symbols[arity_b, "b"])]
+                          if regime == SYMBOLIC
+                          else param_tuples(arity_a, arity_b, grid, slots))
+        return built[key]
+    return design
+
+
 def _letter_tuples(model, regime, grid, r, p):
     """The (a, b) design for a pair of x-letters x_r(a), x_p(b)."""
-    arity_r = model.param_arity(r)
-    arity_p = model.param_arity(p)
-    if regime == SYMBOLIC:
-        return [(symbolic_params(arity_r, "a"), symbolic_params(arity_p, "b"))]
-    return param_tuples(arity_r, arity_p, grid)
+    return _designs(regime, grid)(model.param_arity(r), model.param_arity(p))
 
 
 def additivity_suite(model, regime, grid):
@@ -581,8 +642,15 @@ def additivity_suite(model, regime, grid):
 
 
 def commutator_suites(model, regime, grid):
-    """Relation families (2)/(3) over every ordered root pair with r+p != 0."""
+    """Relation families (2)/(3) over every ordered root pair with r+p != 0.
+
+    One memo scope serves every pair of the call and dies with it: each
+    design is built once (_designs), each x_r(a) once per (root, slot tuple)
+    (_letter_memo) and each law once per (compiled form, a, b) (_law_memo).
+    """
     system = build_root_system(model.n)
+    design = _designs(regime, grid)
+    letters, values = {}, {}
     reports = []
     for r in system.roots:
         for p in system.roots:
@@ -598,9 +666,9 @@ def commutator_suites(model, regime, grid):
                         "commutator", model, (r, p), regime, "fail", 0,
                         note=str(exc)))
                     continue
-            tuples = _letter_tuples(model, regime, grid, r, p)
-            reports.append(_sweep(model, regime,
-                                  _commutator(model, r, p, laws, tuples)))
+            tuples = design(model.param_arity(r), model.param_arity(p))
+            reports.append(_sweep(model, regime, _commutator(
+                model, r, p, laws, tuples, letters, values)))
     return reports
 
 

@@ -368,6 +368,94 @@ class TestCommutedCommutator:
             assert not _sweep(model, regime, rel).passed
 
 
+class TestSuiteMemo:
+    """One commutator_suites call shares its designs, letters and law values
+    across all its pairs; the sharing must never hide a wrong law."""
+
+    @pytest.mark.parametrize("regime", ["grid", "symbolic"])
+    @pytest.mark.parametrize("model", [SP2, SL2])
+    def test_one_bent_law_fails_exactly_its_pair(self, model, regime,
+                                                 monkeypatch):
+        r, p = Root.of(2, 1, 2, 1, -1), Root.of(2, 1, 2, 1, 1)
+        laws = fit_structure_functions(model, r, p)
+        reverse = fit_structure_functions(model, p, r)
+        bent = _bent(laws, 0, -1)
+        # (p, r) has the target of (r, p) and the opposite sign: its law at
+        # (b, a) is minus the law of (r, p) at (a, b).  So one law of (r, p),
+        # bent (sp) or not (sl), has the compiled form of the law of (p, r),
+        # and both pairs draw on that form's values at the same (a, b)
+        # objects, on sp's diagonal at a single object
+        assert len(laws) == len(reverse) == 1
+        assert reverse[0].target == laws[0].target == Root.of(2, 1)
+        a = tuple(F(k + 2) for k in range(model.param_arity(r)))
+        b = tuple(F(k - 3, 5) for k in range(model.param_arity(p)))
+        assert reverse[0].evaluate(b, a) == \
+            tuple(-x for x in laws[0].evaluate(a, b))
+        assert bent[0].compiled != laws[0].compiled
+        assert reverse[0].compiled == \
+            (bent if model.is_sp else laws)[0].compiled
+        design = relations._designs(regime, DEFAULT_GRID)
+        tuples = design(model.param_arity(r), model.param_arity(p))
+        assert design(model.param_arity(p), model.param_arity(r)) is tuples
+        if model.is_sp and regime == "grid":
+            assert any(a is b for a, b in tuples)   # the diagonal
+        real = relations.fit_structure_functions
+        monkeypatch.setattr(relations, "fit_structure_functions", lambda *key:
+                            bent if key == (model, r, p) else real(*key))
+        grid = DEFAULT_GRID if regime == "grid" else None
+        reports = relations.commutator_suites(model, regime, grid)
+        failed = [rep for rep in reports if not rep.passed]
+        assert [rep.roots for rep in failed] == [(r, p)]
+        assert failed[0].relation_id == "commutator"
+        assert set(failed[0].witness) == {"params", "entry", "lhs", "rhs"}
+        roots = build_root_system(2).roots
+        assert len(reports) == len(roots) * (len(roots) - 1)
+
+    @pytest.mark.parametrize("model", [SP3, SL3])
+    def test_grid_suite_does_each_piece_of_work_once(self, model,
+                                                     monkeypatch):
+        # the work each pair's own design asks for, counted by value;
+        # this also fits every law before the counting starts
+        system = build_root_system(3)
+        points, letters, factors = set(), set(), 0
+        for r in system.roots:
+            for p in system.roots:
+                if not any(r + p):
+                    continue
+                tuples = param_tuples(model.param_arity(r),
+                                      model.param_arity(p), DEFAULT_GRID)
+                letters |= {(r, a) for a, _b in tuples}
+                letters |= {(p, b) for _a, b in tuples}
+                if system.is_root(r + p):
+                    laws = fit_structure_functions(model, r, p)
+                    points |= {(law.compiled, a, b)
+                               for law in laws for a, b in tuples}
+                    factors += len(laws) * len(tuples)
+
+        evaluated, built, memos = [], [], []
+        real_evaluate = StructureFunction.evaluate
+        monkeypatch.setattr(StructureFunction, "evaluate", lambda law, a, b:
+                            evaluated.append((law.compiled, a, b))
+                            or real_evaluate(law, a, b))
+        real_x = relations.x_delta
+        monkeypatch.setattr(relations, "x_delta", lambda m, root, params:
+                            built.append(root) or real_x(m, root, params))
+        real_memo = relations._letter_memo
+        monkeypatch.setattr(relations, "_letter_memo", lambda m, root:
+                            memos.append(root) or real_memo(m, root))
+        reports = relations.commutator_suites(model, "grid", DEFAULT_GRID)
+        assert reports and all(rep.passed for rep in reports)
+
+        # each law once per distinct (compiled form, a, b); one letter memo
+        # per root, so each x_r once per (root, slot tuple); one structure
+        # factor x_q per law per instance
+        assert len(evaluated) == len(points)
+        assert set(evaluated) == points
+        assert len(memos) == len(set(memos))
+        assert set(memos) == set(system.roots)
+        assert len(built) == len(letters) + factors
+
+
 def _reference(law, a, b):
     """The laws evaluated through LaurentFrac.evaluate at a point dict."""
     point = dict(zip(law.a_vars, a))
