@@ -165,6 +165,80 @@ class TestSharedLetterDeltas:
             assert delta_to_matrix(rhs, model.size) == mat_prod([f, y, x])
 
 
+def _row_index_mul(a, b):
+    """The product kernel as it was before the small-operand scan: a row
+    index of b for every call; the reference for values and key order."""
+    out = dict(a)
+    for k, v in b.items():
+        cur = out.get(k)
+        if cur is None:
+            out[k] = v
+        else:
+            cur = cur + v
+            if cur:
+                out[k] = cur
+            else:
+                del out[k]
+    if a and b:
+        rows_b = {}
+        for (i, j), v in b.items():
+            rows_b.setdefault(i, []).append((j, v))
+        for (i, k), va in a.items():
+            for j, vb in rows_b.get(k, ()):
+                key = (i, j)
+                cur = out.get(key)
+                p = va * vb
+                if cur is None:
+                    if p:
+                        out[key] = p
+                else:
+                    cur = cur + p
+                    if cur:
+                        out[key] = cur
+                    else:
+                        del out[key]
+    return out
+
+
+class TestProductKernel:
+    """delta_mul scans a short right operand instead of indexing its rows;
+    both routes give the reference's dict with the reference's key order."""
+
+    POOLS = {
+        "rational": [F(1), F(-1), F(2), F(-2), F(1, 2), F(-1, 2)],
+        "gaussian": [GaussianRational(1, 1), GaussianRational(-1, -1),
+                     GaussianRational(0, 1), GaussianRational(0, -1), F(1),
+                     F(-1)],
+        "laurent": [LaurentFrac.symbol("a"), -LaurentFrac.symbol("a"),
+                    1 / LaurentFrac.symbol("b"), -1 / LaurentFrac.symbol("b"),
+                    F(1), F(-1)],
+    }
+
+    @pytest.mark.parametrize("mode", sorted(POOLS))
+    def test_matches_the_row_index_kernel(self, mode):
+        # values that are each other's negatives on a 4x4 support, so sums
+        # and products cancel entries; right operands of 0 to 16 entries,
+        # on both sides of the scan cut-off
+        pool = self.POOLS[mode]
+        rng = random.Random("product-kernel:" + mode)
+
+        def delta(size):
+            out = {}
+            while len(out) < size:
+                out[rng.randint(1, 4), rng.randint(1, 4)] = rng.choice(pool)
+            return out
+
+        assert 0 < relations._SCAN_B < 16
+        cancelled = 0
+        for _ in range(300):
+            a, b = delta(rng.randint(0, 8)), delta(rng.randint(0, 16))
+            got, want = delta_mul(a, b), _row_index_mul(a, b)
+            assert got == want
+            assert list(got) == list(want)
+            cancelled += len(got) < len(set(a) | set(b))
+        assert cancelled
+
+
 class TestAdditivity:
     def test_zero_case(self):
         rep = verify_additivity(SP2, Root.of(2, 1), (F(0),), (F(0),))
@@ -417,13 +491,14 @@ class TestSuiteMemo:
         # the work each pair's own design asks for, counted by value;
         # this also fits every law before the counting starts
         system = build_root_system(3)
-        points, letters, factors = set(), set(), 0
+        order = {root: k for k, root in enumerate(system.roots)}
+        points, letters, factors, computed = set(), set(), 0, 0
         for r in system.roots:
             for p in system.roots:
                 if not any(r + p):
                     continue
-                tuples = param_tuples(model.param_arity(r),
-                                      model.param_arity(p), DEFAULT_GRID)
+                arities = (model.param_arity(r), model.param_arity(p))
+                tuples = param_tuples(*arities, DEFAULT_GRID)
                 letters |= {(r, a) for a, _b in tuples}
                 letters |= {(p, b) for _a, b in tuples}
                 if system.is_root(r + p):
@@ -431,6 +506,11 @@ class TestSuiteMemo:
                     points |= {(law.compiled, a, b)
                                for law in laws for a, b in tuples}
                     factors += len(laws) * len(tuples)
+                # a trivial pair met second reuses its mirror's pass, but
+                # for the anchored two-by-two design
+                elif order[p] < order[r] and arities != (2, 2):
+                    continue
+                computed += len(tuples)
 
         evaluated, built, memos = [], [], []
         real_evaluate = StructureFunction.evaluate
@@ -443,6 +523,10 @@ class TestSuiteMemo:
         real_memo = relations._letter_memo
         monkeypatch.setattr(relations, "_letter_memo", lambda m, root:
                             memos.append(root) or real_memo(m, root))
+        products = []
+        real_mul = relations.delta_mul
+        monkeypatch.setattr(relations, "delta_mul", lambda a, b:
+                            products.append(1) or real_mul(a, b))
         reports = relations.commutator_suites(model, "grid", DEFAULT_GRID)
         assert reports and all(rep.passed for rep in reports)
 
@@ -454,6 +538,120 @@ class TestSuiteMemo:
         assert len(memos) == len(set(memos))
         assert set(memos) == set(system.roots)
         assert len(built) == len(letters) + factors
+        # X Y and Y X per computed instance, and one product per structure
+        # factor; a mirrored instance multiplies nothing
+        assert len(products) == 2 * computed + factors
+
+
+def _counted_sides(monkeypatch):
+    """Patch _commutator so each record counts the instances it computes,
+    by (r, p); returns the counter."""
+    computed = {}
+    real = relations._commutator
+
+    def commutator(model, r, p, *args):
+        rel = real(model, r, p, *args)
+        computed.setdefault((r, p), 0)
+
+        def sides(a, b):
+            computed[r, p] += 1
+            return rel.sides(a, b)
+        return replace(rel, sides=sides)
+    monkeypatch.setattr(relations, "_commutator", commutator)
+    return computed
+
+
+class TestMirrorReuse:
+    """A trivial pair (p, r) reuses the pass of (r, p) only when (r, p)
+    passed and the design of (p, r) is exactly its transpose."""
+
+    def test_only_the_one_by_one_and_one_by_two_grid_designs_transpose(self):
+        grid = relations._designs("grid", DEFAULT_GRID)
+        symbolic = relations._designs("symbolic", None)
+        transpose = relations._is_transpose
+        assert transpose(grid(1, 1), grid(1, 1))
+        assert transpose(grid(1, 2), grid(2, 1))
+        assert transpose(grid(2, 1), grid(1, 2))
+        assert not transpose(grid(2, 2), grid(2, 2))
+        assert not transpose(grid(1, 1), grid(1, 2))
+        # equal values in other tuple objects are not the same design
+        assert not transpose(grid(1, 1), param_tuples(1, 1, DEFAULT_GRID))
+        for ka in (1, 2):
+            for kb in (1, 2):
+                assert not transpose(symbolic(ka, kb), symbolic(kb, ka))
+
+    @pytest.mark.parametrize("model", [SP2, SL2])
+    def test_a_bent_letter_fails_both_orders_with_their_own_witness(
+            self, model, monkeypatch):
+        # x_r(-1) gets the transpose of an entry of x_p, so x_r(-1) and
+        # x_p(b) stop commuting for every b: the trivial (r, p) fails, and
+        # its mirror is swept in full and fails at its own first instance
+        r, p = Root.of(2, 1), Root.of(2, 2)
+        assert not build_root_system(2).is_root(r + p)
+        i, j = next(iter(x_delta(model, p, (F(1),))))
+        real = relations.x_delta
+        bent = (F(-1),)
+
+        def x(m, root, params):
+            out = real(m, root, params)
+            if root == r and params == bent:
+                out[j, i] = F(1)
+            return out
+        monkeypatch.setattr(relations, "x_delta", x)
+        reports = {rep.roots: rep
+                   for rep in relations.commutator_suites(model, "grid",
+                                                          DEFAULT_GRID)}
+        forward, mirror = reports[r, p], reports[p, r]
+        assert forward.relation_id == mirror.relation_id == \
+            "trivial-commutator"
+        assert not forward.passed and not mirror.passed
+        # (r, p) sweeps a outer, (p, r) sweeps b outer: a = -1 is the
+        # second grid value, so each fails at its own instance
+        assert DEFAULT_GRID[1] == -1
+        assert forward.instances == len(DEFAULT_GRID) + 1
+        assert mirror.instances == 2
+        assert forward.witness["params"] == ["-1", "1"]
+        assert mirror.witness["params"] == ["1", "-1"]
+        assert mirror.witness["entry"] == forward.witness["entry"]
+        assert (mirror.witness["lhs"], mirror.witness["rhs"]) == \
+            (forward.witness["rhs"], forward.witness["lhs"])
+
+    @pytest.mark.parametrize("model,regime", [
+        (SP2, "symbolic"), (SL2, "symbolic"), (SL3, "grid")])
+    def test_symbolic_and_two_by_two_designs_are_swept_in_full(
+            self, model, regime, monkeypatch):
+        system = build_root_system(model.n)
+        computed = _counted_sides(monkeypatch)
+        grid = DEFAULT_GRID if regime == "grid" else None
+        reports = relations.commutator_suites(model, regime, grid)
+        assert all(rep.passed for rep in reports)
+        full = [rep for rep in reports
+                if rep.relation_id == "trivial-commutator"
+                and (regime == "symbolic"
+                     or model.param_arity(rep.roots[0])
+                     == model.param_arity(rep.roots[1]) == 2)]
+        assert full
+        for rep in full:
+            assert computed[rep.roots] == rep.instances
+        if regime == "grid":
+            # the other trivial pairs: one order of each is swept, the
+            # other reused; every commutator pair and every (r, r) is swept
+            rest = [rep for rep in reports if rep not in full]
+            for rep in rest:
+                r, p = rep.roots
+                swept = computed[r, p] == rep.instances
+                if system.is_root(r + p) or r == p:
+                    assert swept
+                else:
+                    assert swept != (computed[p, r] == rep.instances)
+
+    @pytest.mark.parametrize("model", [SP3, SL3])
+    def test_reused_reports_equal_full_sweeps(self, model, monkeypatch):
+        reused = relations.commutator_suites(model, "grid", DEFAULT_GRID)
+        monkeypatch.setattr(relations, "_is_transpose", lambda *_: False)
+        full = relations.commutator_suites(model, "grid", DEFAULT_GRID)
+        assert [rep.to_json_dict() for rep in reused] == \
+            [rep.to_json_dict() for rep in full]
 
 
 def _reference(law, a, b):
