@@ -13,7 +13,6 @@ import argparse
 import json
 import re
 import sys
-from json.encoder import INFINITY, encode_basestring_ascii
 
 from .arrangements import (Plane, find_stable_element, is_generic,
                            lyapunov_hyperplanes, weyl_chambers)
@@ -44,66 +43,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _emit(payload, fmt):
     if fmt == "json":
-        out = []
-        _write_json(payload, out, "\n")
-        return "".join(out)
+        return json.dumps(payload, indent=2, sort_keys=True)
     return _as_text(payload)
-
-
-def _write_json(value, out, newline, lead=""):
-    """Append ``lead``, then the text json.dumps(value, indent=2,
-    sort_keys=True) gives, byte for byte, to ``out``; ``newline`` is the line
-    break and indent of value's own nesting level.  With an indent the stdlib
-    encodes in pure Python through generators; this writer appends one piece
-    per scalar and per closing bracket to one list."""
-    if isinstance(value, str):
-        out.append(lead + encode_basestring_ascii(value))
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            out.append(lead + "[]")
-            return
-        inner = newline + "  "
-        lead += "[" + inner
-        for item in value:
-            _write_json(item, out, inner, lead)
-            lead = "," + inner
-        out.append(newline + "]")
-    elif isinstance(value, dict):
-        if not value:
-            out.append(lead + "{}")
-            return
-        inner = newline + "  "
-        lead += "{" + inner
-        for key, item in sorted(value.items()):
-            key = key if isinstance(key, str) else _json_scalar(key)
-            _write_json(item, out, inner,
-                        lead + encode_basestring_ascii(key) + ": ")
-            lead = "," + inner
-        out.append(newline + "}")
-    else:
-        out.append(lead + _json_scalar(value))
-
-
-def _json_scalar(value):
-    """json's text of None, a bool, an int or a float (also as a key)."""
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        if value != value:
-            return "NaN"
-        if value == INFINITY:
-            return "Infinity"
-        if value == -INFINITY:
-            return "-Infinity"
-        return float.__repr__(value)
-    raise TypeError("Object of type %s is not JSON serializable"
-                    % type(value).__name__)
 
 
 def _as_text(payload, indent=0):

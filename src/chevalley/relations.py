@@ -67,18 +67,13 @@ class RelationError(ValueError):
 # Sparse identity+delta arithmetic
 # ---------------------------------------------------------------------------
 
-# a right operand of at most this many entries is scanned whole for each
-# entry of a; a larger one gets a row index first.  On random 8x8 deltas the
-# scan is 10-20 % faster for a of one or two entries and within 5 % of the
-# index at 8 entries on both sides.
-_SCAN_B = 8
-
-
 def delta_mul(a, b):
     """Delta of (I+a)(I+b): a + b + a*b, zero entries pruned.
 
-    The product a*b meets the entries of b row by row in b's order, for
-    each entry of a in a's order, so both routes insert keys alike.
+    The product a*b scans the entries of b in b's order for each entry of
+    a in a's order.  Every caller's right operand is a letter or a short
+    product of letters (at most 8 entries on every command's workload), so
+    the scan costs less than indexing b's rows first.
     """
     out = dict(a)
     for k, v in b.items():
@@ -92,16 +87,8 @@ def delta_mul(a, b):
             else:
                 del out[k]
     if a and b:
-        if len(b) <= _SCAN_B:
-            rows_b = None
-        else:
-            rows_b = {}
-            for entry in b.items():
-                rows_b.setdefault(entry[0][0], []).append(entry)
-        entries = b.items()
         for (i, k), va in a.items():
-            for (kb, j), vb in (entries if rows_b is None
-                                else rows_b.get(k, ())):
+            for (kb, j), vb in b.items():
                 if kb != k:
                     continue
                 key = (i, j)

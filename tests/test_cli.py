@@ -710,38 +710,3 @@ def test_grammar_fuzz():
         assert code == 2 if refused else code in (0, 1, 2), text
         if code == 2:
             assert err.startswith("error: ") and err.count("\n") == 1, text
-
-
-# JSON values as the commands emit them and beyond: nested dicts and lists,
-# non-ASCII and control characters, ints past 64 bits, bools, None and floats
-# with NaN and the infinities
-JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
-    lambda inner: (st.lists(inner, max_size=4)
-                   | st.tuples(inner, inner)
-                   | st.dictionaries(st.text(), inner, max_size=4)),
-    max_leaves=24)
-
-
-@given(JSON_VALUES)
-@settings(max_examples=200, deadline=None)
-def test_json_writer_matches_json_dumps(value):
-    assert cli._emit(value, "json") == json.dumps(value, indent=2,
-                                                   sort_keys=True)
-
-
-@pytest.mark.parametrize("value", [
-    {1: "a", 2.5: [True], False: [], -3: None}, {None: {}},
-    {float("nan"): 1}, {float("-inf"): 1}])
-def test_json_writer_writes_keys_as_json_dumps(value):
-    assert cli._emit(value, "json") == json.dumps(value, indent=2,
-                                                   sort_keys=True)
-
-
-@pytest.mark.parametrize("value", [
-    {"k": Fraction(1, 2)}, [object()], {(1, 2): 3}, {1: 2, "a": 3}])
-def test_json_writer_refuses_what_json_dumps_refuses(value):
-    with pytest.raises(TypeError):
-        json.dumps(value, indent=2, sort_keys=True)
-    with pytest.raises(TypeError):
-        cli._emit(value, "json")

@@ -166,8 +166,8 @@ class TestSharedLetterDeltas:
 
 
 def _row_index_mul(a, b):
-    """The product kernel as it was before the small-operand scan: a row
-    index of b for every call; the reference for values and key order."""
+    """The product kernel as it was before the scan: a row index of b for
+    every call; the reference for values and key order."""
     out = dict(a)
     for k, v in b.items():
         cur = out.get(k)
@@ -201,8 +201,8 @@ def _row_index_mul(a, b):
 
 
 class TestProductKernel:
-    """delta_mul scans a short right operand instead of indexing its rows;
-    both routes give the reference's dict with the reference's key order."""
+    """delta_mul scans the right operand instead of indexing its rows; it
+    gives the reference's dict with the reference's key order."""
 
     POOLS = {
         "rational": [F(1), F(-1), F(2), F(-2), F(1, 2), F(-1, 2)],
@@ -218,7 +218,7 @@ class TestProductKernel:
     def test_matches_the_row_index_kernel(self, mode):
         # values that are each other's negatives on a 4x4 support, so sums
         # and products cancel entries; right operands of 0 to 16 entries,
-        # on both sides of the scan cut-off
+        # twice the largest any command's workload multiplies by
         pool = self.POOLS[mode]
         rng = random.Random("product-kernel:" + mode)
 
@@ -228,7 +228,6 @@ class TestProductKernel:
                 out[rng.randint(1, 4), rng.randint(1, 4)] = rng.choice(pool)
             return out
 
-        assert 0 < relations._SCAN_B < 16
         cancelled = 0
         for _ in range(300):
             a, b = delta(rng.randint(0, 8)), delta(rng.randint(0, 16))
