@@ -57,6 +57,8 @@ DEFAULT_GRID = (Fraction(1), Fraction(-1), Fraction(2), Fraction(-2),
 
 # an empty scalar slot in every mode: equal values compare and hash alike
 _ZERO = Fraction(0)
+# an absent entry of a symbolic delta; LaurentFrac is immutable, so one serves
+_LAURENT_ZERO = LaurentFrac(0)
 
 
 class RelationError(ValueError):
@@ -486,7 +488,7 @@ def _peel(model, combos, comm):
         slots = root_entry_positions(model, q)[:model.param_arity(q)]
         vals = []
         for (row, col, s) in slots:
-            v = comm.get((row, col), LaurentFrac(0))
+            v = comm.get((row, col), _LAURENT_ZERO)
             vals.append(v if s == 1 else -v)
         factors.append((i, j, q, tuple(vals)))
     rhs = delta_word([x_delta(model, q, vals) for _i, _j, q, vals in factors])

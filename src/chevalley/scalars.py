@@ -236,6 +236,10 @@ def _normalize(num, den):
                           "the Laurent-polynomial ring" % _poly_str(den))
     (key, c), = den.terms.items()
     inv = tuple((name, -e) for name, e in key)
+    if c == 1:
+        # a unit coefficient only shifts the keys
+        return LaurentFrac._raw({_key_mul(k, inv): v
+                                 for k, v in num.terms.items()})
     return LaurentFrac._raw({_key_mul(k, inv): v / c
                              for k, v in num.terms.items()})
 
@@ -245,7 +249,9 @@ class LaurentFrac:
 
     ``terms`` is the canonical term dict.  ``+``, ``-``, ``*``, ``==`` and
     ``hash`` work on the term dicts alone; ``/`` takes only a monomial
-    divisor (see ``_normalize``).
+    divisor (see ``_normalize``).  A unit costs no arithmetic: times or over
+    a rational 1 is the operand itself, and a coefficient 1 in a product or
+    a divisor multiplies or divides nothing.
     """
 
     __slots__ = ("terms",)
@@ -311,18 +317,26 @@ class LaurentFrac:
         return LaurentFrac._raw(_merge(o.terms, self.terms, True))
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+        if not isinstance(other, LaurentFrac):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            if other == 1:
+                return self
+            if not other:
+                return LaurentFrac._raw({})
+            return LaurentFrac._raw({k: c * other
+                                     for k, c in self.terms.items()})
         out = {}
         for k1, c1 in self.terms.items():
-            for k2, c2 in o.terms.items():
+            unit = c1 == 1
+            for k2, c2 in other.terms.items():
                 k = _key_mul(k1, k2)
+                prod = c2 if unit else c1 if c2 == 1 else c1 * c2
                 c = out.get(k)
                 if c is None:
-                    out[k] = c1 * c2
+                    out[k] = prod
                 else:
-                    c = c + c1 * c2
+                    c = c + prod
                     if c:
                         out[k] = c
                     else:
@@ -332,6 +346,8 @@ class LaurentFrac:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
+        if isinstance(other, (int, Fraction)) and other == 1:
+            return self
         o = self._coerce(other)
         if o is None:
             return NotImplemented

@@ -86,6 +86,20 @@ class TestVerify:
                                 "--suite", "all", "--grid", GAUSSIAN_GRID)
             assert (code, out) == (2, "")
 
+    @pytest.mark.parametrize("n", ["2", "3"])
+    @pytest.mark.parametrize("regime", [("--regime", "symbolic"), ()])
+    def test_sl_c_proof_is_sl_r(self, n, regime):
+        # the structure constants are integers, so the symbolic proof over Q
+        # carries to Q(i), and the default grid is rational: each regime
+        # prints sl-r's report for sl-c
+        outs = {}
+        for family in ("sl-r", "sl-c"):
+            code, outs[family] = run_cli("verify", "--model", family,
+                                         "--n", n, "--suite", "all", *regime)
+            assert code == 0
+        assert '"sl-c"' in outs["sl-c"]
+        assert outs["sl-c"].replace('"sl-c"', '"sl-r"') == outs["sl-r"]
+
     def test_text_format(self):
         code, out = run_cli("verify", "--model", "sp", "--n", "2",
                             "--suite", "monomial", "--format", "text")

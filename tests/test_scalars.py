@@ -453,6 +453,93 @@ class TestLaurentPolynomialFastPaths:
                 assert num.terms == p and den.terms == q
 
 
+# rational operands, the units 0, 1 and -1 as ints and Fractions among them
+_unit_scalars = st.one_of(
+    st.sampled_from((0, 1, -1, Fraction(0), Fraction(1), Fraction(-1))),
+    st.integers(-5, 5), rationals)
+
+# raw term dicts whose coefficients are all 1 or -1
+_sign_terms = st.lists(
+    st.tuples(st.integers(-2, 2), st.integers(-2, 2),
+              st.sampled_from((Fraction(1), Fraction(-1)))),
+    max_size=4).map(_raw)
+
+
+def _ref_hash(terms):
+    """The hash rule on a reference term dict: a constant hashes like its
+    Fraction, anything else like its set of terms."""
+    if not terms:
+        return hash(Fraction(0))
+    if list(terms) == [()]:
+        return hash(terms[()])
+    return hash(frozenset(terms.items()))
+
+
+def _assert_unit_result(f, terms):
+    _assert_ring(f, terms)
+    assert hash(f) == _ref_hash(terms)
+
+
+class TestLaurentUnitShortcuts:
+    """A rational operand scales the coefficients, and a unit operand or
+    coefficient costs no arithmetic; every result is the reference ring's,
+    canonical and hashed by the one hash rule."""
+
+    @given(_laurent_pairs(), _unit_scalars)
+    @settings(max_examples=200, deadline=None)
+    def test_rational_operand(self, pq, k):
+        p = _ref(pq[0])
+        a = LaurentFrac(pq[0])
+        scaled = _ref_mul(p, _ref_const(k))
+        _assert_unit_result(a * k, scaled)
+        _assert_unit_result(k * a, scaled)
+        if k:
+            _assert_unit_result(a / k, _ref_mul(p, _ref_const(1 / Fraction(k))))
+        else:
+            assert hash(a * k) == hash(k * a) == hash(Fraction(0))
+            with pytest.raises(ZeroDivisionError):
+                a / k
+        if k == 1:
+            assert a * k is a and k * a is a and a / k is a
+
+    @given(_sign_terms, _sign_terms, _laurent_pairs())
+    @settings(max_examples=200, deadline=None)
+    def test_unit_coefficients(self, ps, qs, pq):
+        p, q, g = _ref(ps), _ref(qs), _ref(pq[0])
+        a, b, c = LaurentFrac(ps), LaurentFrac(qs), LaurentFrac(pq[0])
+        _assert_unit_result(a * b, _ref_mul(p, q))
+        _assert_unit_result(a * c, _ref_mul(p, g))
+        _assert_unit_result(c * a, _ref_mul(g, p))
+        if len(q) == 1:
+            _assert_unit_result(c / b, _ref_mul(g, _ref_inverse(q)))
+            _assert_unit_result(a / b, _ref_mul(p, _ref_inverse(q)))
+
+    @pytest.mark.parametrize("other", [GaussianRational(1), GaussianRational(0),
+                                       GaussianRational(2, 1), 1.0])
+    def test_other_operands_are_refused(self, other):
+        t = LaurentFrac.symbol("t")
+        for op in (lambda: t * other, lambda: other * t, lambda: t / other):
+            with pytest.raises(TypeError):
+                op()
+
+    def test_division_by_one_skips_normalize(self):
+        # a rational 1 returns the dividend before _normalize; a monomial,
+        # a constant polynomial and any other rational still reach it
+        t = LaurentFrac.symbol("t")
+        s = LaurentFrac.symbol("s")
+        p = (t + Fraction(2, 3)) * s
+        with mock.patch.object(scalars, "_normalize",
+                               wraps=scalars._normalize) as normalize:
+            assert p / 1 is p and p / Fraction(1) is p
+            assert normalize.call_count == 0
+            _assert_unit_result(p / (t * s), _ref({(): 1, (("t", -1),): Fraction(2, 3)}))
+            _assert_unit_result(p / (-s), _ref({(("t", 1),): -1, (): Fraction(-2, 3)}))
+            _assert_unit_result(p / LaurentFrac(1), p.terms)
+            _assert_unit_result(p / 2, _ref({(("s", 1), ("t", 1)): Fraction(1, 2),
+                                             (("s", 1),): Fraction(1, 3)}))
+            assert normalize.call_count == 4
+
+
 def _load_tracing():
     """perfbench/tracing.py, loaded from its file without touching it."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
