@@ -18,7 +18,7 @@ from .arrangements import (Plane, find_stable_element, is_generic,
                            lyapunov_hyperplanes, weyl_chambers)
 from .cycles import RestrictedSystem, StandardSystem, Word, reduce_cycle
 from .generators import GroupModel
-from .relations import (DEFAULT_GRID, GRID, REGIMES, SUITES,
+from .relations import (DEFAULT_GRID, GRID, REGIMES, SUITES, SYMBOLIC,
                         decompose_commutator, run_suite)
 from .roots import Root, build_root_system, standard_sl_roots
 from .scalars import (format_scalar, parse_scalar, read_integer, read_lines,
@@ -130,11 +130,12 @@ def _grid(args):
 
 def cmd_verify(args):
     model = _model(args)
-    reports = run_suite(model, args.suite, args.regime, _grid(args))
+    regime = args.regime or (SYMBOLIC if args.grid is None else GRID)
+    reports = run_suite(model, args.suite, regime, _grid(args))
     payload = [r.to_json_dict() for r in reports]
     failures = sum(1 for r in reports if not r.passed)
     summary = {"model": model.family, "n": model.n, "suite": args.suite,
-               "regime": args.regime, "reports": payload,
+               "regime": regime, "reports": payload,
                "checked": len(reports), "failed": failures}
     print(_emit(summary, args.format))
     return 1 if failures else 0
@@ -280,7 +281,9 @@ def _common(p, model=False, roots=False):
 def _verify_args(p):
     _common(p, model=True)
     p.add_argument("--suite", choices=SUITES, default="all")
-    p.add_argument("--regime", choices=REGIMES, default=GRID)
+    p.add_argument("--regime", choices=REGIMES, default=None,
+                   help="default: symbolic, the proof for all parameters; "
+                        "grid when --grid is given")
     p.add_argument("--grid", default=None,
                    help="grid regime only: comma list of nonzero rationals "
                         "(Gaussian rationals for sl-c; default grid: %s)"

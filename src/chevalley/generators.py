@@ -167,13 +167,18 @@ def root_entry_positions(model, root):
     return [(j + n, i, 1), (i + n, j, 1)]
 
 
+def letter_positions(model, root):
+    """The (row, col, sign) triples of root_entry_positions that f_r fills:
+    all of them, or the one tagged component on a tagged root."""
+    positions = root_entry_positions(model, root.untagged())
+    tag = root.restricted_tag
+    return positions if tag is None else positions[tag - 1:tag]
+
+
 def gen_f(model, root, params):
     """The root-space element f_r(params), one component on a tagged root."""
     params = model.check_params(root, params)
-    positions = root_entry_positions(model, root.untagged())
-    tag = root.restricted_tag
-    if tag is not None:
-        positions = positions[tag - 1:tag]
+    positions = letter_positions(model, root)
     entries = {}
     if len(params) == 1:
         t = params[0]

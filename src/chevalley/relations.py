@@ -45,8 +45,9 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .generators import (GRID, REGIMES, SYMBOLIC, GroupModel, MonomialForm,
-                         h_reference, position_component_table,
-                         root_entry_positions, w_factors, with_mode)
+                         h_reference, letter_positions,
+                         position_component_table, root_entry_positions,
+                         w_factors, with_mode)
 from .roots import Root, build_root_system, positive_combinations
 from .scalars import LaurentFrac, format_scalar, join_mode, mode_of
 
@@ -184,15 +185,30 @@ def _letter_memo(model, root):
     the suite (_designs), so x_r(a) is built once per (root, slot tuple);
     an equal tuple held in another object only costs a rebuild.  Each entry
     keeps its tuple alive, so no other object can take its id.
+
+    Returns (letter, inside): letter(params) is the delta, and
+    inside(params) says whether it lies on the root's _support; each entry
+    decides that once, when its letter is built.
     """
+    support = _support(model, root)
     memo = {}
 
     def letter(params):
         hit = memo.get(id(params))
         if hit is None:
-            hit = memo[id(params)] = (params, x_delta(model, root, params))
+            d = x_delta(model, root, params)
+            hit = memo[id(params)] = (params, d, d.keys() <= support)
         return hit[1]
-    return letter
+
+    def inside(params):
+        letter(params)
+        return memo[id(params)][2]
+    return letter, inside
+
+
+def _support(model, root):
+    """The fixed support of x_root: the positions letter_positions gives."""
+    return frozenset((i, j) for i, j, _s in letter_positions(model, root))
 
 
 def _law_memo(law, values):
@@ -582,7 +598,7 @@ def _commutator(model, r, p, laws, tuples, letters=None, values=None):
     for q in (r, p):
         if q not in letters:
             letters[q] = _letter_memo(model, q)
-    xr, xp = letters[r], letters[p]
+    xr, xp = letters[r][0], letters[p][0]
     factors = [(law.target, _law_memo(law, values)) for law in laws]
 
     def sides(a, b):
@@ -652,12 +668,16 @@ def additivity_suite(model, regime, grid):
         for r in build_root_system(model.n).roots])
 
 
-def _is_transpose(design, mirror):
-    """True when ``mirror`` holds exactly the (b, a) of the (a, b) in
-    ``design``, compared as pairs of slot-tuple objects."""
-    return (len(mirror) == len(design)
-            and {(id(b), id(a)) for a, b in mirror}
-            == {(id(a), id(b)) for a, b in design})
+def _products_vanish(s, t):
+    """True when every matrix supported on s times every one on t is 0: no
+    column of s is a row of t."""
+    return {j for _i, j in s}.isdisjoint([i for i, _j in t])
+
+
+def _distinct_sides(design):
+    """The distinct a and the distinct b slot-tuple objects of a design."""
+    return (list({id(a): a for a, _b in design}.values()),
+            list({id(b): b for _a, b in design}.values()))
 
 
 def commutator_suites(model, regime, grid):
@@ -667,18 +687,32 @@ def commutator_suites(model, regime, grid):
     design is built once (_designs), each x_r(a) once per (root, slot tuple)
     (_letter_memo) and each law once per (compiled form, a, b) (_law_memo).
 
-    A trivial pair's equation x_r(a) x_p(b) = x_p(b) x_r(a) is its mirror's
-    at (b, a), multiplied from the same letter objects.  So (p, r) passes
-    without a product when (r, p) is trivial and passed, and the design of
-    (p, r) is exactly the transpose of the design of (r, p) (_is_transpose):
-    the grid's one-by-one and one-by-two designs.  Any other pair, the
-    anchored two-by-two design and every symbolic design among them, is
-    swept in full.
+    A trivial pair (r, p) passes by support, with no product: write S_q for
+    _support(model, q).  When S_r S_p = 0 and S_p S_r = 0 as sparsity
+    patterns, any f on S_r and g on S_p have fg = gf = 0, so
+    (I + f)(I + g) = I + f + g = (I + g)(I + f): the equation
+    x_r(a) x_p(b) = x_p(b) x_r(a) holds at every (a, b) whose letters lie
+    on their supports.  So the pair passes when both products vanish and
+    every letter its design builds lies on its root's support, read once
+    per distinct slot tuple of each side of the design (_letter_memo).
+    Any other trivial pair, and every commutator pair, is swept in full.
     """
     system = build_root_system(model.n)
     design = _designs(regime, grid)
     letters, values = {}, {}
-    trivial_passed = {}     # (r, p) -> design of a trivial pair that passed
+    supports = {q: _support(model, q) for q in system.roots}
+    sides = {}      # (arity_a, arity_b) -> the design's distinct a and b
+
+    def by_support(r, p, arities):
+        if not (_products_vanish(supports[r], supports[p])
+                and _products_vanish(supports[p], supports[r])):
+            return False
+        if arities not in sides:
+            sides[arities] = _distinct_sides(design(*arities))
+        a_side, b_side = sides[arities]
+        return (all(map(letters[r][1], a_side))
+                and all(map(letters[p][1], b_side)))
+
     reports = []
     for r in system.roots:
         for p in system.roots:
@@ -694,16 +728,13 @@ def commutator_suites(model, regime, grid):
                         "commutator", model, (r, p), regime, "fail", 0,
                         note=str(exc)))
                     continue
-            tuples = design(model.param_arity(r), model.param_arity(p))
-            rel = _commutator(model, r, p, laws, tuples, letters, values)
-            mirror = trivial_passed.get((p, r))
-            if mirror is not None and _is_transpose(mirror, tuples):
+            arities = (model.param_arity(r), model.param_arity(p))
+            rel = _commutator(model, r, p, laws, design(*arities), letters,
+                              values)
+            if not laws and by_support(r, p, arities):
                 reports.append(_passed(model, regime, rel))
-                continue
-            report = _sweep(model, regime, rel)
-            if not laws and report.passed:
-                trivial_passed[r, p] = tuples
-            reports.append(report)
+            else:
+                reports.append(_sweep(model, regime, rel))
     return reports
 
 

@@ -3,8 +3,9 @@
 import io
 import json
 import random
-from fractions import Fraction
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -33,6 +34,7 @@ def run_cli_err(*argv):
     return code, out.getvalue(), err.getvalue()
 
 
+GOLDEN = Path(__file__).parent / "golden"
 GAUSSIAN_GRID = "1+i,-1,2,-2i,3,1/2-i,-1/2,2/3+2/3i,5/7,i,-3"
 
 
@@ -70,6 +72,23 @@ class TestVerify:
             assert "e-" not in tok.lower() or "relation" in tok
         assert "." not in json.dumps(json.loads(out)["reports"])
 
+    def test_default_regime_is_the_symbolic_proof(self):
+        code, out = run_cli("verify", "--model", "sp", "--n", "2",
+                            "--suite", "all")
+        assert code == 0
+        golden = GOLDEN / "verify-sp-n2-symbolic.json"
+        assert out == golden.read_text(encoding="utf-8")
+
+    def test_grid_implies_the_grid_regime(self):
+        grid = ("--grid", "1,2,3,4,5,6,7,8,9")
+        implied = run_cli("verify", "--model", "sp", "--n", "2",
+                          "--suite", "relations", *grid)
+        assert implied == run_cli("verify", "--model", "sp", "--n", "2",
+                                  "--suite", "relations", "--regime", "grid",
+                                  *grid)
+        assert implied[0] == 0
+        assert json.loads(implied[1])["regime"] == "grid"
+
     def test_custom_grid_too_small(self):
         code, _ = run_cli("verify", "--model", "sp", "--n", "2",
                           "--grid", "1,2,3")
@@ -87,7 +106,8 @@ class TestVerify:
             assert (code, out) == (2, "")
 
     @pytest.mark.parametrize("n", ["2", "3"])
-    @pytest.mark.parametrize("regime", [("--regime", "symbolic"), ()])
+    @pytest.mark.parametrize("regime", [("--regime", "symbolic"),
+                                        ("--regime", "grid")])
     def test_sl_c_proof_is_sl_r(self, n, regime):
         # the structure constants are integers, so the symbolic proof over Q
         # carries to Q(i), and the default grid is rational: each regime
@@ -364,6 +384,9 @@ USAGE_ERRORS = [
      "--grid", "a,b,c,d,e,f,g,h,k"),
     ("verify", "--model", "sp", "--n", "2", "--regime", "symbolic",
      "--grid", "1,2"),
+    # the symbolic regime reads no grid, even a valid one
+    ("verify", "--model", "sp", "--n", "2", "--suite", "monomial",
+     "--regime", "symbolic", "--grid", "1,2,3,4,5,6,7,8,9"),
     ("reduce", "WORDFILE", "--model", "sp", "--n", "2", "--budget", "-5"),
     # rank-3 roots on an n=2 model, never relabelled as n=2 roots
     ("decompose", "--model", "sp", "--n", "2", "-r", "1,-1,0", "-p", "0,2,0",

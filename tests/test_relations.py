@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from chevalley import relations
 from chevalley.generators import (GeneratorError, GeneratorLetter, GroupModel,
-                                  MonomialForm, gen_h, h_reference)
+                                  MonomialForm, gen_h, gen_x, h_reference,
+                                  letter_positions)
 from chevalley.matrices import (ExactMatrix, delta_to_matrix, mat_inv, mat_mul,
                                 mat_prod, matrix_to_delta)
 from chevalley.relations import (DEFAULT_GRID, Relation, RelationError,
@@ -21,7 +22,7 @@ from chevalley.relations import (DEFAULT_GRID, Relation, RelationError,
                                  delta_mul, delta_word,
                                  fit_structure_functions, grid_for_model,
                                  h_delta, param_tuples,
-                                 run_suite,
+                                 run_suite, symbolic_params,
                                  verify_additivity, verify_commutator,
                                  w_delta, x_delta)
 from chevalley.roots import Root, build_root_system
@@ -490,7 +491,6 @@ class TestSuiteMemo:
         # the work each pair's own design asks for, counted by value;
         # this also fits every law before the counting starts
         system = build_root_system(3)
-        order = {root: k for k, root in enumerate(system.roots)}
         points, letters, factors, computed = set(), set(), 0, 0
         for r in system.roots:
             for p in system.roots:
@@ -500,16 +500,13 @@ class TestSuiteMemo:
                 tuples = param_tuples(*arities, DEFAULT_GRID)
                 letters |= {(r, a) for a, _b in tuples}
                 letters |= {(p, b) for _a, b in tuples}
+                # a trivial pair passes by support and multiplies nothing
                 if system.is_root(r + p):
                     laws = fit_structure_functions(model, r, p)
                     points |= {(law.compiled, a, b)
                                for law in laws for a, b in tuples}
                     factors += len(laws) * len(tuples)
-                # a trivial pair met second reuses its mirror's pass, but
-                # for the anchored two-by-two design
-                elif order[p] < order[r] and arities != (2, 2):
-                    continue
-                computed += len(tuples)
+                    computed += len(tuples)
 
         evaluated, built, memos = [], [], []
         real_evaluate = StructureFunction.evaluate
@@ -530,15 +527,16 @@ class TestSuiteMemo:
         assert reports and all(rep.passed for rep in reports)
 
         # each law once per distinct (compiled form, a, b); one letter memo
-        # per root, so each x_r once per (root, slot tuple); one structure
-        # factor x_q per law per instance
+        # per root, so each x_r once per (root, slot tuple), the letters of
+        # the trivial pairs among them; one structure factor x_q per law per
+        # instance
         assert len(evaluated) == len(points)
         assert set(evaluated) == points
         assert len(memos) == len(set(memos))
         assert set(memos) == set(system.roots)
         assert len(built) == len(letters) + factors
-        # X Y and Y X per computed instance, and one product per structure
-        # factor; a mirrored instance multiplies nothing
+        # X Y and Y X per instance of a commutator pair, and one product
+        # per structure factor
         assert len(products) == 2 * computed + factors
 
 
@@ -560,97 +558,138 @@ def _counted_sides(monkeypatch):
     return computed
 
 
-class TestMirrorReuse:
-    """A trivial pair (p, r) reuses the pass of (r, p) only when (r, p)
-    passed and the design of (p, r) is exactly its transpose."""
+def _bend(monkeypatch, model, r, p, bent=None):
+    """Give x_r(a), for a == bent (every a when bent is None), one entry
+    more: the transpose of an entry of f_p, valued a[0].  Its support then
+    meets that of x_p, and x_r(a) x_p(b) != x_p(b) x_r(a) once that entry
+    of x_p(b) is nonzero."""
+    i, j, _s = letter_positions(model, p)[0]
+    real = relations.x_delta
 
-    def test_only_the_one_by_one_and_one_by_two_grid_designs_transpose(self):
-        grid = relations._designs("grid", DEFAULT_GRID)
-        symbolic = relations._designs("symbolic", None)
-        transpose = relations._is_transpose
-        assert transpose(grid(1, 1), grid(1, 1))
-        assert transpose(grid(1, 2), grid(2, 1))
-        assert transpose(grid(2, 1), grid(1, 2))
-        assert not transpose(grid(2, 2), grid(2, 2))
-        assert not transpose(grid(1, 1), grid(1, 2))
-        # equal values in other tuple objects are not the same design
-        assert not transpose(grid(1, 1), param_tuples(1, 1, DEFAULT_GRID))
-        for ka in (1, 2):
-            for kb in (1, 2):
-                assert not transpose(symbolic(ka, kb), symbolic(kb, ka))
+    def x(m, root, params):
+        out = real(m, root, params)
+        if root == r and (bent is None or params == bent):
+            out[j, i] = params[0]
+        return out
+    monkeypatch.setattr(relations, "x_delta", x)
 
-    @pytest.mark.parametrize("model", [SP2, SL2])
+
+class TestTrivialBySupport:
+    """A trivial pair (r, p) passes with no product when the supports of r
+    and p multiply to zero both ways and every letter of its design lies on
+    its root's support; anything else is swept in full."""
+
+    @pytest.mark.parametrize("model,regime,r,p,bent", [
+        # two long roots on the one-by-one grid design, bent at a = -1
+        (SP2, "grid", Root.of(2, 1), Root.of(2, 2), (F(-1),)),
+        (SL2, "grid", Root.of(2, 1), Root.of(2, 2), (F(-1),)),
+        (SP2, "symbolic", Root.of(2, 1), Root.of(2, 2), None),
+        (SL2, "symbolic", Root.of(2, 1), Root.of(2, 2), None),
+        # two short roots on the anchored two-by-two grid design, bent at
+        # the first two-slot tuple of the sweep
+        (SL3, "grid", Root.of(3, 1, 2, 1, -1), Root.of(3, 1, 3, 1, -1),
+         relations.pair_sweep(DEFAULT_GRID)[0]),
+        (SL3, "symbolic", Root.of(3, 1, 2, 1, -1), Root.of(3, 1, 3, 1, -1),
+         None)])
     def test_a_bent_letter_fails_both_orders_with_their_own_witness(
-            self, model, monkeypatch):
-        # x_r(-1) gets the transpose of an entry of x_p, so x_r(-1) and
-        # x_p(b) stop commuting for every b: the trivial (r, p) fails, and
-        # its mirror is swept in full and fails at its own first instance
-        r, p = Root.of(2, 1), Root.of(2, 2)
-        assert not build_root_system(2).is_root(r + p)
-        i, j = next(iter(x_delta(model, p, (F(1),))))
-        real = relations.x_delta
-        bent = (F(-1),)
-
-        def x(m, root, params):
-            out = real(m, root, params)
-            if root == r and params == bent:
-                out[j, i] = F(1)
-            return out
-        monkeypatch.setattr(relations, "x_delta", x)
+            self, model, regime, r, p, bent, monkeypatch):
+        system = build_root_system(model.n)
+        assert r != p and any(r + p)
+        assert not system.is_root(r + p)
+        _bend(monkeypatch, model, r, p, bent)
+        grid = DEFAULT_GRID if regime == "grid" else None
         reports = {rep.roots: rep
-                   for rep in relations.commutator_suites(model, "grid",
-                                                          DEFAULT_GRID)}
+                   for rep in relations.commutator_suites(model, regime, grid)}
         forward, mirror = reports[r, p], reports[p, r]
-        assert forward.relation_id == mirror.relation_id == \
-            "trivial-commutator"
-        assert not forward.passed and not mirror.passed
-        # (r, p) sweeps a outer, (p, r) sweeps b outer: a = -1 is the
-        # second grid value, so each fails at its own instance
-        assert DEFAULT_GRID[1] == -1
-        assert forward.instances == len(DEFAULT_GRID) + 1
-        assert mirror.instances == 2
-        assert forward.witness["params"] == ["-1", "1"]
-        assert mirror.witness["params"] == ["1", "-1"]
-        assert mirror.witness["entry"] == forward.witness["entry"]
-        assert (mirror.witness["lhs"], mirror.witness["rhs"]) == \
-            (forward.witness["rhs"], forward.witness["lhs"])
+        design = relations._designs(regime, grid)
+        for rep in (forward, mirror):
+            assert rep.relation_id == "trivial-commutator"
+            assert not rep.passed
+            # the report of the pair's own record, swept alone
+            q1, q2 = rep.roots
+            tuples = design(model.param_arity(q1), model.param_arity(q2))
+            alone = _sweep(model, regime, _commutator(model, q1, q2, (),
+                                                      tuples))
+            assert rep.to_json_dict() == alone.to_json_dict()
+        if regime == "symbolic" or model.param_arity(r) == 1:
+            # each fails at its first instance with x_r bent, a outer for
+            # (r, p) and b outer for (p, r); the same entry of X Y and Y X
+            assert mirror.witness["entry"] == forward.witness["entry"]
+            assert (mirror.witness["lhs"], mirror.witness["rhs"]) == \
+                (forward.witness["rhs"], forward.witness["lhs"])
+        if regime == "grid" and model.param_arity(r) == 1:
+            # a = -1 is the second grid value
+            assert DEFAULT_GRID[1] == -1
+            assert forward.instances == len(DEFAULT_GRID) + 1
+            assert mirror.instances == 2
+            assert forward.witness["params"] == ["-1", "1"]
+            assert mirror.witness["params"] == ["1", "-1"]
+        if regime == "grid" and model.param_arity(r) == 2:
+            # x_r(bent) is the first a of (r, p); as the b of (p, r) it
+            # first meets the x_p(pinned a) sweep, after the 33 pinned-b
+            # instances
+            assert forward.instances == 1
+            assert mirror.instances == 34
+            assert forward.witness["params"][:2] == \
+                mirror.witness["params"][2:] == \
+                [format_scalar(x) for x in bent]
+
+    @pytest.mark.parametrize("model,regime,r,p", [
+        (SP2, "grid", Root.of(2, 1), Root.of(2, 2)),
+        (SL3, "symbolic", Root.of(3, 1, 2, 1, -1), Root.of(3, 1, 3, 1, -1))])
+    def test_supports_that_meet_are_swept(self, model, regime, r, p,
+                                          monkeypatch):
+        # the bent letters of x_r lie on a support widened to match them,
+        # so only the product of the two supports can send the pair, and
+        # its mirror, to the full sweep
+        _bend(monkeypatch, model, r, p)
+        i, j, _s = letter_positions(model, p)[0]
+        real = relations.letter_positions
+        monkeypatch.setattr(relations, "letter_positions", lambda m, q:
+                            real(m, q) + [(j, i, 1)] if q == r
+                            else real(m, q))
+        grid = DEFAULT_GRID if regime == "grid" else None
+        reports = {rep.roots: rep
+                   for rep in relations.commutator_suites(model, regime, grid)}
+        assert not reports[r, p].passed and not reports[p, r].passed
 
     @pytest.mark.parametrize("model,regime", [
-        (SP2, "symbolic"), (SL2, "symbolic"), (SL3, "grid")])
-    def test_symbolic_and_two_by_two_designs_are_swept_in_full(
-            self, model, regime, monkeypatch):
-        system = build_root_system(model.n)
-        computed = _counted_sides(monkeypatch)
+        (SP3, "grid"), (SL3, "grid"), (SP2, "symbolic"), (SL2, "symbolic")])
+    def test_structural_reports_equal_full_sweeps(self, model, regime,
+                                                  monkeypatch):
         grid = DEFAULT_GRID if regime == "grid" else None
-        reports = relations.commutator_suites(model, regime, grid)
-        assert all(rep.passed for rep in reports)
-        full = [rep for rep in reports
-                if rep.relation_id == "trivial-commutator"
-                and (regime == "symbolic"
-                     or model.param_arity(rep.roots[0])
-                     == model.param_arity(rep.roots[1]) == 2)]
-        assert full
-        for rep in full:
-            assert computed[rep.roots] == rep.instances
-        if regime == "grid":
-            # the other trivial pairs: one order of each is swept, the
-            # other reused; every commutator pair and every (r, r) is swept
-            rest = [rep for rep in reports if rep not in full]
-            for rep in rest:
-                r, p = rep.roots
-                swept = computed[r, p] == rep.instances
-                if system.is_root(r + p) or r == p:
-                    assert swept
-                else:
-                    assert swept != (computed[p, r] == rep.instances)
-
-    @pytest.mark.parametrize("model", [SP3, SL3])
-    def test_reused_reports_equal_full_sweeps(self, model, monkeypatch):
-        reused = relations.commutator_suites(model, "grid", DEFAULT_GRID)
-        monkeypatch.setattr(relations, "_is_transpose", lambda *_: False)
-        full = relations.commutator_suites(model, "grid", DEFAULT_GRID)
-        assert [rep.to_json_dict() for rep in reused] == \
+        computed = _counted_sides(monkeypatch)
+        structural = relations.commutator_suites(model, regime, grid)
+        trivial = [rep for rep in structural
+                   if rep.relation_id == "trivial-commutator"]
+        assert trivial and not any(computed[rep.roots] for rep in trivial)
+        # the support check fails, so every pair is swept in full
+        monkeypatch.setattr(relations, "_products_vanish", lambda s, t: False)
+        computed.clear()
+        full = relations.commutator_suites(model, regime, grid)
+        assert all(computed[rep.roots] == rep.instances for rep in trivial)
+        assert [rep.to_json_dict() for rep in structural] == \
             [rep.to_json_dict() for rep in full]
+
+    @pytest.mark.parametrize("family", ["sp", "sl-r", "sl-c"])
+    def test_every_trivial_pair_commutes_on_the_dense_route(self, family):
+        # the independent oracle: dense letters at symbol parameters,
+        # multiplied in both orders
+        pairs = 0
+        for n in (2, 3, 4, 5):
+            model = GroupModel(family, n)
+            system = build_root_system(n)
+            for r in system.roots:
+                for p in system.roots:
+                    if not any(r + p) or system.is_root(r + p):
+                        continue
+                    x = gen_x(model, r, symbolic_params(
+                        model.param_arity(r), "a"))
+                    y = gen_x(model, p, symbolic_params(
+                        model.param_arity(p), "b"))
+                    assert mat_mul(x, y) == mat_mul(y, x), (r, p)
+                    pairs += 1
+        assert pairs == 32 + 186 + 656 + 1730
 
 
 def _reference(law, a, b):
