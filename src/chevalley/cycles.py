@@ -691,10 +691,6 @@ class BracketDecomposition:
     witness_left: object
     witness_right: object
 
-    def expression(self):
-        return "%s = [%s, %s]" % (self.target.format(), self.left.format(),
-                                  self.right.format())
-
     def describe(self):
         return {"target": self.target.format(),
                 "left": self.left.format(),

@@ -90,12 +90,6 @@ class ExactMatrix:
     def __hash__(self):
         raise TypeError("ExactMatrix is not hashable")
 
-    def is_identity(self):
-        for i, sup in enumerate(self._support):
-            if sup != (i,) or self.rows[i][i] != 1:
-                return False
-        return True
-
     def is_diagonal(self):
         return all(sup in ((), (i,)) for i, sup in enumerate(self._support))
 

@@ -21,11 +21,13 @@ Families (reports carry these ids):
 * ``h-decomposition-*``     long-root h decomposition through the short torus (sp)
 * ``monomial-form-1..7``    the explicit permutation-times-diagonal displays
 
-Two regimes: ``grid`` evaluates over a deterministic grid in Q, or Q(i) for
-sl-c (every slot sweeps all grid values; relations in scope are Laurent-
-polynomial of total degree <= 8 per parameter; the default has 11 values);
-``symbolic`` treats parameters as Laurent symbols and decides by canonical
-equality, which certifies the identity for all parameter values at once.
+Two regimes, and Designs builds every parameter tuple of both: ``grid``
+evaluates over a deterministic grid in Q, or Q(i) for sl-c (the default has
+11 values; relations in scope are Laurent-polynomial of total degree <= 8
+per parameter, and the README lists which designs sweep every grid value per
+slot and which only sample); ``symbolic`` gives each slot its own Laurent
+symbol and decides by canonical equality, which certifies the identity for
+all parameter values at once.
 
 Both commutator families check [X, Y] = F, for X = x_r(a), Y = x_p(b) and F
 the product of the structure factors (id for a trivial pair), as
@@ -181,10 +183,10 @@ def _letter_memo(model, root):
     [x_r(a), x_p(b)] = F, so they need these letters and no inverse letter.
     The memo is keyed by the slot tuple's identity, so a lookup hashes no
     scalar: a commutator suite keeps one memo per root for all its pairs,
-    and its designs share one tuple object per distinct slot tuple across
-    the suite (_designs), so x_r(a) is built once per (root, slot tuple);
-    an equal tuple held in another object only costs a rebuild.  Each entry
-    keeps its tuple alive, so no other object can take its id.
+    and its letter designs hold one object per distinct slot tuple (the
+    rule stated in Designs), so x_r(a) is built once per (root, slot
+    tuple); an equal tuple held in another object only costs a rebuild.
+    Each entry keeps its tuple alive, so no other object can take its id.
 
     Returns (letter, inside): letter(params) is the delta, and
     inside(params) says whether it lies on the root's _support; each entry
@@ -217,8 +219,9 @@ def _law_memo(law, values):
     ``values`` maps a compiled form to its values by (id(a), id(b)), so laws
     of one compiled form share them: evaluate is a pure function of the form
     and the point, and each grid point is evaluated once per form.  As in
-    _letter_memo, a lookup hashes no scalar, and each entry keeps a and b
-    alive, so no other object can take their ids.
+    _letter_memo, a lookup hashes no scalar, which relies on the identity
+    rule stated in Designs, and each entry keeps a and b alive, so no other
+    object can take their ids.
     """
     memo = values.setdefault(law.compiled, {})
 
@@ -355,42 +358,6 @@ def pair_sweep(grid):
             + [(_ZERO, g) for g in grid])
 
 
-def _slot_tuples(grid):
-    """The one-slot and two-slot tuples the grid designs draw on."""
-    return [(g,) for g in grid], pair_sweep(grid)
-
-
-def param_tuples(arity_a, arity_b, grid, slots=None):
-    """Deterministic grid-regime designs per scalar-slot count.
-
-    Up to two slots get the full Cartesian product; three slots cross the
-    two-slot sweep with the full grid; four slots use an anchored design
-    (each letter sweeps against a pinned partner, plus a joint diagonal).
-    The symbolic regime provides the complete polynomial certificate.
-    The designs draw their slot tuples from ``slots``, the (one-slot,
-    two-slot) tuple lists (default: new ones).  _designs passes one pair to
-    every design of a suite, so equal slot tuples are one shared object
-    across the suite, which _letter_memo and _law_memo key on.
-    The commutator records check x_r(a) x_p(b) = F x_p(b) x_r(a) on these
-    tuples, which in any group is [x_r(a), x_p(b)] = F; both sides keep a
-    bounded degree in each slot, so a full product of grid values certifies.
-    """
-    singles, ps = _slot_tuples(grid) if slots is None else slots
-    if arity_a == 1 and arity_b == 1:
-        return [(a, b) for a in singles for b in singles]
-    if arity_a == 2 and arity_b == 1:
-        return [(pa, b) for pa in ps for b in singles]
-    if arity_a == 1 and arity_b == 2:
-        return [(a, pb) for a in singles for pb in ps]
-    rot = ps[7:] + ps[:7]
-    pinned_a = (grid[2], grid[4])
-    pinned_b = (grid[4], grid[6])
-    out = [(pa, pinned_b) for pa in ps]
-    out += [(pinned_a, pb) for pb in ps]
-    out += list(zip(ps, rot))
-    return out
-
-
 def unit_tuples(grid):
     """Two-slot parameter tuples for letters that need units: no zero slots."""
     return (list(zip(grid, grid[3:] + grid[:3]))
@@ -403,17 +370,79 @@ def symbolic_params(arity, prefix):
     return tuple(LaurentFrac.symbol("%s%d" % (prefix, k)) for k in (1, 2))
 
 
-def _scalar_designs(regime, grid):
-    """(singles, unit pairs, product pairs) for relations in scalar slots.
+@dataclass(frozen=True)
+class Designs:
+    """Every parameter design of one run_suite call.  Beside run_suite's
+    input checks, this is the one place in the module that reads the
+    regime; the suites read ``regime`` only to label their reports.  Each
+    design is a list of parameter tuples:
 
-    The symbolic regime gives one symbol per slot; the grid regime gives
-    every grid value, the unit_tuples pairs and the full Cartesian square.
+    * ``letters[arity_a, arity_b]``: the (a, b) slot tuples for a pair of
+      x-letters x_r(a), x_p(b) with those slot counts (additivity and both
+      commutator families);
+    * ``singles`` (t,), ``units`` (t1, t2) with no zero slot, and
+      ``products`` (a, b) for relations in scalar slots;
+    * ``minus_one`` (-1,) for the involution and the h decomposition;
+    * ``split`` (s, z) with s = +-1 for h-decomposition-split;
+    * ``w_by_w`` (a, t1, t2) for weyl-w-conj-1..3;
+    * ``component``, the one (v, u, u2) of weyl-component-conj.
+
+    The symbolic regime gives each slot its own symbol (a, b, a1, a2, b1,
+    b2, c, u, v), so a pass holds for every value.  The grid regime gives
+    every grid value per slot where a design certifies, and a sample
+    elsewhere (the README lists which).  For x-letter pairs, up to two
+    slots get the full Cartesian product, three slots cross the two-slot
+    sweep (pair_sweep) with the full grid, and four slots use an anchored
+    design: each letter sweeps against a pinned partner, plus a joint
+    diagonal.
+
+    Across the letter designs, each distinct slot tuple is one object:
+    _letter_memo and _law_memo key on slot-tuple identity, so x_r(a) is
+    built once per (root, slot tuple) and each law once per (a, b).
     """
-    if regime == SYMBOLIC:
-        a, b = LaurentFrac.symbol("a"), LaurentFrac.symbol("b")
-        return [(a,)], [(a, b)], [(a, b)]
-    return ([(g,) for g in grid], unit_tuples(grid),
-            [(x, y) for x in grid for y in grid])
+
+    regime: str
+    letters: dict
+    singles: list
+    units: list
+    products: list
+    minus_one: list
+    split: list
+    w_by_w: list
+    component: list
+
+    @classmethod
+    def of(cls, regime, grid=None):
+        """The designs of ``regime``; the grid regime samples ``grid``."""
+        one = Fraction(1)
+        if regime == SYMBOLIC:
+            a1, a2, b1, b2 = (symbolic_params(k, side)
+                              for side in "ab" for k in (1, 2))
+            (a,), (b,) = a1, b1
+            a_side, b_side = {1: [a1], 2: [a2]}, {1: [b1], 2: [b2]}
+            anchored = [(a2, b2)]
+            units = products = [(a, b)]
+            zs = [b]
+            w_by_w = [(a, *b2)]
+            component = [tuple(LaurentFrac.symbol(x) for x in "cuv")]
+        else:
+            singles, ps = [(g,) for g in grid], pair_sweep(grid)
+            a_side = b_side = {1: singles, 2: ps}
+            pinned_a, pinned_b = (grid[2], grid[4]), (grid[4], grid[6])
+            anchored = ([(pa, pinned_b) for pa in ps]
+                        + [(pinned_a, pb) for pb in ps]
+                        + list(zip(ps, ps[7:] + ps[:7])))
+            units = unit_tuples(grid)
+            products = [(x, y) for x in grid for y in grid]
+            zs = grid
+            w_by_w = [(a, t1, t2) for a in grid for t1, t2 in units[:11]]
+            component = [(grid[6], grid[2], grid[4])]   # v = 1/2 by default
+        letters = {(i, j): [(x, y) for x in a_side[i] for y in b_side[j]]
+                   for i, j in ((1, 1), (2, 1), (1, 2))}
+        letters[2, 2] = anchored
+        return cls(regime, letters, a_side[1], units, products, [(-one,)],
+                   [(s, z) for s in (one, -one) for z in zs], w_by_w,
+                   component)
 
 
 # ---------------------------------------------------------------------------
@@ -632,39 +661,9 @@ def verify_commutator(model, r, p, a, b, regime=GRID):
     return _single(model, regime, _commutator(model, r, p, laws, [(a, b)]))
 
 
-def _designs(regime, grid):
-    """design(arity_a, arity_b): the (a, b) design for a pair of x-letters
-    x_r(a), x_p(b) with those slot counts, built once per call of _designs.
-
-    Every design of one call draws on one set of slot tuples: the grid's
-    one-slot and two-slot tuples (param_tuples), or one symbol tuple per
-    side and slot count, so equal slot tuples are one object across them.
-    """
-    if regime == SYMBOLIC:
-        symbols = {(k, side): symbolic_params(k, side)
-                   for k in (1, 2) for side in "ab"}
-    else:
-        slots = _slot_tuples(grid)
-    built = {}
-
-    def design(arity_a, arity_b):
-        key = (arity_a, arity_b)
-        if key not in built:
-            built[key] = ([(symbols[arity_a, "a"], symbols[arity_b, "b"])]
-                          if regime == SYMBOLIC
-                          else param_tuples(arity_a, arity_b, grid, slots))
-        return built[key]
-    return design
-
-
-def _letter_tuples(model, regime, grid, r, p):
-    """The (a, b) design for a pair of x-letters x_r(a), x_p(b)."""
-    return _designs(regime, grid)(model.param_arity(r), model.param_arity(p))
-
-
-def additivity_suite(model, regime, grid):
-    return _sweep_all(model, regime, [
-        _additivity(model, r, _letter_tuples(model, regime, grid, r, r))
+def additivity_suite(model, designs):
+    return _sweep_all(model, designs.regime, [
+        _additivity(model, r, designs.letters[(model.param_arity(r),) * 2])
         for r in build_root_system(model.n).roots])
 
 
@@ -680,11 +679,11 @@ def _distinct_sides(design):
             list({id(b): b for _a, b in design}.values()))
 
 
-def commutator_suites(model, regime, grid):
+def commutator_suites(model, designs):
     """Relation families (2)/(3) over every ordered root pair with r+p != 0.
 
     One memo scope serves every pair of the call and dies with it: each
-    design is built once (_designs), each x_r(a) once per (root, slot tuple)
+    x_r(a) is built once per (root, slot tuple) of ``designs.letters``
     (_letter_memo) and each law once per (compiled form, a, b) (_law_memo).
 
     A trivial pair (r, p) passes by support, with no product: write S_q for
@@ -698,7 +697,7 @@ def commutator_suites(model, regime, grid):
     Any other trivial pair, and every commutator pair, is swept in full.
     """
     system = build_root_system(model.n)
-    design = _designs(regime, grid)
+    regime, design = designs.regime, designs.letters
     letters, values = {}, {}
     supports = {q: _support(model, q) for q in system.roots}
     sides = {}      # (arity_a, arity_b) -> the design's distinct a and b
@@ -708,7 +707,7 @@ def commutator_suites(model, regime, grid):
                 and _products_vanish(supports[p], supports[r])):
             return False
         if arities not in sides:
-            sides[arities] = _distinct_sides(design(*arities))
+            sides[arities] = _distinct_sides(design[arities])
         a_side, b_side = sides[arities]
         return (all(map(letters[r][1], a_side))
                 and all(map(letters[p][1], b_side)))
@@ -729,7 +728,7 @@ def commutator_suites(model, regime, grid):
                         note=str(exc)))
                     continue
             arities = (model.param_arity(r), model.param_arity(p))
-            rel = _commutator(model, r, p, laws, design(*arities), letters,
+            rel = _commutator(model, r, p, laws, design[arities], letters,
                               values)
             if not laws and by_support(r, p, arities):
                 reports.append(_passed(model, regime, rel))
@@ -738,7 +737,7 @@ def commutator_suites(model, regime, grid):
     return reports
 
 
-def h_relation_suite(model, regime, grid):
+def h_relation_suite(model, designs):
     """h-multiplicativity, h-involution, diagonal forms, literal agreement."""
     n = model.n
     r12 = Root.of(n, 1, 2, 1, -1)
@@ -750,11 +749,7 @@ def h_relation_suite(model, regime, grid):
     def h12(t):
         return h_delta(model, r12, h_params(t))
 
-    singles, _units, pairs = _scalar_designs(regime, grid)
-    literal_tuples = singles if regime == SYMBOLIC else singles[:5]
-
     # involution: h_{2Ln}(-1) is diag(1,..,-1 at n,1,..,-1 at 2n), square id
-    minus_one = Fraction(-1)
     expected = {(n, n): Fraction(-2), (2 * n, 2 * n): Fraction(-2)}
 
     def involution(m):
@@ -778,13 +773,13 @@ def h_relation_suite(model, regime, grid):
         return (delta_mul(h12(t), w_delta(model, r12, h_reference(params))),
                 w_delta(model, r12, params))
 
-    return _sweep_all(model, regime, [
-        Relation("h-multiplicativity", (r12,), pairs,
+    return _sweep_all(model, designs.regime, [
+        Relation("h-multiplicativity", (r12,), designs.products,
                  lambda a, b: (delta_mul(h12(a), h12(b)), h12(a * b))),
-        Relation("h-involution", (ln,), [(minus_one,)], involution,
+        Relation("h-involution", (ln,), designs.minus_one, involution,
                  params="-1"),
-        Relation("h-diagonal-form", (r12,), singles, diagonal),
-        Relation("h-literal-form", (r12,), literal_tuples, literal),
+        Relation("h-diagonal-form", (r12,), designs.singles, diagonal),
+        Relation("h-literal-form", (r12,), designs.singles[:5], literal),
     ])
 
 
@@ -796,27 +791,23 @@ def _conj(w, inner, w_inv):
     return delta_mul(delta_mul(w, inner), w_inv)
 
 
-def weyl_conjugation_suite(model, regime, grid):
+def weyl_conjugation_suite(model, designs):
     """Conjugation identities among w and h letters, verified as matrices."""
     if model.is_sp:
-        return _sp_weyl_suite(model, regime, grid)
-    return (_sl_component_conjugation(model, regime, grid)
-            + _sl_w_conjugation(model, regime, grid)
-            + _w_inversion_suite(model, regime, grid))
+        return _sp_weyl_suite(model, designs)
+    return (_sl_component_conjugation(model, designs)
+            + _sl_w_conjugation(model, designs)
+            + _w_inversion_suite(model, designs))
 
 
-def _sp_weyl_suite(model, regime, grid):
+def _sp_weyl_suite(model, designs):
     """w/h conjugations, then long-root h through the short-root torus (sp)."""
     n = model.n
     short = Root.of(n, n - 1, n, 1, -1)       # L_{n-1} - L_n
     plus = Root.of(n, n - 1, n, 1, 1)         # L_{n-1} + L_n
     long_n = Root.of(n, n)                    # 2L_n
     long_n1 = Root.of(n, n - 1)               # 2L_{n-1}
-    one = Fraction(1)
-    minus_one = -one
-    tuples = _scalar_designs(regime, grid)[2]
-    zs = [LaurentFrac.symbol("b")] if regime == SYMBOLIC else grid
-    split_tuples = [(s, z) for s in (one, minus_one) for z in zs]
+    minus_one = Fraction(-1)
 
     def w(root, t):
         return w_delta(model, root, (t,))
@@ -853,21 +844,23 @@ def _sp_weyl_suite(model, regime, grid):
     # h_{2Ln}(s z^2) = h_short(1/z) w_{2Ln}(s) h_short(1/z)^{-1} w_{2Ln}(-1)
     def split(s, z):
         return h(long_n, s * z * z), delta_word(
-            [h(short, 1 / z), w(long_n, s), h(short, z), w(long_n, -one)])
+            [h(short, 1 / z), w(long_n, s), h(short, z), w(long_n, minus_one)])
 
-    return _sweep_all(model, regime, [
-        Relation(rid, roots, tuples, sides) for rid, roots, sides in cases] + [
-        Relation("h-decomposition-square", (short,), [(minus_one,)],
+    return _sweep_all(model, designs.regime, [
+        Relation(rid, roots, designs.products, sides)
+        for rid, roots, sides in cases] + [
+        Relation("h-decomposition-square", (short,), designs.minus_one,
                  lambda m: (delta_mul(hs, hs), {}), params="-1"),
-        Relation("h-decomposition-pair", (short, plus), [(minus_one,)], pair,
-                 params="-1,-1"),
-        Relation("h-decomposition-pair-inverse", (short, plus), [(minus_one,)],
+        Relation("h-decomposition-pair", (short, plus), designs.minus_one,
                  pair, params="-1,-1"),
-        Relation("h-decomposition-split", (long_n, short), split_tuples, split),
+        Relation("h-decomposition-pair-inverse", (short, plus),
+                 designs.minus_one, pair, params="-1,-1"),
+        Relation("h-decomposition-split", (long_n, short), designs.split,
+                 split),
     ])
 
 
-def _sl_component_conjugation(model, regime, grid):
+def _sl_component_conjugation(model, designs):
     """w x^delta_beta(v) w^{-1} is the component letter at the permuted
     support with the value the SL2 blocks of w predict; one aggregated report
     per w-form: (u) on long roots, and (u,0), (0,u), (u,v) on short ones.
@@ -883,8 +876,7 @@ def _sl_component_conjugation(model, regime, grid):
     n = model.n
     system = build_root_system(n)
     table = position_component_table(n)
-    v, u, u2 = ((LaurentFrac.symbol(x) for x in "cuv") if regime == SYMBOLIC
-                else (grid[6], grid[2], grid[4]))  # grid v = 1/2
+    (v, u, u2), = designs.component
     tuples = [(beta, d) for beta in system.roots
               for d in ((1,) if beta.is_long else (1, 2))]
 
@@ -914,7 +906,7 @@ def _sl_component_conjugation(model, regime, grid):
         forms = [((u,), "u")] if gamma.is_long else \
             [((u, _ZERO), "(u,0)"), ((_ZERO, u), "(0,u)"), ((u, u2), "(u,v)")]
         relations += [relation(gamma, *form) for form in forms]
-    return _sweep_all(model, regime, relations)
+    return _sweep_all(model, designs.regime, relations)
 
 
 def _monomial_conj(form, inner):
@@ -944,15 +936,10 @@ def _sl2_block_form(model, gamma, params):
     return MonomialForm(tuple(perm), tuple(diag))
 
 
-def _sl_w_conjugation(model, regime, grid):
+def _sl_w_conjugation(model, designs):
     """The three w-by-w conjugation displays for the sl families."""
     n = model.n
-    if regime == SYMBOLIC:
-        tuples = [(LaurentFrac.symbol("a"), LaurentFrac.symbol("b1"),
-                   LaurentFrac.symbol("b2"))]
-    else:
-        tuples = [(a, t1, t2) for a in grid
-                  for (t1, t2) in unit_tuples(grid)[:11]]
+    tuples = designs.w_by_w
 
     def w(root, *params):
         return w_delta(model, root, params)
@@ -982,15 +969,14 @@ def _sl_w_conjugation(model, regime, grid):
                      shown=lambda a, t1, t2: (a, t1)),
         ]
 
-    return _sweep_all(model, regime, [rel for i in range(1, n + 1)
-                                      for j in range(i + 1, n + 1)
-                                      for rel in relations(i, j)])
+    return _sweep_all(model, designs.regime, [
+        rel for i in range(1, n + 1) for j in range(i + 1, n + 1)
+        for rel in relations(i, j)])
 
 
-def _w_inversion_suite(model, regime, grid):
+def _w_inversion_suite(model, designs):
     """w_g(t1,t2) = w_{-g}(-1/t1,-1/t2), also with either slot zero; w_g(t)
     = w_{-g}(-1/t) on long roots."""
-    singles, pairs, _product = _scalar_designs(regime, grid)
 
     def variants(t1, t2=None):
         if t2 is None:
@@ -1007,12 +993,12 @@ def _w_inversion_suite(model, regime, grid):
             return params, lhs, rhs
 
         return Relation("w-inversion", (gamma,),
-                        singles if gamma.is_long else pairs,
+                        designs.singles if gamma.is_long else designs.units,
                         lambda *ts: first_failing(*ts)[1:],
                         shown=lambda *ts: first_failing(*ts)[0])
 
-    return _sweep_all(model, regime, [relation(g) for g in
-                                      build_root_system(model.n).roots])
+    return _sweep_all(model, designs.regime, [
+        relation(g) for g in build_root_system(model.n).roots])
 
 
 # ---------------------------------------------------------------------------
@@ -1068,17 +1054,16 @@ def _monomial_relation(model, form, i, j, tuples):
                     shown=lambda *ts: used(ts))
 
 
-def monomial_form_suite(model, regime, grid):
+def monomial_form_suite(model, designs):
     """The seven explicit w displays; sl gets all, sp gets the long-root one."""
     n = model.n
-    singles, pairs, _product = _scalar_designs(regime, grid)
-    relations = [_monomial_relation(model, _LONG_FORM, i, i, singles)
+    relations = [_monomial_relation(model, _LONG_FORM, i, i, designs.singles)
                  for i in range(1, n + 1)]
     if not model.is_sp:
-        relations += [_monomial_relation(model, form, i, j, pairs)
+        relations += [_monomial_relation(model, form, i, j, designs.units)
                       for i in range(1, n + 1) for j in range(i + 1, n + 1)
                       for form in _MONOMIAL_FORMS]
-    return _sweep_all(model, regime, relations)
+    return _sweep_all(model, designs.regime, relations)
 
 
 # ---------------------------------------------------------------------------
@@ -1100,14 +1085,15 @@ def run_suite(model, suite="all", regime=GRID, grid=None):
         raise RelationError("unknown suite %r" % suite)
     if regime == SYMBOLIC and grid is not None:
         raise RelationError("a grid applies to the grid regime only")
-    g = grid_for_model(model, grid) if regime == GRID else None
+    designs = Designs.of(regime, grid_for_model(model, grid)
+                         if regime == GRID else None)
     reports = []
     if suite in ("relations", "all"):
-        reports += additivity_suite(model, regime, g)
-        reports += commutator_suites(model, regime, g)
-        reports += h_relation_suite(model, regime, g)
+        reports += additivity_suite(model, designs)
+        reports += commutator_suites(model, designs)
+        reports += h_relation_suite(model, designs)
     if suite in ("weyl", "all"):
-        reports += weyl_conjugation_suite(model, regime, g)
+        reports += weyl_conjugation_suite(model, designs)
     if suite in ("monomial", "all"):
-        reports += monomial_form_suite(model, regime, g)
+        reports += monomial_form_suite(model, designs)
     return reports

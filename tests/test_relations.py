@@ -1,7 +1,7 @@
 """Relation verification: oracles, structure laws, suites, both regimes."""
 
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 from math import comb
 
@@ -15,14 +15,13 @@ from chevalley.generators import (GeneratorError, GeneratorLetter, GroupModel,
                                   letter_positions)
 from chevalley.matrices import (ExactMatrix, delta_to_matrix, mat_inv, mat_mul,
                                 mat_prod, matrix_to_delta)
-from chevalley.relations import (DEFAULT_GRID, Relation, RelationError,
-                                 StructureFunction,
+from chevalley.relations import (DEFAULT_GRID, Designs, Relation,
+                                 RelationError, StructureFunction,
                                  _commutator, _sweep,
                                  commutator_delta, decompose_commutator,
                                  delta_mul, delta_word,
                                  fit_structure_functions, grid_for_model,
-                                 h_delta, param_tuples,
-                                 run_suite, symbolic_params,
+                                 h_delta, run_suite, symbolic_params,
                                  verify_additivity, verify_commutator,
                                  w_delta, x_delta)
 from chevalley.roots import Root, build_root_system
@@ -36,6 +35,12 @@ SL3 = GroupModel("sl-r", 3)
 SLC2 = GroupModel("sl-c", 2)
 
 F = Fraction
+
+
+def _letters(model, regime, r, p):
+    """The letter design of x_r(a), x_p(b): the default grid's or symbols."""
+    return Designs.of(regime, DEFAULT_GRID).letters[
+        model.param_arity(r), model.param_arity(p)]
 
 
 def dense_commutator(model, r, p, a, b):
@@ -133,8 +138,7 @@ class TestSharedLetterDeltas:
         (SL3, Root.of(3, 1), Root.of(3, 2))])                # trivial
     def test_sweep_builds_each_slot_tuple_once(self, model, r, p,
                                                monkeypatch):
-        tuples = param_tuples(model.param_arity(r), model.param_arity(p),
-                              DEFAULT_GRID)
+        tuples = _letters(model, "grid", r, p)
         if build_root_system(3).is_root(r + p):
             laws = fit_structure_functions(model, r, p)
             rel = _commutator(model, r, p, laws, tuples)
@@ -413,8 +417,7 @@ class TestCommutedCommutator:
 
     @pytest.mark.parametrize("model", [SP3, SL3])
     def test_trivial_record_fails_on_a_pair_summing_to_a_root(self, model):
-        tuples = relations._letter_tuples(model, "grid", DEFAULT_GRID,
-                                          R12, R23)
+        tuples = _letters(model, "grid", R12, R23)
         rep = _sweep(model, "grid",
                      _commutator(model, R12, R23, (), tuples))
         assert not rep.passed
@@ -433,13 +436,51 @@ class TestCommutedCommutator:
         (SL3, R12, R23),                                     # two slots
         (SL2, Root.of(2, 1, 2, 1, -1), Root.of(2, 1, 2, 1, 1))])  # a1b2-a2b1
     def test_a_bent_law_fails(self, model, r, p, factor, regime):
-        tuples = relations._letter_tuples(model, regime, DEFAULT_GRID, r, p)
+        tuples = _letters(model, regime, r, p)
         laws = fit_structure_functions(model, r, p)
         assert _sweep(model, regime,
                       _commutator(model, r, p, laws, tuples)).passed
         for k in range(len(laws)):
             rel = _commutator(model, r, p, _bent(laws, k, factor), tuples)
             assert not _sweep(model, regime, rel).passed
+
+
+class TestDesigns:
+    """Designs.of builds every parameter tuple of one run_suite call."""
+
+    # the rational constants a relation fixes, by design and slot: the sign
+    # of h-decomposition-split and the -1 of the involution and the h
+    # decomposition checks
+    FIXED = {"split": {0: (F(1), F(-1))}, "minus_one": {0: (F(-1),)}}
+
+    def test_each_symbolic_slot_is_its_own_symbol(self):
+        # a symbolic pass proves an identity for every value only when each
+        # slot is its own symbol: the design (a, a, b) proves a diagonal
+        designs = Designs.of("symbolic")
+        seen = set()
+        for f in fields(designs):
+            if f.name == "regime":
+                continue
+            design = getattr(designs, f.name)
+            if f.name == "letters":
+                design = [t for d in design.values() for t in d]
+            assert design, f.name
+            fixed = self.FIXED.get(f.name, {})
+            for tup in design:
+                names = []
+                for k, x in enumerate(relations._flat(tup)):
+                    if k in fixed:
+                        assert type(x) is F and x in fixed[k], (f.name, tup)
+                        continue
+                    assert isinstance(x, LaurentFrac), (f.name, tup)
+                    [(key, c)] = x.terms.items()
+                    [(name, e)] = key
+                    assert c == 1 and e == 1, (f.name, tup)
+                    names.append(name)
+                assert len(set(names)) == len(names), (f.name, tup)
+                seen.update(names)
+        # a failure witness prints these names
+        assert seen == {"a", "b", "a1", "a2", "b1", "b2", "c", "u", "v"}
 
 
 class TestSuiteMemo:
@@ -468,16 +509,16 @@ class TestSuiteMemo:
         assert bent[0].compiled != laws[0].compiled
         assert reverse[0].compiled == \
             (bent if model.is_sp else laws)[0].compiled
-        design = relations._designs(regime, DEFAULT_GRID)
-        tuples = design(model.param_arity(r), model.param_arity(p))
-        assert design(model.param_arity(p), model.param_arity(r)) is tuples
+        designs = Designs.of(regime, DEFAULT_GRID)
+        tuples = designs.letters[model.param_arity(r), model.param_arity(p)]
+        assert designs.letters[model.param_arity(p),
+                               model.param_arity(r)] is tuples
         if model.is_sp and regime == "grid":
             assert any(a is b for a, b in tuples)   # the diagonal
         real = relations.fit_structure_functions
         monkeypatch.setattr(relations, "fit_structure_functions", lambda *key:
                             bent if key == (model, r, p) else real(*key))
-        grid = DEFAULT_GRID if regime == "grid" else None
-        reports = relations.commutator_suites(model, regime, grid)
+        reports = relations.commutator_suites(model, designs)
         failed = [rep for rep in reports if not rep.passed]
         assert [rep.roots for rep in failed] == [(r, p)]
         assert failed[0].relation_id == "commutator"
@@ -491,13 +532,14 @@ class TestSuiteMemo:
         # the work each pair's own design asks for, counted by value;
         # this also fits every law before the counting starts
         system = build_root_system(3)
+        designs = Designs.of("grid", DEFAULT_GRID)
         points, letters, factors, computed = set(), set(), 0, 0
         for r in system.roots:
             for p in system.roots:
                 if not any(r + p):
                     continue
                 arities = (model.param_arity(r), model.param_arity(p))
-                tuples = param_tuples(*arities, DEFAULT_GRID)
+                tuples = designs.letters[arities]
                 letters |= {(r, a) for a, _b in tuples}
                 letters |= {(p, b) for _a, b in tuples}
                 # a trivial pair passes by support and multiplies nothing
@@ -523,7 +565,7 @@ class TestSuiteMemo:
         real_mul = relations.delta_mul
         monkeypatch.setattr(relations, "delta_mul", lambda a, b:
                             products.append(1) or real_mul(a, b))
-        reports = relations.commutator_suites(model, "grid", DEFAULT_GRID)
+        reports = relations.commutator_suites(model, designs)
         assert reports and all(rep.passed for rep in reports)
 
         # each law once per distinct (compiled form, a, b); one letter memo
@@ -597,17 +639,17 @@ class TestTrivialBySupport:
         assert r != p and any(r + p)
         assert not system.is_root(r + p)
         _bend(monkeypatch, model, r, p, bent)
-        grid = DEFAULT_GRID if regime == "grid" else None
+        designs = Designs.of(regime, DEFAULT_GRID)
         reports = {rep.roots: rep
-                   for rep in relations.commutator_suites(model, regime, grid)}
+                   for rep in relations.commutator_suites(model, designs)}
         forward, mirror = reports[r, p], reports[p, r]
-        design = relations._designs(regime, grid)
         for rep in (forward, mirror):
             assert rep.relation_id == "trivial-commutator"
             assert not rep.passed
             # the report of the pair's own record, swept alone
             q1, q2 = rep.roots
-            tuples = design(model.param_arity(q1), model.param_arity(q2))
+            tuples = designs.letters[model.param_arity(q1),
+                                     model.param_arity(q2)]
             alone = _sweep(model, regime, _commutator(model, q1, q2, (),
                                                       tuples))
             assert rep.to_json_dict() == alone.to_json_dict()
@@ -648,25 +690,25 @@ class TestTrivialBySupport:
         monkeypatch.setattr(relations, "letter_positions", lambda m, q:
                             real(m, q) + [(j, i, 1)] if q == r
                             else real(m, q))
-        grid = DEFAULT_GRID if regime == "grid" else None
+        designs = Designs.of(regime, DEFAULT_GRID)
         reports = {rep.roots: rep
-                   for rep in relations.commutator_suites(model, regime, grid)}
+                   for rep in relations.commutator_suites(model, designs)}
         assert not reports[r, p].passed and not reports[p, r].passed
 
     @pytest.mark.parametrize("model,regime", [
         (SP3, "grid"), (SL3, "grid"), (SP2, "symbolic"), (SL2, "symbolic")])
     def test_structural_reports_equal_full_sweeps(self, model, regime,
                                                   monkeypatch):
-        grid = DEFAULT_GRID if regime == "grid" else None
+        designs = Designs.of(regime, DEFAULT_GRID)
         computed = _counted_sides(monkeypatch)
-        structural = relations.commutator_suites(model, regime, grid)
+        structural = relations.commutator_suites(model, designs)
         trivial = [rep for rep in structural
                    if rep.relation_id == "trivial-commutator"]
         assert trivial and not any(computed[rep.roots] for rep in trivial)
         # the support check fails, so every pair is swept in full
         monkeypatch.setattr(relations, "_products_vanish", lambda s, t: False)
         computed.clear()
-        full = relations.commutator_suites(model, regime, grid)
+        full = relations.commutator_suites(model, designs)
         assert all(computed[rep.roots] == rep.instances for rep in trivial)
         assert [rep.to_json_dict() for rep in structural] == \
             [rep.to_json_dict() for rep in full]
@@ -836,7 +878,8 @@ class TestDenseOracleOnly:
             self, model, regime, monkeypatch):
         def reports():
             return {r.relation_id: r for r in
-                    relations.h_relation_suite(model, regime, DEFAULT_GRID)}
+                    relations.h_relation_suite(
+                        model, Designs.of(regime, DEFAULT_GRID))}
 
         assert reports()["h-literal-form"].passed
         # h(t) = w(t) w(+ref) is not w(t) w(ref)^{-1}
@@ -1031,8 +1074,8 @@ class TestComponentConjugation:
 
     def test_times_seven_fails_every_report(self, monkeypatch):
         def reports():
-            return relations._sl_component_conjugation(SL3, "grid",
-                                                       DEFAULT_GRID)
+            return relations._sl_component_conjugation(
+                SL3, Designs.of("grid", DEFAULT_GRID))
 
         assert len(reports()) == 42 and all(r.passed for r in reports())
         real = relations._monomial_conj
@@ -1048,8 +1091,8 @@ class TestComponentConjugation:
         real = relations.position_component_table
         monkeypatch.setattr(relations, "position_component_table", lambda n: {
             k: rd for k, rd in real(n).items() if k != (1, 2)})
-        reports = relations._sl_component_conjugation(SL3, "grid",
-                                                      DEFAULT_GRID)
+        reports = relations._sl_component_conjugation(
+            SL3, Designs.of("grid", DEFAULT_GRID))
         assert len(reports) == 42
         assert all(not r.passed and r.witness["entry"] == [1, 2]
                    for r in reports)
@@ -1066,8 +1109,8 @@ class TestComponentConjugation:
             return real(model, root, params)
 
         monkeypatch.setattr(relations, "w_delta", w_delta_bent)
-        reports = relations._sl_component_conjugation(SL3, "grid",
-                                                      DEFAULT_GRID)
+        reports = relations._sl_component_conjugation(
+            SL3, Designs.of("grid", DEFAULT_GRID))
         failed = [r for r in reports if not r.passed]
         assert [r.roots for r in failed] == [(gamma,)]
         assert failed[0].instances == 1
