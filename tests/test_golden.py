@@ -4,8 +4,10 @@ The files under ``tests/golden/`` are the exact stdout of ``chevalley``
 invocations.  ``verify-<family>-n<n>-<regime>.json`` holds one
 ``verify --suite all --format json`` report; ``decompose-<family>-n2.txt``
 holds, for every ordered non-antipodal root pair at n=2, a ``$ <argv>`` line
-followed by that ``decompose`` invocation's output, and
-``decompose-<family>-n2-symbolic.txt`` the same with symbol parameters;
+followed by that ``decompose`` invocation's output,
+``decompose-<family>-n2-symbolic.txt`` the same with symbol parameters, and
+``decompose-<family>-n3-symbolic.txt`` the same at n=3 over the pairs whose
+sum is a root, where a law is fitted on the indices the pair touches;
 ``reduce-<case>.txt`` holds one ``reduce`` invocation with its word file,
 and two more files pin stability witnesses and bracket decompositions (see
 the section below).
@@ -47,9 +49,11 @@ DECOMPOSE_PARAMS = {
 # symbol parameters, the same for every family, so that every factor
 # parameter and law prints as a Laurent polynomial
 SYMBOLIC_PARAMS = {1: ("a", "b"), 2: ("a1,a2", "b1,b2")}
-# (family, golden file suffix)
-DECOMPOSE_CASES = [(family, suffix) for suffix in ("", "-symbolic")
-                   for family in FAMILIES]
+# (family, n, golden file suffix): n=2 with fixed and with symbol
+# parameters, n=3 with symbol parameters
+DECOMPOSE_CASES = [(family, 2, suffix) for suffix in ("", "-symbolic")
+                   for family in FAMILIES] + \
+    [(family, 3, "-symbolic") for family in FAMILIES]
 
 
 def run_cli(argv):
@@ -68,27 +72,28 @@ def verify_cases():
             for regime in ("grid", "symbolic")]
 
 
-def decompose_argvs(family, symbolic=False):
-    """Every ordered non-antipodal root pair at n=2, fixed parameters."""
-    model = GroupModel(family, 2)
+def decompose_argvs(family, symbolic=False, n=2):
+    """Every ordered non-antipodal root pair at n=2, or every ordered pair
+    whose sum is a root at n=3; fixed parameters."""
+    model = GroupModel(family, n)
     params = SYMBOLIC_PARAMS if symbolic else DECOMPOSE_PARAMS[family]
-    roots = build_root_system(2).roots
+    system = build_root_system(n)
     out = []
-    for r in roots:
-        for p in roots:
-            if all(x + y == 0 for x, y in zip(r.coeffs, p.coeffs)):
+    for r in system.roots:
+        for p in system.roots:
+            if not any(r + p) or (n > 2 and not system.is_root(r + p)):
                 continue
             a = params[model.param_arity(r)][0]
             b = params[model.param_arity(p)][1]
             # attached values, so that argparse reads "-1,1" as a value
-            out.append(["decompose", "--model", family, "--n", "2",
+            out.append(["decompose", "--model", family, "--n", str(n),
                         "-r" + str(r), "-p" + str(p), "-a" + a, "-b" + b])
     return out
 
 
-def decompose_text(family, symbolic=False):
+def decompose_text(family, symbolic=False, n=2):
     chunks = []
-    for argv in decompose_argvs(family, symbolic):
+    for argv in decompose_argvs(family, symbolic, n):
         code, out = run_cli(argv)
         assert code == 0, argv
         chunks.append("$ %s\n%s" % (" ".join(argv), out))
@@ -103,11 +108,12 @@ def test_verify_golden(name, argv):
     assert out == (GOLDEN / name).read_text(encoding="utf-8")
 
 
-@pytest.mark.parametrize("family,suffix", DECOMPOSE_CASES,
-                         ids=[f + s for f, s in DECOMPOSE_CASES])
-def test_decompose_golden(family, suffix):
-    golden = GOLDEN / ("decompose-%s-n2%s.txt" % (family, suffix))
-    assert decompose_text(family, bool(suffix)) == \
+@pytest.mark.parametrize("family,n,suffix", DECOMPOSE_CASES,
+                         ids=[f + s if n == 2 else "%s-n%d%s" % (f, n, s)
+                              for f, n, s in DECOMPOSE_CASES])
+def test_decompose_golden(family, n, suffix):
+    golden = GOLDEN / ("decompose-%s-n%d%s.txt" % (family, n, suffix))
+    assert decompose_text(family, bool(suffix), n) == \
         golden.read_text(encoding="utf-8")
 
 
