@@ -42,6 +42,7 @@ built here: the ExactMatrix route is the tests' independent oracle.
 
 from __future__ import annotations
 
+from copy import copy
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
@@ -476,6 +477,12 @@ class StructureFunction:
                   for key, c in law.terms.items())
             for law in self.slot_laws))
 
+    def retargeted(self, target):
+        """This law with another target; the compiled form is shared."""
+        out = copy(self)
+        object.__setattr__(out, "target", target)
+        return out
+
     def evaluate(self, a, b):
         point = (*a, *b)
         return tuple(_evaluate_compiled(form, point) for form in self.compiled)
@@ -544,10 +551,68 @@ def _peel(model, combos, comm):
 def fit_structure_functions(model, r, p):
     """Symbolically extract the g-laws of [x_r(a), x_p(b)]; cached.
 
+    The laws are fitted once per index shape.  Let idx be the sorted union
+    of the supports of r and p, and k = max(2, len(idx)).  The pair is
+    compressed onto idx at rank k, fitted there (_fit_shape), and each law's
+    target is mapped back by i -> idx[i]; i, j, the slot laws and the slot
+    variables are kept.  This is sound because the order-preserving index
+    embedding iota, i -> idx[i] and i+k -> idx[i]+n on rows and columns, is
+    multiplicative on identity-plus-delta matrices, and the letters are
+    iota-equivariant: x_delta and w_delta at rank n are the iota-images of
+    the rank-k ones.  So the rank-n commutator delta is the iota-image of
+    the rank-k one, and every law reads the same entries.  When k = n, idx
+    is the identity and the call is the same.
+
     Raises RelationError if the factors do not reassemble, if a law has a
     negative exponent (so evaluating a law never divides), violates its
-    bidegree or (sp) is not a single integer monomial.
+    bidegree or (sp) is not a single integer monomial; the text names the
+    caller's roots.
     """
+    idx = sorted(set(r.support) | set(p.support))
+    k = max(2, len(idx))
+    try:
+        laws = _fit_shape(model.family, k, _onto(r, idx, k), _onto(p, idx, k))
+    except _ShapeError as exc:
+        raise RelationError(exc.template % tuple(
+            _into(q, idx, model.n) for q in exc.roots)) from None
+    return tuple(law.retargeted(_into(law.target, idx, model.n))
+                 for law in laws)
+
+
+class _ShapeError(RelationError):
+    """A fit failure at a pair's shape; ``template % roots`` is its text."""
+
+    def __init__(self, template, *roots):
+        super().__init__(template % roots)
+        self.template, self.roots = template, roots
+
+
+def _onto(root, idx, k):
+    """root read on the indices idx, as a root of rank k."""
+    c = root.coeffs
+    return _root(tuple(c[i - 1] for i in idx) + (0,) * (k - len(idx)),
+                 root.restricted_tag)
+
+
+def _into(root, idx, n):
+    """The rank-n image of a root on the first len(idx) indices: i -> idx[i]."""
+    c = [0] * n
+    for i, x in zip(idx, root.coeffs):
+        c[i - 1] = x
+    return _root(tuple(c), root.restricted_tag)
+
+
+def _root(coeffs, tag):
+    """The root with these coefficients and tag: the root system's own
+    object when untagged, so that no root is validated again."""
+    root = build_root_system(len(coeffs)).root_at(coeffs)
+    return root if tag is None else Root(coeffs, tag)
+
+
+@lru_cache(maxsize=None)
+def _fit_shape(family, n, r, p):
+    """The laws of [x_r(a), x_p(b)] fitted on GroupModel(family, n)."""
+    model = GroupModel(family, n)
     a_vars = ("a",) if model.param_arity(r) == 1 else ("a1", "a2")
     b_vars = ("b",) if model.param_arity(p) == 1 else ("b1", "b2")
     a = tuple(LaurentFrac.symbol(v) for v in a_vars)
@@ -558,24 +623,25 @@ def fit_structure_functions(model, r, p):
     for _i, _j, q in combos:
         for (row, col, _s) in root_entry_positions(model, q):
             if (row, col) in used:
-                raise RelationError("overlapping factor supports for %s,%s" % (r, p))
+                raise _ShapeError("overlapping factor supports for %s,%s",
+                                  r, p)
             used.add((row, col))
     factors = _peel(model, combos, comm)
     if factors is None:
-        raise RelationError("structure-law reassembly failed for %s,%s"
-                            % (r, p))
+        raise _ShapeError("structure-law reassembly failed for %s,%s", r, p)
     laws = []
     for i, j, q, vals in factors:
         if any(e < 0 for v in vals for key in v.terms for _name, e in key):
-            raise RelationError("structure law with a negative exponent "
-                                "for %s,%s" % (r, p))
+            raise _ShapeError("structure law with a negative exponent "
+                              "for %s,%s", r, p)
         sf = StructureFunction(i, j, q, vals, a_vars, b_vars)
         if not sf.bidegree_ok():
-            raise RelationError("bidegree violation at %s for pair %s,%s" % (q, r, p))
+            raise _ShapeError("bidegree violation at %s for pair %s,%s",
+                              q, r, p)
         if model.is_sp:
             terms = vals[0].terms
             if len(terms) > 1 or any(c.denominator != 1 for c in terms.values()):
-                raise RelationError("sp law is not a single integer monomial")
+                raise _ShapeError("sp law is not a single integer monomial")
         laws.append(sf)
     return tuple(laws)
 

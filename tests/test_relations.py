@@ -1,5 +1,6 @@
 """Relation verification: oracles, structure laws, suites, both regimes."""
 
+import itertools
 import random
 from dataclasses import fields, replace
 from fractions import Fraction
@@ -818,8 +819,119 @@ class TestCompiledLaws:
             (i, j, q, vals), *rest = real(*args)
             return [(i, j, q, (vals[0] / (a * a),) + vals[1:])] + rest
         monkeypatch.setattr(relations, "_peel", laurent)
+        # the shape fit under the public cache is cached too
+        relations._fit_shape.cache_clear()
         with pytest.raises(RelationError, match="negative exponent"):
             fit_structure_functions.__wrapped__(SP2, r, p)
+
+
+def _iota(emb, k, n):
+    """The order-preserving index embedding of rank k in rank n: row or
+    column i -> emb[i-1], i+k -> emb[i-1]+n."""
+    return lambda i: emb[i - 1] if i <= k else emb[i - k - 1] + n
+
+
+def _embed_root(root, emb, n):
+    c = [0] * n
+    for i, x in zip(emb, root.coeffs):
+        c[i - 1] = x
+    return Root(tuple(c), root.restricted_tag)
+
+
+def _law_data(laws):
+    """Everything a law holds, its compiled form included."""
+    return [(law.i, law.j, law.target, law.slot_laws, law.compiled,
+             law.a_vars, law.b_vars) for law in laws]
+
+
+def _clear_fits():
+    fit_structure_functions.cache_clear()
+    relations._fit_shape.cache_clear()
+
+
+class TestIndexEmbedding:
+    """Letters are equivariant under every order-preserving index embedding
+    of rank 4 in rank n; fit_structure_functions fits a pair at the rank of
+    its own indices on the strength of this."""
+
+    @pytest.mark.parametrize("n", [5, 6, 7])
+    @pytest.mark.parametrize("family", ["sp", "sl-r", "sl-c"])
+    def test_letters_are_the_images_of_rank_four_letters(self, family, n):
+        small, model = GroupModel(family, 4), GroupModel(family, n)
+        letters = []      # (kind, rank-4 root) with its symbol parameters
+        for root in build_root_system(4).roots:
+            params = symbolic_params(small.param_arity(root), "t")
+            letters += [(x_delta, root, params), (w_delta, root, params)]
+            if small.param_arity(root) == 2:
+                letters += [(x_delta, Root(root.coeffs, tag),
+                             symbolic_params(1, "t")) for tag in (1, 2)]
+        checks = 0
+        for emb in itertools.combinations(range(1, n + 1), 4):
+            iota = _iota(emb, 4, n)
+            for delta, root, params in letters:
+                image = {(iota(i), iota(j)): v
+                         for (i, j), v in delta(small, root, params).items()}
+                assert delta(model, _embed_root(root, emb, n), params) == \
+                    image, (emb, root)
+                checks += 1
+        # x and w on each of the 32 roots, and x on each tag of the 24 sl
+        # short roots
+        assert checks == comb(n, 4) * (64 if family == "sp" else 112)
+
+
+class TestShapeFit:
+    """fit_structure_functions fits each (family, index shape) once and
+    relabels the laws into rank n."""
+
+    @pytest.mark.parametrize("family", ["sp", "sl-r", "sl-c"])
+    def test_laws_equal_the_direct_fit(self, family):
+        for n in (2, 3, 4, 5):
+            model = GroupModel(family, n)
+            system = build_root_system(n)
+            for r in system.roots:
+                for p in system.roots:
+                    if any(r + p) and system.is_root(r + p):
+                        direct = relations._fit_shape.__wrapped__(
+                            family, n, r, p)
+                        assert _law_data(fit_structure_functions(
+                            model, r, p)) == _law_data(direct), (n, r, p)
+
+    @pytest.mark.parametrize("family", ["sp", "sl-r", "sl-c"])
+    def test_each_shape_is_fitted_once(self, family, monkeypatch):
+        # a shape key that held the rank-n model would fit every pair again
+        ranks = []
+        real = relations.commutator_delta
+        monkeypatch.setattr(relations, "commutator_delta", lambda m, *args:
+                            ranks.append(m.n) or real(m, *args))
+        calls, asked = [], []
+        for n in (2, 3, 4):
+            _clear_fits()
+            ranks.clear()
+            run_suite(GroupModel(family, n), "relations", "symbolic")
+            calls.append(len(ranks))
+            asked.append(fit_structure_functions.cache_info().misses)
+            assert set(ranks) <= {2, 3}
+        assert calls == [24, 72, 72]
+        # the public cache still counts the pairs asked
+        assert asked == [24, 120, 336]
+
+    def test_an_error_names_the_callers_roots(self, monkeypatch):
+        model = GroupModel("sp", 4)
+        r, p = Root.parse("0,1,0,-1"), Root.parse("0,0,0,2")
+        ranks = []
+        monkeypatch.setattr(relations, "_peel", lambda m, combos, comm:
+                            ranks.append(m.n))
+        _clear_fits()
+        reports = relations.commutator_suites(model, Designs.of("symbolic"))
+        (report,) = [rep for rep in reports if rep.roots == (r, p)]
+        assert (report.relation_id, report.verdict) == ("commutator", "fail")
+        assert report.note == \
+            "structure-law reassembly failed for 0,1,0,-1,0,0,0,2"
+        # the pair was fitted at rank 2, on its indices 2 and 4
+        ranks.clear()
+        with pytest.raises(RelationError) as exc:
+            fit_structure_functions(model, r, p)
+        assert ranks == [2] and str(exc.value) == report.note
 
 
 class TestHRelations:
