@@ -51,7 +51,7 @@ from .generators import (GRID, REGIMES, SYMBOLIC, GroupModel, MonomialForm,
                          h_reference, letter_positions,
                          position_component_table, root_entry_positions,
                          w_factors, with_mode)
-from .roots import Root, build_root_system, positive_combinations
+from .roots import Root, build_root_system, positive_combinations, root_at
 from .scalars import LaurentFrac, format_scalar, join_mode, mode_of
 
 DEFAULT_GRID = (Fraction(1), Fraction(-1), Fraction(2), Fraction(-2),
@@ -605,7 +605,7 @@ def _into(root, idx, n):
 def _root(coeffs, tag):
     """The root with these coefficients and tag: the root system's own
     object when untagged, so that no root is validated again."""
-    root = build_root_system(len(coeffs)).root_at(coeffs)
+    root = root_at(coeffs)
     return root if tag is None else Root(coeffs, tag)
 
 

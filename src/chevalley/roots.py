@@ -197,7 +197,30 @@ class RootSystem:
 
 @lru_cache(maxsize=None)
 def _membership_index(n):
-    return {r.coeffs: r for r in _build_root_system(n).roots}
+    """Every root of rank n by its coefficients, unordered: a lookup needs
+    no height order, so it is built without one."""
+    if n < 2:
+        raise RootError("rank must be at least 2, got %d" % n)
+    roots = []
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            for si in (1, -1):
+                for sj in (1, -1):
+                    roots.append(Root.of(n, i, j, si, sj))
+        roots.append(Root.of(n, i))
+        roots.append(Root.of(n, i, si=-1))
+    return {r.coeffs: r for r in roots}
+
+
+def root_at(coeffs):
+    """The root with these coefficients, of rank len(coeffs): the object
+    that root system holds, found without building the system."""
+    coeffs = tuple(coeffs)
+    try:
+        return _membership_index(len(coeffs))[coeffs]
+    except KeyError:
+        raise RootError("%r is not a root for n=%d"
+                        % (coeffs, len(coeffs))) from None
 
 
 def build_root_system(rank_or_model):
@@ -214,17 +237,7 @@ def build_root_system(rank_or_model):
 
 @lru_cache(maxsize=None)
 def _build_root_system(n):
-    if n < 2:
-        raise RootError("rank must be at least 2, got %d" % n)
-    roots = []
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            for si in (1, -1):
-                for sj in (1, -1):
-                    roots.append(Root.of(n, i, j, si, sj))
-        roots.append(Root.of(n, i))
-        roots.append(Root.of(n, i, si=-1))
-    roots.sort(key=Root.sort_key)
+    roots = sorted(_membership_index(n).values(), key=Root.sort_key)
     positive = tuple(r for r in roots if r.height() > 0)
     simple = tuple([Root.of(n, i, i + 1, 1, -1) for i in range(1, n)]
                    + [Root.of(n, n)])
@@ -241,13 +254,14 @@ def positive_combinations(r, p):
         raise RootError("rank mismatch")
     if not any(r + p):
         raise RootError("antipodal pair has no commutator decomposition")
-    system = build_root_system(r.n)
+    index = _membership_index(r.n)
     out = []
     for i in range(1, 4):
         for j in range(1, 4):
-            combo = tuple(i * a + j * b for a, b in zip(r.coeffs, p.coeffs))
-            if any(combo) and system.is_root(combo):
-                out.append((i, j, system.root_at(combo)))
+            q = index.get(tuple(i * a + j * b
+                                for a, b in zip(r.coeffs, p.coeffs)))
+            if q is not None:
+                out.append((i, j, q))
     out.sort(key=lambda t: (t[0] + t[1], t[0]))
     return out
 

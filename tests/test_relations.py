@@ -885,16 +885,23 @@ class TestShapeFit:
 
     @pytest.mark.parametrize("family", ["sp", "sl-r", "sl-c"])
     def test_laws_equal_the_direct_fit(self, family):
+        # every pair with r+p a root, and up to n=3 each tagged component of
+        # an sl short root as well
         for n in (2, 3, 4, 5):
             model = GroupModel(family, n)
             system = build_root_system(n)
-            for r in system.roots:
-                for p in system.roots:
-                    if any(r + p) and system.is_root(r + p):
-                        direct = relations._fit_shape.__wrapped__(
-                            family, n, r, p)
-                        assert _law_data(fit_structure_functions(
-                            model, r, p)) == _law_data(direct), (n, r, p)
+
+            def letters(root):
+                tags = (1, 2) if n < 4 and model.param_arity(root) == 2 \
+                    else ()
+                return [root] + [Root(root.coeffs, tag) for tag in tags]
+            for r, p in itertools.product(system.roots, repeat=2):
+                if not any(r + p) or not system.is_root(r + p):
+                    continue
+                for x, y in itertools.product(letters(r), letters(p)):
+                    direct = relations._fit_shape.__wrapped__(family, n, x, y)
+                    assert _law_data(fit_structure_functions(model, x, y)) \
+                        == _law_data(direct), (n, x, y)
 
     @pytest.mark.parametrize("family", ["sp", "sl-r", "sl-c"])
     def test_each_shape_is_fitted_once(self, family, monkeypatch):

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chevalley import roots
 from chevalley.roots import (CartanVector, Root, RootError,
                              build_root_system, positive_combinations,
-                             standard_sl_roots)
+                             root_at, standard_sl_roots)
 
 
 class TestBuild:
@@ -49,6 +50,18 @@ class TestBuild:
     def test_rejects_rank_one(self):
         with pytest.raises(RootError):
             build_root_system(1)
+
+    def test_root_at_gives_the_systems_roots_without_ordering_them(self):
+        for n in (2, 3, 4, 5):
+            built = roots._build_root_system.cache_info().currsize
+            assert root_at((0,) * (n - 1) + (-2,)) == Root.of(n, n, si=-1)
+            assert roots._build_root_system.cache_info().currsize == built
+            system = build_root_system(n)
+            assert all(root_at(r.coeffs) is r for r in system.roots)
+        with pytest.raises(RootError):
+            root_at((1, 1, 1))
+        with pytest.raises(RootError):
+            root_at((2,))
 
     def test_ordering_deterministic(self):
         a = [r.coeffs for r in build_root_system(3).roots]
