@@ -51,7 +51,8 @@ from .generators import (GRID, REGIMES, SYMBOLIC, GroupModel, MonomialForm,
                          h_reference, letter_positions,
                          position_component_table, root_entry_positions,
                          w_factors, with_mode)
-from .roots import Root, build_root_system, positive_combinations, root_at
+from .roots import (Root, RootError, build_root_system, positive_combinations,
+                    root_at)
 from .scalars import LaurentFrac, format_scalar, join_mode, mode_of
 
 DEFAULT_GRID = (Fraction(1), Fraction(-1), Fraction(2), Fraction(-2),
@@ -566,8 +567,10 @@ def fit_structure_functions(model, r, p):
     Raises RelationError if the factors do not reassemble, if a law has a
     negative exponent (so evaluating a law never divides), violates its
     bidegree or (sp) is not a single integer monomial; the text names the
-    caller's roots.
+    caller's roots; RootError unless r and p have the model's rank.
     """
+    if r.n != model.n or p.n != model.n:
+        raise RootError("rank mismatch")
     idx = sorted(set(r.support) | set(p.support))
     k = max(2, len(idx))
     try:

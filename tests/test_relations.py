@@ -25,7 +25,7 @@ from chevalley.relations import (DEFAULT_GRID, Designs, Relation,
                                  h_delta, run_suite, symbolic_params,
                                  verify_additivity, verify_commutator,
                                  w_delta, x_delta)
-from chevalley.roots import Root, build_root_system
+from chevalley.roots import Root, RootError, build_root_system
 from chevalley.scalars import (GaussianRational, LaurentFrac, format_scalar,
                                parse_scalar)
 
@@ -921,6 +921,13 @@ class TestShapeFit:
         assert calls == [24, 72, 72]
         # the public cache still counts the pairs asked
         assert asked == [24, 120, 336]
+
+    @pytest.mark.parametrize("r,p", [
+        (Root.of(2, 1, 2, 1, -1), Root.of(3, 2, 3, 1, 1)),
+        (Root.of(2, 1, 2, 1, -1), Root.of(2, 2))], ids=["mixed", "both"])
+    def test_roots_of_another_rank_are_rejected(self, r, p):
+        with pytest.raises(RootError, match="rank mismatch"):
+            fit_structure_functions(SP3, r, p)
 
     def test_an_error_names_the_callers_roots(self, monkeypatch):
         model = GroupModel("sp", 4)
