@@ -858,7 +858,7 @@ class TestIndexEmbedding:
     @pytest.mark.parametrize("family", ["sp", "sl-r", "sl-c"])
     def test_letters_are_the_images_of_rank_four_letters(self, family, n):
         small, model = GroupModel(family, 4), GroupModel(family, n)
-        letters = []      # (kind, rank-4 root) with its symbol parameters
+        letters = []      # (delta function, rank-4 root, symbol params)
         for root in build_root_system(4).roots:
             params = symbolic_params(small.param_arity(root), "t")
             letters += [(x_delta, root, params), (w_delta, root, params)]
