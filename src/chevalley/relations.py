@@ -13,11 +13,11 @@ Families (reports carry these ids):
 * ``weyl-conj-1..6``        conjugation of w/h letters by w elements (sp)
 * ``weyl-w-conj-1..3``      w-by-w conjugation displays (sl)
 * ``w-inversion``           w_g(t1,t2) = w_{-g}(-1/t1, -1/t2) and variants
-* ``weyl-component-conj``   w x^delta_beta(v) w^{-1} relabelled through w's
-                            monomial form: target in the component table,
-                            value as the SL2 blocks of w predict, and
-                            w(-t) = w(t)^{-1} once per form (sl; Carter's
-                            signs eta are not yet the oracle)
+* ``weyl-component-conj``   w x^delta_beta(v) w^{-1} through w's monomial
+                            form: per w-form, that form is the one the SL2
+                            blocks of w predict, every target lies in the
+                            component table and w(-t) = w(t)^{-1} (sl;
+                            Carter's signs eta are not yet the oracle)
 * ``h-decomposition-*``     long-root h decomposition through the short torus (sp)
 * ``monomial-form-1..7``    the explicit permutation-times-diagonal displays
 
@@ -934,20 +934,34 @@ def _sl_component_conjugation(model, designs):
     support with the value the SL2 blocks of w predict; one aggregated report
     per w-form: (u) on long roots, and (u,0), (0,u), (u,v) on short ones.
 
-    The conjugate is a relabel through the monomial form of w, so no
-    instance takes a delta product.  The prediction is a second route: each
-    nonzero slot t on a component (r, c) of gamma is the block
-    [[0, t], [-1/t, 0]] on rows and columns r, c (Steinberg's w in SL2), and
-    its target must lie in the component table.  Each form also checks once
-    that w(-t) is the inverse of w(t); if not, every instance fails.
-    Carter's signs eta are not yet the oracle here.
+    The prediction is a monomial form of its own: each nonzero slot t on a
+    component (r, c) of gamma is the block [[0, t], [-1/t, 0]] on rows and
+    columns r, c (Steinberg's w in SL2).  For w = p(pi) diag(d),
+    w e_rc w^{-1} = (d_r / d_c) e_{pi(r), pi(c)}, so when the form read off
+    w equals the prediction (perm and diag exactly), every target lies in
+    the component table and w(-t) is the inverse of w(t), the form passes
+    with no per-instance arithmetic.  Any other form is swept in full: each
+    instance relabels v through w's form and compares it with the value the
+    prediction gives at the target, so its verdict and witness are the
+    instance-by-instance ones; if w(-t) is not the inverse, every instance
+    fails.  Carter's signs eta are not yet the oracle here.
     """
+    regime = designs.regime
+    return [_passed(model, regime, rel) if proven else _sweep(model, regime, rel)
+            for rel, proven in _component_records(model, designs)]
+
+
+def _component_records(model, designs):
+    """(Relation, proven) per (gamma, w-form) of weyl-component-conj; proven
+    when w's monomial form is the SL2-block prediction, its targets lie in
+    the component table and w(-t) inverts w(t)."""
     n = model.n
     system = build_root_system(n)
     table = position_component_table(n)
     (v, u, u2), = designs.component
     tuples = [(beta, d) for beta in system.roots
               for d in ((1,) if beta.is_long else (1, 2))]
+    cells = [root_entry_positions(model, beta)[d - 1][:2] for beta, d in tuples]
 
     def relation(gamma, wparams, label):
         wd = w_delta(model, gamma, wparams)
@@ -967,15 +981,17 @@ def _sl_component_conjugation(model, designs):
                 return out, {}
             return out, {target: _scaled(diag[row - 1], v, diag[col - 1])}
 
+        proven = not inverse and form == predicted and all(
+            (perm[row - 1], perm[col - 1]) in table for row, col in cells)
         return Relation("weyl-component-conj", (gamma,), tuples, sides,
-                        shown=lambda beta, d: (v,), params=label)
+                        shown=lambda beta, d: (v,), params=label), proven
 
-    relations = []
+    records = []
     for gamma in system.roots:
         forms = [((u,), "u")] if gamma.is_long else \
             [((u, _ZERO), "(u,0)"), ((_ZERO, u), "(0,u)"), ((u, u2), "(u,v)")]
-        relations += [relation(gamma, *form) for form in forms]
-    return _sweep_all(model, designs.regime, relations)
+        records += [relation(gamma, *form) for form in forms]
+    return records
 
 
 def _monomial_conj(form, inner):

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import itemgetter
 
 from .scalars import ScalarError, read_integer, read_list
 
@@ -237,11 +238,13 @@ def build_root_system(rank_or_model):
 
 @lru_cache(maxsize=None)
 def _build_root_system(n):
-    roots = sorted(_membership_index(n).values(), key=Root.sort_key)
-    positive = tuple(r for r in roots if r.height() > 0)
+    keyed = sorted(((r.sort_key(), r) for r in _membership_index(n).values()),
+                   key=itemgetter(0))
+    roots = tuple(r for _key, r in keyed)
+    positive = tuple(r for key, r in keyed if key[0] > 0)
     simple = tuple([Root.of(n, i, i + 1, 1, -1) for i in range(1, n)]
                    + [Root.of(n, n)])
-    return RootSystem(n, tuple(roots), positive, simple)
+    return RootSystem(n, roots, positive, simple)
 
 
 def positive_combinations(r, p):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chevalley import relations
+from chevalley import generators, relations
 from chevalley.generators import (GeneratorError, GeneratorLetter, GroupModel,
                                   MonomialForm, gen_h, gen_x, h_reference,
                                   letter_positions)
@@ -1198,18 +1198,79 @@ class TestComponentConjugation:
         per_kind = {"sp": {2: 96, 3: 540}}.get(family, {2: 192, 3: 1260})[n]
         assert checked == 2 * per_kind * len(values)
 
-    def test_times_seven_fails_every_report(self, monkeypatch):
-        def reports():
-            return relations._sl_component_conjugation(
-                SL3, Designs.of("grid", DEFAULT_GRID))
+    @staticmethod
+    def sl3_reports(regime):
+        return relations._sl_component_conjugation(
+            SL3, Designs.of(regime, DEFAULT_GRID))
 
-        assert len(reports()) == 42 and all(r.passed for r in reports())
-        real = relations._monomial_conj
-        monkeypatch.setattr(relations, "_monomial_conj", lambda form, inner: {
-            k: 7 * x for k, x in real(form, inner).items()})
-        failed = [r for r in reports() if not r.passed]
+    @pytest.mark.parametrize("regime", ["grid", "symbolic"])
+    def test_times_seven_on_a_column_of_w_fails_every_report(
+            self, monkeypatch, regime):
+        # one non-unit column scale of the form read off w; a uniform x7
+        # would cancel in d_r / d_c
+        assert [r.passed for r in self.sl3_reports(regime)] == [True] * 42
+        real = MonomialForm.from_delta
+
+        def bent(delta, size):
+            form = real(delta, size)
+            j = next(j for j, i in enumerate(form.perm) if i != j + 1)
+            diag = list(form.diag)
+            diag[j] = 7 * diag[j]
+            return MonomialForm(form.perm, tuple(diag))
+
+        monkeypatch.setattr(MonomialForm, "from_delta", staticmethod(bent))
+        failed = [r for r in self.sl3_reports(regime) if not r.passed]
         assert len(failed) == 42
-        assert all(r.instances == 1 for r in failed)
+
+    @pytest.mark.parametrize("regime", ["grid", "symbolic"])
+    def test_times_seven_on_the_predicted_t_fails_every_report(
+            self, monkeypatch, regime):
+        # the column c of each block [[0, t], [-1/t, 0]] predicts 7t
+        real = relations._sl2_block_form
+
+        def bent(model, gamma, params):
+            form = real(model, gamma, params)
+            diag = list(form.diag)
+            for (_r, c, _s), t in zip(
+                    relations.root_entry_positions(model, gamma), params):
+                if t:
+                    diag[c - 1] = 7 * diag[c - 1]
+            return MonomialForm(form.perm, tuple(diag))
+
+        monkeypatch.setattr(relations, "_sl2_block_form", bent)
+        failed = [r for r in self.sl3_reports(regime) if not r.passed]
+        assert len(failed) == 42
+
+    @pytest.mark.parametrize("family", ["sl-r", "sl-c"])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("regime", ["grid", "symbolic"])
+    def test_reports_equal_the_full_sweep(self, family, n, regime):
+        model = GroupModel(family, n)
+        designs = Designs.of(regime, DEFAULT_GRID)
+        records = relations._component_records(model, designs)
+        assert all(proven for _rel, proven in records)
+        assert relations._sl_component_conjugation(model, designs) == [
+            _sweep(model, regime, rel) for rel, _proven in records]
+
+    def test_a_passing_suite_relabels_no_value(self, monkeypatch):
+        # the per-form check replaces 42 forms x 30 tuples of relabelling
+        for fn in (*vars(relations).values(), *vars(generators).values()):
+            if hasattr(fn, "cache_clear"):
+                fn.cache_clear()
+        calls = []
+        real = relations._monomial_conj
+
+        def counted(form, inner):
+            calls.append(inner)
+            return real(form, inner)
+
+        monkeypatch.setattr(relations, "_monomial_conj", counted)
+        reports = run_suite(SL3, "weyl", "symbolic")
+        component = [r for r in reports
+                     if r.relation_id == "weyl-component-conj"]
+        assert len(component) == 42 and all(r.passed for r in reports)
+        assert [r.instances for r in component] == [30] * 42
+        assert calls == []
 
     def test_target_outside_the_component_table_fails(self, monkeypatch):
         # drop the L1-L2 component at (1, 2) from the table: each form maps

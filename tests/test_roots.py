@@ -70,6 +70,15 @@ class TestBuild:
         heights = [r.height() for r in build_root_system(3).roots]
         assert heights == sorted(heights)
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_roots_sorted_by_key_and_positive_by_height(self, n):
+        # the builder reads each height once, off the sort key
+        system = build_root_system(n)
+        assert list(system.roots) == sorted(system.roots, key=Root.sort_key)
+        assert system.positive == tuple(r for r in system.roots
+                                        if r.height() > 0)
+        assert len(system.positive) == len(system.roots) // 2
+
 
 def _express_in_simple(target, simple):
     # brute-force small nonnegative integer combinations
