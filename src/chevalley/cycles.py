@@ -17,7 +17,9 @@ evaluation exactly:
 Every move carries a stability tag: Stable(witness) when the roots it
 touches admit a common strictly-contracting element on the given region,
 found by the arrangement solver, else Unstable (the h-multiplicativity
-template always is, since it touches an antipodal pair).
+template always is, since it touches an antipodal pair).  A conjugation push
+touches its conjugator's root; every other move touches the roots of the
+letters it removes and inserts.
 
 Two letter systems share the engine: the restricted root system of a group
 model, and the standard special-linear system of elementary matrices
@@ -46,10 +48,10 @@ from fractions import Fraction
 from .arrangements import find_stable_element
 from .generators import (GeneratorLetter, h_reference,
                          position_component_table, read_letter, w_factors)
-from .matrices import ExactMatrix, delta_to_matrix, mat_prod
+from .matrices import ExactMatrix, delta_to_matrix, mat_prod, row_reduce
 from .relations import (delta_mul, delta_word, fit_structure_functions,
                         h_delta, w_delta, x_delta)
-from .roots import CartanVector, Root, build_root_system
+from .roots import CartanVector, Root, build_root_system, root_at
 from .scalars import format_scalar, join_mode, mode_of, read_lines
 
 
@@ -193,7 +195,7 @@ class RestrictedSystem:
         for p in self.system.roots:
             q = tuple(t - a for t, a in zip(target.coeffs, p.coeffs))
             if any(q) and self.system.is_root(q):
-                out.append((p, self.system.root_at(q)))
+                out.append((p, root_at(q)))
         return out
 
     def unit_params(self, root):
@@ -320,7 +322,8 @@ def is_stable_word(word, region=None):
 def _stability(memo, system, region, roots):
     """Stability of a list of functionals on the region, memoized in the
     caller's dict on the set of functionals, so duplicates and order drop
-    out.  The set is solved in sorted order; the witness does not depend on
+    out; a root is read as its coefficients, so a restricted tag drops out
+    too.  The set is solved in sorted order; the witness does not depend on
     that order, since the row-merged elimination keeps one canonical row per
     direction."""
     key = frozenset(r.coeffs for r in roots)
@@ -464,8 +467,7 @@ def reduce_cycle(word, region=None, budget=10000):
     if not word.is_cycle():
         raise NonCycleError("word does not evaluate to the identity")
     state = _Reducer(word.system, region, budget)
-    letters = state.run(list(word.letters))
-    final = Word(word.system, tuple(letters))
+    final = Word(word.system, state.run(word.letters))
     trace = ReductionTrace(word, tuple(state.moves), final)
     if final.letters:
         return ReductionFailure(trace, state.stuck_reason)
@@ -479,38 +481,63 @@ class _Reducer:
         self.budget = budget
         self.moves = []
         self.stuck_reason = None
-        # adjacent pair (a, b) -> (relation id, inserted, stability) or None
+        # adjacent pair (a, b) -> (relation id, factor letters) or None
         self.swaps = {}
         # root set -> Stability, for this reduction only
         self.stabilities = {}
-
-    def _stability(self, roots):
-        return _stability(self.stabilities, self.system, self.region, roots)
-
-    def _emit(self, letters, move):
-        self.moves.append(move)
-        return list(move.apply(tuple(letters)))
-
-    _FORCED = ("_zero_drop", "_free_cancel", "_h_mult_template",
-               "_additivity_merge")
 
     def run(self, letters):
         while letters:
             if len(self.moves) >= self.budget:
                 self.stuck_reason = "budget exhausted"
                 break
-            for name in self._FORCED:
-                step = getattr(self, name)(letters)
-                if step is not None:
-                    letters = step
-                    break
-            else:
-                move = next(self._choice_moves(tuple(letters)), None)
-                if move is None:
-                    self.stuck_reason = "no applicable move"
-                    break
-                letters = self._emit(letters, move)
+            move = self._forced(letters)
+            if move is None:
+                move = next(self._choice_moves(letters), None)
+            if move is None:
+                self.stuck_reason = "no applicable move"
+                break
+            self.moves.append(move)
+            letters = move.apply(letters)
         return letters
+
+    def _move(self, kind, relation_id, i, removed, inserted, touched):
+        """The move at position i, tagged with the stability of the roots
+        of the letters it touches."""
+        return ReductionMove(kind, relation_id, i, removed, inserted,
+                             _stability(self.stabilities, self.system,
+                                        self.region,
+                                        [l.root for l in touched]))
+
+    def _forced(self, letters):
+        """The first length-reducing move, in priority order: a zero drop,
+        a free cancellation, the h-multiplicativity template, an additivity
+        merge; None when none applies."""
+        for i, l in enumerate(letters):
+            if not any(l.params):
+                return self._move("relation-substitution", "additivity", i,
+                                  (l,), (), (l,))
+        merge = None
+        for i in range(len(letters) - 1):
+            a, b = letters[i], letters[i + 1]
+            if a.root == b.root:
+                if _params_negate(a, b):
+                    return self._move("free-cancellation", None, i, (a, b),
+                                      (), (a, b))
+                if merge is None:
+                    merge = i
+        i = _match_h_mult(letters)
+        if i is not None:
+            window = letters[i:i + _H_MULT_SPAN]
+            return self._move("relation-substitution", "h-multiplicativity",
+                              i, window, (), window)
+        if merge is not None:
+            a, b = letters[merge], letters[merge + 1]
+            merged = self.system.letter(
+                a.root, tuple(x + y for x, y in zip(a.params, b.params)))
+            return self._move("relation-substitution", "additivity", merge,
+                              (a, b), (merged,), (a, b, merged))
+        return None
 
     def _choice_moves(self, letters):
         """Commutator swaps and conjugation pushes, generated on demand:
@@ -540,18 +567,17 @@ class _Reducer:
                 if not _params_negate(a, c) or before[i + 1] != before[j]:
                     continue
                 inner = letters[i + 1:j]
-                yield ReductionMove(
-                    "conjugation-push", None, i, (a,) + inner + (c,), inner,
-                    self._stability([a.root.untagged()]))
+                yield self._move("conjugation-push", None, i,
+                                 (a,) + inner + (c,), inner, (a, c))
             swap = self._swap(a, b)
             if swap is not None:
-                relation_id, inserted, stability = swap
-                yield ReductionMove("relation-substitution", relation_id, i,
-                                    (a, b), inserted, stability)
+                relation_id, factors = swap
+                yield self._move("relation-substitution", relation_id, i,
+                                 (a, b), factors + (b, a), (a, b) + factors)
 
     def _swap(self, a, b):
         """x_a x_b -> [x_a, x_b] x_b x_a at an inversion, memoized per pair:
-        (relation id, inserted letters, stability), or None."""
+        (relation id, the commutator's factor letters), or None."""
         key = (a, b)
         if key in self.swaps:
             return self.swaps[key]
@@ -561,54 +587,10 @@ class _Reducer:
         if ra.sort_key() > rb.sort_key() and any(ra + rb):
             factors = self.system.swap_factors(a, b)
             if factors is not None:
-                touched = [l.root.untagged() for l in [a, b] + factors]
                 out = ("commutator" if factors else "trivial-commutator",
-                       tuple(factors) + (b, a), self._stability(touched))
+                       tuple(factors))
         self.swaps[key] = out
         return out
-
-    # -- individual move finders ----------------------------------------
-
-    def _zero_drop(self, letters):
-        for i, l in enumerate(letters):
-            if not any(l.params):
-                move = ReductionMove(
-                    "relation-substitution", "additivity", i, (l,), (),
-                    self._stability([l.root.untagged()]))
-                return self._emit(letters, move)
-        return None
-
-    def _free_cancel(self, letters):
-        for i in range(len(letters) - 1):
-            a, b = letters[i], letters[i + 1]
-            if _same_root(a, b) and _params_negate(a, b):
-                move = ReductionMove(
-                    "free-cancellation", None, i, (a, b), (),
-                    self._stability([a.root.untagged()]))
-                return self._emit(letters, move)
-        return None
-
-    def _additivity_merge(self, letters):
-        for i in range(len(letters) - 1):
-            a, b = letters[i], letters[i + 1]
-            if _same_root(a, b):
-                merged = self.system.letter(
-                    a.root, tuple(x + y for x, y in zip(a.params, b.params)))
-                move = ReductionMove(
-                    "relation-substitution", "additivity", i, (a, b), (merged,),
-                    self._stability([a.root.untagged()]))
-                return self._emit(letters, move)
-        return None
-
-    def _h_mult_template(self, letters):
-        hit = _match_h_mult(letters)
-        if hit is None:
-            return None
-        i, span, roots = hit
-        move = ReductionMove(
-            "relation-substitution", "h-multiplicativity", i,
-            tuple(letters[i:i + span]), (), self._stability(roots))
-        return self._emit(letters, move)
 
 
 class _PrefixProducts:
@@ -628,16 +610,16 @@ class _PrefixProducts:
         return deltas[k]
 
 
-def _same_root(a, b):
-    return a.root == b.root
-
-
 def _params_negate(a, b):
     return all(x + y == 0 for x, y in zip(a.params, b.params))
 
 
+_H_MULT_SPAN = 12
+
+
 def _match_h_mult(letters):
-    """Find the 12-letter h(t1) h(t2) h(t1 t2)^{-1} pattern.
+    """The start of the first 12-letter h(t1) h(t2) h(t1 t2)^{-1} window,
+    or None.
 
     The w-words w_r(t) = x_r(t) x_{-r}(-1/t) x_r(t) at t = A, -1, B, -AB over
     an untagged root r; sl letters carry the value in one slot with the other
@@ -645,15 +627,14 @@ def _match_h_mult(letters):
     is computed, and on its values before any is inverted: t must be a unit,
     t * (-1/t) = -1, so a merged sum such as a+b never matches.
     """
-    size = 12
-    for i in range(len(letters) - size + 1):
+    for i in range(len(letters) - _H_MULT_SPAN + 1):
         r = letters[i].root
         if r.restricted_tag is not None or letters[i + 2].root != r:
             continue
         neg = letters[i + 1].root
         if neg.restricted_tag is not None or any(neg + r):
             continue
-        window = letters[i:i + size]
+        window = letters[i:i + _H_MULT_SPAN]
         if any(w.root != pr for w, pr in zip(window, (r, neg, r) * 4)):
             continue
         params = window[0].params
@@ -672,7 +653,7 @@ def _match_h_mult(letters):
         expect = [p for t in (params, neg_ref, b_params, ab_params)
                   for _r, p in w_factors(r, t)]
         if [w.params for w in window] == expect:
-            return (i, size, [r, neg])
+            return i
     return None
 
 
@@ -739,41 +720,27 @@ def bracket_decompose(system, target_letter, region=None, companions=()):
 def _solve_left_params(system, p, q, q_params, target_delta):
     """Parameters a with [x_p(a), x_q(q_params)] matching the target delta.
 
-    Solves slot by slot using the linearity of the top structure law in a,
-    then verifies the commutator exactly (which also rules out spill into
-    other string factors)."""
+    The top structure law is linear in a, so a solves one linear system:
+    one row per matrix entry, the commutators at the unit probes a = e_k as
+    its columns and the target as its right-hand side.  One row_reduce
+    solves it; free slots stay 0 and an inconsistent system has no
+    solution.  The commutator is then checked exactly, which also rules out
+    spill into other string factors."""
     if not target_delta:
         return None
     arity = len(system.unit_params(p))
-    zero = Fraction(0)
-    one = Fraction(1)
-    probes = [tuple(one if t == k else zero for t in range(arity))
-              for k in range(arity)]
-    basis = [commutator_value(system, p, probe, q, q_params) for probe in probes]
-    # a = sum c_k probe_k works when the law is linear in a, which holds for
-    # single-string targets; verify at the end regardless.
-    # build candidate coefficients from the first support entry present in
-    # some basis commutator
-    for combo in _combo_candidates(basis, target_delta, arity):
-        comm = commutator_value(system, p, combo, q, q_params)
-        if comm == target_delta:
-            return combo
-    return None
-
-
-def _combo_candidates(basis, target_delta, arity):
-    """Candidate parameter tuples: single-slot solutions then a joint solve."""
-    zero = Fraction(0)
-    for k, bd in enumerate(basis):
-        if not bd:
-            continue
-        key = next(iter(sorted(bd)))
-        if key in target_delta:
-            ratio = target_delta[key] / bd[key]
-            yield tuple(ratio if t == k else zero for t in range(arity))
-    if arity == 2 and basis[0] and basis[1]:
-        k0 = next(iter(sorted(basis[0])))
-        k1 = next(iter(sorted(basis[1])))
-        if k0 != k1 and k0 in target_delta and k1 in target_delta:
-            yield (target_delta[k0] / basis[0][k0],
-                   target_delta[k1] / basis[1][k1])
+    zero, one = Fraction(0), Fraction(1)
+    basis = [commutator_value(system, p, tuple(one if t == k else zero
+                                               for t in range(arity)),
+                              q, q_params) for k in range(arity)]
+    rows = [[b.get(e, zero) for b in basis] + [target_delta.get(e, zero)]
+            for e in sorted(set(target_delta).union(*basis))]
+    rref, pivots, _det = row_reduce(rows, arity)
+    if any(row[arity] for row in rref[len(pivots):]):
+        return None
+    a = [zero] * arity
+    for row, col in zip(rref, pivots):
+        a[col] = row[arity]
+    a = tuple(a)
+    return a if commutator_value(system, p, a, q, q_params) == target_delta \
+        else None

@@ -189,12 +189,6 @@ class RootSystem:
     def _index(self):
         return _membership_index(self.n)
 
-    def root_at(self, coeffs):
-        try:
-            return self._index[tuple(coeffs)]
-        except KeyError:
-            raise RootError("%r is not a root for n=%d" % (coeffs, self.n))
-
 
 @lru_cache(maxsize=None)
 def _membership_index(n):
@@ -224,20 +218,15 @@ def root_at(coeffs):
                         % (coeffs, len(coeffs))) from None
 
 
-def build_root_system(rank_or_model):
+@lru_cache(maxsize=None)
+def build_root_system(n):
     """All roots ±L_i±L_j (i<j) and ±2L_i, ordered height-then-lex.
 
-    Accepts a rank or anything with an ``n`` attribute (a group model); the
-    root data is the same for every family.  Positive roots are
+    It takes a rank n: the root data is the same for every family, so a
+    group model passes its ``n``.  Positive roots are
     {L_i-L_j}_{i<j} u {L_i+L_j}_{i<j} u {2L_i}; simple roots are
     {L_i-L_{i+1}} u {2L_n}.
     """
-    n = getattr(rank_or_model, "n", rank_or_model)
-    return _build_root_system(n)
-
-
-@lru_cache(maxsize=None)
-def _build_root_system(n):
     keyed = sorted(((r.sort_key(), r) for r in _membership_index(n).values()),
                    key=itemgetter(0))
     roots = tuple(r for _key, r in keyed)

@@ -701,6 +701,46 @@ class TestBudget:
         assert {None, "budget exhausted"} <= reasons
 
 
+def touched_roots(move):
+    """The untagged roots a move touches: a conjugation push its
+    conjugator's, every other move those of the letters it removes and
+    inserts."""
+    letters = move.removed[:1] if move.kind == "conjugation-push" \
+        else move.removed + move.inserted
+    return sorted({l.root.untagged() for l in letters}, key=Root.sort_key)
+
+
+class TestMoveTags:
+    @pytest.mark.parametrize("family,n,region", CHOICE_CASES)
+    def test_each_tag_holds_on_the_touched_roots(self, family, n, region):
+        plane = region or Plane.full(n)
+        seen = set()
+        for word in seeded_words(family, n):
+            out = reduce_cycle(word, region=region, budget=200)
+            trace = out.trace if isinstance(out, ReductionFailure) else out
+            for move in trace.moves:
+                roots = touched_roots(move)
+                st = move.stability
+                seen.add(st.stable)
+                if st.stable:
+                    assert plane.contains(st.witness)
+                    assert all(r.eval(st.witness) < 0 for r in roots)
+                    continue
+                res = find_stable_element(roots, region=region,
+                                          ambient_dim=n)
+                assert not res.feasible
+                weights = dict(res.certificate)
+                assert all(w >= 0 for w in weights.values())
+                assert any(weights.values())
+                combo = [sum(w * roots[k].coeffs[d]
+                             for k, w in weights.items()) for d in range(n)]
+                assert all(sum(c * x for c, x in zip(combo, b)) == 0
+                           for b in plane.basis)
+        assert True in seen
+        if region is not None:
+            assert False in seen
+
+
 class TestPushRule:
     @pytest.mark.parametrize("family", ["sp", "sl-r", "sl-c"])
     @pytest.mark.parametrize("n", [2, 3])
@@ -779,6 +819,36 @@ class TestBracketDecompose:
         comm = commutator_value(sys_, dec.left.root, dec.left.params,
                                 dec.right.root, dec.right.params)
         assert comm == sys_.letter_delta(target)
+
+    # pairs (p, q) solved at the targets with values {2, -3}, counted
+    # with the ratio-and-joint candidate solver that row_reduce replaced
+    SOLVED_PAIRS = {"sp": 16, "sl-r": 48, "sl-c": 48, "standard-4": 48}
+
+    def test_solved_params_reproduce_every_target(self):
+        systems = []
+        for family in ("sp", "sl-r", "sl-c"):
+            sys_ = rsys(GroupModel(family, 2))
+            roots = list(sys_.system.roots)
+            if family != "sp":
+                roots += [Root(r.coeffs, tag) for r in sys_.system.roots
+                          if not r.is_long for tag in (1, 2)]
+            systems.append((family, sys_, roots))
+        systems.append(("standard-4", StandardSystem(4), standard_sl_roots(4)))
+        for name, sys_, roots in systems:
+            solved = 0
+            for root in roots:
+                for params in itertools.product(
+                        (F(2), F(-3)), repeat=len(sys_.unit_params(root))):
+                    target = sys_.letter_delta(sys_.letter(root, params))
+                    for p, q in sys_.summand_pairs(root):
+                        q_params = sys_.unit_params(q)
+                        a = cycles._solve_left_params(sys_, p, q, q_params,
+                                                      target)
+                        if a is not None:
+                            solved += 1
+                            assert commutator_value(sys_, p, a, q,
+                                                    q_params) == target
+            assert solved == self.SOLVED_PAIRS[name], name
 
     def test_failure_when_no_pairs(self):
         sys_ = StandardSystem(2)

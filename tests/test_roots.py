@@ -53,9 +53,9 @@ class TestBuild:
 
     def test_root_at_gives_the_systems_roots_without_ordering_them(self):
         for n in (2, 3, 4, 5):
-            built = roots._build_root_system.cache_info().currsize
+            built = roots.build_root_system.cache_info().currsize
             assert root_at((0,) * (n - 1) + (-2,)) == Root.of(n, n, si=-1)
-            assert roots._build_root_system.cache_info().currsize == built
+            assert roots.build_root_system.cache_info().currsize == built
             system = build_root_system(n)
             assert all(root_at(r.coeffs) is r for r in system.roots)
         with pytest.raises(RootError):
