@@ -4,7 +4,8 @@ Subcommands: verify, generic, stable, chambers, reduce, decompose, symbol.
 All numbers in reports are exact rational (or Gaussian-rational) strings;
 output is byte-stable for a fixed invocation.  Exit status: 0 when every
 requested check passed (or the requested analysis completed), 1 when a
-verification or reduction failed, 2 on usage errors.
+verification or reduction failed, 2 only for input the command rejects.  A
+relation that cannot be evaluated fails its report, so it exits 1.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from .arrangements import (Plane, find_stable_element, is_generic,
                            lyapunov_hyperplanes, weyl_chambers)
 from .cycles import RestrictedSystem, StandardSystem, Word, reduce_cycle
 from .generators import GroupModel
-from .relations import (DEFAULT_GRID, GRID, REGIMES, SUITES, SYMBOLIC,
-                        decompose_commutator, run_suite)
+from .relations import (DEFAULT_GRID, REGIMES, SUITES, decompose_commutator,
+                        regime_for, run_suite)
 from .roots import Root, build_root_system, standard_sl_roots
 from .scalars import (format_scalar, parse_scalar, read_integer, read_lines,
                       read_list, read_rational)
@@ -129,13 +130,12 @@ def _grid(args):
 # ---------------------------------------------------------------------------
 
 def cmd_verify(args):
-    model = _model(args)
-    regime = args.regime or (SYMBOLIC if args.grid is None else GRID)
-    reports = run_suite(model, args.suite, regime, _grid(args))
+    model, grid = _model(args), _grid(args)
+    reports = run_suite(model, args.suite, args.regime, grid)
     payload = [r.to_json_dict() for r in reports]
     failures = sum(1 for r in reports if not r.passed)
     summary = {"model": model.family, "n": model.n, "suite": args.suite,
-               "regime": regime, "reports": payload,
+               "regime": regime_for(args.regime, grid), "reports": payload,
                "checked": len(reports), "failed": failures}
     print(_emit(summary, args.format))
     return 1 if failures else 0

@@ -34,19 +34,10 @@ from functools import lru_cache
 from .matrices import (ExactMatrix, exp_nilpotent, mat_inv, mat_mul, mat_prod,
                        matrix_to_delta)
 from .roots import Root, build_root_system
-from .scalars import (GAUSSIAN, LAURENT, RATIONAL, coerce, format_scalar,
-                      join_mode, mode_of, parse_scalar, read_list)
+from .scalars import (GAUSSIAN, coerce, format_scalar, join_mode, mode_of,
+                      parse_scalar, read_list)
 
 FAMILIES = ("sp", "sl-r", "sl-c")
-
-GRID = "grid"
-SYMBOLIC = "symbolic"
-REGIMES = (GRID, SYMBOLIC)
-
-# The scalar modes a parameter may take per regime; Gaussian values only on
-# sl-c.  Regime None covers letters and one-off calls such as decompose.
-_PARAM_MODES = {None: (RATIONAL, GAUSSIAN, LAURENT), GRID: (RATIONAL, GAUSSIAN),
-                SYMBOLIC: (RATIONAL, LAURENT)}
 
 
 class GeneratorError(ValueError):
@@ -80,21 +71,18 @@ class GroupModel:
             return 1
         return 2
 
-    def check_params(self, root, params, regime=None):
+    def check_params(self, root, params):
         """Check and normalize the parameters of an x-letter on root.
 
         The one parameter validator.  The root's rank must be the model's.
         Arity: one on sp, long and tagged roots, two on sl short roots;
         root=None checks a value list (a grid).
-        ints become Fractions; no mode is widened.  Domain: the grid regime
-        takes the model's field, Q or Q(i) for sl-c; the symbolic regime
-        Laurent polynomials over Q; regime None both, minus Gaussian values on
-        sp and sl-r.  A tuple never mixes Gaussian values with symbols.
+        ints become Fractions; no mode is widened.  Domain: rationals and
+        Laurent polynomials over Q on every model, Gaussian values on sl-c
+        only.  A tuple never mixes Gaussian values with symbols.
         """
         if not isinstance(params, tuple):
             params = tuple(params) if isinstance(params, list) else (params,)
-        if regime is not None and regime not in REGIMES:
-            raise GeneratorError("unknown regime %r" % (regime,))
         if root is not None:
             if root.n != self.n:
                 raise GeneratorError("root rank %d does not match model rank %d"
@@ -111,12 +99,10 @@ class GroupModel:
         else:
             return params
         params = tuple(Fraction(p) if isinstance(p, int) else p for p in params)
-        mode = join_mode(mode_of(p) for p in params)
-        if mode not in _PARAM_MODES[regime] or \
-                (mode == GAUSSIAN and self.family != "sl-c"):
-            raise GeneratorError("%s parameters%s cannot be %s scalars"
-                                 % (self.family, " in the %s regime" % regime
-                                    if regime else "", mode))
+        if join_mode(mode_of(p) for p in params) == GAUSSIAN and \
+                self.family != "sl-c":
+            raise GeneratorError("%s parameters cannot be gaussian scalars"
+                                 % self.family)
         return params
 
     def __str__(self):
@@ -221,8 +207,7 @@ class MonomialForm:
     @staticmethod
     def from_delta(delta, size):
         """The form of I + delta, read off the sparse entries with no dense
-        matrix; every unit column shares one 1 object.  Raises
-        GeneratorError unless I + delta is monomial."""
+        matrix.  Raises GeneratorError unless I + delta is monomial."""
         one = Fraction(1)
         cols = [{j: one} for j in range(1, size + 1)]
         for (i, j), v in delta.items():

@@ -47,13 +47,17 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 
-from .generators import (GRID, REGIMES, SYMBOLIC, GroupModel, MonomialForm,
+from .generators import (GeneratorError, GroupModel, MonomialForm,
                          h_reference, letter_positions,
                          position_component_table, root_entry_positions,
                          w_factors, with_mode)
 from .roots import (Root, RootError, build_root_system, positive_combinations,
                     root_at)
 from .scalars import LaurentFrac, format_scalar, join_mode, mode_of
+
+GRID = "grid"
+SYMBOLIC = "symbolic"
+REGIMES = (GRID, SYMBOLIC)
 
 DEFAULT_GRID = (Fraction(1), Fraction(-1), Fraction(2), Fraction(-2),
                 Fraction(3), Fraction(-3), Fraction(1, 2), Fraction(-1, 2),
@@ -344,8 +348,13 @@ def _sweep_all(model, regime, relations):
 
 def grid_for_model(model, grid=None):
     """The grid-regime values (default DEFAULT_GRID), checked to lie in the
-    model's field; a real value stays a Fraction on sl-c as well."""
-    grid = DEFAULT_GRID if grid is None else model.check_params(None, grid, GRID)
+    model's field, so no symbol; a real value stays a Fraction on sl-c as
+    well."""
+    if grid is None:
+        return DEFAULT_GRID
+    grid = model.check_params(None, grid)
+    if any(isinstance(g, LaurentFrac) for g in grid):
+        raise GeneratorError("a grid holds no symbols")
     if len(set(grid)) < 9 or any(not g for g in grid):
         raise RelationError("grid must hold at least 9 distinct nonzero values")
     return grid
@@ -374,9 +383,10 @@ def symbolic_params(arity, prefix):
 
 @dataclass(frozen=True)
 class Designs:
-    """Every parameter design of one run_suite call.  Beside run_suite's
-    input checks, this is the one place in the module that reads the
-    regime; the suites read ``regime`` only to label their reports.  Each
+    """Every parameter design of one run_suite call.  Beside regime_for,
+    which picks the regime, and run_suite's input checks, this is the one
+    place in the module that reads the regime; the suites read ``regime``
+    only to label their reports.  Each
     design is a list of parameter tuples:
 
     * ``letters[arity_a, arity_b]``: the (a, b) slot tuples for a pair of
@@ -660,10 +670,10 @@ def decompose_commutator(model, r, p, a, b):
     return [(law.target, law.evaluate(a, b)) for law in laws], laws
 
 
-def _pair_params(model, r, p, a, b, regime=None):
+def _pair_params(model, r, p, a, b):
     """Checked (a, b) for x_r(a), x_p(b): one scalar mode, r + p nonzero."""
-    a = model.check_params(r, a, regime)
-    b = model.check_params(p, b, regime)
+    a = model.check_params(r, a)
+    b = model.check_params(p, b)
     join_mode(mode_of(x) for x in a + b)
     if not any(r + p):
         raise RelationError("antipodal pair rejected")
@@ -709,25 +719,29 @@ def _commutator(model, r, p, laws, tuples, letters=None, values=None):
                     tuples, sides)
 
 
-def _single(model, regime, rel):
-    """Run a record on its one tuple; the report shows that tuple."""
-    text = "; ".join(",".join(format_scalar(x) for x in t)
-                     for t in rel.tuples[0])
+def _single(model, rel):
+    """Run a record on its one tuple; the report shows that tuple.  Its
+    regime is symbolic when a parameter is a Laurent symbol, grid
+    otherwise."""
+    tup = rel.tuples[0]
+    text = "; ".join(",".join(format_scalar(x) for x in t) for t in tup)
+    regime = SYMBOLIC if any(isinstance(x, LaurentFrac) for x in _flat(tup)) \
+        else GRID
     return _sweep(model, regime, replace(rel, params=text))
 
 
-def verify_additivity(model, r, a, b, regime=GRID):
+def verify_additivity(model, r, a, b):
     """x_r(a) x_r(b) = x_r(a+b) as one report."""
-    a, b = _pair_params(model, r, r, a, b, regime)
-    return _single(model, regime, _additivity(model, r, [(a, b)]))
+    a, b = _pair_params(model, r, r, a, b)
+    return _single(model, _additivity(model, r, [(a, b)]))
 
 
-def verify_commutator(model, r, p, a, b, regime=GRID):
+def verify_commutator(model, r, p, a, b):
     """[x_r(a), x_p(b)] equals the product of its structure factors: no
     factor, the trivial-commutator report, when r+p is no root."""
-    a, b = _pair_params(model, r, p, a, b, regime)
+    a, b = _pair_params(model, r, p, a, b)
     laws = fit_structure_functions(model, r, p)
-    return _single(model, regime, _commutator(model, r, p, laws, [(a, b)]))
+    return _single(model, _commutator(model, r, p, laws, [(a, b)]))
 
 
 def additivity_suite(model, designs):
@@ -944,17 +958,28 @@ def _sl_component_conjugation(model, designs):
     instance relabels v through w's form and compares it with the value the
     prediction gives at the target, so its verdict and witness are the
     instance-by-instance ones; if w(-t) is not the inverse, every instance
-    fails.  Carter's signs eta are not yet the oracle here.
+    fails.  A w that is not monomial has no form to relabel through: its
+    report fails with that error as its note, like a law that does not fit
+    in commutator_suites.  Carter's signs eta are not yet the oracle here.
     """
     regime = designs.regime
-    return [_passed(model, regime, rel) if proven else _sweep(model, regime, rel)
-            for rel, proven in _component_records(model, designs)]
+    reports = []
+    for rel, proven in _component_records(model, designs):
+        try:
+            reports.append(_passed(model, regime, rel) if proven
+                           else _sweep(model, regime, rel))
+        except GeneratorError as exc:
+            reports.append(VerificationReport(
+                rel.relation_id, model, rel.roots, regime, "fail", 0,
+                note=str(exc)))
+    return reports
 
 
 def _component_records(model, designs):
     """(Relation, proven) per (gamma, w-form) of weyl-component-conj; proven
     when w's monomial form is the SL2-block prediction, its targets lie in
-    the component table and w(-t) inverts w(t)."""
+    the component table and w(-t) inverts w(t).  When w is not monomial,
+    every instance raises the GeneratorError that says so."""
     n = model.n
     system = build_root_system(n)
     table = position_component_table(n)
@@ -967,11 +992,16 @@ def _component_records(model, designs):
         wd = w_delta(model, gamma, wparams)
         inverse = delta_mul(wd, w_delta(model, gamma,
                                         tuple(-x for x in wparams)))
-        form = MonomialForm.from_delta(wd, model.size)
         predicted = _sl2_block_form(model, gamma, wparams)
         perm, diag = predicted.perm, predicted.diag
+        try:
+            form, error = MonomialForm.from_delta(wd, model.size), None
+        except GeneratorError as exc:
+            form, error = None, exc
 
         def sides(beta, d):
+            if error is not None:
+                raise error
             row, col, _s = root_entry_positions(model, beta)[d - 1]
             if inverse:
                 return inverse, {}
@@ -979,7 +1009,7 @@ def _component_records(model, designs):
             target = (perm[row - 1], perm[col - 1])
             if target not in table:
                 return out, {}
-            return out, {target: _scaled(diag[row - 1], v, diag[col - 1])}
+            return out, {target: diag[row - 1] * v / diag[col - 1]}
 
         proven = not inverse and form == predicted and all(
             (perm[row - 1], perm[col - 1]) in table for row, col in cells)
@@ -998,14 +1028,8 @@ def _monomial_conj(form, inner):
     """Delta of w (I + inner) w^{-1} for w = p(pi) diag(d), the MonomialForm
     form: w e_rc w^{-1} = (d_r / d_c) e_{pi(r), pi(c)}."""
     perm, diag = form.perm, form.diag
-    return {(perm[r - 1], perm[c - 1]): _scaled(diag[r - 1], x, diag[c - 1])
+    return {(perm[r - 1], perm[c - 1]): diag[r - 1] * x / diag[c - 1]
             for (r, c), x in inner.items()}
-
-
-def _scaled(num, x, den):
-    """num * x / den.  When num and den are one object they cancel without
-    arithmetic; the unit columns of a monomial form share one embedded 1."""
-    return x if num is den else num * x / den
 
 
 def _sl2_block_form(model, gamma, params):
@@ -1158,12 +1182,22 @@ def monomial_form_suite(model, designs):
 SUITES = ("relations", "weyl", "monomial", "all")
 
 
-def run_suite(model, suite="all", regime=GRID, grid=None):
-    """Run the selected suites; deterministic report order.
+def regime_for(regime, grid):
+    """The regime run_suite runs: the named one, else grid when a grid is
+    given, else symbolic, the proof for all parameters."""
+    if regime is not None:
+        return regime
+    return SYMBOLIC if grid is None else GRID
+
+
+def run_suite(model, suite="all", regime=None, grid=None):
+    """Run the selected suites in regime_for(regime, grid); deterministic
+    report order.
 
     Only the grid regime reads a grid, grid_for_model(model, grid).  Symbolic
     constants are rational: integer-coefficient identities hold over Q(i).
     """
+    regime = regime_for(regime, grid)
     if regime not in REGIMES:
         raise RelationError("unknown regime %r" % regime)
     if suite not in SUITES:

@@ -1,6 +1,7 @@
 """Command-line surface: subcommands, exit codes, deterministic reports."""
 
 import io
+import itertools
 import json
 import random
 from contextlib import redirect_stderr, redirect_stdout
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chevalley import cli, generators
+from chevalley import cli, generators, relations
 from chevalley.cli import main
 from chevalley.generators import GeneratorError, GeneratorLetter, GroupModel
 from chevalley.matrices import ExactMatrix
@@ -89,6 +90,15 @@ class TestVerify:
         assert implied[0] == 0
         assert json.loads(implied[1])["regime"] == "grid"
 
+    @pytest.mark.parametrize("family", ["sp", "sl-r", "sl-c"])
+    def test_library_default_is_the_cli_default(self, family):
+        # run_suite with no regime and no grid proves, as verify does
+        reports = relations.run_suite(GroupModel(family, 2), "all")
+        code, out = run_cli("verify", "--model", family, "--n", "2")
+        payload = json.loads(out)
+        assert (code, payload["regime"]) == (0, "symbolic")
+        assert [r.to_json_dict() for r in reports] == payload["reports"]
+
     def test_custom_grid_too_small(self):
         code, _ = run_cli("verify", "--model", "sp", "--n", "2",
                           "--grid", "1,2,3")
@@ -124,6 +134,68 @@ class TestVerify:
         code, out = run_cli("verify", "--model", "sp", "--n", "2",
                             "--suite", "monomial", "--format", "text")
         assert code == 0 and "relation_id" in out
+
+
+def _clear_caches():
+    for module in (relations, generators):
+        for fn in vars(module).values():
+            if hasattr(fn, "cache_clear"):
+                fn.cache_clear()
+
+
+def _w_factors_plus_inverse(root, params):
+    # w_r(t) = x_r(t) x_{-r}(+1/t) x_r(t): the sign of the middle slot lost
+    inv = tuple(1 / p if p else p for p in params)
+    return ((root, params), (-root, inv), (root, params))
+
+
+def _x_delta_l1_minus_l2_negated(model, root, params, real=relations.x_delta):
+    delta = real(model, root, params)
+    if root.untagged() == Root.of(model.n, 1, 2, 1, -1):
+        return {k: -v for k, v in delta.items()}
+    return delta
+
+
+class TestWrongW:
+    """A wrong w-word is a failing verification (exit 1), never a usage
+    error: the suites report what they could not evaluate."""
+
+    MUTANTS = {"w_factors": _w_factors_plus_inverse,
+               "x_delta": _x_delta_l1_minus_l2_negated}
+    # failing reports of the sp n=2 cells: sp has no component suite
+    SP_FAILED = {("w_factors", "weyl"): 10, ("w_factors", "all"): 15,
+                 ("x_delta", "weyl"): 10, ("x_delta", "all"): 16}
+
+    @pytest.fixture
+    def mutant(self, request, monkeypatch):
+        name = request.param
+        _clear_caches()
+        monkeypatch.setattr(relations, name, self.MUTANTS[name])
+        yield name
+        monkeypatch.undo()
+        _clear_caches()
+
+    @pytest.mark.parametrize("mutant", ["w_factors", "x_delta"],
+                             indirect=True)
+    @pytest.mark.parametrize("regime", ["grid", "symbolic"])
+    def test_fails_its_reports(self, mutant, regime):
+        for family, suite in itertools.product(("sl-r", "sp"),
+                                               ("weyl", "all")):
+            code, out, err = run_cli_err("verify", "--model", family, "--n",
+                                         "2", "--suite", suite, "--regime",
+                                         regime)
+            assert (code, err) == (1, "")
+            payload = json.loads(out)
+            failed = [r for r in payload["reports"] if r["verdict"] == "fail"]
+            assert payload["failed"] == len(failed) > 0
+            if family == "sp":
+                assert len(failed) == self.SP_FAILED[mutant, suite]
+                continue
+            component = [r for r in failed
+                         if r["relation_id"] == "weyl-component-conj"]
+            assert component and all(
+                r["note"] == "I + delta is not monomial"
+                and r["instances"] == 0 for r in component)
 
 
 class TestGeneric:

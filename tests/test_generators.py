@@ -333,7 +333,7 @@ class TestLetters:
 
 
 class TestCheckParams:
-    """GroupModel.check_params: arity and scalar domain per (model, regime)."""
+    """GroupModel.check_params: arity and scalar domain per model."""
 
     I = GaussianRational(0, 1)
     A = LaurentFrac.symbol("a")
@@ -363,32 +363,27 @@ class TestCheckParams:
         assert SL2.check_params(self.SHORT, params) is params
 
     # q: a rational, i: a Gaussian value, a: a Laurent symbol
-    @pytest.mark.parametrize("family, regime, allowed", [
-        ("sp", None, "qa"), ("sl-r", None, "qa"), ("sl-c", None, "qia"),
-        ("sp", "grid", "q"), ("sl-r", "grid", "q"), ("sl-c", "grid", "qi"),
-        ("sp", "symbolic", "qa"), ("sl-r", "symbolic", "qa"),
-        ("sl-c", "symbolic", "qa"),
+    @pytest.mark.parametrize("family, allowed", [
+        ("sp", "qa"), ("sl-r", "qa"), ("sl-c", "qia"),
     ])
-    def test_domain(self, family, regime, allowed):
+    def test_domain(self, family, allowed):
         model = GroupModel(family, 2)
         values = {"q": Fraction(1, 2), "i": self.I, "a": self.A}
         for name, v in values.items():
             if name in allowed:
-                assert model.check_params(None, (v, 2), regime) == (v, Fraction(2))
+                assert model.check_params(None, (v, 2)) == (v, Fraction(2))
             else:
                 with pytest.raises(GeneratorError):
-                    model.check_params(None, (v, 2), regime)
+                    model.check_params(None, (v, 2))
 
     def test_gaussian_and_laurent_never_mix(self):
         with pytest.raises(ValueError):
             SLC2.check_params(self.SHORT, (self.I, self.A))
 
-    def test_rejects_non_scalars_and_unknown_regimes(self):
+    def test_rejects_non_scalars(self):
         for bad in (0.5, "1"):
             with pytest.raises(ValueError):
                 SP2.check_params(None, (bad,))
-        with pytest.raises(GeneratorError):
-            SP2.check_params(None, (1,), "sampled")
 
 
 def torus(*d):

@@ -1100,15 +1100,25 @@ class TestSuites:
         with pytest.raises(RelationError):
             run_suite(SP2, "monomial", "symbolic", grid=DEFAULT_GRID)
 
-    def test_single_verifiers_check_the_regime_domain(self):
-        r = Root.of(2, 1)
-        a = LaurentFrac.symbol("a")
-        assert verify_additivity(SP2, r, (a,), (F(2),), "symbolic").passed
+    def test_single_verifiers_label_the_regime_from_their_parameters(self):
+        # a Laurent symbol makes the report a symbolic proof; rational and
+        # Gaussian values make it a grid sample
+        r, p = Root.of(2, 1, 2, 1, -1), Root.of(2, 2)
+        a, i = LaurentFrac.symbol("a"), GaussianRational(0, 1)
+        for rep, regime in (
+                (verify_additivity(SP2, Root.of(2, 1), (a,), (F(2),)),
+                 "symbolic"),
+                (verify_additivity(SP2, Root.of(2, 1), (F(3),), (F(2),)),
+                 "grid"),
+                (verify_commutator(SP2, r, p, (F(1),), (a,)), "symbolic"),
+                (verify_commutator(SLC2, r, p, (i, F(2)), (F(3),)), "grid")):
+            assert rep.passed and rep.regime == regime
+        # the domain is the model's: Gaussian values on sl-c only, and never
+        # beside a symbol
         with pytest.raises(GeneratorError):
-            verify_additivity(SP2, r, (a,), (F(2),), "grid")
-        with pytest.raises(GeneratorError):
-            verify_additivity(SLC2, r, (GaussianRational(0, 1),), (F(2),),
-                              "symbolic")
+            verify_additivity(SP2, Root.of(2, 1), (i,), (F(2),))
+        with pytest.raises(ValueError):
+            verify_additivity(SLC2, Root.of(2, 1), (i,), (a,))
 
     def test_default_grid_matches_design(self):
         assert set(DEFAULT_GRID) == {F(1), F(-1), F(2), F(-2), F(3), F(-3),
