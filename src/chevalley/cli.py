@@ -199,10 +199,9 @@ def cmd_reduce(args):
     except OSError as exc:
         raise UsageError("cannot read word file: %s" % exc)
     region = _parse_plane(args.region, system.ambient_dim) if args.region else None
-    outcome = reduce_cycle(word, region=region, budget=args.budget)
-    payload = outcome.describe()
-    print(_emit(payload, args.format))
-    return 0 if outcome.reduced_to_empty else 1
+    trace = reduce_cycle(word, region=region, budget=args.budget)
+    print(_emit(trace.describe(), args.format))
+    return 0 if trace.reduced_to_empty else 1
 
 
 def cmd_decompose(args):

@@ -19,7 +19,8 @@ touches admit a common strictly-contracting element on the given region,
 found by the arrangement solver, else Unstable (the h-multiplicativity
 template always is, since it touches an antipodal pair).  A conjugation push
 touches its conjugator's root; every other move touches the roots of the
-letters it removes and inserts.
+letters it removes and inserts.  reduce_cycle returns one ReductionTrace of
+these moves, which names its reason when it stops short of the empty word.
 
 Two letter systems share the engine: the restricted root system of a group
 model, and the standard special-linear system of elementary matrices
@@ -394,9 +395,12 @@ class ReductionMove:
 
 @dataclass(frozen=True)
 class ReductionTrace:
+    """The moves from initial to final; reason: why final is not empty."""
+
     initial: Word
     moves: tuple
     final: Word
+    reason: str | None = None
 
     @property
     def reduced_to_empty(self):
@@ -417,22 +421,12 @@ class ReductionTrace:
 
     def describe(self):
         texts = _letter_texts()
-        return {"initial": texts(self.initial.letters),
-                "moves": [m.describe(texts) for m in self.moves],
-                "final": texts(self.final.letters),
-                "reduced": self.reduced_to_empty}
-
-
-@dataclass(frozen=True)
-class ReductionFailure:
-    trace: ReductionTrace
-    reason: str
-
-    reduced_to_empty = False
-
-    def describe(self):
-        out = self.trace.describe()
-        out["failure"] = self.reason
+        out = {"initial": texts(self.initial.letters),
+               "moves": [m.describe(texts) for m in self.moves],
+               "final": texts(self.final.letters),
+               "reduced": self.reduced_to_empty}
+        if self.reason is not None:
+            out["failure"] = self.reason
         return out
 
 
@@ -454,8 +448,8 @@ def reduce_cycle(word, region=None, budget=10000):
     and tagged on demand, only up to the first stable one.  Every applied
     move is in the trace.  The pass stops with "budget exhausted" once the
     trace holds ``budget`` moves, and with "no applicable move" when no move
-    applies.  Returns a ReductionTrace on success or a ReductionFailure with
-    the stuck word and partial trace.  A negative budget is an error.
+    applies.  Either way it returns the ReductionTrace, whose reason is None
+    exactly when it reached the empty word.  A negative budget is an error.
     """
     if budget < 0:
         raise CycleError("budget must be at least 0, got %d" % budget)
@@ -468,10 +462,7 @@ def reduce_cycle(word, region=None, budget=10000):
         raise NonCycleError("word does not evaluate to the identity")
     state = _Reducer(word.system, region, budget)
     final = Word(word.system, state.run(word.letters))
-    trace = ReductionTrace(word, tuple(state.moves), final)
-    if final.letters:
-        return ReductionFailure(trace, state.stuck_reason)
-    return trace
+    return ReductionTrace(word, tuple(state.moves), final, state.stuck_reason)
 
 
 class _Reducer:

@@ -34,6 +34,10 @@ the product of the structure factors (id for a trivial pair), as
 X Y = F Y X.  In any group the two statements are equivalent, and the second
 multiplies the letters as they are, with no inverse letter.
 
+Every suite builds one Relation record per report, and _sweep, the only place
+a report is built, sweeps each record's tuples, passes a ``proven`` record
+unevaluated, or fails one whose ``error`` says why it could not be built.
+
 Every relation works on sparse "identity plus delta" dictionaries
 {(row, col): scalar}; every generator's nilpotent part squares to zero, so
 x-letters are exactly I + f and products stay tiny.  No dense matrix is
@@ -304,7 +308,8 @@ class Relation:
     instance holds when they are equal.  ``shown(*params)`` gives the
     parameters a failure witness prints (default: the instance's scalars,
     flattened), and ``params`` labels a passing report (default: the tuple
-    count).
+    count).  ``proven`` marks a record an argument covers at every tuple;
+    ``error`` one that could not be built, and is its failing report's note.
     """
 
     relation_id: str
@@ -313,6 +318,8 @@ class Relation:
     sides: object
     shown: object = None
     params: str = ""
+    proven: bool = False
+    error: str = ""
 
 
 def _flat(params):
@@ -320,22 +327,22 @@ def _flat(params):
 
 
 def _sweep(model, regime, rel):
-    """Run rel over all its tuples; stop at the first mismatch; one report."""
-    for count, tup in enumerate(rel.tuples, 1):
-        lhs, rhs = rel.sides(*tup)
-        if lhs != rhs:
-            shown = rel.shown(*tup) if rel.shown else _flat(tup)
-            return VerificationReport(
-                rel.relation_id, model, tuple(rel.roots), regime, "fail", count,
-                witness=_delta_witness(shown, lhs, rhs))
-    return _passed(model, regime, rel)
-
-
-def _passed(model, regime, rel):
-    """The report of rel once every one of its tuples holds."""
+    """rel's one report: an error fails it with 0 instances, a proven record
+    passes unevaluated, and any other stops at its first mismatching tuple."""
+    if rel.error:
+        return VerificationReport(rel.relation_id, model, rel.roots,
+                                  regime, "fail", 0, note=rel.error)
+    if not rel.proven:
+        for count, tup in enumerate(rel.tuples, 1):
+            lhs, rhs = rel.sides(*tup)
+            if lhs != rhs:
+                shown = rel.shown(*tup) if rel.shown else _flat(tup)
+                return VerificationReport(
+                    rel.relation_id, model, rel.roots, regime, "fail", count,
+                    witness=_delta_witness(shown, lhs, rhs))
     return VerificationReport(
-        rel.relation_id, model, tuple(rel.roots), regime, "pass",
-        len(rel.tuples), params=rel.params or "%d parameter tuples" % len(rel.tuples))
+        rel.relation_id, model, rel.roots, regime, "pass", len(rel.tuples),
+        params=rel.params or "%d parameter tuples" % len(rel.tuples))
 
 
 def _sweep_all(model, regime, relations):
@@ -691,7 +698,8 @@ def _additivity(model, r, tuples):
         x_delta(model, r, tuple(x + y for x, y in zip(a, b)))))
 
 
-def _commutator(model, r, p, laws, tuples, letters=None, values=None):
+def _commutator(model, r, p, laws, tuples, letters=None, values=None,
+                proven=False):
     """[x_r(a), x_p(b)] = F, the product of its structure factors, checked
     as x_r(a) x_p(b) = F x_p(b) x_r(a).  No laws means F = id, the
     trivial-commutator relation of a pair with r+p outside the system.
@@ -699,13 +707,12 @@ def _commutator(model, r, p, laws, tuples, letters=None, values=None):
     ``letters`` (root -> _letter_memo) and ``values`` (_law_memo) are the
     memo scope the record draws on: commutator_suites passes one of each to
     all its records, and a record alone gets fresh ones.  Every instance
-    of the record multiplies both sides and compares them exactly.
+    of the record multiplies both sides and compares them exactly, unless
+    the record is ``proven`` (a trivial pair by support).
     """
-    letters = {} if letters is None else letters
+    if letters is None:
+        letters = {q: _letter_memo(model, q) for q in (r, p)}
     values = {} if values is None else values
-    for q in (r, p):
-        if q not in letters:
-            letters[q] = _letter_memo(model, q)
     xr, xp = letters[r][0], letters[p][0]
     factors = [(law.target, _law_memo(law, values)) for law in laws]
 
@@ -716,7 +723,7 @@ def _commutator(model, r, p, laws, tuples, letters=None, values=None):
             rhs = delta_mul(x_delta(model, q, value(a, b)), rhs)
         return delta_mul(x, y), rhs
     return Relation("commutator" if laws else "trivial-commutator", (r, p),
-                    tuples, sides)
+                    tuples, sides, proven=proven)
 
 
 def _single(model, rel):
@@ -769,19 +776,21 @@ def commutator_suites(model, designs):
     x_r(a) is built once per (root, slot tuple) of ``designs.letters``
     (_letter_memo) and each law once per (compiled form, a, b) (_law_memo).
 
-    A trivial pair (r, p) passes by support, with no product: write S_q for
-    _support(model, q).  When S_r S_p = 0 and S_p S_r = 0 as sparsity
+    A trivial pair's record is proven by support, with no product: write
+    S_q for _support(model, q).  When S_r S_p = 0 and S_p S_r = 0 as sparsity
     patterns, any f on S_r and g on S_p have fg = gf = 0, so
     (I + f)(I + g) = I + f + g = (I + g)(I + f): the equation
     x_r(a) x_p(b) = x_p(b) x_r(a) holds at every (a, b) whose letters lie
-    on their supports.  So the pair passes when both products vanish and
+    on their supports.  So the pair is proven when both products vanish and
     every letter its design builds lies on its root's support, read once
     per distinct slot tuple of each side of the design (_letter_memo).
-    Any other trivial pair, and every commutator pair, is swept in full.
+    Any other trivial pair, and every commutator pair, is swept in full; a
+    pair whose laws do not fit carries the fit's error.
     """
     system = build_root_system(model.n)
-    regime, design = designs.regime, designs.letters
-    letters, values = {}, {}
+    design = designs.letters
+    letters = {q: _letter_memo(model, q) for q in system.roots}
+    values = {}
     supports = {q: _support(model, q) for q in system.roots}
     sides = {}      # (arity_a, arity_b) -> the design's distinct a and b
 
@@ -795,29 +804,28 @@ def commutator_suites(model, designs):
         return (all(map(letters[r][1], a_side))
                 and all(map(letters[p][1], b_side)))
 
-    reports = []
-    for r in system.roots:
-        for p in system.roots:
-            rsum = r + p
-            if not any(rsum):
-                continue
-            laws = ()
-            if system.is_root(rsum):
-                try:
-                    laws = fit_structure_functions(model, r, p)
-                except RelationError as exc:
-                    reports.append(VerificationReport(
-                        "commutator", model, (r, p), regime, "fail", 0,
-                        note=str(exc)))
+    def records():
+        for r in system.roots:
+            for p in system.roots:
+                rsum = r + p
+                if not any(rsum):
                     continue
-            arities = (model.param_arity(r), model.param_arity(p))
-            rel = _commutator(model, r, p, laws, design[arities], letters,
-                              values)
-            if not laws and by_support(r, p, arities):
-                reports.append(_passed(model, regime, rel))
-            else:
-                reports.append(_sweep(model, regime, rel))
-    return reports
+                laws = ()
+                if system.is_root(rsum):
+                    try:
+                        laws = fit_structure_functions(model, r, p)
+                    except RelationError as exc:
+                        yield Relation("commutator", (r, p), [], None,
+                                       error=str(exc))
+                        continue
+                arities = (model.param_arity(r), model.param_arity(p))
+                yield _commutator(model, r, p, laws, design[arities],
+                                  letters, values,
+                                  not laws and by_support(r, p, arities))
+
+    # a generator, not a list: each record is built just before its sweep
+    # and dropped after it, so the records of all pairs never live at once
+    return _sweep_all(model, designs.regime, records())
 
 
 def h_relation_suite(model, designs):
@@ -876,14 +884,15 @@ def _conj(w, inner, w_inv):
 
 def weyl_conjugation_suite(model, designs):
     """Conjugation identities among w and h letters, verified as matrices."""
-    if model.is_sp:
-        return _sp_weyl_suite(model, designs)
-    return (_sl_component_conjugation(model, designs)
-            + _sl_w_conjugation(model, designs)
-            + _w_inversion_suite(model, designs))
+    parts = (_sp_weyl_records,) if model.is_sp else (
+        _component_records, _sl_w_records, _w_inversion_records)
+    # a generator, not a list: each part's records live only while the
+    # sweep is in that part
+    return _sweep_all(model, designs.regime, (
+        rel for part in parts for rel in part(model, designs)))
 
 
-def _sp_weyl_suite(model, designs):
+def _sp_weyl_records(model, designs):
     """w/h conjugations, then long-root h through the short-root torus (sp)."""
     n = model.n
     short = Root.of(n, n - 1, n, 1, -1)       # L_{n-1} - L_n
@@ -929,7 +938,7 @@ def _sp_weyl_suite(model, designs):
         return h(long_n, s * z * z), delta_word(
             [h(short, 1 / z), w(long_n, s), h(short, z), w(long_n, minus_one)])
 
-    return _sweep_all(model, designs.regime, [
+    return [
         Relation(rid, roots, designs.products, sides)
         for rid, roots, sides in cases] + [
         Relation("h-decomposition-square", (short,), designs.minus_one,
@@ -940,46 +949,29 @@ def _sp_weyl_suite(model, designs):
                  designs.minus_one, pair, params="-1,-1"),
         Relation("h-decomposition-split", (long_n, short), designs.split,
                  split),
-    ])
+    ]
 
 
-def _sl_component_conjugation(model, designs):
-    """w x^delta_beta(v) w^{-1} is the component letter at the permuted
-    support with the value the SL2 blocks of w predict; one aggregated report
-    per w-form: (u) on long roots, and (u,0), (0,u), (u,v) on short ones.
+def _component_records(model, designs):
+    """One weyl-component-conj record per (gamma, w-form): w x^delta_beta(v)
+    w^{-1} is the component letter at the permuted support with the value
+    the SL2 blocks of w predict; (u) on long roots, and (u,0), (0,u), (u,v)
+    on short ones.
 
     The prediction is a monomial form of its own: each nonzero slot t on a
     component (r, c) of gamma is the block [[0, t], [-1/t, 0]] on rows and
     columns r, c (Steinberg's w in SL2).  For w = p(pi) diag(d),
     w e_rc w^{-1} = (d_r / d_c) e_{pi(r), pi(c)}, so when the form read off
     w equals the prediction (perm and diag exactly), every target lies in
-    the component table and w(-t) is the inverse of w(t), the form passes
-    with no per-instance arithmetic.  Any other form is swept in full: each
-    instance relabels v through w's form and compares it with the value the
-    prediction gives at the target, so its verdict and witness are the
-    instance-by-instance ones; if w(-t) is not the inverse, every instance
-    fails.  A w that is not monomial has no form to relabel through: its
-    report fails with that error as its note, like a law that does not fit
+    the component table and w(-t) is the inverse of w(t), the record is
+    proven with no per-instance arithmetic.  Any other form is swept in
+    full: each instance relabels v through w's form and compares it with
+    the value the prediction gives at the target, so its verdict and witness
+    are the instance-by-instance ones; if w(-t) is not the inverse, every
+    instance fails.  A w that is not monomial has no form to relabel
+    through: its record carries that error, like a law that does not fit
     in commutator_suites.  Carter's signs eta are not yet the oracle here.
     """
-    regime = designs.regime
-    reports = []
-    for rel, proven in _component_records(model, designs):
-        try:
-            reports.append(_passed(model, regime, rel) if proven
-                           else _sweep(model, regime, rel))
-        except GeneratorError as exc:
-            reports.append(VerificationReport(
-                rel.relation_id, model, rel.roots, regime, "fail", 0,
-                note=str(exc)))
-    return reports
-
-
-def _component_records(model, designs):
-    """(Relation, proven) per (gamma, w-form) of weyl-component-conj; proven
-    when w's monomial form is the SL2-block prediction, its targets lie in
-    the component table and w(-t) inverts w(t).  When w is not monomial,
-    every instance raises the GeneratorError that says so."""
     n = model.n
     system = build_root_system(n)
     table = position_component_table(n)
@@ -995,13 +987,12 @@ def _component_records(model, designs):
         predicted = _sl2_block_form(model, gamma, wparams)
         perm, diag = predicted.perm, predicted.diag
         try:
-            form, error = MonomialForm.from_delta(wd, model.size), None
+            form = MonomialForm.from_delta(wd, model.size)
         except GeneratorError as exc:
-            form, error = None, exc
+            return Relation("weyl-component-conj", (gamma,), tuples, None,
+                            params=label, error=str(exc))
 
         def sides(beta, d):
-            if error is not None:
-                raise error
             row, col, _s = root_entry_positions(model, beta)[d - 1]
             if inverse:
                 return inverse, {}
@@ -1014,7 +1005,8 @@ def _component_records(model, designs):
         proven = not inverse and form == predicted and all(
             (perm[row - 1], perm[col - 1]) in table for row, col in cells)
         return Relation("weyl-component-conj", (gamma,), tuples, sides,
-                        shown=lambda beta, d: (v,), params=label), proven
+                        shown=lambda beta, d: (v,), params=label,
+                        proven=proven)
 
     records = []
     for gamma in system.roots:
@@ -1045,7 +1037,7 @@ def _sl2_block_form(model, gamma, params):
     return MonomialForm(tuple(perm), tuple(diag))
 
 
-def _sl_w_conjugation(model, designs):
+def _sl_w_records(model, designs):
     """The three w-by-w conjugation displays for the sl families."""
     n = model.n
     tuples = designs.w_by_w
@@ -1078,12 +1070,11 @@ def _sl_w_conjugation(model, designs):
                      shown=lambda a, t1, t2: (a, t1)),
         ]
 
-    return _sweep_all(model, designs.regime, [
-        rel for i in range(1, n + 1) for j in range(i + 1, n + 1)
-        for rel in relations(i, j)])
+    return [rel for i in range(1, n + 1) for j in range(i + 1, n + 1)
+            for rel in relations(i, j)]
 
 
-def _w_inversion_suite(model, designs):
+def _w_inversion_records(model, designs):
     """w_g(t1,t2) = w_{-g}(-1/t1,-1/t2), also with either slot zero; w_g(t)
     = w_{-g}(-1/t) on long roots."""
 
@@ -1106,8 +1097,7 @@ def _w_inversion_suite(model, designs):
                         lambda *ts: first_failing(*ts)[1:],
                         shown=lambda *ts: first_failing(*ts)[0])
 
-    return _sweep_all(model, designs.regime, [
-        relation(g) for g in build_root_system(model.n).roots])
+    return [relation(g) for g in build_root_system(model.n).roots]
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,8 @@ from chevalley.generators import (GeneratorLetter, GroupModel, gen_h, gen_x,
                                   h_word_letters)
 from chevalley.matrices import ExactMatrix, delta_to_matrix, mat_mul
 from chevalley.cycles import (CycleError, ElementaryLetter, NonCycleError,
-                              ReductionFailure, ReductionTrace,
-                              RestrictedSystem, StandardSystem, Word,
+                              ReductionTrace, RestrictedSystem,
+                              StandardSystem, Word,
                               bracket_decompose, commutator_value,
                               enumerate_bracket_decompositions, is_stable_word,
                               reduce_cycle)
@@ -478,9 +478,9 @@ class TestReduce:
         w = Word(sys_, (sys_.letter(r, (F(2),)), sys_.letter(r, (F(3),)),
                         sys_.letter(r, (F(-5),))))
         out = reduce_cycle(w, budget=1)
-        assert isinstance(out, ReductionFailure)
+        assert out.reason == "budget exhausted"
         assert not out.reduced_to_empty
-        assert out.trace.replay()  # partial trace still evaluation-sound
+        assert out.replay()  # partial trace still evaluation-sound
 
     def test_negative_budget_rejected(self):
         sys_ = rsys(SP2)
@@ -532,9 +532,9 @@ class TestReduce:
         w = Word(sys_, (sys_.letter(r, (F(1),)), sys_.letter(r, (F(2),)),
                         sys_.letter(r, (F(-3),))))
         out = reduce_cycle(w, budget=1)
-        assert isinstance(out, ReductionFailure)
-        assert len(out.trace.moves) == 1
-        assert out.trace.replay()
+        assert out.reason == "budget exhausted"
+        assert len(out.moves) == 1
+        assert out.replay()
 
     def test_stable_witnesses_respect_region(self):
         sys_ = StandardSystem(4)
@@ -594,8 +594,6 @@ def seeded_words(family, n, count=3, blocks=3):
 def reduction_states(word, region):
     """The seeded word and every word its reduction passes through."""
     trace = reduce_cycle(word, region=region, budget=200)
-    if isinstance(trace, ReductionFailure):
-        trace = trace.trace
     states = [word.letters]
     for move in trace.moves:
         states.append(move.apply(states[-1]))
@@ -690,14 +688,12 @@ class TestBudget:
         for word in seeded_words(family, n):
             for budget in (0, 1, 7, 200):
                 out = reduce_cycle(word, region=region, budget=budget)
-                trace = out.trace if isinstance(out, ReductionFailure) else out
-                assert len(trace.moves) <= budget
-                exhausted = bool(trace.final.letters) and \
-                    len(trace.moves) == budget
-                reason = getattr(out, "reason", None)
-                assert (reason == "budget exhausted") == exhausted
-                assert trace.replay()
-                reasons.add(reason)
+                assert len(out.moves) <= budget
+                exhausted = bool(out.final.letters) and \
+                    len(out.moves) == budget
+                assert (out.reason == "budget exhausted") == exhausted
+                assert out.replay()
+                reasons.add(out.reason)
         assert {None, "budget exhausted"} <= reasons
 
 
@@ -717,8 +713,7 @@ class TestMoveTags:
         seen = set()
         for word in seeded_words(family, n):
             out = reduce_cycle(word, region=region, budget=200)
-            trace = out.trace if isinstance(out, ReductionFailure) else out
-            for move in trace.moves:
+            for move in out.moves:
                 roots = touched_roots(move)
                 st = move.stability
                 seen.add(st.stable)

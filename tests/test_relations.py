@@ -1076,6 +1076,29 @@ class TestSuites:
         assert d["verdict"] == "fail" and d["witness"] == rep.witness
         assert verify_additivity(SP2, r, (F(2),), (F(3),)).witness is None
 
+    @staticmethod
+    def unevaluated(**outcome):
+        """A three-tuple record whose sides must never be called."""
+        def sides(*params):
+            raise AssertionError("sides called")
+        return Relation("unevaluated", (Root.of(2, 1),),
+                        [(F(1),), (F(2),), (F(3),)], sides, **outcome)
+
+    def test_a_record_with_an_error_fails_with_its_note(self):
+        rep = _sweep(SP2, "grid", self.unevaluated(error="cannot build"))
+        assert (rep.verdict, rep.instances, rep.note) == \
+            ("fail", 0, "cannot build")
+        assert rep.witness is None and rep.params == ""
+        # an error outranks a proof
+        rep = _sweep(SP2, "symbolic",
+                     self.unevaluated(proven=True, error="cannot build"))
+        assert (rep.verdict, rep.instances) == ("fail", 0)
+
+    def test_a_proven_record_passes_every_tuple_unevaluated(self):
+        rep = _sweep(SP2, "grid", self.unevaluated(proven=True))
+        assert (rep.verdict, rep.instances, rep.note) == ("pass", 3, "")
+        assert rep.params == "3 parameter tuples" and rep.witness is None
+
     def test_grid_requires_nine_values(self):
         with pytest.raises(RelationError):
             run_suite(SP2, "relations", "grid", grid=(F(1), F(2), F(3)))
@@ -1209,9 +1232,14 @@ class TestComponentConjugation:
         assert checked == 2 * per_kind * len(values)
 
     @staticmethod
-    def sl3_reports(regime):
-        return relations._sl_component_conjugation(
-            SL3, Designs.of(regime, DEFAULT_GRID))
+    def reports(model, designs):
+        return relations._sweep_all(
+            model, designs.regime,
+            relations._component_records(model, designs))
+
+    @classmethod
+    def sl3_reports(cls, regime):
+        return cls.reports(SL3, Designs.of(regime, DEFAULT_GRID))
 
     @pytest.mark.parametrize("regime", ["grid", "symbolic"])
     def test_times_seven_on_a_column_of_w_fails_every_report(
@@ -1258,9 +1286,10 @@ class TestComponentConjugation:
         model = GroupModel(family, n)
         designs = Designs.of(regime, DEFAULT_GRID)
         records = relations._component_records(model, designs)
-        assert all(proven for _rel, proven in records)
-        assert relations._sl_component_conjugation(model, designs) == [
-            _sweep(model, regime, rel) for rel, _proven in records]
+        assert all(rel.proven for rel in records)
+        assert self.reports(model, designs) == [
+            _sweep(model, regime, replace(rel, proven=False))
+            for rel in records]
 
     def test_a_passing_suite_relabels_no_value(self, monkeypatch):
         # the per-form check replaces 42 forms x 30 tuples of relabelling
@@ -1288,8 +1317,7 @@ class TestComponentConjugation:
         real = relations.position_component_table
         monkeypatch.setattr(relations, "position_component_table", lambda n: {
             k: rd for k, rd in real(n).items() if k != (1, 2)})
-        reports = relations._sl_component_conjugation(
-            SL3, Designs.of("grid", DEFAULT_GRID))
+        reports = self.sl3_reports("grid")
         assert len(reports) == 42
         assert all(not r.passed and r.witness["entry"] == [1, 2]
                    for r in reports)
@@ -1306,8 +1334,7 @@ class TestComponentConjugation:
             return real(model, root, params)
 
         monkeypatch.setattr(relations, "w_delta", w_delta_bent)
-        reports = relations._sl_component_conjugation(
-            SL3, Designs.of("grid", DEFAULT_GRID))
+        reports = self.sl3_reports("grid")
         failed = [r for r in reports if not r.passed]
         assert [r.roots for r in failed] == [(gamma,)]
         assert failed[0].instances == 1
