@@ -19,7 +19,8 @@ Families (reports carry these ids):
                             component table and w(-t) = w(t)^{-1} (sl;
                             Carter's signs eta are not yet the oracle)
 * ``h-decomposition-*``     long-root h decomposition through the short torus (sp)
-* ``monomial-form-1..7``    the explicit permutation-times-diagonal displays
+* ``monomial-form-1..7``    w's word at each display's root and slot pattern
+                            is its SL2-block form (tests pin the displays)
 
 Two regimes, and Designs builds every parameter tuple of both: ``grid``
 evaluates over a deterministic grid in Q, or Q(i) for sl-c (the default has
@@ -965,10 +966,11 @@ def _component_records(model, designs):
     w equals the prediction (perm and diag exactly), every target lies in
     the component table and w(-t) is the inverse of w(t), the record is
     proven with no per-instance arithmetic.  Any other form is swept in
-    full: each instance relabels v through w's form and compares it with
-    the value the prediction gives at the target, so its verdict and witness
-    are the instance-by-instance ones; if w(-t) is not the inverse, every
-    instance fails.  A w that is not monomial has no form to relabel
+    full: each instance relabels v through w's form and compares it with v
+    relabelled through the prediction (_monomial_conj both times), kept
+    only when its target lies in the component table, so its verdict and
+    witness are the instance-by-instance ones; if w(-t) is not the inverse,
+    every instance fails.  A w that is not monomial has no form to relabel
     through: its record carries that error, like a law that does not fit
     in commutator_suites.  Carter's signs eta are not yet the oracle here.
     """
@@ -985,7 +987,7 @@ def _component_records(model, designs):
         inverse = delta_mul(wd, w_delta(model, gamma,
                                         tuple(-x for x in wparams)))
         predicted = _sl2_block_form(model, gamma, wparams)
-        perm, diag = predicted.perm, predicted.diag
+        perm = predicted.perm
         try:
             form = MonomialForm.from_delta(wd, model.size)
         except GeneratorError as exc:
@@ -996,11 +998,10 @@ def _component_records(model, designs):
             row, col, _s = root_entry_positions(model, beta)[d - 1]
             if inverse:
                 return inverse, {}
-            out = _monomial_conj(form, {(row, col): v})
-            target = (perm[row - 1], perm[col - 1])
-            if target not in table:
-                return out, {}
-            return out, {target: diag[row - 1] * v / diag[col - 1]}
+            inner = {(row, col): v}
+            rhs = _monomial_conj(predicted, inner)
+            return (_monomial_conj(form, inner),
+                    rhs if rhs.keys() <= table.keys() else {})
 
         proven = not inverse and form == predicted and all(
             (perm[row - 1], perm[col - 1]) in table for row, col in cells)
@@ -1025,9 +1026,10 @@ def _monomial_conj(form, inner):
 
 
 def _sl2_block_form(model, gamma, params):
-    """The MonomialForm that w_gamma(params) should have on sl: each nonzero
-    slot t on a component (r, c) is the block [[0, t], [-1/t, 0]] on rows and
-    columns r, c; every other column is the identity's."""
+    """The MonomialForm that w_gamma(params) should have on sl, and on sp's
+    long roots: each nonzero slot t on a component (r, c) is the block
+    [[0, t], [-1/t, 0]] on rows and columns r, c; every other column is the
+    identity's.  monomial-form-1..7 and weyl-component-conj both read it."""
     perm = list(range(1, model.size + 1))
     diag = [1] * model.size
     for (r, c, _s), t in zip(root_entry_positions(model, gamma), params):
@@ -1104,53 +1106,34 @@ def _w_inversion_records(model, designs):
 # Monomial-form suite
 # ---------------------------------------------------------------------------
 
-# The seven displays w = p(pi) diag(...).  Each row: id, root (Li-Lj, Li+Lj
-# or 2Li), the w-letter's slots (1 -> t1, 2 -> t2, 0 -> zero), the swapped
-# positions of pi, and the diagonal as (position, slot, inverted), where an
-# inverted entry is -1/t and any other is t.  Positions 0..3 stand for
-# i, j, i+n, j+n.
+# The seven displays w = p(pi) diag(...), whose right side _sl2_block_form
+# gives.  Each row: id, root (Li-Lj, Li+Lj or 2Li) and the w-letter's slots
+# (1 -> t1, 2 -> t2, 0 -> zero).
 _MONOMIAL_FORMS = (
-    ("monomial-form-1", "diff", (1, 2), ((0, 1), (2, 3)),
-     ((0, 1, True), (1, 1, False), (2, 2, False), (3, 2, True))),
-    ("monomial-form-2", "diff", (1, 0), ((0, 1),),
-     ((0, 1, True), (1, 1, False))),
-    ("monomial-form-3", "diff", (0, 2), ((2, 3),),
-     ((2, 2, False), (3, 2, True))),
-    ("monomial-form-4", "sum", (1, 2), ((0, 3), (1, 2)),
-     ((0, 1, True), (1, 2, True), (2, 2, False), (3, 1, False))),
-    ("monomial-form-5", "sum", (0, 2), ((1, 2),),
-     ((1, 2, True), (2, 2, False))),
-    ("monomial-form-6", "sum", (1, 0), ((0, 3),),
-     ((0, 1, True), (3, 1, False))),
+    ("monomial-form-1", "diff", (1, 2)),
+    ("monomial-form-2", "diff", (1, 0)),
+    ("monomial-form-3", "diff", (0, 2)),
+    ("monomial-form-4", "sum", (1, 2)),
+    ("monomial-form-5", "sum", (0, 2)),
+    ("monomial-form-6", "sum", (1, 0)),
 )
-_LONG_FORM = ("monomial-form-7", "long", (1,), ((0, 2),),
-              ((0, 1, True), (2, 1, False)))
+_LONG_FORM = ("monomial-form-7", "long", (1,))
 
 
 def _monomial_relation(model, form, i, j, tuples):
-    rid, kind, slots, swaps, diag = form
+    """w at the display's root and slot pattern equals its SL2-block form."""
+    rid, kind, slots = form
     n = model.n
     root = Root.of(n, i) if kind == "long" else \
         Root.of(n, i, j, 1, -1 if kind == "diff" else 1)
-    pos = (i, j, i + n, j + n)
-    perm = list(range(1, model.size + 1))
-    for x, y in swaps:
-        perm[pos[x] - 1], perm[pos[y] - 1] = pos[y], pos[x]
-    perm = tuple(perm)
-
-    def used(ts):
-        return tuple(ts[s - 1] for s in slots if s)
 
     def sides(*ts):
-        lhs = w_delta(model, root, tuple(ts[s - 1] if s else _ZERO
-                                         for s in slots))
-        d = [1] * model.size
-        for k, s, inv in diag:
-            d[pos[k] - 1] = -(1 / ts[s - 1]) if inv else ts[s - 1]
-        return lhs, MonomialForm(perm, tuple(d)).delta()
+        params = tuple(ts[s - 1] if s else _ZERO for s in slots)
+        return (w_delta(model, root, params),
+                _sl2_block_form(model, root, params).delta())
 
     return Relation(rid, (root,), tuples, sides,
-                    shown=lambda *ts: used(ts))
+                    shown=lambda *ts: tuple(ts[s - 1] for s in slots if s))
 
 
 def monomial_form_suite(model, designs):

@@ -91,10 +91,6 @@ class SymbolExpr:
     def inverse(self):
         return SymbolExpr(tuple((k, -e) for k, e in self.pairs))
 
-    def describe(self):
-        return [[format_scalar(s), format_scalar(t), e]
-                for (s, t), e in self.pairs]
-
     def __str__(self):
         if not self.pairs:
             return "1"

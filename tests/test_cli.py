@@ -198,6 +198,59 @@ class TestWrongW:
                 and r["instances"] == 0 for r in component)
 
 
+def _doubled_combinations(r, p, real=relations.positive_combinations):
+    # every factor root listed twice: its support overlaps itself
+    return real(r, p) * 2
+
+
+def _raised_combinations(r, p, real=relations.positive_combinations):
+    # each factor's law claimed at bidegree (i+1, j)
+    return [(i + 1, j, q) for i, j, q in real(r, p)]
+
+
+def _third_commutator(model, r, p, a, b, real=relations.commutator_delta):
+    # every commutator entry divided by 3: each sp law's coefficient too
+    return {k: v / 3 for k, v in real(model, r, p, a, b).items()}
+
+
+class TestFitGuards:
+    """A pair whose laws fail a guard of the law fit is a failing
+    commutator report with the guard's text as its note (exit 1), never a
+    usage error."""
+
+    GUARDS = {
+        "overlap": ("positive_combinations", _doubled_combinations,
+                    "overlapping factor supports for "),
+        "bidegree": ("positive_combinations", _raised_combinations,
+                     "bidegree violation at "),
+        "sp-monomial": ("commutator_delta", _third_commutator,
+                        "sp law is not a single integer monomial"),
+    }
+
+    @pytest.fixture
+    def guard(self, request, monkeypatch):
+        name, mutant, text = self.GUARDS[request.param]
+        _clear_caches()
+        monkeypatch.setattr(relations, name, mutant)
+        yield text
+        monkeypatch.undo()
+        _clear_caches()
+
+    @pytest.mark.parametrize("guard", sorted(GUARDS), indirect=True)
+    def test_fails_the_commutator_report(self, guard):
+        code, out, err = run_cli_err("verify", "--model", "sp", "--n", "2",
+                                     "--suite", "relations", "--regime",
+                                     "symbolic")
+        assert (code, err) == (1, "")
+        failed = [r for r in json.loads(out)["reports"]
+                  if r["verdict"] == "fail"]
+        # every pair with a commutator factor: 24 on sp n=2
+        assert len(failed) == 24
+        assert all(r["note"].startswith(guard)
+                   and (r["relation_id"], r["instances"]) == ("commutator", 0)
+                   for r in failed)
+
+
 class TestGeneric:
     def test_example_plane(self):
         code, out = run_cli("generic", "--roots", "builtin:sl-standard",
@@ -252,6 +305,19 @@ class TestStable:
                             "--check", "0,0,1,0")
         assert code == 1
         assert json.loads(out)["valid"] is False
+
+    @pytest.mark.parametrize("region, on", [("eq:1,1,1,1", True),
+                                            ("eq:1,0,0,0", False)])
+    def test_check_on_a_region(self, tmp_path, region, on):
+        # 5 - 8 + 1 + 2 = 0: the point lies on the trace-zero plane only
+        roots = tmp_path / "roots.txt"
+        roots.write_text("0,0,1,-1\n0,1,-1,0\n")
+        code, out = run_cli("stable", "--roots", str(roots),
+                            "--check", "5,-8,1,2", "--region", region)
+        payload = json.loads(out)
+        assert payload["on_region"] is on and payload["valid"] is on
+        assert payload["values"] == ["-1", "-9"]
+        assert code == (0 if on else 1)
 
 
 class TestChambers:
@@ -506,6 +572,11 @@ USAGE_ERRORS = [
     ("stable", "--roots", "builtin:restricted", "--n", "2",
      "--check", "-1.5,-3"),
     ("symbol", "--universe", "2,3,1e3", "--expr", '[[["2","3"],1]]'),
+    # a --roots or word file that cannot be read, or a roots file with no
+    # root
+    ("stable", "--roots", "MISSING"),
+    ("chambers", "--roots", "EMPTY"),
+    ("reduce", "MISSING", "--model", "sp", "--n", "2"),
 ]
 
 
@@ -513,7 +584,11 @@ USAGE_ERRORS = [
 def test_out_of_domain_input_is_a_usage_error(argv, tmp_path):
     word = tmp_path / "word.txt"
     word.write_text(WORD)
-    argv = [str(word) if a == "WORDFILE" else a for a in argv]
+    empty = tmp_path / "empty.txt"
+    empty.write_text("# no roots here\n\n")
+    files = {"WORDFILE": str(word), "EMPTY": str(empty),
+             "MISSING": str(tmp_path / "missing.txt")}
+    argv = [files.get(a, a) for a in argv]
     code, out, err = run_cli_err(*argv)
     assert (code, out) == (2, "")
     lines = err.splitlines()

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -384,6 +385,40 @@ class TestReduce:
         trace = reduce_cycle(Word(sys_, tuple(letters)))
         assert trace.reduced_to_empty and trace.replay()
         assert any(m.relation_id == "commutator" for m in trace.moves)
+
+    @staticmethod
+    def additivity_trace():
+        """x_{2L2}(2) x_{2L2}(3) x_{2L2}(-5) reduced, and x_{2L2}(7), a
+        letter the word does not hold."""
+        sys_ = rsys(SP2)
+        r = Root.of(2, 2)
+        w = Word(sys_, (sys_.letter(r, (F(2),)), sys_.letter(r, (F(3),)),
+                        sys_.letter(r, (F(-5),))))
+        trace = reduce_cycle(w)
+        assert trace.reduced_to_empty and trace.replay()
+        return trace, sys_.letter(r, (F(7),))
+
+    def test_replay_rejects_a_move_that_does_not_match(self):
+        trace, other = self.additivity_trace()
+        first = trace.moves[0]
+        bad = replace(first, removed=(other,) + first.removed[1:])
+        with pytest.raises(CycleError, match="does not match the word"):
+            bad.apply(trace.initial.letters)
+        with pytest.raises(CycleError, match="does not match the word"):
+            replace(trace, moves=(bad,) + trace.moves[1:]).replay()
+
+    def test_replay_rejects_a_move_that_changes_the_evaluation(self):
+        trace, other = self.additivity_trace()
+        first = trace.moves[0]
+        bad = replace(first, inserted=first.inserted + (other,))
+        with pytest.raises(CycleError, match="changed the evaluation"):
+            replace(trace, moves=(bad,) + trace.moves[1:]).replay()
+
+    def test_replay_rejects_a_wrong_final_word(self):
+        trace, other = self.additivity_trace()
+        wrong = Word(trace.initial.system, (other,))
+        with pytest.raises(CycleError, match="recorded final word"):
+            replace(trace, final=wrong).replay()
 
     @pytest.mark.parametrize("model", [SL2, SL3, GroupModel("sl-c", 2)])
     def test_h_multiplicativity_words(self, model):

@@ -1123,6 +1123,13 @@ class TestSuites:
         with pytest.raises(RelationError):
             run_suite(SP2, "monomial", "symbolic", grid=DEFAULT_GRID)
 
+    @pytest.mark.parametrize("suite, regime, text", [
+        ("all", "exact", "unknown regime 'exact'"),
+        ("weyls", "grid", "unknown suite 'weyls'")])
+    def test_unknown_regime_or_suite(self, suite, regime, text):
+        with pytest.raises(RelationError, match=text):
+            run_suite(SP2, suite, regime)
+
     def test_single_verifiers_label_the_regime_from_their_parameters(self):
         # a Laurent symbol makes the report a symbolic proof; rational and
         # Gaussian values make it a grid sample
@@ -1179,6 +1186,26 @@ class TestWeylSuiteSpotChecks:
         wl = delta_to_matrix(w_delta(SP2, Root.of(2, 1), (F(2),)), 4)
         assert wl == ExactMatrix([[0, 0, 2, 0], [0, 1, 0, 0],
                                   [F(-1, 2), 0, 0, 0], [0, 0, 0, 1]])
+        # the paper's seven displays w = p(pi) diag(d) at i, j = 1, 2,
+        # transcribed by hand as (root, w's slots, perm, diag): the oracle
+        # of _sl2_block_form, the right side monomial-form-1..7 compare with
+        t1, t2, z = LaurentFrac.symbol("t1"), LaurentFrac.symbol("t2"), F(0)
+        diff, plus = Root.of(2, 1, 2, 1, -1), Root.of(2, 1, 2, 1, 1)
+        displays = [
+            (SL2, diff, (t1, t2), (2, 1, 4, 3), (-1 / t1, t1, t2, -1 / t2)),
+            (SL2, diff, (t1, z), (2, 1, 3, 4), (-1 / t1, t1, 1, 1)),
+            (SL2, diff, (z, t2), (1, 2, 4, 3), (1, 1, t2, -1 / t2)),
+            (SL2, plus, (t1, t2), (4, 3, 2, 1), (-1 / t1, -1 / t2, t2, t1)),
+            (SL2, plus, (z, t2), (1, 3, 2, 4), (1, -1 / t2, t2, 1)),
+            (SL2, plus, (t1, z), (4, 2, 3, 1), (-1 / t1, 1, 1, t1)),
+            (SP2, Root.of(2, 1), (t1,), (3, 2, 1, 4), (-1 / t1, 1, t1, 1)),
+        ]
+        for model, root, params, perm, diag in displays:
+            literal = MonomialForm(perm, diag)
+            assert relations._sl2_block_form(model, root, params) == literal
+            wd = w_delta(model, root, params)
+            assert MonomialForm.from_delta(wd, 4) == literal
+            assert wd == literal.delta()
 
 
 class TestComponentConjugation:
